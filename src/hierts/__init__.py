@@ -61,16 +61,7 @@ from .hierarchy import (
     marginal_prior_variance,
     save_tree_json,
 )
-from .linear import (
-    ConditioningError,
-    LeafGram,
-    LinearPosteriorState,
-    NodeMessageVec,
-    internal_message_linear,
-    leaf_message_linear,
-    node_posterior_linear,
-    node_posterior_params_linear,
-)
+from .linear import ConditioningError, LinearPosteriorState
 from .oracle import (
     JointGaussian,
     action_marginals,
@@ -79,16 +70,6 @@ from .oracle import (
     joint_prior,
     sample_action_values,
 )
-from .posterior import (
-    LeafStats,
-    NodeMessage,
-    PosteriorParams,
-    PosteriorState,
-    ZERO_MESSAGE,
-    internal_message,
-    leaf_message,
-    node_posterior,
-    node_posterior_params,
-)
+from .posterior import PosteriorState
 
 __version__ = "0.1.0"

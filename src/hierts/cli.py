@@ -21,6 +21,7 @@ from .envs import DatasetError, dataset_instance, fit_priors_from_data, load_fea
 from .harness import (
     ConfigError,
     RunConfig,
+    _load_json_object,
     complexity_term,
     dataset_bandit_curve,
     ratio_experiment,
@@ -134,11 +135,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict) or "heights" not in doc:
+    doc = _load_json_object(args.config)
+    if "heights" not in doc:
         raise ConfigError(f"{args.config}: ratio config needs a 'heights' list")
     heights = doc.pop("heights")
     if (
@@ -147,9 +145,9 @@ def _cmd_ratio(args) -> int:
         or not all(isinstance(h, int) and h >= 1 for h in heights)
     ):
         raise ConfigError("'heights' must be a non-empty list of integers >= 1")
-    doc.setdefault("tree", {})
-    if "h" not in doc["tree"]:
-        doc["tree"]["h"] = heights[0]
+    tree = doc.setdefault("tree", {})
+    if isinstance(tree, dict):  # from_dict rejects any other value
+        tree.setdefault("h", heights[0])
     config = RunConfig.from_dict(doc)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -222,22 +220,22 @@ def _cmd_verify(args) -> int:
         "sentinel": 0.0,
     }
     if args.config is not None:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{args.config}: verify config must be a JSON object")
+        doc = _load_json_object(args.config)
         unknown = set(doc) - {"seed", "scalar_cases", "linear_cases", "lemma_runs", "horizon", "sentinel"}
         if unknown:
             raise ConfigError(f"unknown verify config keys: {sorted(unknown)}")
-        if "seed" in doc:
-            params["base_seed"] = int(doc["seed"])
-        for key in ("scalar_cases", "linear_cases", "lemma_runs", "horizon"):
-            if key in doc:
+        for key in ("seed", "scalar_cases", "linear_cases", "lemma_runs", "horizon"):
+            if key not in doc:
+                continue
+            try:
                 value = int(doc[key])
-                if value < 0:
-                    raise ConfigError(f"{key} must be nonnegative, got {value}")
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key} must be an integer, got {doc[key]!r}") from None
+            if key == "seed":
+                params["base_seed"] = value
+            elif value < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {value}")
+            else:
                 params[key] = value
         if doc.get("sentinel"):
             # Test-only corruption switch: prove the detector catches a

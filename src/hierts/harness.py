@@ -12,6 +12,8 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -59,6 +61,17 @@ class ConfigError(ValueError):
     """An experiment configuration failed validation."""
 
 
+def _load_json_object(path: str | Path) -> dict:
+    """Parse a JSON config file that must hold an object; OSError passes through."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: config must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Declarative experiment description; resolve() yields the tree and prior.
@@ -88,6 +101,10 @@ class RunConfig:
     delta: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("branching", "height", "horizon", "instances", "seed", "dim"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         sources = [self.branching is not None or self.height is not None,
                    self.parents is not None,
                    self.tree_file is not None]
@@ -151,7 +168,10 @@ class RunConfig:
                 raise ConfigError("'prior' must be an object with a 'scheme' key")
             flat["prior_scheme"] = prior["scheme"]
             if "value" in prior:
-                flat["prior_value"] = float(prior["value"])
+                try:
+                    flat["prior_value"] = float(prior["value"])
+                except (TypeError, ValueError):
+                    raise ConfigError(f"'prior.value' must be a number, got {prior['value']!r}") from None
             if "node_variance" in prior:
                 try:
                     flat["node_variance"] = tuple(
@@ -160,6 +180,8 @@ class RunConfig:
                 except (TypeError, ValueError, AttributeError):
                     raise ConfigError("'prior.node_variance' must map node ids to variances") from None
         if "agents" in flat:
+            if not isinstance(flat["agents"], list):
+                raise ConfigError(f"'agents' must be a list of agent kinds, got {flat['agents']!r}")
             flat["agents"] = tuple(flat["agents"])
         try:
             return cls(**flat)
@@ -168,15 +190,7 @@ class RunConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            text = Path(path).read_text()
-        except OSError:
-            raise
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(_load_json_object(path))
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -274,53 +288,86 @@ def _instance_rng(seed: int, run: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, stream)))
 
 
-def _simulate_instance(
+def _simulate_run(
     run: int,
-    config: RunConfig,
-    hierarchy: Hierarchy | None = None,
-    prior: PriorSpec | None = None,
+    seed: int,
+    hierarchy: Hierarchy,
+    prior: PriorSpec,
+    horizon: int,
+    kinds: tuple[str, ...],
+    leaf_means: np.ndarray,
+    contexts: np.ndarray | None,
 ) -> dict[str, np.ndarray]:
-    if hierarchy is None or prior is None:
-        hierarchy, prior = config.resolve()
-    instance = sample_instance(hierarchy, prior, _instance_rng(config.seed, run, _STREAM_INSTANCE))
-    leaves = hierarchy.action_nodes
-    theta_leaves = instance.leaf_parameters()
-    n = config.horizon
-    linear = config.model == "linear"
-    if linear:
-        contexts = sample_contexts(_instance_rng(config.seed, run, _STREAM_CONTEXT), n, prior.dim)
-        mean_table = contexts @ theta_leaves.T  # (n, K)
-        best_means = mean_table.max(axis=1) if n else np.empty(0)
+    """Cumulative per-round regret of each agent kind on one environment.
+
+    leaf_means holds the leaf parameters in action order: shape (K,) for the
+    k-armed model (contexts None) or (K, d) for the linear model, with one
+    context row per round. All agents face the same means and contexts.
+    """
+    # Per-round lookups go through Python lists, which index faster than
+    # numpy arrays do for single elements.
+    if contexts is None:
+        means = leaf_means.tolist()
+        mean_rows = [means] * horizon  # every round shares one row
+        best = [max(means)] * horizon
+        xs = [None] * horizon
     else:
-        best_mean = float(theta_leaves.max()) if leaves.size else 0.0
+        table = contexts @ leaf_means.T  # (horizon, K)
+        mean_rows = table.tolist()
+        best = table.max(axis=1).tolist()
+        xs = contexts
+    index = hierarchy.action_index.tolist()
     out: dict[str, np.ndarray] = {}
-    for kind in config.agents:
+    for kind in kinds:
         pos = AGENT_KINDS.index(kind)
-        agent = make_agent(
-            kind, hierarchy, prior, _instance_rng(config.seed, run, _STREAM_AGENT + pos)
-        )
-        noise = (
-            _instance_rng(config.seed, run, _STREAM_NOISE + pos).standard_normal(n)
-            * prior.noise_std
-        )
-        regret = np.empty(n)
-        if linear:
-            for t in range(n):
-                x = contexts[t]
-                action = agent.act(x)
-                j = int(hierarchy.action_index[action])
-                agent.update(action, mean_table[t, j] + noise[t], x)
-                regret[t] = best_means[t] - mean_table[t, j]
-        else:
-            for t in range(n):
-                action = agent.act()
-                mean_a = float(instance.theta[action])
-                agent.update(action, mean_a + noise[t])
-                regret[t] = best_mean - mean_a
-        if n and regret.min() < -1e-12:
+        agent = make_agent(kind, hierarchy, prior, _instance_rng(seed, run, _STREAM_AGENT + pos))
+        noise = _instance_rng(seed, run, _STREAM_NOISE + pos).standard_normal(horizon) * prior.noise_std
+        regret = np.empty(horizon)
+        for t in range(horizon):
+            x = xs[t]
+            action = agent.act(x)
+            mean_a = mean_rows[t][index[action]]
+            agent.update(action, mean_a + noise[t], x)
+            regret[t] = best[t] - mean_a
+        if horizon and regret.min() < -1e-12:
             raise AssertionError(f"negative per-round regret for {kind} on instance {run}")
         out[kind] = np.cumsum(regret)
     return out
+
+
+def _regret_curve(
+    envs: Iterable[tuple[np.ndarray, np.ndarray | None]],
+    runs: int,
+    *,
+    seed: int,
+    hierarchy: Hierarchy,
+    prior: PriorSpec,
+    horizon: int,
+    kinds: tuple[str, ...],
+    jobs: int,
+) -> RegretCurve:
+    """Run _simulate_run on each (leaf_means, contexts) of envs and average.
+
+    jobs > 1 spreads runs over worker processes; results are gathered in run
+    order, so the curve does not depend on the worker count.
+    """
+    tasks = (
+        (run, seed, hierarchy, prior, horizon, kinds, means, contexts)
+        for run, (means, contexts) in enumerate(envs)
+    )
+    if jobs > 1 and runs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_simulate_run, *task) for task in tasks]
+            results = [f.result() for f in futures]
+    else:
+        results = [_simulate_run(*task) for task in tasks]
+    mean: dict[str, np.ndarray] = {}
+    se: dict[str, np.ndarray] = {}
+    for kind in kinds:
+        stacked = np.stack([res[kind] for res in results])
+        mean[kind] = stacked.mean(axis=0)
+        se[kind] = stacked.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(horizon)
+    return RegretCurve(horizon=horizon, instances=runs, agents=kinds, mean=mean, se=se)
 
 
 def run_bayes_regret(config: RunConfig, jobs: int = 1) -> RegretCurve:
@@ -330,54 +377,26 @@ def run_bayes_regret(config: RunConfig, jobs: int = 1) -> RegretCurve:
     order-fixed, so the result does not depend on the worker count.
     """
     hierarchy, prior = config.resolve()
-    runs = range(config.instances)
-    if jobs > 1 and config.instances > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_simulate_instance, runs, [config] * config.instances))
-    else:
-        results = [_simulate_instance(r, config, hierarchy, prior) for r in runs]
-    mean: dict[str, np.ndarray] = {}
-    se: dict[str, np.ndarray] = {}
-    for kind in config.agents:
-        stacked = np.stack([res[kind] for res in results])
-        mean[kind] = stacked.mean(axis=0)
-        if config.instances > 1:
-            se[kind] = stacked.std(axis=0, ddof=1) / math.sqrt(config.instances)
-        else:
-            se[kind] = np.zeros(config.horizon)
-    return RegretCurve(
-        horizon=config.horizon,
-        instances=config.instances,
-        agents=config.agents,
-        mean=mean,
-        se=se,
+    seed, n = config.seed, config.horizon
+
+    def envs():
+        for run in range(config.instances):
+            instance = sample_instance(hierarchy, prior, _instance_rng(seed, run, _STREAM_INSTANCE))
+            contexts = None
+            if config.model == "linear":
+                contexts = sample_contexts(_instance_rng(seed, run, _STREAM_CONTEXT), n, prior.dim)
+            yield instance.leaf_parameters(), contexts
+
+    return _regret_curve(
+        envs(),
+        config.instances,
+        seed=seed,
+        hierarchy=hierarchy,
+        prior=prior,
+        horizon=n,
+        kinds=config.agents,
+        jobs=jobs,
     )
-
-
-def _simulate_dataset_run(
-    run: int, instance: Instance, test_features: np.ndarray, horizon: int, seed: int
-) -> dict[str, np.ndarray]:
-    hierarchy, prior = instance.hierarchy, instance.prior
-    theta_leaves = instance.leaf_parameters()
-    ctx_rng = _instance_rng(seed, run, _STREAM_CONTEXT)
-    rows = ctx_rng.integers(0, test_features.shape[0], size=horizon)
-    contexts = test_features[rows]
-    mean_table = contexts @ theta_leaves.T
-    best_means = mean_table.max(axis=1)
-    out: dict[str, np.ndarray] = {}
-    for kind in AGENT_KINDS:
-        pos = AGENT_KINDS.index(kind)
-        agent = make_agent(kind, hierarchy, prior, _instance_rng(seed, run, _STREAM_AGENT + pos))
-        noise = _instance_rng(seed, run, _STREAM_NOISE + pos).standard_normal(horizon) * prior.noise_std
-        regret = np.empty(horizon)
-        for t in range(horizon):
-            x = contexts[t]
-            action = agent.act(x)
-            j = int(hierarchy.action_index[action])
-            agent.update(action, mean_table[t, j] + noise[t], x)
-            regret[t] = best_means[t] - mean_table[t, j]
-        out[kind] = np.cumsum(regret)
-    return out
 
 
 def dataset_bandit_curve(
@@ -398,28 +417,23 @@ def dataset_bandit_curve(
     test_features = dataset.features[~dataset.is_train]
     if test_features.shape[0] == 0:
         raise ValueError("dataset has no test rows to serve as contexts")
-    run_ids = range(runs)
-    if jobs > 1 and runs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _simulate_dataset_run,
-                    run_ids,
-                    [instance] * runs,
-                    [test_features] * runs,
-                    [horizon] * runs,
-                    [seed] * runs,
-                )
-            )
-    else:
-        results = [_simulate_dataset_run(r, instance, test_features, horizon, seed) for r in run_ids]
-    mean: dict[str, np.ndarray] = {}
-    se: dict[str, np.ndarray] = {}
-    for kind in AGENT_KINDS:
-        stacked = np.stack([res[kind] for res in results])
-        mean[kind] = stacked.mean(axis=0)
-        se[kind] = stacked.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(horizon)
-    return RegretCurve(horizon=horizon, instances=runs, agents=AGENT_KINDS, mean=mean, se=se)
+    theta_leaves = instance.leaf_parameters()
+
+    def envs():
+        for run in range(runs):
+            rows = _instance_rng(seed, run, _STREAM_CONTEXT).integers(0, test_features.shape[0], size=horizon)
+            yield theta_leaves, test_features[rows]
+
+    return _regret_curve(
+        envs(),
+        runs,
+        seed=seed,
+        hierarchy=instance.hierarchy,
+        prior=instance.prior,
+        horizon=horizon,
+        kinds=AGENT_KINDS,
+        jobs=jobs,
+    )
 
 
 @dataclass(frozen=True)

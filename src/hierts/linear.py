@@ -14,54 +14,17 @@ unlike the textbook form (Sigma0 + P^-1)^-1.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
-
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec
 
-__all__ = [
-    "ConditioningError",
-    "LeafGram",
-    "NodeMessageVec",
-    "PosteriorParamsVec",
-    "leaf_message_linear",
-    "internal_message_linear",
-    "node_posterior_linear",
-    "node_posterior_params_linear",
-    "LinearPosteriorState",
-]
+__all__ = ["ConditioningError", "LinearPosteriorState"]
 
 COND_LIMIT = 1e12
 
 
 class ConditioningError(ArithmeticError):
     """A linear solve hit a numerically singular system."""
-
-
-class LeafGram(NamedTuple):
-    gram: np.ndarray
-    xy_sum: np.ndarray
-    count: int
-
-
-class NodeMessageVec(NamedTuple):
-    precision: np.ndarray
-    weighted_mean: np.ndarray
-
-
-class PosteriorParamsVec(NamedTuple):
-    """Conditional posterior N(slope @ parent + intercept, covariance)."""
-
-    slope: np.ndarray
-    intercept: np.ndarray
-    covariance: np.ndarray
-
-    def mean(self, parent_value: np.ndarray) -> np.ndarray:
-        return self.slope @ parent_value + self.intercept
-
-    def moments(self, parent_value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.mean(parent_value), self.covariance
 
 
 def _solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
@@ -77,60 +40,22 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _shrink_linear(prec: np.ndarray, wmean: np.ndarray, lam0: np.ndarray) -> NodeMessageVec:
+def _shrink_linear(
+    prec: np.ndarray, wmean: np.ndarray, lam0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Upward message (precision, weighted mean) of below-evidence folded through one edge."""
     d = lam0.shape[0]
     s = prec + lam0
     sol = _solve_checked(s, np.concatenate([prec, wmean[:, None]], axis=1), "message update")
     msg_prec = _sym(prec - prec @ sol[:, :d])
     msg_wmean = lam0 @ sol[:, d]
-    return NodeMessageVec(msg_prec, msg_wmean)
+    return msg_prec, msg_wmean
 
 
-def leaf_message_linear(stats: LeafGram, sigma0: np.ndarray, sigma_sq: float) -> NodeMessageVec:
-    """Upward message of a leaf from its (already noise-scaled) Gram statistics."""
-    if sigma_sq <= 0:
-        raise ValueError(f"noise variance must be positive, got {sigma_sq}")
-    lam0 = np.linalg.inv(sigma0)
-    return _shrink_linear(np.asarray(stats.gram, float), np.asarray(stats.xy_sum, float), _sym(lam0))
-
-
-def internal_message_linear(
-    child_messages: Iterable[NodeMessageVec], sigma0: np.ndarray
-) -> NodeMessageVec:
-    """Upward message of an internal node from its children's messages."""
-    lam0 = _sym(np.linalg.inv(sigma0))
-    d = lam0.shape[0]
-    prec, wmean = np.zeros((d, d)), np.zeros(d)
-    for msg in child_messages:
-        prec = prec + msg.precision
-        wmean = wmean + msg.weighted_mean
-    return _shrink_linear(prec, wmean, lam0)
-
-
-def node_posterior_params_linear(
-    child_messages: Iterable[NodeMessageVec], sigma0: np.ndarray
-) -> PosteriorParamsVec:
-    """Affine form of the conditional posterior given the parent's value.
-
-    As in the scalar case, a leaf passes its Gram statistics as the single
-    "child message" (gram, xy_sum).
-    """
-    lam0 = _sym(np.linalg.inv(np.asarray(sigma0, float)))
-    d = lam0.shape[0]
-    prec = lam0.copy()
-    wmean = np.zeros(d)
-    for msg in child_messages:
-        prec = prec + msg.precision
-        wmean = wmean + msg.weighted_mean
-    cov = _sym(_solve_checked(prec, np.eye(d), "posterior covariance"))
-    return PosteriorParamsVec(slope=cov @ lam0, intercept=cov @ wmean, covariance=cov)
-
-
-def node_posterior_linear(
-    parent_value: np.ndarray, child_messages: Iterable[NodeMessageVec], sigma0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concrete (mean, covariance) of the conditional posterior at a parent value."""
-    return node_posterior_params_linear(child_messages, sigma0).moments(np.asarray(parent_value, float))
+def _cov_and_chol(prec: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance of a precision matrix (by a checked solve) and its Cholesky factor."""
+    cov = _sym(_solve_checked(prec, np.eye(prec.shape[0]), what))
+    return cov, np.linalg.cholesky(cov)
 
 
 class LinearPosteriorState:
@@ -177,31 +102,12 @@ class LinearPosteriorState:
     def num_nodes(self) -> int:
         return self.hierarchy.num_nodes
 
-    def leaf_stats(self, leaf: int) -> LeafGram:
-        if not self.hierarchy.is_leaf(leaf):
-            raise HierarchyError(f"node {leaf} is not a leaf")
-        return LeafGram(self.gram[leaf].copy(), self.xy_sum[leaf].copy(), int(self.counts[leaf]))
-
-    def message(self, node: int) -> NodeMessageVec:
-        self.hierarchy._check_node(node)
-        if node == ROOT:
-            raise HierarchyError("the root sends no upward message")
-        return NodeMessageVec(self.msg_prec[node].copy(), self.msg_wmean[node].copy())
-
-    def node_params(self, node: int) -> PosteriorParamsVec:
-        self.hierarchy._check_node(node)
-        return PosteriorParamsVec(
-            slope=self.slope[node].copy(),
-            intercept=self.intercept[node].copy(),
-            covariance=self.post_cov[node].copy(),
-        )
-
     def _refresh_posterior(self, node: int) -> None:
         lam0 = self.lam0[node]
         prec = lam0 + self.ev_prec[node]
-        cov = _sym(_solve_checked(prec, np.eye(self.dim), f"posterior covariance at node {node}"))
+        cov, chol = _cov_and_chol(prec, f"posterior covariance at node {node}")
         self.post_cov[node] = cov
-        self.post_chol[node] = np.linalg.cholesky(cov)
+        self.post_chol[node] = chol
         self.slope[node] = cov @ lam0
         self.intercept[node] = cov @ self.ev_wmean[node]
 
@@ -222,9 +128,9 @@ class LinearPosteriorState:
         self.ev_wmean[action] = self.xy_sum[action]
         node = action
         while node != ROOT:
-            msg = _shrink_linear(self.ev_prec[node], self.ev_wmean[node], self.lam0[node])
-            self.msg_prec[node] = msg.precision
-            self.msg_wmean[node] = msg.weighted_mean
+            self.msg_prec[node], self.msg_wmean[node] = _shrink_linear(
+                self.ev_prec[node], self.ev_wmean[node], self.lam0[node]
+            )
             self._refresh_posterior(node)
             node = int(hier.parent[node])
             ch = hier.children[node]
@@ -261,9 +167,9 @@ class LinearPosteriorState:
             if ch.size:
                 out.ev_prec[node] = out.msg_prec[ch].sum(axis=0)
                 out.ev_wmean[node] = out.msg_wmean[ch].sum(axis=0)
-            msg = _shrink_linear(out.ev_prec[node], out.ev_wmean[node], out.lam0[node])
-            out.msg_prec[node] = msg.precision
-            out.msg_wmean[node] = msg.weighted_mean
+            out.msg_prec[node], out.msg_wmean[node] = _shrink_linear(
+                out.ev_prec[node], out.ev_wmean[node], out.lam0[node]
+            )
         ch = hier.children[ROOT]
         out.ev_prec[ROOT] = out.msg_prec[ch].sum(axis=0)
         out.ev_wmean[ROOT] = out.msg_wmean[ch].sum(axis=0)

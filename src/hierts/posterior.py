@@ -17,119 +17,11 @@ the conditional prior and the subtree likelihood.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
-
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec
 
-__all__ = [
-    "LeafStats",
-    "NodeMessage",
-    "PosteriorParams",
-    "ZERO_MESSAGE",
-    "leaf_message",
-    "internal_message",
-    "node_posterior",
-    "node_posterior_params",
-    "PosteriorState",
-]
-
-
-class LeafStats(NamedTuple):
-    count: int
-    reward_sum: float
-
-
-class NodeMessage(NamedTuple):
-    precision: float
-    weighted_mean: float
-
-
-ZERO_MESSAGE = NodeMessage(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class PosteriorParams:
-    """Conditional posterior of a node given its parent's value.
-
-    The law is N(slope * parent_value + intercept, variance). The slope is
-    variance / prior_variance and always lies in (0, 1].
-    """
-
-    slope: float
-    intercept: float
-    variance: float
-
-    def mean(self, parent_value: float) -> float:
-        return self.slope * parent_value + self.intercept
-
-    def moments(self, parent_value: float) -> tuple[float, float]:
-        return self.mean(parent_value), self.variance
-
-
-def _check_variance(sigma0_sq: float) -> None:
-    if sigma0_sq <= 0:
-        raise ValueError(f"prior variance must be positive, got {sigma0_sq}")
-
-
-def _shrink(prec: float, wmean: float, lam0: float) -> NodeMessage:
-    # Shared recursion step: fold below-evidence through one prior edge.
-    denom = prec + lam0
-    return NodeMessage(prec * lam0 / denom, lam0 / denom * wmean)
-
-
-def leaf_message(stats: LeafStats, sigma0_sq: float, sigma_sq: float) -> NodeMessage:
-    """Upward message of a leaf from its reward tally.
-
-    Equals the density of the data seen as a likelihood for the parent value,
-    with variance sigma0_sq + sigma_sq / count; zero message when count is 0.
-    """
-    _check_variance(sigma0_sq)
-    if sigma_sq <= 0:
-        raise ValueError(f"noise variance must be positive, got {sigma_sq}")
-    if stats.count < 0:
-        raise ValueError(f"negative observation count {stats.count}")
-    return _shrink(stats.count / sigma_sq, stats.reward_sum / sigma_sq, 1.0 / sigma0_sq)
-
-
-def internal_message(child_messages: Iterable[NodeMessage], sigma0_sq: float) -> NodeMessage:
-    """Upward message of an internal node from its children's messages."""
-    _check_variance(sigma0_sq)
-    prec = wmean = 0.0
-    for msg in child_messages:
-        if msg.precision < 0:
-            raise ValueError(f"message precision must be nonnegative, got {msg.precision}")
-        prec += msg.precision
-        wmean += msg.weighted_mean
-    return _shrink(prec, wmean, 1.0 / sigma0_sq)
-
-
-def node_posterior_params(
-    child_messages: Iterable[NodeMessage], sigma0_sq: float
-) -> PosteriorParams:
-    """Affine form of the conditional posterior given the parent's value.
-
-    child_messages carries the node's below-evidence: the children's upward
-    messages for an internal node, or the single (count / noise_var,
-    reward_sum / noise_var) data message for a leaf.
-    """
-    _check_variance(sigma0_sq)
-    lam0 = 1.0 / sigma0_sq
-    prec = lam0
-    wmean = 0.0
-    for msg in child_messages:
-        prec += msg.precision
-        wmean += msg.weighted_mean
-    return PosteriorParams(slope=lam0 / prec, intercept=wmean / prec, variance=1.0 / prec)
-
-
-def node_posterior(
-    parent_value: float, child_messages: Iterable[NodeMessage], sigma0_sq: float
-) -> tuple[float, float]:
-    """Concrete (mean, variance) of the conditional posterior at a parent value."""
-    return node_posterior_params(child_messages, sigma0_sq).moments(parent_value)
+__all__ = ["PosteriorState"]
 
 
 class PosteriorState:
@@ -165,32 +57,6 @@ class PosteriorState:
     @property
     def num_nodes(self) -> int:
         return self.hierarchy.num_nodes
-
-    def leaf_stats(self, leaf: int) -> LeafStats:
-        if not self.hierarchy.is_leaf(leaf):
-            raise HierarchyError(f"node {leaf} is not a leaf")
-        return LeafStats(int(self.counts[leaf]), float(self.reward_sums[leaf]))
-
-    def message(self, node: int) -> NodeMessage:
-        """Cached upward message of a non-root node."""
-        self.hierarchy._check_node(node)
-        if node == ROOT:
-            raise HierarchyError("the root sends no upward message")
-        return NodeMessage(float(self.msg_prec[node]), float(self.msg_wmean[node]))
-
-    def node_params(self, node: int) -> PosteriorParams:
-        """Conditional posterior coefficients of a node given its parent.
-
-        For the root the slope applies to the hyper-prior mean.
-        """
-        self.hierarchy._check_node(node)
-        lam0 = self.lam0[node]
-        prec = lam0 + self.ev_prec[node]
-        return PosteriorParams(
-            slope=float(lam0 / prec),
-            intercept=float(self.ev_wmean[node] / prec),
-            variance=float(1.0 / prec),
-        )
 
     def posterior_precisions(self) -> np.ndarray:
         """Conditional posterior precision of every node, shape (num_nodes + 1,)."""

@@ -156,11 +156,26 @@ def test_verify_oracle_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_malformed_config_exits_input(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", "{not json"),
+        ("ratio", '{"heights": [1], "tree": "x"}'),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "prior": {"scheme": "constant", "value": null}}'),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "agents": 5}'),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "horizon": 2.5}'),
+        ("verify-oracle", '{"seed": [1]}'),
+        ("verify-oracle", '{"scalar_cases": null}'),
+    ],
+    ids=["syntax", "ratio-tree", "prior-value", "agents", "horizon", "verify-seed", "verify-cases"],
+)
+def test_malformed_config_exits_input(tmp_path, capsys, command, text):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    assert code == cli.EXIT_INPUT
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg)]
+    if command != "verify-oracle":
+        argv += ["--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_INPUT
     assert "error:" in capsys.readouterr().err
 
 

@@ -10,7 +10,11 @@ from hierts import (
     balanced_tree,
     complexity_term,
     constant_prior,
+    dataset_bandit_curve,
+    dataset_instance,
     doubling_prior,
+    fit_priors_from_data,
+    make_cluster_dataset,
     ratio_experiment,
     regret_bound,
     run_bayes_regret,
@@ -199,6 +203,19 @@ def test_worker_count_does_not_change_results():
     for kind in cfg.agents:
         assert np.array_equal(serial.mean[kind], parallel.mean[kind])
         assert np.array_equal(serial.se[kind], parallel.se[kind])
+    # the feature-dataset path shares the same worker pool
+    dataset, hierarchy, _ = make_cluster_dataset(
+        np.random.default_rng(2), num_groups=2, classes_per_group=2, dim=2,
+        train_per_class=8, test_per_class=4,
+    )
+    prior, theta_star, _ = fit_priors_from_data(dataset, hierarchy, noise_std=0.5)
+    instance = dataset_instance(hierarchy, prior, theta_star)
+    curves = [
+        dataset_bandit_curve(instance, dataset, horizon=20, runs=3, seed=5, jobs=jobs) for jobs in (1, 2)
+    ]
+    for kind in curves[0].agents:
+        assert np.array_equal(curves[0].mean[kind], curves[1].mean[kind])
+        assert np.array_equal(curves[0].se[kind], curves[1].se[kind])
 
 
 def test_complexity_term_worked_values():

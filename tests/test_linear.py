@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from hierts import (
     ConditioningError,
-    LeafGram,
     LinearPosteriorState,
     PosteriorState,
     PriorSpec,
@@ -13,13 +12,10 @@ from hierts import (
     balanced_tree,
     condition,
     constant_prior,
-    internal_message_linear,
     joint_prior,
-    leaf_message_linear,
-    node_posterior_params_linear,
 )
 from hierts.hierarchy import HierarchyError
-from hierts.linear import NodeMessageVec, _shrink_linear
+from hierts.linear import _shrink_linear
 
 
 def _matrix_prior(tree, value=1.0, noise_std=1.0, dim=1, hyper_mean=0.0):
@@ -60,12 +56,12 @@ def test_shrink_matches_textbook_when_invertible():
         sigma0 = b @ b.T / d + 0.2 * np.eye(d)
         lam0 = np.linalg.inv(sigma0)
         wmean = rng.standard_normal(d)
-        msg = _shrink_linear(prec, wmean, 0.5 * (lam0 + lam0.T))
+        msg_prec, msg_wmean = _shrink_linear(prec, wmean, 0.5 * (lam0 + lam0.T))
         textbook = np.linalg.inv(sigma0 + np.linalg.inv(prec))
-        assert np.allclose(msg.precision, textbook, rtol=1e-9, atol=1e-11)
+        assert np.allclose(msg_prec, textbook, rtol=1e-9, atol=1e-11)
         # the weighted mean folds the same shrinkage: Lam0 (P+L)^-1 W
         expect_w = lam0 @ np.linalg.solve(prec + lam0, wmean)
-        assert np.allclose(msg.weighted_mean, expect_w, rtol=1e-9, atol=1e-11)
+        assert np.allclose(msg_wmean, expect_w, rtol=1e-9, atol=1e-11)
 
 
 def test_shrink_handles_singular_evidence():
@@ -73,29 +69,35 @@ def test_shrink_handles_singular_evidence():
     # Woodbury form is not
     x = np.array([1.0, 2.0, 0.0])
     prec = np.outer(x, x)
-    msg = _shrink_linear(prec, x * 0.7, np.eye(3))
-    assert np.isfinite(msg.precision).all()
-    eig = np.linalg.eigvalsh(msg.precision)
+    msg_prec, _ = _shrink_linear(prec, x * 0.7, np.eye(3))
+    assert np.isfinite(msg_prec).all()
+    eig = np.linalg.eigvalsh(msg_prec)
     assert eig.min() >= -1e-12  # PSD preserved
     assert eig.max() < 1.0  # bounded by the edge precision
 
 
-def test_leaf_and_internal_messages_zero_data():
-    sigma0 = np.eye(2) * 2.0
-    msg = leaf_message_linear(LeafGram(np.zeros((2, 2)), np.zeros(2), 0), sigma0, 1.0)
-    assert np.allclose(msg.precision, 0.0) and np.allclose(msg.weighted_mean, 0.0)
-    msg2 = internal_message_linear([], sigma0)
-    assert np.allclose(msg2.precision, 0.0) and np.allclose(msg2.weighted_mean, 0.0)
+def test_zero_evidence_sends_zero_messages(b2h2):
+    state = LinearPosteriorState(b2h2, _matrix_prior(b2h2, 2.0, dim=2))
+    state.update_path(4, np.array([1.0, -0.5]), 0.3)
+    fresh = state.rebuild()  # recomputes every message, the data-free ones too
+    for node in (3, 6, 7):  # internal node 3 and its unobserved leaves
+        assert np.allclose(fresh.msg_prec[node], 0.0) and np.allclose(fresh.msg_wmean[node], 0.0)
     with pytest.raises(ValueError):
-        leaf_message_linear(LeafGram(np.zeros((2, 2)), np.zeros(2), 0), sigma0, 0.0)
+        _matrix_prior(b2h2, 2.0, noise_std=0.0, dim=2)
 
 
-def test_node_posterior_params_prior_case():
+def test_fresh_state_conditionals_are_prior(b2h2):
     sigma0 = np.array([[2.0, 0.5], [0.5, 1.0]])
-    params = node_posterior_params_linear([], sigma0)
-    assert np.allclose(params.covariance, sigma0, rtol=1e-12)
-    assert np.allclose(params.slope, np.eye(2), atol=1e-12)
-    assert np.allclose(params.intercept, 0.0)
+    prior = PriorSpec(
+        hyper_mean=np.zeros(2),
+        node_variance={node: sigma0 for node in range(1, b2h2.num_nodes + 1)},
+        noise_std=1.0,
+    )
+    state = LinearPosteriorState(b2h2, prior)
+    for node in range(1, b2h2.num_nodes + 1):
+        assert np.allclose(state.post_cov[node], sigma0, rtol=1e-12)
+        assert np.allclose(state.slope[node], np.eye(2), atol=1e-12)
+        assert np.allclose(state.intercept[node], 0.0)
 
 
 def test_update_path_matches_rebuild(b2h2, linear_prior):

@@ -4,58 +4,59 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hierts import (
-    LeafStats,
-    NodeMessage,
     PosteriorState,
-    ZERO_MESSAGE,
     action_marginals,
     balanced_tree,
     build_hierarchy,
     condition,
     constant_prior,
-    internal_message,
     joint_prior,
-    leaf_message,
-    node_posterior,
-    node_posterior_params,
 )
 from hierts.hierarchy import HierarchyError
 
 
-def test_leaf_message_zero_count(two_leaf):
-    msg = leaf_message(LeafStats(0, 0.0), 1.0, 1.0)
-    assert msg == ZERO_MESSAGE
+def test_unobserved_leaf_sends_zero_message(two_leaf):
+    tree, prior = two_leaf
+    state = PosteriorState(tree, prior)
+    state.update_path(2, 1.0)
+    fresh = state.rebuild()  # recomputes every message, the zero-count leaf's too
+    assert fresh.msg_prec[3] == 0.0 and fresh.msg_wmean[3] == 0.0
 
 
-def test_leaf_message_one_observation():
+def test_one_observation_message(two_leaf):
     # one reward y=2 at noise var 1 and prior var 1:
     # below-evidence (1, 2), shrunk through the edge -> (1/2, 1)
-    msg = leaf_message(LeafStats(1, 2.0), 1.0, 1.0)
-    assert msg.precision == pytest.approx(0.5)
-    assert msg.weighted_mean == pytest.approx(1.0)
+    tree, prior = two_leaf
+    state = PosteriorState(tree, prior)
+    state.update_path(2, 2.0)
+    assert state.msg_prec[2] == pytest.approx(0.5)
+    assert state.msg_wmean[2] == pytest.approx(1.0)
 
 
-def test_leaf_message_limits():
+def test_message_precision_saturates(two_leaf):
     # precision saturates at 1/sigma0_sq as count grows
-    big = leaf_message(LeafStats(10**6, 0.0), 2.0, 1.0)
-    assert big.precision == pytest.approx(0.5, rel=1e-5)
+    tree, _ = two_leaf
+    state = PosteriorState(tree, constant_prior(tree, 2.0, noise_std=1.0))
+    state.counts[2] = 10**6
+    assert state.rebuild().msg_prec[2] == pytest.approx(0.5, rel=1e-5)
     with pytest.raises(ValueError):
-        leaf_message(LeafStats(-1, 0.0), 1.0, 1.0)
+        constant_prior(tree, 0.0, noise_std=1.0)
     with pytest.raises(ValueError):
-        leaf_message(LeafStats(1, 0.0), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        leaf_message(LeafStats(1, 0.0), 1.0, -1.0)
+        constant_prior(tree, 1.0, noise_std=-1.0)
 
 
-def test_internal_message_sums_children():
-    kids = [NodeMessage(0.5, 1.0), NodeMessage(0.25, -0.5)]
-    msg = internal_message(kids, 1.0)
-    # pooled evidence (0.75, 0.5) shrunk through lam0=1
-    assert msg.precision == pytest.approx(0.75 / 1.75)
-    assert msg.weighted_mean == pytest.approx(0.5 / 1.75)
-    assert internal_message([], 1.0) == ZERO_MESSAGE
-    with pytest.raises(ValueError):
-        internal_message([NodeMessage(-0.1, 0.0)], 1.0)
+def test_internal_node_pools_child_messages(b2h2, b2h2_prior):
+    state = PosteriorState(b2h2, b2h2_prior)
+    state.update_path(4, 2.0)  # leaf message (1/2, 1)
+    state.update_path(5, -1.0)  # leaf message (1/2, -1/2)
+    # node 2 pools its children's evidence (1, 1/2) and shrinks it through lam0=1
+    assert state.ev_prec[2] == pytest.approx(1.0)
+    assert state.ev_wmean[2] == pytest.approx(0.5)
+    assert state.msg_prec[2] == pytest.approx(0.5)
+    assert state.msg_wmean[2] == pytest.approx(0.25)
+    # node 3 has no data below it and sends the zero message
+    fresh = state.rebuild()
+    assert fresh.msg_prec[3] == 0.0 and fresh.msg_wmean[3] == 0.0
 
 
 def test_two_leaf_worked_example(two_leaf):
@@ -69,10 +70,9 @@ def test_two_leaf_worked_example(two_leaf):
     state = PosteriorState(tree, prior)
     state.update_path(2, 2.0)
 
-    root = state.node_params(1)
-    root_mean = root.slope * 0.0 + root.intercept
-    assert root_mean == pytest.approx(2.0 / 3.0)
-    assert root.variance == pytest.approx(2.0 / 3.0)
+    root_prec = state.posterior_precisions()[1]
+    assert state.ev_wmean[1] / root_prec == pytest.approx(2.0 / 3.0)  # hyper mean 0
+    assert 1.0 / root_prec == pytest.approx(2.0 / 3.0)
 
     m2, v2 = state.marginal_action_moments(2)
     assert m2 == pytest.approx(4.0 / 3.0)
@@ -89,13 +89,21 @@ def test_two_leaf_worked_example(two_leaf):
     assert marg[3][0] == pytest.approx(m3) and marg[3][1] == pytest.approx(v3)
 
 
-def test_node_posterior_matches_params():
-    kids = [NodeMessage(0.5, 1.0)]
-    params = node_posterior_params(kids, 1.0)
-    mean, var = node_posterior(0.5, kids, 1.0)
-    assert mean == pytest.approx(params.slope * 0.5 + params.intercept)
-    assert var == pytest.approx(params.variance)
-    assert 0.0 < params.slope <= 1.0
+def test_conditional_posterior_matches_oracle(two_leaf):
+    """A node given its parent is N(slope * parent + intercept, 1 / precision)."""
+    tree, prior = two_leaf
+    state = PosteriorState(tree, prior)
+    state.update_path(2, 2.0)
+    prec = state.posterior_precisions()[2]
+    slope, intercept = state.lam0[2] / prec, state.ev_wmean[2] / prec
+    assert 0.0 < slope <= 1.0
+    # the same conditional from the dense joint posterior
+    joint = condition(joint_prior(tree, prior), [(2, 2.0)], 1.0)
+    c = joint.cov
+    oracle_slope = c[1, 0] / c[0, 0]
+    assert slope == pytest.approx(oracle_slope, rel=1e-12)
+    assert intercept == pytest.approx(joint.mean[1] - oracle_slope * joint.mean[0], rel=1e-12)
+    assert 1.0 / prec == pytest.approx(c[1, 1] - c[1, 0] ** 2 / c[0, 0], rel=1e-12)
 
 
 def test_prior_state_is_prior(b2h2, b2h2_prior):
@@ -104,7 +112,7 @@ def test_prior_state_is_prior(b2h2, b2h2_prior):
         mean, var = state.marginal_action_moments(int(leaf))
         assert mean == pytest.approx(0.0)
         assert var == pytest.approx(3.0)  # path sum of unit variances
-    assert state.node_params(1).variance == pytest.approx(1.0)
+    assert state.posterior_precisions()[1] == pytest.approx(1.0)
 
 
 def test_update_path_matches_rebuild_exactly(b2h2, b2h2_prior):
@@ -127,8 +135,6 @@ def test_update_path_input_checks(b2h2, b2h2_prior):
         state.update_path(2, 1.0)  # internal node
     with pytest.raises(ValueError):
         state.update_path(4, float("nan"))
-    with pytest.raises(HierarchyError):
-        state.message(1)
 
 
 def test_posterior_precisions_structure(b2h2, b2h2_prior):
@@ -185,8 +191,7 @@ def test_information_only_accumulates(rewards, leaf_picks, sigma0, noise):
         prev_prec, prev_vars = prec, cur_vars
         # messages stay valid likelihood summaries
         for node in range(2, tree.num_nodes + 1):
-            msg = state.message(node)
-            assert 0.0 <= msg.precision < 1.0 / prior.node_variance[node] + 1e-12
+            assert 0.0 <= state.msg_prec[node] < 1.0 / prior.node_variance[node] + 1e-12
 
 
 @given(
