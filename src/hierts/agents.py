@@ -20,7 +20,7 @@ from .hierarchy import (
     marginal_prior_covariance,
     marginal_prior_variance,
 )
-from .linear import LinearPosteriorState, _cov_and_chol, _sym
+from .linear import LinearPosteriorState, _solve_checked, _sym
 from .posterior import PosteriorState
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
@@ -186,9 +186,9 @@ class TSAgent:
                 self._refresh(j)
 
     def _refresh(self, j: int) -> None:
-        cov, chol = _cov_and_chol(self.prec[j], f"arm {j} covariance")
+        cov = _sym(_solve_checked(self.prec[j], np.eye(self.dim), f"arm {j} covariance"))
         self.cov[j] = cov
-        self.chol[j] = chol
+        self.chol[j] = np.linalg.cholesky(cov)
         self.mean[j] = cov @ self.wmean[j]
 
     def arm_moments(self, action: int):

@@ -226,7 +226,7 @@ def linear_oracle_suite(
             state.update_path(leaf, x, reward)
         if sentinel:
             state.ev_wmean[1] += sentinel
-            state._refresh_posterior(1)  # marginals read the cached form
+            state._fold(1)  # marginals read the root's cached conditional
         joint = condition(joint_prior(hierarchy, prior), observations, prior.noise_std**2)
         marginals = action_marginals(joint)
         for leaf in hierarchy.action_nodes:

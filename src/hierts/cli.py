@@ -21,6 +21,7 @@ from .envs import DatasetError, dataset_instance, fit_priors_from_data, load_fea
 from .harness import (
     ConfigError,
     RunConfig,
+    _check_int,
     _load_json_object,
     complexity_term,
     dataset_bandit_curve,
@@ -139,14 +140,10 @@ def _cmd_ratio(args) -> int:
     if "heights" not in doc:
         raise ConfigError(f"{args.config}: ratio config needs a 'heights' list")
     heights = doc.pop("heights")
-    if (
-        not isinstance(heights, list)
-        or not heights
-        or not all(isinstance(h, int) and h >= 1 for h in heights)
-    ):
+    if not isinstance(heights, list) or not heights or not all(_check_int("heights", h) >= 1 for h in heights):
         raise ConfigError("'heights' must be a non-empty list of integers >= 1")
-    tree = doc.setdefault("tree", {})
-    if isinstance(tree, dict):  # from_dict rejects any other value
+    tree = doc.get("tree")
+    if isinstance(tree, dict) and "b" in tree:  # only a balanced tree has a height to vary
         tree.setdefault("h", heights[0])
     config = RunConfig.from_dict(doc)
     if args.seed is not None:
@@ -227,10 +224,7 @@ def _cmd_verify(args) -> int:
         for key in ("seed", "scalar_cases", "linear_cases", "lemma_runs", "horizon"):
             if key not in doc:
                 continue
-            try:
-                value = int(doc[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key} must be an integer, got {doc[key]!r}") from None
+            value = _check_int(key, doc[key])
             if key == "seed":
                 params["base_seed"] = value
             elif value < 0:

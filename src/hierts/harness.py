@@ -27,8 +27,6 @@ from .hierarchy import (
     PriorSpec,
     balanced_tree,
     build_hierarchy,
-    constant_prior,
-    doubling_prior,
     load_tree_json,
     marginal_prior_variance,
 )
@@ -72,6 +70,27 @@ def _load_json_object(path: str | Path) -> dict:
     return doc
 
 
+def _check_int(name: str, value) -> int:
+    """value as an int if it is an integer (bool excluded), else a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    """value as a float if it is a finite real number (bool excluded), else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _id_map(name: str, doc, check) -> tuple:
+    """A JSON object keyed by node id as sorted (int id, checked value) pairs."""
+    if not isinstance(doc, dict) or not all(str(k).isdecimal() for k in doc):
+        raise ConfigError(f"'{name}' must map node ids to numbers, got {doc!r}")
+    return tuple(sorted((int(k), check(f"{name}.{k}", v)) for k, v in doc.items()))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Declarative experiment description; resolve() yields the tree and prior.
@@ -102,9 +121,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("branching", "height", "horizon", "instances", "seed", "dim"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name))
+        for name in ("prior_value", "hyper_mean", "noise_std", "delta"):
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name))
         sources = [self.branching is not None or self.height is not None,
                    self.parents is not None,
                    self.tree_file is not None]
@@ -156,10 +177,7 @@ class RunConfig:
                 flat["branching"] = tree.get("b")
                 flat["height"] = tree.get("h")
             if "parents" in tree:
-                try:
-                    flat["parents"] = tuple(sorted((int(k), int(v)) for k, v in tree["parents"].items()))
-                except (TypeError, ValueError, AttributeError):
-                    raise ConfigError("'tree.parents' must map child ids to parent ids") from None
+                flat["parents"] = tree["parents"]
             if "file" in tree:
                 flat["tree_file"] = str(tree["file"])
         prior = flat.pop("prior", None)
@@ -168,17 +186,14 @@ class RunConfig:
                 raise ConfigError("'prior' must be an object with a 'scheme' key")
             flat["prior_scheme"] = prior["scheme"]
             if "value" in prior:
-                try:
-                    flat["prior_value"] = float(prior["value"])
-                except (TypeError, ValueError):
-                    raise ConfigError(f"'prior.value' must be a number, got {prior['value']!r}") from None
+                flat["prior_value"] = _check_real("prior.value", prior["value"])
             if "node_variance" in prior:
-                try:
-                    flat["node_variance"] = tuple(
-                        sorted((int(k), float(v)) for k, v in prior["node_variance"].items())
-                    )
-                except (TypeError, ValueError, AttributeError):
-                    raise ConfigError("'prior.node_variance' must map node ids to variances") from None
+                flat["node_variance"] = prior["node_variance"]
+        # Nested and flat (replay.json) forms both arrive here as JSON objects.
+        if flat.get("parents") is not None:
+            flat["parents"] = _id_map("parents", flat["parents"], _check_int)
+        if flat.get("node_variance") is not None:
+            flat["node_variance"] = _id_map("node_variance", flat["node_variance"], _check_real)
         if "agents" in flat:
             if not isinstance(flat["agents"], list):
                 raise ConfigError(f"'agents' must be a list of agent kinds, got {flat['agents']!r}")
@@ -203,60 +218,36 @@ class RunConfig:
 
     def resolve(self) -> tuple[Hierarchy, PriorSpec]:
         file_prior = None
-        if self.tree_file is not None:
-            try:
+        try:
+            if self.tree_file is not None:
                 hierarchy, file_prior, _ = load_tree_json(self.tree_file)
-            except HierarchyError as exc:
-                raise ConfigError(str(exc)) from None
-        elif self.parents is not None:
-            try:
+            elif self.parents is not None:
                 hierarchy = build_hierarchy(dict(self.parents))
-            except HierarchyError as exc:
-                raise ConfigError(str(exc)) from None
-        else:
-            try:
+            else:
                 hierarchy = balanced_tree(self.branching, self.height)
-            except HierarchyError as exc:
-                raise ConfigError(str(exc)) from None
+        except HierarchyError as exc:
+            raise ConfigError(str(exc)) from None
         if self.prior_scheme == "file":
             if file_prior is None:
                 raise ConfigError(f"{self.tree_file}: tree file carries no prior section")
             return hierarchy, file_prior
-        if self.model == "linear":
-            eye = np.eye(self.dim)
-            if self.prior_scheme == "constant":
-                variances = {n: self.prior_value * eye for n in range(1, hierarchy.num_nodes + 1)}
-            elif self.prior_scheme == "doubling":
-                variances = {
-                    n: float(2.0 ** int(hierarchy.height[n])) * eye
-                    for n in range(1, hierarchy.num_nodes + 1)
-                }
-            else:
-                variances = {n: v * eye for n, v in self.node_variance}
-            try:
-                return hierarchy, PriorSpec(
-                    hyper_mean=float(self.hyper_mean),
-                    node_variance=variances,
-                    noise_std=self.noise_std,
-                )
-            except HierarchyError as exc:
-                raise ConfigError(str(exc)) from None
-        try:
-            if self.prior_scheme == "constant":
-                prior = constant_prior(hierarchy, self.prior_value, self.noise_std, self.hyper_mean)
-            elif self.prior_scheme == "doubling":
-                prior = doubling_prior(hierarchy, self.noise_std, self.hyper_mean)
-            else:
-                prior = PriorSpec(
-                    hyper_mean=float(self.hyper_mean),
-                    node_variance=dict(self.node_variance),
-                    noise_std=self.noise_std,
-                )
-            missing = [
-                n for n in range(1, hierarchy.num_nodes + 1) if n not in prior.node_variance
-            ]
+        nodes = range(1, hierarchy.num_nodes + 1)
+        if self.prior_scheme == "constant":
+            variances = {n: float(self.prior_value) for n in nodes}
+        elif self.prior_scheme == "doubling":
+            variances = {n: float(2.0 ** int(hierarchy.height[n])) for n in nodes}
+        else:
+            variances = dict(self.node_variance)
+            missing = [n for n in nodes if n not in variances]
             if missing:
                 raise ConfigError(f"explicit prior is missing variances for nodes {missing}")
+        if self.model == "linear":
+            eye = np.eye(self.dim)
+            variances = {n: v * eye for n, v in variances.items()}
+        try:
+            prior = PriorSpec(
+                hyper_mean=float(self.hyper_mean), node_variance=variances, noise_std=self.noise_std
+            )
         except HierarchyError as exc:
             raise ConfigError(str(exc)) from None
         return hierarchy, prior

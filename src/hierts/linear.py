@@ -10,13 +10,16 @@ evidence (P, W) through one prior edge Sigma0 (precision Lam0) uses
     msg_wmean = Lam0 (P + Lam0)^-1 W
 
 which stays well defined when P is singular (few or degenerate contexts),
-unlike the textbook form (Sigma0 + P^-1)^-1.
+unlike the textbook form (Sigma0 + P^-1)^-1. The same solve with S = P + Lam0
+gives the node's conditional posterior: covariance S^-1, slope S^-1 Lam0 and
+intercept S^-1 W.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec
+from .posterior import _UpwardPass
 
 __all__ = ["ConditioningError", "LinearPosteriorState"]
 
@@ -40,25 +43,7 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _shrink_linear(
-    prec: np.ndarray, wmean: np.ndarray, lam0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Upward message (precision, weighted mean) of below-evidence folded through one edge."""
-    d = lam0.shape[0]
-    s = prec + lam0
-    sol = _solve_checked(s, np.concatenate([prec, wmean[:, None]], axis=1), "message update")
-    msg_prec = _sym(prec - prec @ sol[:, :d])
-    msg_wmean = lam0 @ sol[:, d]
-    return msg_prec, msg_wmean
-
-
-def _cov_and_chol(prec: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance of a precision matrix (by a checked solve) and its Cholesky factor."""
-    cov = _sym(_solve_checked(prec, np.eye(prec.shape[0]), what))
-    return cov, np.linalg.cholesky(cov)
-
-
-class LinearPosteriorState:
+class LinearPosteriorState(_UpwardPass):
     """Linear-model counterpart of PosteriorState.
 
     Besides the message caches this keeps, per node, the conditional
@@ -96,25 +81,11 @@ class LinearPosteriorState:
         self.post_chol[0] = np.eye(d)
         self.slope[0] = np.eye(d)
         for node in range(1, n + 1):
-            self._refresh_posterior(node)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.hierarchy.num_nodes
-
-    def _refresh_posterior(self, node: int) -> None:
-        lam0 = self.lam0[node]
-        prec = lam0 + self.ev_prec[node]
-        cov, chol = _cov_and_chol(prec, f"posterior covariance at node {node}")
-        self.post_cov[node] = cov
-        self.post_chol[node] = chol
-        self.slope[node] = cov @ lam0
-        self.intercept[node] = cov @ self.ev_wmean[node]
+            self._fold(node)
 
     def update_path(self, action: int, context: np.ndarray, reward: float) -> None:
         """Record one (context, reward) pair and refresh the leaf's root path."""
-        hier = self.hierarchy
-        if not hier.is_leaf(action):
+        if not self.hierarchy.is_leaf(action):
             raise HierarchyError(f"action {action} is not a leaf")
         x = np.asarray(context, float)
         if x.shape != (self.dim,):
@@ -126,17 +97,33 @@ class LinearPosteriorState:
         self.xy_sum[action] += x * (reward * self.noise_prec)
         self.ev_prec[action] = self.gram[action]
         self.ev_wmean[action] = self.xy_sum[action]
-        node = action
-        while node != ROOT:
-            self.msg_prec[node], self.msg_wmean[node] = _shrink_linear(
-                self.ev_prec[node], self.ev_wmean[node], self.lam0[node]
-            )
-            self._refresh_posterior(node)
-            node = int(hier.parent[node])
-            ch = hier.children[node]
-            self.ev_prec[node] = self.msg_prec[ch].sum(axis=0)
-            self.ev_wmean[node] = self.msg_wmean[ch].sum(axis=0)
-        self._refresh_posterior(ROOT)
+        self._walk(action)
+
+    def _fold(self, node: int) -> None:
+        """Message and conditional of one node from S^-1 [P | W | I]; the root sends no message."""
+        d = self.dim
+        lam0, prec, wmean = self.lam0[node], self.ev_prec[node], self.ev_wmean[node]
+        rhs = np.concatenate([prec, wmean[:, None], np.eye(d)], axis=1)
+        sol = _solve_checked(prec + lam0, rhs, f"posterior at node {node}")
+        cov = _sym(sol[:, d + 1:])
+        self.post_cov[node] = cov
+        self.post_chol[node] = np.linalg.cholesky(cov)
+        self.slope[node] = cov @ lam0
+        self.intercept[node] = cov @ wmean
+        if node != ROOT:
+            self.msg_prec[node] = _sym(prec - prec @ sol[:, :d])
+            self.msg_wmean[node] = lam0 @ sol[:, d]
+
+    def _fold_root(self) -> None:
+        self._fold(ROOT)
+
+    def _copy_tallies(self, out: "LinearPosteriorState") -> None:
+        out.counts[:] = self.counts
+        out.gram[:] = self.gram
+        out.xy_sum[:] = self.xy_sum
+        leaves = self.hierarchy.action_nodes
+        out.ev_prec[leaves] = out.gram[leaves]
+        out.ev_wmean[leaves] = out.xy_sum[leaves]
 
     def marginal_action_moments(self, action: int) -> tuple[np.ndarray, np.ndarray]:
         """Marginal posterior (mean, covariance) of a leaf's parameter vector."""
@@ -150,29 +137,3 @@ class LinearPosteriorState:
             mean = a @ mean + self.intercept[node]
             cov = _sym(a @ cov @ a.T) + self.post_cov[node]
         return mean, cov
-
-    def rebuild(self) -> "LinearPosteriorState":
-        """Fresh state recomputed bottom-up from the raw Gram statistics."""
-        out = LinearPosteriorState(self.hierarchy, self.prior)
-        out.counts[:] = self.counts
-        out.gram[:] = self.gram
-        out.xy_sum[:] = self.xy_sum
-        hier = self.hierarchy
-        leaves = hier.action_nodes
-        out.ev_prec[leaves] = out.gram[leaves]
-        out.ev_wmean[leaves] = out.xy_sum[leaves]
-        order = sorted(range(2, hier.num_nodes + 1), key=lambda i: int(hier.height[i]))
-        for node in order:
-            ch = hier.children[node]
-            if ch.size:
-                out.ev_prec[node] = out.msg_prec[ch].sum(axis=0)
-                out.ev_wmean[node] = out.msg_wmean[ch].sum(axis=0)
-            out.msg_prec[node], out.msg_wmean[node] = _shrink_linear(
-                out.ev_prec[node], out.ev_wmean[node], out.lam0[node]
-            )
-        ch = hier.children[ROOT]
-        out.ev_prec[ROOT] = out.msg_prec[ch].sum(axis=0)
-        out.ev_wmean[ROOT] = out.msg_wmean[ch].sum(axis=0)
-        for node in range(1, hier.num_nodes + 1):
-            out._refresh_posterior(node)
-        return out

@@ -24,7 +24,49 @@ from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec
 __all__ = ["PosteriorState"]
 
 
-class PosteriorState:
+class _UpwardPass:
+    """Leaf-to-root pass over the ev_* (pooled evidence) and msg_* (message) arrays.
+
+    Subclasses supply _fold(node), evidence to message, and _copy_tallies(out),
+    which gives a fresh state this one's raw tallies and leaf evidence.
+    """
+
+    @property
+    def num_nodes(self) -> int:
+        return self.hierarchy.num_nodes
+
+    def _fold_root(self) -> None:
+        """Refresh whatever the root caches; the root sends no message."""
+
+    def _pool(self, node: int) -> None:
+        ch = self.hierarchy.children[node]
+        self.ev_prec[node] = self.msg_prec[ch].sum(axis=0)
+        self.ev_wmean[node] = self.msg_wmean[ch].sum(axis=0)
+
+    def _walk(self, node: int) -> None:
+        """Fold node and each ancestor below the root, pooling every parent's children."""
+        hier = self.hierarchy
+        while node != ROOT:
+            self._fold(node)
+            node = int(hier.parent[node])
+            self._pool(node)
+        self._fold_root()
+
+    def rebuild(self):
+        """Fresh state recomputed bottom-up from the raw tallies."""
+        out = type(self)(self.hierarchy, self.prior)
+        self._copy_tallies(out)
+        hier = self.hierarchy
+        for node in sorted(range(2, hier.num_nodes + 1), key=lambda i: int(hier.height[i])):
+            if hier.children[node].size:
+                out._pool(node)
+            out._fold(node)
+        out._pool(ROOT)
+        out._fold_root()
+        return out
+
+
+class PosteriorState(_UpwardPass):
     """Sufficient statistics plus cached upward messages for one agent.
 
     All caches are flat arrays indexed by node id (slot 0 unused) so that the
@@ -54,10 +96,6 @@ class PosteriorState:
         self.msg_prec = np.zeros(n + 1)
         self.msg_wmean = np.zeros(n + 1)
 
-    @property
-    def num_nodes(self) -> int:
-        return self.hierarchy.num_nodes
-
     def posterior_precisions(self) -> np.ndarray:
         """Conditional posterior precision of every node, shape (num_nodes + 1,)."""
         out = self.lam0 + self.ev_prec
@@ -66,8 +104,7 @@ class PosteriorState:
 
     def update_path(self, action: int, reward: float) -> None:
         """Record one reward and refresh messages along the leaf's root path."""
-        hier = self.hierarchy
-        if not hier.is_leaf(action):
+        if not self.hierarchy.is_leaf(action):
             raise HierarchyError(f"action {action} is not a leaf")
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
@@ -75,16 +112,20 @@ class PosteriorState:
         self.reward_sums[action] += reward
         self.ev_prec[action] = self.counts[action] * self.noise_prec
         self.ev_wmean[action] = self.reward_sums[action] * self.noise_prec
-        node = action
-        while node != ROOT:
-            lam0 = self.lam0[node]
-            denom = self.ev_prec[node] + lam0
-            self.msg_prec[node] = self.ev_prec[node] * lam0 / denom
-            self.msg_wmean[node] = lam0 / denom * self.ev_wmean[node]
-            node = int(hier.parent[node])
-            ch = hier.children[node]
-            self.ev_prec[node] = self.msg_prec[ch].sum()
-            self.ev_wmean[node] = self.msg_wmean[ch].sum()
+        self._walk(action)
+
+    def _fold(self, node: int) -> None:
+        lam0 = self.lam0[node]
+        denom = self.ev_prec[node] + lam0
+        self.msg_prec[node] = self.ev_prec[node] * lam0 / denom
+        self.msg_wmean[node] = lam0 / denom * self.ev_wmean[node]
+
+    def _copy_tallies(self, out: "PosteriorState") -> None:
+        out.counts[:] = self.counts
+        out.reward_sums[:] = self.reward_sums
+        leaves = self.hierarchy.action_nodes
+        out.ev_prec[leaves] = out.counts[leaves] * out.noise_prec
+        out.ev_wmean[leaves] = out.reward_sums[leaves] * out.noise_prec
 
     def marginal_action_moments(self, action: int) -> tuple[float, float]:
         """Marginal posterior (mean, variance) of a leaf's parameter.
@@ -107,27 +148,3 @@ class PosteriorState:
             mean = slope * mean + self.ev_wmean[node] / prec
             var = slope * slope * var + 1.0 / prec
         return float(mean), float(var)
-
-    def rebuild(self) -> "PosteriorState":
-        """Fresh state recomputed bottom-up from the raw tallies."""
-        out = PosteriorState(self.hierarchy, self.prior)
-        out.counts[:] = self.counts
-        out.reward_sums[:] = self.reward_sums
-        hier = self.hierarchy
-        leaves = hier.action_nodes
-        out.ev_prec[leaves] = out.counts[leaves] * out.noise_prec
-        out.ev_wmean[leaves] = out.reward_sums[leaves] * out.noise_prec
-        order = sorted(range(2, hier.num_nodes + 1), key=lambda i: int(hier.height[i]))
-        for node in order:
-            ch = hier.children[node]
-            if ch.size:
-                out.ev_prec[node] = out.msg_prec[ch].sum()
-                out.ev_wmean[node] = out.msg_wmean[ch].sum()
-            lam0 = out.lam0[node]
-            denom = out.ev_prec[node] + lam0
-            out.msg_prec[node] = out.ev_prec[node] * lam0 / denom
-            out.msg_wmean[node] = lam0 / denom * out.ev_wmean[node]
-        ch = hier.children[ROOT]
-        out.ev_prec[ROOT] = out.msg_prec[ch].sum()
-        out.ev_wmean[ROOT] = out.msg_wmean[ch].sum()
-        return out

@@ -157,26 +157,38 @@ def test_verify_oracle_rejects_unknown_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, field",
     [
-        ("simulate", "{not json"),
-        ("ratio", '{"heights": [1], "tree": "x"}'),
-        ("simulate", '{"tree": {"b": 2, "h": 1}, "prior": {"scheme": "constant", "value": null}}'),
-        ("simulate", '{"tree": {"b": 2, "h": 1}, "agents": 5}'),
-        ("simulate", '{"tree": {"b": 2, "h": 1}, "horizon": 2.5}'),
-        ("verify-oracle", '{"seed": [1]}'),
-        ("verify-oracle", '{"scalar_cases": null}'),
+        ("simulate", "{not json", "line 1"),
+        ("ratio", '{"heights": [1], "tree": "x"}', "'tree'"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "prior": {"scheme": "constant", "value": null}}', "prior.value"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "agents": 5}', "agents"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "horizon": 2.5}', "horizon"),
+        ("verify-oracle", '{"seed": [1]}', "seed"),
+        ("verify-oracle", '{"scalar_cases": null}', "scalar_cases"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "horizon": true}', "horizon"),
+        ("ratio", '{"heights": [true], "tree": {"b": 2}}', "heights"),
+        ("verify-oracle", '{"scalar_cases": true}', "scalar_cases"),
+        ("ratio", '{"heights": [1], "tree": {"b": 2}, "delta": "x"}', "delta"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "noise_std": "x"}', "noise_std"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "hyper_mean": "x"}', "hyper_mean"),
+        ("ratio", '{"heights": [1], "tree": {"parents": {"2": 1, "3": 1}}}', "requires a balanced-tree config"),
+        ("simulate", '{"tree": {"parents": {"2": 1.9, "3": 1}}}', "parents.2"),
     ],
-    ids=["syntax", "ratio-tree", "prior-value", "agents", "horizon", "verify-seed", "verify-cases"],
+    ids=["syntax", "ratio-tree", "prior-value", "agents", "horizon", "verify-seed", "verify-cases",
+         "horizon-bool", "heights-bool", "verify-cases-bool", "delta-str", "noise-str", "hyper-mean-str",
+         "ratio-parents", "parents-float"],
 )
-def test_malformed_config_exits_input(tmp_path, capsys, command, text):
+def test_malformed_config_exits_input(tmp_path, capsys, command, text, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     argv = [command, "--config", str(cfg)]
     if command != "verify-oracle":
         argv += ["--out", str(tmp_path / "run")]
     assert cli.main(argv) == cli.EXIT_INPUT
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert field in err
 
 
 def test_missing_config_exits_io(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,10 @@ def _cfg(**kw):
         dict(noise_std=0.0),
         dict(seed=-3),
         dict(delta=1.0),
+        dict(horizon=True),  # bool is not an integer here
+        dict(prior_value=True),
+        dict(noise_std="x"),
+        dict(hyper_mean=float("nan")),
     ],
 )
 def test_config_validation(kw):
@@ -100,6 +107,8 @@ def test_from_dict_explicit_parents_and_prior():
     )
     with pytest.raises(ConfigError, match="missing variances"):
         missing.resolve()
+    with pytest.raises(ConfigError, match=r"missing variances for nodes \[2, 3\]"):
+        dataclasses.replace(missing, model="linear", dim=2).resolve()
 
 
 def test_from_json_file_errors(tmp_path):
@@ -129,6 +138,31 @@ def test_to_dict_roundtrip():
     assert again.node_variance == cfg.node_variance
 
 
+LINEAR_EXPLICIT = {
+    "tree": {"parents": {"2": 1, "3": 1}},
+    "prior": {"scheme": "explicit", "node_variance": {"1": 0.5, "2": 1.5, "3": 2.5}},
+    "model": "linear",
+    "dim": 2,
+    "horizon": 5,
+    "instances": 1,
+}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["doubling_b5_h2.json", "explicit_tree.json", "constant_b2_h2_linear.json", LINEAR_EXPLICIT],
+    ids=["doubling_b5_h2", "explicit_tree", "constant_b2_h2_linear", "linear_explicit"],
+)
+def test_replay_config_roundtrip(source):
+    """The flat config that replay.json records reads back as the same RunConfig."""
+    cfg = RunConfig.from_json_file(CONFIGS / source) if isinstance(source, str) else RunConfig.from_dict(source)
+    doc = json.loads(json.dumps(cfg.to_dict()))
+    again = RunConfig.from_dict(doc)
+    assert again == cfg
+    assert again.to_dict() == doc
+
+
 def test_resolve_file_scheme(tmp_path):
     tree = balanced_tree(2, 1)
     prior = constant_prior(tree, 1.25, noise_std=0.5)
@@ -149,6 +183,8 @@ def test_resolve_linear_prior_matrices():
     assert not prior.is_scalar and prior.dim == 3
     assert np.allclose(prior.node_variance[1], 2.0 * np.eye(3))
     assert np.allclose(prior.node_variance[2], np.eye(3))
+    _, prior = RunConfig.from_dict(LINEAR_EXPLICIT).resolve()
+    assert np.array_equal(prior.node_variance[3], 2.5 * np.eye(2))
 
 
 def test_resolved_delta_default():

@@ -15,7 +15,6 @@ from hierts import (
     joint_prior,
 )
 from hierts.hierarchy import HierarchyError
-from hierts.linear import _shrink_linear
 
 
 def _matrix_prior(tree, value=1.0, noise_std=1.0, dim=1, hyper_mean=0.0):
@@ -48,28 +47,40 @@ def test_d1_reduces_to_scalar():
 def test_shrink_matches_textbook_when_invertible():
     """P - P(P+L)^-1 P equals (Sigma0 + P^-1)^-1 whenever P is invertible."""
     rng = np.random.default_rng(1)
+    tree = balanced_tree(2, 1)
     for _ in range(10):
         d = int(rng.integers(1, 5))
         a = rng.standard_normal((d, d + 2))
         prec = a @ a.T / d + 0.1 * np.eye(d)
         b = rng.standard_normal((d, d + 1))
         sigma0 = b @ b.T / d + 0.2 * np.eye(d)
-        lam0 = np.linalg.inv(sigma0)
+        prior = PriorSpec(hyper_mean=np.zeros(d), node_variance={n: sigma0 for n in (1, 2, 3)}, noise_std=1.0)
+        state = LinearPosteriorState(tree, prior)
         wmean = rng.standard_normal(d)
-        msg_prec, msg_wmean = _shrink_linear(prec, wmean, 0.5 * (lam0 + lam0.T))
+        state.ev_prec[2], state.ev_wmean[2] = prec, wmean
+        state._fold(2)
+        lam0 = state.lam0[2]
         textbook = np.linalg.inv(sigma0 + np.linalg.inv(prec))
-        assert np.allclose(msg_prec, textbook, rtol=1e-9, atol=1e-11)
+        assert np.allclose(state.msg_prec[2], textbook, rtol=1e-9, atol=1e-11)
         # the weighted mean folds the same shrinkage: Lam0 (P+L)^-1 W
         expect_w = lam0 @ np.linalg.solve(prec + lam0, wmean)
-        assert np.allclose(msg_wmean, expect_w, rtol=1e-9, atol=1e-11)
+        assert np.allclose(state.msg_wmean[2], expect_w, rtol=1e-9, atol=1e-11)
+        # the same solve yields the conditional: covariance (P+L)^-1, intercept (P+L)^-1 W
+        cov = np.linalg.inv(prec + lam0)
+        assert np.allclose(state.post_cov[2], cov, rtol=1e-9, atol=1e-11)
+        assert np.allclose(state.slope[2], cov @ lam0, rtol=1e-9, atol=1e-11)
+        assert np.allclose(state.intercept[2], cov @ wmean, rtol=1e-9, atol=1e-11)
 
 
 def test_shrink_handles_singular_evidence():
     # rank-1 Gram from a single context: textbook form is undefined, the
     # Woodbury form is not
+    tree = balanced_tree(2, 1)
+    state = LinearPosteriorState(tree, _matrix_prior(tree, 1.0, dim=3))
     x = np.array([1.0, 2.0, 0.0])
-    prec = np.outer(x, x)
-    msg_prec, _ = _shrink_linear(prec, x * 0.7, np.eye(3))
+    state.update_path(2, x, 0.7)
+    assert np.array_equal(state.ev_prec[2], np.outer(x, x))
+    msg_prec = state.msg_prec[2]
     assert np.isfinite(msg_prec).all()
     eig = np.linalg.eigvalsh(msg_prec)
     assert eig.min() >= -1e-12  # PSD preserved
@@ -108,11 +119,10 @@ def test_update_path_matches_rebuild(b2h2, linear_prior):
         x = rng.standard_normal(3)
         state.update_path(leaf, x, float(rng.standard_normal()))
     fresh = state.rebuild()
-    assert np.allclose(state.msg_prec, fresh.msg_prec, atol=1e-12)
-    assert np.allclose(state.msg_wmean, fresh.msg_wmean, atol=1e-12)
-    assert np.allclose(state.post_cov, fresh.post_cov, atol=1e-12)
-    assert np.allclose(state.slope, fresh.slope, atol=1e-12)
-    assert np.allclose(state.intercept, fresh.intercept, atol=1e-12)
+    # the walk folds each path node with the same operands as the rebuild: bit-identical
+    for name in ("counts", "gram", "xy_sum", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
+                 "post_cov", "post_chol", "slope", "intercept"):
+        assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
 
 
 def test_update_path_validates_inputs(b2h2, linear_prior):
@@ -169,9 +179,11 @@ def test_posterior_caches_stay_spd(b2h2, linear_prior):
 
 
 def test_conditioning_error_is_raised():
-    a = np.diag([1.0, 1e-14])
+    # a node covariance of diag(1, 1e14) makes the data-free S = Lam0 too ill-conditioned
+    tree = balanced_tree(2, 1)
+    cov = {1: np.eye(2), 2: np.diag([1.0, 1e14]), 3: np.eye(2)}
     with pytest.raises(ConditioningError):
-        _shrink_linear(np.zeros((2, 2)), np.zeros(2), a)
+        LinearPosteriorState(tree, PriorSpec(hyper_mean=np.zeros(2), node_variance=cov, noise_std=1.0))
 
 
 @given(
