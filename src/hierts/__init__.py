@@ -59,6 +59,7 @@ from .hierarchy import (
     load_tree_json,
     marginal_prior_covariance,
     marginal_prior_variance,
+    marginal_prior_variances,
     save_tree_json,
 )
 from .linear import ConditioningError, LinearPosteriorState

@@ -17,8 +17,7 @@ from .hierarchy import (
     HierarchyError,
     PriorSpec,
     flatten_hierarchy,
-    marginal_prior_covariance,
-    marginal_prior_variance,
+    marginal_prior_variances,
 )
 from .linear import LinearPosteriorState, _solve_checked, _sym
 from .posterior import PosteriorState
@@ -36,6 +35,10 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     and linear states; returns an array indexed by node id (slot 0 unused),
     of shape (num_nodes + 1,) or (num_nodes + 1, d), with a leading size
     axis when size is given.
+
+    A call makes one standard-normal draw and consumes it root first, then
+    level by level, each level shaped (size, level nodes[, d]). Normal draws
+    concatenate exactly, so this is the stream of one draw per level.
     """
     if not isinstance(state, (PosteriorState, LinearPosteriorState)):
         raise TypeError(f"unsupported posterior state {type(state).__name__}")
@@ -43,33 +46,30 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     n = hier.num_nodes
     m = 1 if size is None else int(size)
     if isinstance(state, PosteriorState):
-        lamhat = state.lam0 + state.ev_prec
-        mean_root = (state.lam0[ROOT] * state.hyper_mean + state.ev_wmean[ROOT]) / lamhat[ROOT]
-        theta = np.empty((m, n + 1))
-        theta[:, 0] = np.nan
-        theta[:, ROOT] = mean_root + rng.standard_normal(m) / np.sqrt(lamhat[ROOT])
-        for nodes in hier.sampling_levels:
-            mean = (
-                state.lam0[nodes] * theta[:, hier.parent[nodes]] + state.ev_wmean[nodes]
-            ) / lamhat[nodes]
-            theta[:, nodes] = mean + rng.standard_normal((m, nodes.size)) / np.sqrt(lamhat[nodes])
-    else:
-        d = state.dim
-        theta = np.empty((m, n + 1, d))
-        theta[:, 0] = np.nan
-        z = rng.standard_normal((m, d))
-        theta[:, ROOT] = (
-            state.slope[ROOT] @ state.hyper_mean
-            + state.intercept[ROOT]
-            + np.einsum("ij,mj->mi", state.post_chol[ROOT], z)
+        lead = () if size is None else (m,)
+        lam0, wmean, lamhat, sqrt_lamhat = state.lam0, state.ev_wmean, state.lamhat, state.sqrt_lamhat
+        z = rng.standard_normal(m * n)
+        theta = np.empty(lead + (n + 1,))
+        theta[..., 0] = np.nan
+        theta[..., ROOT] = state.root_mean + z[:m].reshape(lead) / sqrt_lamhat[ROOT]
+        for nodes, parents, start, stop in hier.level_index:
+            mean = (lam0[nodes] * theta.take(parents, axis=-1) + wmean[nodes]) / lamhat[nodes]
+            theta[..., nodes] = mean + z[m * start : m * stop].reshape(lead + (-1,)) / sqrt_lamhat[nodes]
+        return theta
+    # Linear draws keep the size axis even for size None: einsum's summation
+    # order can depend on operand shapes, and these are the shapes it has always had.
+    d = state.dim
+    slope, intercept, chol = state.slope, state.intercept, state.post_chol
+    z = rng.standard_normal(m * n * d)
+    theta = np.empty((m, n + 1, d))
+    theta[:, 0] = np.nan
+    theta[:, ROOT] = state.root_mean + np.einsum("ij,mj->mi", chol[ROOT], z[: m * d].reshape(m, d))
+    for nodes, parents, start, stop in hier.level_index:
+        theta[:, nodes] = (
+            np.einsum("kij,mkj->mki", slope[nodes], theta[:, parents])
+            + intercept[nodes]
+            + np.einsum("kij,mkj->mki", chol[nodes], z[m * d * start : m * d * stop].reshape(m, -1, d))
         )
-        for nodes in hier.sampling_levels:
-            z = rng.standard_normal((m, nodes.size, d))
-            theta[:, nodes] = (
-                np.einsum("kij,mkj->mki", state.slope[nodes], theta[:, hier.parent[nodes]])
-                + state.intercept[nodes]
-                + np.einsum("kij,mkj->mki", state.post_chol[nodes], z)
-            )
     return theta[0] if size is None else theta
 
 
@@ -92,10 +92,9 @@ class HierTSAgent:
         return hierts_sample(self.state, self.rng, size)
 
     def act(self, context: np.ndarray | None = None) -> int:
-        theta = self.sample_model()
-        leaves = self.hierarchy.action_nodes
-        scores = theta[leaves] if context is None else theta[leaves] @ context
-        return int(leaves[int(np.argmax(scores))])
+        theta = self.sample_model()[self.hierarchy.leaf_index]
+        scores = theta if context is None else theta @ context
+        return int(self.hierarchy.action_nodes[int(np.argmax(scores))])
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
         if context is None:
@@ -164,11 +163,11 @@ class TSAgent:
         self.rng = rng
         self.noise_prec = 1.0 / prior.noise_std**2
         self._scalar = prior.is_scalar
-        leaves = [int(a) for a in hierarchy.action_nodes]
-        k = len(leaves)
+        leaves = hierarchy.action_nodes
+        k = leaves.size
+        marginal = marginal_prior_variances(hierarchy, prior)
         if self._scalar:
-            prior_var = np.array([marginal_prior_variance(hierarchy, prior, a) for a in leaves])
-            self.prec = 1.0 / prior_var
+            self.prec = 1.0 / marginal[leaves]
             self.wmean = self.prec * float(prior.hyper_mean)
         else:
             d = prior.dim
@@ -180,7 +179,7 @@ class TSAgent:
             self.chol = np.empty((k, d, d))
             self.mean = np.empty((k, d))
             for j, a in enumerate(leaves):
-                lam = _sym(np.linalg.inv(marginal_prior_covariance(hierarchy, prior, a)))
+                lam = _sym(np.linalg.inv(marginal[a]))
                 self.prec[j] = lam
                 self.wmean[j] = lam @ mean0
                 self._refresh(j)

@@ -32,7 +32,7 @@ from .harness import (
     write_ratio_csv,
     write_regret_csv,
 )
-from .hierarchy import HierarchyError, load_tree_json, marginal_prior_variance
+from .hierarchy import HierarchyError, load_tree_json, marginal_prior_variances
 from .svgchart import write_line_chart
 
 EXIT_OK = 0
@@ -183,10 +183,8 @@ def _cmd_bound(args) -> int:
     report = complexity_term(hierarchy, prior, n)
     delta = config.resolved_delta()
     write_bound_csv(report, out / "bound.csv")
-    marginals = {
-        str(int(a)): marginal_prior_variance(hierarchy, prior, int(a))
-        for a in hierarchy.action_nodes
-    }
+    variances = marginal_prior_variances(hierarchy, prior)
+    marginals = {str(int(a)): float(variances[a]) for a in hierarchy.action_nodes}
     summary = {
         "config": config.to_dict(),
         "n": n,
@@ -231,7 +229,10 @@ def _cmd_verify(args) -> int:
                 raise ConfigError(f"{key} must be nonnegative, got {value}")
             else:
                 params[key] = value
-        if doc.get("sentinel"):
+        sentinel = doc.get("sentinel", False)
+        if not isinstance(sentinel, bool):
+            raise ConfigError(f"sentinel must be true or false, got {sentinel!r}")
+        if sentinel:
             # Test-only corruption switch: prove the detector catches a
             # small perturbation of a cached message.
             params["sentinel"] = 1e-3

@@ -28,7 +28,7 @@ from .hierarchy import (
     balanced_tree,
     build_hierarchy,
     load_tree_json,
-    marginal_prior_variance,
+    marginal_prior_variances,
 )
 
 __all__ = [
@@ -473,9 +473,8 @@ def complexity_term(
         h = int(hierarchy.height[node])
         rows.append((node, h, s0, w))
         total += c**h * w
-    sigma_max = math.sqrt(
-        max(marginal_prior_variance(hierarchy, prior, int(a)) for a in hierarchy.action_nodes)
-    )
+    marginal = marginal_prior_variances(hierarchy, prior)
+    sigma_max = math.sqrt(float(marginal[hierarchy.action_nodes].max()))
     return BoundReport(
         n=n,
         c=c,
@@ -489,9 +488,10 @@ def complexity_term(
 def ts_complexity_term(hierarchy: Hierarchy, prior: PriorSpec, n: int) -> float:
     """G(n) of the independent-arm agent: leaf weights at marginal variances."""
     noise_sq = prior.noise_std**2
+    marginal = marginal_prior_variances(hierarchy, prior)
     total = 0.0
     for a in hierarchy.action_nodes:
-        s0 = marginal_prior_variance(hierarchy, prior, int(a))
+        s0 = float(marginal[a])
         total += _weight(s0, noise_sq, s0 * n / noise_sq)
     return total
 

@@ -21,6 +21,7 @@ __all__ = [
     "balanced_tree",
     "constant_prior",
     "doubling_prior",
+    "marginal_prior_variances",
     "marginal_prior_variance",
     "marginal_prior_covariance",
     "flatten_hierarchy",
@@ -54,6 +55,12 @@ class Hierarchy:
         paths: per-node root-to-node id arrays (paths[a][0] == 1).
         sampling_levels: non-root node ids grouped by height, descending,
             so parents always appear in an earlier group.
+        level_index: per sampling level, (node index, parent index, start,
+            stop): the level's ids as a slice when they are contiguous (an
+            id array otherwise), their parents' ids, and the level's span in
+            a root-first, level-by-level run of num_nodes values (the root
+            takes position 0).
+        leaf_index: action_nodes as a slice when contiguous, else the array.
     """
 
     num_nodes: int
@@ -65,6 +72,8 @@ class Hierarchy:
     action_nodes: np.ndarray
     paths: tuple[np.ndarray, ...]
     sampling_levels: tuple[np.ndarray, ...]
+    level_index: tuple[tuple[slice | np.ndarray, np.ndarray, int, int], ...] = field(repr=False)
+    leaf_index: slice | np.ndarray = field(repr=False)
     action_index: np.ndarray = field(repr=False)
 
     @property
@@ -184,6 +193,14 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
         np.array(sorted(by_height[h]), dtype=np.int64) for h in sorted(by_height, reverse=True)
     )
 
+    level_index = []
+    start = 1
+    for nodes in sampling_levels:
+        parents = parent[nodes]
+        parents.setflags(write=False)
+        level_index.append((_as_index(nodes), parents, start, start + nodes.size))
+        start += nodes.size
+
     for arr in (parent, height, leaves, action_index):
         arr.setflags(write=False)
 
@@ -197,8 +214,17 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
         action_nodes=leaves,
         paths=tuple(paths),
         sampling_levels=sampling_levels,
+        level_index=tuple(level_index),
+        leaf_index=_as_index(leaves),
         action_index=action_index,
     )
+
+
+def _as_index(ids: np.ndarray) -> slice | np.ndarray:
+    """A slice for ascending consecutive ids (basic indexing gives views), else the ids."""
+    if ids[-1] - ids[0] + 1 == ids.size:
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return ids
 
 
 def balanced_tree(branching: int, tree_height: int) -> Hierarchy:
@@ -334,25 +360,38 @@ def doubling_prior(
     return PriorSpec(hyper_mean=hyper_mean, node_variance=variances, noise_std=noise_std)
 
 
+def marginal_prior_variances(hierarchy: Hierarchy, prior: PriorSpec) -> np.ndarray:
+    """Marginal prior variance of every node: the sum of variances on its root path.
+
+    One top-down pass, a left fold from the root (as a path sum from zero).
+    Shape (num_nodes + 1,) for a scalar prior and (num_nodes + 1, d, d), with
+    covariances, for a matrix prior; slot 0 is unused.
+    """
+    if prior.is_scalar:
+        variances = prior.variance_vector(hierarchy)
+    else:
+        variances = prior.covariance_stack(hierarchy)
+    out = np.full_like(variances, np.nan)
+    out[ROOT] = 0.0 + variances[ROOT]
+    for nodes, parents, _, _ in hierarchy.level_index:
+        out[nodes] = out[parents] + variances[nodes]
+    return out
+
+
 def marginal_prior_variance(hierarchy: Hierarchy, prior: PriorSpec, action: int) -> float:
     """Marginal prior variance of a leaf: the sum of variances on its root path."""
     if not hierarchy.is_leaf(action):
         raise HierarchyError(f"node {action} is not a leaf")
     if not prior.is_scalar:
         raise HierarchyError("marginal_prior_variance requires a scalar prior")
-    return float(sum(prior.node_variance[int(i)] for i in hierarchy.path_to_root(action)))
+    return float(marginal_prior_variances(hierarchy, prior)[action])
 
 
 def marginal_prior_covariance(hierarchy: Hierarchy, prior: PriorSpec, action: int) -> np.ndarray:
     """Matrix analog of marginal_prior_variance for linear priors."""
     if not hierarchy.is_leaf(action):
         raise HierarchyError(f"node {action} is not a leaf")
-    d = prior.dim
-    total = np.zeros((d, d))
-    for i in hierarchy.path_to_root(action):
-        value = prior.node_variance[int(i)]
-        total += value if not prior.is_scalar else np.array([[value]])
-    return total
+    return np.atleast_2d(marginal_prior_variances(hierarchy, prior)[action])
 
 
 def flatten_hierarchy(
@@ -369,12 +408,10 @@ def flatten_hierarchy(
     flat = build_hierarchy({j + 2: 1 for j in range(len(leaves))})
     to_flat = {leaf: j + 2 for j, leaf in enumerate(leaves)}
     root_var = prior.node_variance[ROOT]
+    marginal = marginal_prior_variances(hierarchy, prior)
     variances: dict[int, float | np.ndarray] = {ROOT: root_var}
     for leaf in leaves:
-        if prior.is_scalar:
-            variances[to_flat[leaf]] = marginal_prior_variance(hierarchy, prior, leaf) - root_var
-        else:
-            variances[to_flat[leaf]] = marginal_prior_covariance(hierarchy, prior, leaf) - root_var
+        variances[to_flat[leaf]] = marginal[leaf] - root_var
     flat_prior = PriorSpec(
         hyper_mean=prior.hyper_mean, node_variance=variances, noise_std=prior.noise_std
     )

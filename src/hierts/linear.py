@@ -48,9 +48,10 @@ class LinearPosteriorState(_UpwardPass):
 
     Besides the message caches this keeps, per node, the conditional
     posterior in sampled-ancestor form: slope matrix, intercept, covariance
-    and its Cholesky factor. The sampling pass then only needs batched
-    matrix-vector products per tree level. update_path refreshes the caches
-    of the acted leaf's root path only.
+    and its Cholesky factor, plus the root's posterior mean root_mean. The
+    sampling pass then only needs batched matrix-vector products per tree
+    level. update_path refreshes the caches of the acted leaf's root path
+    only.
     """
 
     def __init__(self, hierarchy: Hierarchy, prior: PriorSpec):
@@ -110,7 +111,9 @@ class LinearPosteriorState(_UpwardPass):
         self.post_chol[node] = np.linalg.cholesky(cov)
         self.slope[node] = cov @ lam0
         self.intercept[node] = cov @ wmean
-        if node != ROOT:
+        if node == ROOT:
+            self.root_mean = self.slope[ROOT] @ self.hyper_mean + self.intercept[ROOT]
+        else:
             self.msg_prec[node] = _sym(prec - prec @ sol[:, :d])
             self.msg_wmean[node] = lam0 @ sol[:, d]
 
@@ -130,7 +133,7 @@ class LinearPosteriorState(_UpwardPass):
         hier = self.hierarchy
         if not hier.is_leaf(action):
             raise HierarchyError(f"action {action} is not a leaf")
-        mean = self.slope[ROOT] @ self.hyper_mean + self.intercept[ROOT]
+        mean = self.root_mean
         cov = self.post_cov[ROOT]
         for node in hier.path_to_root(action)[1:]:
             a = self.slope[node]

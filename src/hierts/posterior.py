@@ -17,6 +17,8 @@ the conditional prior and the subtree likelihood.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec
@@ -27,16 +29,15 @@ __all__ = ["PosteriorState"]
 class _UpwardPass:
     """Leaf-to-root pass over the ev_* (pooled evidence) and msg_* (message) arrays.
 
-    Subclasses supply _fold(node), evidence to message, and _copy_tallies(out),
-    which gives a fresh state this one's raw tallies and leaf evidence.
+    Subclasses supply _fold(node), evidence to message; _fold_root(), which
+    refreshes the root's cached conditional (the root sends no message); and
+    _copy_tallies(out), which gives a fresh state this one's raw tallies and
+    leaf evidence.
     """
 
     @property
     def num_nodes(self) -> int:
         return self.hierarchy.num_nodes
-
-    def _fold_root(self) -> None:
-        """Refresh whatever the root caches; the root sends no message."""
 
     def _pool(self, node: int) -> None:
         ch = self.hierarchy.children[node]
@@ -70,7 +71,9 @@ class PosteriorState(_UpwardPass):
     """Sufficient statistics plus cached upward messages for one agent.
 
     All caches are flat arrays indexed by node id (slot 0 unused) so that the
-    sampling pass can run level by level with vectorized reads. update_path
+    sampling pass can run level by level with vectorized reads. Besides the
+    messages, each node caches its conditional precision lamhat = l0 + P and
+    sqrt_lamhat, and the root its posterior mean root_mean. update_path
     refreshes only the acted leaf's root path, recomputing each path node's
     evidence from its children's cached messages; the result is identical to
     a full bottom-up rebuild because the per-node reductions see the same
@@ -95,12 +98,13 @@ class PosteriorState(_UpwardPass):
         self.ev_wmean = np.zeros(n + 1)
         self.msg_prec = np.zeros(n + 1)
         self.msg_wmean = np.zeros(n + 1)
+        self.lamhat = self.lam0 + self.ev_prec
+        self.sqrt_lamhat = np.sqrt(self.lamhat)
+        self._fold_root()
 
     def posterior_precisions(self) -> np.ndarray:
-        """Conditional posterior precision of every node, shape (num_nodes + 1,)."""
-        out = self.lam0 + self.ev_prec
-        out[0] = np.nan
-        return out
+        """Conditional posterior precision of every node, shape (num_nodes + 1,); slot 0 is nan."""
+        return self.lamhat.copy()
 
     def update_path(self, action: int, reward: float) -> None:
         """Record one reward and refresh messages along the leaf's root path."""
@@ -115,10 +119,19 @@ class PosteriorState(_UpwardPass):
         self._walk(action)
 
     def _fold(self, node: int) -> None:
-        lam0 = self.lam0[node]
-        denom = self.ev_prec[node] + lam0
-        self.msg_prec[node] = self.ev_prec[node] * lam0 / denom
-        self.msg_wmean[node] = lam0 / denom * self.ev_wmean[node]
+        lam0, prec = self.lam0[node], self.ev_prec[node]
+        lamhat = lam0 + prec
+        self.lamhat[node] = lamhat
+        self.sqrt_lamhat[node] = math.sqrt(lamhat)
+        self.msg_prec[node] = prec * lam0 / lamhat
+        self.msg_wmean[node] = lam0 / lamhat * self.ev_wmean[node]
+
+    def _fold_root(self) -> None:
+        lam0 = self.lam0[ROOT]
+        lamhat = lam0 + self.ev_prec[ROOT]
+        self.lamhat[ROOT] = lamhat
+        self.sqrt_lamhat[ROOT] = math.sqrt(lamhat)
+        self.root_mean = (lam0 * self.hyper_mean + self.ev_wmean[ROOT]) / lamhat
 
     def _copy_tallies(self, out: "PosteriorState") -> None:
         out.counts[:] = self.counts

@@ -12,10 +12,12 @@ from hierts import (
     balanced_tree,
     constant_prior,
     doubling_prior,
+    flatten_hierarchy,
     hierts_sample,
     make_agent,
 )
-from hierts.hierarchy import HierarchyError
+from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
+from hierts.hierarchy import ROOT, HierarchyError
 
 
 def _linear_prior(tree, dim, noise_std=1.0, seed=2):
@@ -46,6 +48,70 @@ def test_hierts_sample_linear_shapes(b2h2, linear_prior):
     assert many.shape == (4, 8, 3)
     with pytest.raises(TypeError):
         hierts_sample(object(), np.random.default_rng(0))
+
+
+def _per_level_sample(state, rng, size=None):
+    """Reference sampler: one normal draw per level, conditionals recomputed on every call."""
+    hier = state.hierarchy
+    n = hier.num_nodes
+    m = 1 if size is None else int(size)
+    if isinstance(state, PosteriorState):
+        lamhat = state.lam0 + state.ev_prec
+        mean_root = (state.lam0[ROOT] * state.hyper_mean + state.ev_wmean[ROOT]) / lamhat[ROOT]
+        theta = np.empty((m, n + 1))
+        theta[:, 0] = np.nan
+        theta[:, ROOT] = mean_root + rng.standard_normal(m) / np.sqrt(lamhat[ROOT])
+        for nodes in hier.sampling_levels:
+            mean = (
+                state.lam0[nodes] * theta[:, hier.parent[nodes]] + state.ev_wmean[nodes]
+            ) / lamhat[nodes]
+            theta[:, nodes] = mean + rng.standard_normal((m, nodes.size)) / np.sqrt(lamhat[nodes])
+    else:
+        d = state.dim
+        theta = np.empty((m, n + 1, d))
+        theta[:, 0] = np.nan
+        z = rng.standard_normal((m, d))
+        theta[:, ROOT] = (
+            state.slope[ROOT] @ state.hyper_mean
+            + state.intercept[ROOT]
+            + np.einsum("ij,mj->mi", state.post_chol[ROOT], z)
+        )
+        for nodes in hier.sampling_levels:
+            z = rng.standard_normal((m, nodes.size, d))
+            theta[:, nodes] = (
+                np.einsum("kij,mkj->mki", state.slope[nodes], theta[:, hier.parent[nodes]])
+                + state.intercept[nodes]
+                + np.einsum("kij,mkj->mki", state.post_chol[nodes], z)
+            )
+    return theta[0] if size is None else theta
+
+
+@pytest.mark.parametrize("size", [None, 5])
+def test_hierts_sample_keeps_per_level_draw_order(size):
+    """One draw per call yields exactly the per-level sampler's values and stream position."""
+    rng = np.random.default_rng(21)
+    tree = balanced_tree(2, 3)
+    flat, _, _ = flatten_hierarchy(tree, constant_prior(tree))
+    trees = [tree, flat] + [random_tree(rng) for _ in range(4)]
+    assert any(not isinstance(idx, slice) for t in trees for idx, _, _, _ in t.level_index)
+    for tree in trees:
+        for dim in (None, 1, 3):
+            if dim is None:
+                state = PosteriorState(tree, random_scalar_prior(rng, tree))
+            else:
+                state = LinearPosteriorState(tree, random_linear_prior(rng, tree, dim))
+            for _ in range(30):
+                leaf = int(rng.choice(tree.action_nodes))
+                if dim is None:
+                    state.update_path(leaf, float(rng.normal(0.0, 2.0)))
+                else:
+                    state.update_path(leaf, rng.standard_normal(dim), float(rng.normal(0.0, 2.0)))
+            for seed in range(3):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = hierts_sample(state, got_rng, size)
+                want = _per_level_sample(state, want_rng, size)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_hierts_sample_prior_moments(b2h2):

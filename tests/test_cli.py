@@ -140,6 +140,15 @@ def test_verify_oracle_sentinel_fails(tmp_path, capsys):
     assert "base_seed=0" in out  # replay hint names the seed and case indices
 
 
+def test_verify_oracle_sentinel_false_passes(tmp_path, capsys):
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({
+        "scalar_cases": 3, "linear_cases": 2, "lemma_runs": 0, "horizon": 10, "sentinel": False,
+    }))
+    assert cli.main(["verify-oracle", "--config", str(cfg)]) == cli.EXIT_OK
+    assert "suite result: PASS" in capsys.readouterr().out
+
+
 def test_verify_oracle_vacuous(tmp_path, capsys):
     cfg = tmp_path / "verify.json"
     cfg.write_text(json.dumps({"scalar_cases": 0, "linear_cases": 0, "lemma_runs": 0}))
@@ -174,10 +183,13 @@ def test_verify_oracle_rejects_unknown_keys(tmp_path, capsys):
         ("simulate", '{"tree": {"b": 2, "h": 1}, "hyper_mean": "x"}', "hyper_mean"),
         ("ratio", '{"heights": [1], "tree": {"parents": {"2": 1, "3": 1}}}', "requires a balanced-tree config"),
         ("simulate", '{"tree": {"parents": {"2": 1.9, "3": 1}}}', "parents.2"),
+        ("verify-oracle", '{"sentinel": "false"}', "sentinel"),
+        ("verify-oracle", '{"sentinel": 1}', "sentinel"),
+        ("verify-oracle", '{"sentinel": null}', "sentinel"),
     ],
     ids=["syntax", "ratio-tree", "prior-value", "agents", "horizon", "verify-seed", "verify-cases",
          "horizon-bool", "heights-bool", "verify-cases-bool", "delta-str", "noise-str", "hyper-mean-str",
-         "ratio-parents", "parents-float"],
+         "ratio-parents", "parents-float", "sentinel-str", "sentinel-int", "sentinel-null"],
 )
 def test_malformed_config_exits_input(tmp_path, capsys, command, text, field):
     cfg = tmp_path / "cfg.json"

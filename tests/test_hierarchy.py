@@ -14,8 +14,10 @@ from hierts import (
     load_tree_json,
     marginal_prior_covariance,
     marginal_prior_variance,
+    marginal_prior_variances,
     save_tree_json,
 )
+from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 
 
 def test_build_basic_shape(two_leaf):
@@ -52,6 +54,12 @@ def test_heights_and_levels(b2h2):
     # levels exclude the root, descend by height, parents first
     levels = [list(level) for level in b2h2.sampling_levels]
     assert levels == [[2, 3], [4, 5, 6, 7]]
+    # contiguous levels index by slice; spans follow the root's position 0
+    assert [(idx, list(par), start, stop) for idx, par, start, stop in b2h2.level_index] == [
+        (slice(2, 4), [1, 1], 1, 3),
+        (slice(4, 8), [2, 2, 3, 3], 3, 7),
+    ]
+    assert b2h2.leaf_index == slice(4, 8)
 
 
 @pytest.mark.parametrize(
@@ -123,6 +131,21 @@ def test_marginal_prior_variance_sums_path(b2h2):
     assert marginal_prior_variance(b2h2, dbl, 4) == pytest.approx(7.0)
     with pytest.raises(HierarchyError):
         marginal_prior_variance(b2h2, prior, 2)
+
+
+def test_marginal_prior_variances_match_path_sums():
+    """The top-down pass gives every node its root-path sum, bit for bit."""
+    rng = np.random.default_rng(4)
+    trees = [balanced_tree(3, 2)] + [random_tree(rng) for _ in range(5)]
+    for tree in trees:
+        for prior in (random_scalar_prior(rng, tree), random_linear_prior(rng, tree, 3)):
+            got = marginal_prior_variances(tree, prior)
+            for node in range(1, tree.num_nodes + 1):
+                want = 0.0
+                for i in tree.path_to_root(node):
+                    want = want + prior.node_variance[int(i)]
+                assert np.array_equal(got[node], want)
+            assert np.isnan(got[0]).all()
 
 
 def test_marginal_prior_covariance(linear_prior, b2h2):
@@ -206,6 +229,15 @@ def test_structure_invariants(parents):
     assert sorted(flat.tolist()) == list(range(2, tree.num_nodes + 1))
     heights = [tree.height[level].max() for level in tree.sampling_levels]
     assert heights == sorted(heights, reverse=True)
+    ids = np.arange(tree.num_nodes + 1)
+    start = 1
+    for level, (idx, parents, lo, hi) in zip(tree.sampling_levels, tree.level_index):
+        assert np.array_equal(ids[idx], level)
+        assert np.array_equal(parents, tree.parent[level])
+        assert (lo, hi) == (start, start + level.size)
+        start = hi
+    assert start == tree.num_nodes
+    assert np.array_equal(ids[tree.leaf_index], tree.action_nodes)
     for node in range(2, tree.num_nodes + 1):
         path = tree.path_to_root(node)
         assert path[0] == 1 and path[-1] == node

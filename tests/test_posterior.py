@@ -12,6 +12,7 @@ from hierts import (
     constant_prior,
     joint_prior,
 )
+from hierts.checks import random_scalar_prior, random_tree
 from hierts.hierarchy import HierarchyError
 
 
@@ -117,16 +118,25 @@ def test_prior_state_is_prior(b2h2, b2h2_prior):
 
 def test_update_path_matches_rebuild_exactly(b2h2, b2h2_prior):
     rng = np.random.default_rng(0)
-    state = PosteriorState(b2h2, b2h2_prior)
-    for _ in range(60):
-        leaf = int(rng.choice(b2h2.action_nodes))
-        state.update_path(leaf, float(rng.standard_normal()))
-    fresh = state.rebuild()
-    # same reductions in the same order: bit-identical, not just close
-    assert np.array_equal(state.ev_prec, fresh.ev_prec)
-    assert np.array_equal(state.ev_wmean, fresh.ev_wmean)
-    assert np.array_equal(state.msg_prec, fresh.msg_prec)
-    assert np.array_equal(state.msg_wmean, fresh.msg_wmean)
+    cases = [(b2h2, b2h2_prior)]
+    for _ in range(6):
+        tree = random_tree(rng)
+        cases.append((tree, random_scalar_prior(rng, tree)))
+    for tree, prior in cases:
+        state = PosteriorState(tree, prior)
+        for _ in range(60):
+            leaf = int(rng.choice(tree.action_nodes))
+            state.update_path(leaf, float(rng.standard_normal()))
+        fresh = state.rebuild()
+        # same reductions in the same order: bit-identical, not just close
+        for name in ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
+                     "lamhat", "sqrt_lamhat", "root_mean"):
+            assert np.array_equal(getattr(state, name), getattr(fresh, name), equal_nan=True), name
+        # and the caches hold what they stand for
+        assert np.array_equal(state.lamhat, state.lam0 + state.ev_prec, equal_nan=True)
+        assert np.array_equal(state.sqrt_lamhat, np.sqrt(state.lamhat), equal_nan=True)
+        lam0 = state.lam0[1]
+        assert state.root_mean == (lam0 * prior.hyper_mean + state.ev_wmean[1]) / state.lamhat[1]
 
 
 def test_update_path_input_checks(b2h2, b2h2_prior):
