@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Run a fixed set of CLI commands and write a sha256 manifest of every output file.
+
+The set covers each output-writing command:
+- `simulate` on configs/doubling_b5_h2.json, explicit_tree.json and
+  constant_b2_h2_linear.json;
+- `ratio` on configs/ratio_constant_b2.json;
+- `classify-bandit` on a generated 6-dim clustered dataset (horizon 1000,
+  6 runs);
+each at --jobs 1 and --jobs 2, plus `bound` on doubling_b5_h2.json and
+explicit_tree.json. A change that should leave outputs byte-identical
+diffs the manifest of its parent against its own:
+
+    PYTHONPATH=src python scripts/output_digests.py --out /tmp/digests-new
+    diff /tmp/digests-old/MANIFEST /tmp/digests-new/MANIFEST
+
+The manifest lists `sha256  path` lines sorted by path, with paths relative
+to --out. Commands run inside --out with relative paths, since
+classify-bandit records its input paths in replay.json. The whole set takes
+about 3.5 minutes on 2 cores, most of it the ratio runs.
+"""
+import argparse
+import hashlib
+import os
+from pathlib import Path
+
+import numpy as np
+
+from hierts import cli
+from hierts.envs import make_cluster_dataset, write_dataset_csv
+from hierts.hierarchy import save_tree_json
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SIMULATE = ("doubling_b5_h2", "explicit_tree", "constant_b2_h2_linear")
+BOUND = ("doubling_b5_h2", "explicit_tree")
+JOBS = (1, 2)
+
+
+def commands(data: Path, runs: Path) -> list[list[str]]:
+    out = []
+    for jobs in JOBS:
+        j = ["--jobs", str(jobs)]
+        for name in SIMULATE:
+            out.append(["simulate", "--config", str(CONFIGS / f"{name}.json"),
+                        "--out", str(runs / f"simulate-{name}-j{jobs}")] + j)
+        out.append(["ratio", "--config", str(CONFIGS / "ratio_constant_b2.json"),
+                    "--out", str(runs / f"ratio-constant_b2-j{jobs}")] + j)
+        out.append(["classify-bandit", "--dataset", str(data / "data.csv"),
+                    "--hierarchy", str(data / "tree.json"), "--horizon", "1000", "--runs", "6",
+                    "--out", str(runs / f"classify-cluster_d6-j{jobs}")] + j)
+    for name in BOUND:
+        out.append(["bound", "--config", str(CONFIGS / f"{name}.json"),
+                    "--out", str(runs / f"bound-{name}")])
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, help="new or empty directory for the runs and MANIFEST")
+    args = ap.parse_args()
+    root = Path(args.out).resolve()
+    if root.exists() and any(root.iterdir()):
+        raise SystemExit(f"{root} is not empty")
+    root.mkdir(parents=True, exist_ok=True)
+    os.chdir(root)
+    data, runs = Path("dataset"), Path("runs")
+    data.mkdir()
+    dataset, hierarchy, label_map = make_cluster_dataset(
+        np.random.default_rng(7), num_groups=5, classes_per_group=5, dim=6
+    )
+    write_dataset_csv(data / "data.csv", dataset, label_map)
+    save_tree_json(data / "tree.json", hierarchy, label_map=label_map)
+    for argv in commands(data, runs):
+        print(" ".join(["hierts"] + argv), flush=True)
+        code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            raise SystemExit(f"exit code {code}")
+    lines = []
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file() and p.name != "MANIFEST"):
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+    Path("MANIFEST").write_text("\n".join(lines) + "\n")
+    print(f"wrote {root / 'MANIFEST'} ({len(lines)} files)")
+
+
+if __name__ == "__main__":
+    main()

@@ -9,6 +9,8 @@ and tracks each arm independently.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .hierarchy import (
@@ -118,9 +120,7 @@ class FlatTSAgent:
 
     def __init__(self, hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator):
         self.hierarchy = hierarchy
-        flat, flat_prior, to_flat = flatten_hierarchy(hierarchy, prior)
-        self._to_flat = to_flat
-        self._to_orig = {v: k for k, v in to_flat.items()}
+        flat, flat_prior, self._to_flat, self._to_orig = _flat_tree(hierarchy, prior)
         self._inner = HierTSAgent(flat, flat_prior, rng)
 
     @property
@@ -163,32 +163,15 @@ class TSAgent:
         self.rng = rng
         self.noise_prec = 1.0 / prior.noise_std**2
         self._scalar = prior.is_scalar
-        leaves = hierarchy.action_nodes
-        k = leaves.size
-        marginal = marginal_prior_variances(hierarchy, prior)
+        arrays = [a.copy() for a in _ts_prior(hierarchy, prior)]
         if self._scalar:
-            self.prec = 1.0 / marginal[leaves]
-            self.wmean = self.prec * float(prior.hyper_mean)
+            self.prec, self.wmean = arrays
         else:
-            d = prior.dim
-            self.dim = d
-            mean0 = np.asarray(prior.hyper_mean, float)
-            self.prec = np.empty((k, d, d))
-            self.wmean = np.empty((k, d))
-            self.cov = np.empty((k, d, d))
-            self.chol = np.empty((k, d, d))
-            self.mean = np.empty((k, d))
-            for j, a in enumerate(leaves):
-                lam = _sym(np.linalg.inv(marginal[a]))
-                self.prec[j] = lam
-                self.wmean[j] = lam @ mean0
-                self._refresh(j)
+            self.dim = prior.dim
+            self.prec, self.wmean, self.cov, self.chol, self.mean = arrays
 
     def _refresh(self, j: int) -> None:
-        cov = _sym(_solve_checked(self.prec[j], np.eye(self.dim), f"arm {j} covariance"))
-        self.cov[j] = cov
-        self.chol[j] = np.linalg.cholesky(cov)
-        self.mean[j] = cov @ self.wmean[j]
+        self.cov[j], self.chol[j], self.mean[j] = _arm_posterior(self.prec[j], self.wmean[j], j)
 
     def arm_moments(self, action: int):
         """Posterior (mean, variance or covariance) of one arm."""
@@ -222,6 +205,49 @@ class TSAgent:
             self.prec[j] = _sym(self.prec[j] + np.outer(x, x) * self.noise_prec)
             self.wmean[j] += x * (reward * self.noise_prec)
             self._refresh(j)
+
+
+# Each agent of a cell's instances starts from the same tree and prior, so
+# FlatTS's flat tree and TS's per-arm prior are built once per cell. Hierarchy
+# and PriorSpec hash by identity, so a cached entry never serves another cell.
+@functools.lru_cache(maxsize=1)
+def _flat_tree(hierarchy: Hierarchy, prior: PriorSpec):
+    """(flat tree, flat prior, leaf -> flat leaf map, flat leaf -> leaf map)."""
+    flat, flat_prior, to_flat = flatten_hierarchy(hierarchy, prior)
+    return flat, flat_prior, to_flat, {v: k for k, v in to_flat.items()}
+
+
+@functools.lru_cache(maxsize=1)
+def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
+    """Read-only per-arm prior arrays of TSAgent, each arm's prior being its tree marginal.
+
+    (prec, wmean) for a scalar prior; (prec, wmean, cov, chol, mean) for a
+    matrix prior.
+    """
+    leaves = hierarchy.action_nodes
+    marginal = marginal_prior_variances(hierarchy, prior)
+    if prior.is_scalar:
+        prec = 1.0 / marginal[leaves]
+        arrays = (prec, prec * float(prior.hyper_mean))
+    else:
+        k, d = leaves.size, prior.dim
+        mean0 = np.asarray(prior.hyper_mean, float)
+        prec, cov, chol = np.empty((k, d, d)), np.empty((k, d, d)), np.empty((k, d, d))
+        wmean, mean = np.empty((k, d)), np.empty((k, d))
+        for j, a in enumerate(leaves):
+            prec[j] = lam = _sym(np.linalg.inv(marginal[a]))
+            wmean[j] = lam @ mean0
+            cov[j], chol[j], mean[j] = _arm_posterior(prec[j], wmean[j], j)
+        arrays = (prec, wmean, cov, chol, mean)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _arm_posterior(prec: np.ndarray, wmean: np.ndarray, j: int):
+    """(covariance, its Cholesky factor, mean) of one arm from its precision form."""
+    cov = _sym(_solve_checked(prec, np.eye(prec.shape[0]), f"arm {j} covariance"))
+    return cov, np.linalg.cholesky(cov), cov @ wmean
 
 
 def make_agent(kind: str, hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator):

@@ -25,6 +25,12 @@ from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec
 
 __all__ = ["PosteriorState"]
 
+# numpy sums at most this many float64 values left to right from 0.0, so a
+# Python fold over that many gives the same bits; past it numpy switches to
+# pairwise blocks. tests/test_posterior.py::test_numpy_short_sum_is_a_left_fold
+# pins this for the installed numpy.
+SHORT_SUM_MAX = 7
+
 
 class _UpwardPass:
     """Leaf-to-root pass over the ev_* (pooled evidence) and msg_* (message) arrays.
@@ -32,7 +38,8 @@ class _UpwardPass:
     Subclasses supply _fold(node), evidence to message; _fold_root(), which
     refreshes the root's cached conditional (the root sends no message); and
     _copy_tallies(out), which gives a fresh state this one's raw tallies and
-    leaf evidence.
+    leaf evidence. _pool sums a parent's child messages with numpy; a
+    subclass may pool faster if it keeps the sums bit-identical.
     """
 
     @property
@@ -79,6 +86,14 @@ class PosteriorState(_UpwardPass):
     a full bottom-up rebuild because the per-node reductions see the same
     operands in the same order.
 
+    The path walk runs on Python floats: lam0, ev_* and msg_* are mirrored
+    as float lists, which the walk reads. Every write to ev_* or msg_* also
+    writes the mirror: update_path and _pool write ev_*, _fold is the only
+    writer of msg_*, and _copy_tallies refreshes a rebuilt state's ev_*
+    mirrors. _pool sums a short child list left to right from 0.0, which is
+    the order numpy's sum takes for at most SHORT_SUM_MAX elements, and
+    leaves wider parents to numpy's sum.
+
     Single-writer: update_path mutates in place, reads are safe between
     updates but not during one.
     """
@@ -92,6 +107,13 @@ class PosteriorState(_UpwardPass):
         self.hyper_mean = float(prior.hyper_mean)
         self.lam0 = 1.0 / prior.variance_vector(hierarchy)
         n = hierarchy.num_nodes
+        self._lam0 = self.lam0.tolist()
+        self._ev_prec, self._ev_wmean = [0.0] * (n + 1), [0.0] * (n + 1)
+        self._msg_prec, self._msg_wmean = [0.0] * (n + 1), [0.0] * (n + 1)
+        # child id lists of the parents _pool sums in Python; None for wider ones
+        self._short_children = [
+            ch.tolist() if ch.size <= SHORT_SUM_MAX else None for ch in hierarchy.children
+        ]
         self.counts = np.zeros(n + 1)
         self.reward_sums = np.zeros(n + 1)
         self.ev_prec = np.zeros(n + 1)
@@ -110,28 +132,42 @@ class PosteriorState(_UpwardPass):
         """Record one reward and refresh messages along the leaf's root path."""
         if not self.hierarchy.is_leaf(action):
             raise HierarchyError(f"action {action} is not a leaf")
-        if not np.isfinite(reward):
+        if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
         self.counts[action] += 1.0
         self.reward_sums[action] += reward
-        self.ev_prec[action] = self.counts[action] * self.noise_prec
-        self.ev_wmean[action] = self.reward_sums[action] * self.noise_prec
+        self._ev_prec[action] = self.ev_prec[action] = float(self.counts[action]) * self.noise_prec
+        self._ev_wmean[action] = self.ev_wmean[action] = float(self.reward_sums[action]) * self.noise_prec
         self._walk(action)
 
+    def _pool(self, node: int) -> None:
+        ch = self._short_children[node]
+        if ch is None:
+            ch = self.hierarchy.children[node]
+            prec, wmean = float(self.msg_prec[ch].sum()), float(self.msg_wmean[ch].sum())
+        else:
+            msg_prec, msg_wmean = self._msg_prec, self._msg_wmean
+            prec = wmean = 0.0
+            for c in ch:
+                prec += msg_prec[c]
+                wmean += msg_wmean[c]
+        self._ev_prec[node] = self.ev_prec[node] = prec
+        self._ev_wmean[node] = self.ev_wmean[node] = wmean
+
     def _fold(self, node: int) -> None:
-        lam0, prec = self.lam0[node], self.ev_prec[node]
+        lam0, prec = self._lam0[node], self._ev_prec[node]
         lamhat = lam0 + prec
         self.lamhat[node] = lamhat
         self.sqrt_lamhat[node] = math.sqrt(lamhat)
-        self.msg_prec[node] = prec * lam0 / lamhat
-        self.msg_wmean[node] = lam0 / lamhat * self.ev_wmean[node]
+        self._msg_prec[node] = self.msg_prec[node] = prec * lam0 / lamhat
+        self._msg_wmean[node] = self.msg_wmean[node] = lam0 / lamhat * self._ev_wmean[node]
 
     def _fold_root(self) -> None:
-        lam0 = self.lam0[ROOT]
-        lamhat = lam0 + self.ev_prec[ROOT]
+        lam0 = self._lam0[ROOT]
+        lamhat = lam0 + self._ev_prec[ROOT]
         self.lamhat[ROOT] = lamhat
         self.sqrt_lamhat[ROOT] = math.sqrt(lamhat)
-        self.root_mean = (lam0 * self.hyper_mean + self.ev_wmean[ROOT]) / lamhat
+        self.root_mean = (lam0 * self.hyper_mean + self._ev_wmean[ROOT]) / lamhat
 
     def _copy_tallies(self, out: "PosteriorState") -> None:
         out.counts[:] = self.counts
@@ -139,6 +175,7 @@ class PosteriorState(_UpwardPass):
         leaves = self.hierarchy.action_nodes
         out.ev_prec[leaves] = out.counts[leaves] * out.noise_prec
         out.ev_wmean[leaves] = out.reward_sums[leaves] * out.noise_prec
+        out._ev_prec, out._ev_wmean = out.ev_prec.tolist(), out.ev_wmean.tolist()
 
     def marginal_action_moments(self, action: int) -> tuple[float, float]:
         """Marginal posterior (mean, variance) of a leaf's parameter.

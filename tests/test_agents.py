@@ -16,6 +16,7 @@ from hierts import (
     hierts_sample,
     make_agent,
 )
+from hierts import agents
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import ROOT, HierarchyError
 
@@ -250,6 +251,44 @@ def test_ts_agent_linear_update(b2h2):
     expect_cov = np.linalg.inv(lam)
     assert np.allclose(cov, expect_cov, rtol=1e-9)
     assert np.allclose(mean, expect_cov @ (x * 0.5), rtol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [None, 2], ids=["scalar", "linear"])
+def test_agents_of_one_cell_share_their_setup(b2h2, b2h2_prior, monkeypatch, dim):
+    """FlatTS's flat tree and TS's per-arm prior are built once per (tree, prior) pair.
+
+    Each agent still owns its posterior, and a new prior object (even an
+    equal one) gets its own build.
+    """
+    prior = b2h2_prior if dim is None else _linear_prior(b2h2, dim)
+    calls = []
+
+    def counting_flatten(hierarchy, prior):
+        calls.append(1)
+        return flatten_hierarchy(hierarchy, prior)
+
+    monkeypatch.setattr(agents, "flatten_hierarchy", counting_flatten)
+    flats = [FlatTSAgent(b2h2, prior, np.random.default_rng(i)) for i in range(3)]
+    assert len(calls) == 1
+    assert flats[0].state.hierarchy is flats[2].state.hierarchy
+    assert flats[0].state is not flats[2].state
+    x = None if dim is None else np.ones(dim)
+    flats[0].update(4, 1.0, x)
+    assert flats[2].state.counts.sum() == 0.0
+    FlatTSAgent(b2h2, PriorSpec(prior.hyper_mean, prior.node_variance, prior.noise_std),
+                np.random.default_rng(0))
+    assert len(calls) == 2
+
+    a, b = (TSAgent(b2h2, prior, np.random.default_rng(i)) for i in range(2))
+    assert all(not arr.flags.writeable for arr in agents._ts_prior(b2h2, prior))
+    a.update(4, 1.0, x)
+    agents._ts_prior.cache_clear()
+    fresh = TSAgent(b2h2, prior, np.random.default_rng(0))
+    names = ("prec", "wmean") if dim is None else ("prec", "wmean", "cov", "chol", "mean")
+    for name in names:
+        assert np.array_equal(getattr(b, name), getattr(fresh, name)), name
+        assert getattr(b, name).flags.writeable
+    assert not np.array_equal(a.prec, b.prec)
 
 
 def test_make_agent_rejects_unknown(b2h2, b2h2_prior):

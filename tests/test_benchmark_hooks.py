@@ -47,3 +47,5 @@ def test_traced_simulate_counts_every_sample_and_update(tmp_path):
     assert table.calls("agents.TS.act") == rounds
     assert table.calls("agents.hierts_sample") == hier_act + flat_act
     assert table.calls("posterior.update_path") == hier_update + flat_update
+    # both instances of the cell share one flat tree
+    assert table.calls("hierarchy.flatten_hierarchy") == 1

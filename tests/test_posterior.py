@@ -1,4 +1,6 @@
 """Scalar recursive posterior: worked examples, invariants, oracle agreement."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +12,16 @@ from hierts import (
     build_hierarchy,
     condition,
     constant_prior,
+    doubling_prior,
+    flatten_hierarchy,
     joint_prior,
 )
 from hierts.checks import random_scalar_prior, random_tree
 from hierts.hierarchy import HierarchyError
+from hierts.posterior import SHORT_SUM_MAX
+
+STATE_ARRAYS = ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
+                "lamhat", "sqrt_lamhat", "root_mean")
 
 
 def test_unobserved_leaf_sends_zero_message(two_leaf):
@@ -129,8 +137,7 @@ def test_update_path_matches_rebuild_exactly(b2h2, b2h2_prior):
             state.update_path(leaf, float(rng.standard_normal()))
         fresh = state.rebuild()
         # same reductions in the same order: bit-identical, not just close
-        for name in ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
-                     "lamhat", "sqrt_lamhat", "root_mean"):
+        for name in STATE_ARRAYS:
             assert np.array_equal(getattr(state, name), getattr(fresh, name), equal_nan=True), name
         # and the caches hold what they stand for
         assert np.array_equal(state.lamhat, state.lam0 + state.ev_prec, equal_nan=True)
@@ -225,3 +232,86 @@ def test_single_observation_closed_form(sigma0, noise, y):
     expect_var = 1.0 / (1.0 / s_marg + 1.0 / noise**2)
     assert var == pytest.approx(expect_var, rel=1e-10)
     assert mean == pytest.approx(expect_var * y / noise**2, rel=1e-10, abs=1e-12)
+
+
+class _NumpyPathState(PosteriorState):
+    """PosteriorState walking on numpy scalars and pooling with numpy's sum.
+
+    The reference the float path must match bit for bit; rebuild() keeps
+    the type.
+    """
+
+    def update_path(self, action, reward):
+        self.counts[action] += 1.0
+        self.reward_sums[action] += reward
+        self.ev_prec[action] = self.counts[action] * self.noise_prec
+        self.ev_wmean[action] = self.reward_sums[action] * self.noise_prec
+        self._walk(action)
+
+    def _pool(self, node):
+        ch = self.hierarchy.children[node]
+        self.ev_prec[node] = self.msg_prec[ch].sum(axis=0)
+        self.ev_wmean[node] = self.msg_wmean[ch].sum(axis=0)
+
+    def _fold(self, node):
+        lam0, prec = self.lam0[node], self.ev_prec[node]
+        lamhat = lam0 + prec
+        self.lamhat[node] = lamhat
+        self.sqrt_lamhat[node] = math.sqrt(lamhat)
+        self.msg_prec[node] = prec * lam0 / lamhat
+        self.msg_wmean[node] = lam0 / lamhat * self.ev_wmean[node]
+
+    def _fold_root(self):
+        lam0 = self.lam0[1]
+        lamhat = lam0 + self.ev_prec[1]
+        self.lamhat[1] = lamhat
+        self.sqrt_lamhat[1] = math.sqrt(lamhat)
+        self.root_mean = (lam0 * self.hyper_mean + self.ev_wmean[1]) / lamhat
+
+
+def test_float_path_matches_numpy_reference():
+    """Parents with 2, 3, 7, 8, 12 and 256 children take the short and the wide pooling branch."""
+    rng = np.random.default_rng(21)
+    trees = [balanced_tree(7, 2), balanced_tree(8, 2), balanced_tree(12, 2)]
+    trees += [random_tree(rng) for _ in range(4)]
+    cases = [(tree, random_scalar_prior(rng, tree)) for tree in trees]
+    deep = balanced_tree(2, 8)
+    flat, flat_prior, _ = flatten_hierarchy(deep, doubling_prior(deep, noise_std=0.8, hyper_mean=0.4))
+    cases.append((flat, flat_prior))
+    widths = {ch.size for tree, _ in cases for ch in tree.children[1:] if ch.size}
+    assert {2, 3, 7, 8, 12, 256} <= widths
+    assert min(widths) <= SHORT_SUM_MAX < max(widths)
+    for tree, prior in cases:
+        state, ref = PosteriorState(tree, prior), _NumpyPathState(tree, prior)
+        for phase in range(2):
+            for _ in range(300):
+                leaf = int(rng.choice(tree.action_nodes))
+                reward = float(rng.standard_normal() * 3.0)
+                state.update_path(leaf, reward)
+                ref.update_path(leaf, reward)
+            for name in STATE_ARRAYS:
+                assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
+            if phase == 0:  # more updates on rebuilt states, whose float mirrors start over
+                state, ref = state.rebuild(), ref.rebuild()
+                for name in STATE_ARRAYS:
+                    assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("n", range(1, SHORT_SUM_MAX + 1))
+def test_numpy_short_sum_is_a_left_fold(n):
+    """PosteriorState._pool sums up to SHORT_SUM_MAX child messages in Python, left to right from 0.0.
+
+    That is bit-identical to the numpy sum it replaces only while numpy sums
+    that few float64 values in the same order.
+    """
+    rng = np.random.default_rng(n)
+    draws = [np.full(n, -0.0)]
+    draws += [rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n) for _ in range(3000)]
+    for a in draws:
+        fold = 0.0
+        for x in a.tolist():
+            fold += x
+        assert np.float64(fold).tobytes() == a.sum(axis=0).tobytes(), (
+            f"numpy no longer sums {n} float64 values left to right from 0.0; "
+            "lower posterior.SHORT_SUM_MAX below this size"
+        )
