@@ -21,7 +21,7 @@ from .hierarchy import (
     flatten_hierarchy,
     marginal_prior_variances,
 )
-from .linear import LinearPosteriorState, _solve_checked, _sym
+from .linear import LinearPosteriorState, _conditional, _precisions
 from .posterior import PosteriorState
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
@@ -202,7 +202,7 @@ class TSAgent:
             self.wmean[j] += reward * self.noise_prec
         else:
             x = np.asarray(context, float)
-            self.prec[j] = _sym(self.prec[j] + np.outer(x, x) * self.noise_prec)
+            self.prec[j] += np.outer(x, x) * self.noise_prec
             self.wmean[j] += x * (reward * self.noise_prec)
             self._refresh(j)
 
@@ -230,13 +230,10 @@ def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
         prec = 1.0 / marginal[leaves]
         arrays = (prec, prec * float(prior.hyper_mean))
     else:
-        k, d = leaves.size, prior.dim
-        mean0 = np.asarray(prior.hyper_mean, float)
-        prec, cov, chol = np.empty((k, d, d)), np.empty((k, d, d)), np.empty((k, d, d))
-        wmean, mean = np.empty((k, d)), np.empty((k, d))
-        for j, a in enumerate(leaves):
-            prec[j] = lam = _sym(np.linalg.inv(marginal[a]))
-            wmean[j] = lam @ mean0
+        prec = _precisions(marginal[leaves])
+        wmean = prec @ np.asarray(prior.hyper_mean, float)
+        cov, chol, mean = np.empty_like(prec), np.empty_like(prec), np.empty_like(wmean)
+        for j in range(leaves.size):
             cov[j], chol[j], mean[j] = _arm_posterior(prec[j], wmean[j], j)
         arrays = (prec, wmean, cov, chol, mean)
     for a in arrays:
@@ -246,8 +243,8 @@ def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
 
 def _arm_posterior(prec: np.ndarray, wmean: np.ndarray, j: int):
     """(covariance, its Cholesky factor, mean) of one arm from its precision form."""
-    cov = _sym(_solve_checked(prec, np.eye(prec.shape[0]), f"arm {j} covariance"))
-    return cov, np.linalg.cholesky(cov), cov @ wmean
+    _, cov, chol = _conditional(prec, [], f"arm {j} covariance")
+    return cov, chol, cov @ wmean
 
 
 def make_agent(kind: str, hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator):

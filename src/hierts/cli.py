@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: simulate, ratio, bound, verify-oracle, classify-bandit.
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (an
+ill-conditioned prior included), 3 I/O error.
 Every run directory gets a replay.json sidecar with the resolved
 configuration and seed.
 """
@@ -92,8 +93,13 @@ def _outdir(path: str) -> Path:
     return out
 
 
-def _write_replay(out: Path, payload: dict) -> None:
-    (out / "replay.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _bound_fields(report, delta: float) -> dict:
+    """Complexity-term fields that the simulate and bound summaries share."""
+    return {"c": report.c, "G": report.total, "delta": delta, "sigma_max": report.sigma_max}
 
 
 def _regret_svg(curve, out: Path, title: str) -> None:
@@ -123,15 +129,9 @@ def _cmd_simulate(args) -> int:
         hierarchy, prior = config.resolve()
         report = complexity_term(hierarchy, prior, config.horizon)
         delta = config.resolved_delta()
-        summary["bound"] = {
-            "c": report.c,
-            "G": report.total,
-            "delta": delta,
-            "sigma_max": report.sigma_max,
-            "value": regret_bound(report, delta),
-        }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_replay(out, {"command": "simulate", "config": config.to_dict(), "seed": config.seed})
+        summary["bound"] = {**_bound_fields(report, delta), "value": regret_bound(report, delta)}
+    _write_json(out / "summary.json", summary)
+    _write_json(out / "replay.json", {"command": "simulate", "config": config.to_dict(), "seed": config.seed})
     return EXIT_OK
 
 
@@ -165,9 +165,9 @@ def _cmd_ratio(args) -> int:
         "ratio": {k: [float(v) for v in result.ratio[k]] for k in result.agents},
         "se": {k: [float(v) for v in result.se[k]] for k in result.agents},
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_replay(
-        out,
+    _write_json(out / "summary.json", summary)
+    _write_json(
+        out / "replay.json",
         {"command": "ratio", "config": config.to_dict(), "heights": list(result.heights), "seed": config.seed},
     )
     return EXIT_OK
@@ -188,10 +188,7 @@ def _cmd_bound(args) -> int:
     summary = {
         "config": config.to_dict(),
         "n": n,
-        "c": report.c,
-        "G": report.total,
-        "delta": delta,
-        "sigma_max": report.sigma_max,
+        **_bound_fields(report, delta),
         "bound": regret_bound(report, delta),
         "marginal_prior_variance": marginals,
     }
@@ -200,8 +197,8 @@ def _cmd_bound(args) -> int:
         # marginal 2**(h+1) - 1; both are reported for comparison.
         summary["doubling_marginal_exact"] = max(marginals.values())
         summary["doubling_marginal_nominal"] = float(2 ** (hierarchy.tree_height + 1))
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_replay(out, {"command": "bound", "config": config.to_dict(), "seed": config.seed})
+    _write_json(out / "summary.json", summary)
+    _write_json(out / "replay.json", {"command": "bound", "config": config.to_dict(), "seed": config.seed})
     return EXIT_OK
 
 
@@ -273,7 +270,7 @@ def _cmd_classify(args) -> int:
     out = _outdir(args.out)
     write_regret_csv(curve, out / "regret.csv")
     _regret_svg(curve, out, "Feature-dataset bandit regret")
-    summary = {
+    run = {
         "dataset": str(args.dataset),
         "hierarchy": str(args.hierarchy),
         "horizon": args.horizon,
@@ -281,24 +278,15 @@ def _cmd_classify(args) -> int:
         "seed": args.seed,
         "noise_std": args.noise_std,
         "diagonal": args.diagonal,
+    }
+    summary = {
+        **run,
         "floored_nodes": list(fit.floored_nodes),
         "covariance_floor": fit.floor,
         "final_regret": {k: dict(zip(("mean", "se"), curve.final(k))) for k in curve.agents},
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_replay(
-        out,
-        {
-            "command": "classify-bandit",
-            "dataset": str(args.dataset),
-            "hierarchy": str(args.hierarchy),
-            "horizon": args.horizon,
-            "runs": args.runs,
-            "seed": args.seed,
-            "noise_std": args.noise_std,
-            "diagonal": args.diagonal,
-        },
-    )
+    _write_json(out / "summary.json", summary)
+    _write_json(out / "replay.json", {"command": "classify-bandit", **run})
     return EXIT_OK
 
 

@@ -339,8 +339,10 @@ def _regret_curve(
 ) -> RegretCurve:
     """Run _simulate_run on each (leaf_means, contexts) of envs and average.
 
-    jobs > 1 spreads runs over worker processes; results are gathered in run
-    order, so the curve does not depend on the worker count.
+    jobs > 1 spreads runs over worker processes, one chunk per worker: a chunk
+    is pickled whole, so its runs share one tree and prior and thus the agents'
+    per-cell setup. Results are gathered in run order, so the curve does not
+    depend on the worker count.
     """
     tasks = (
         (run, seed, hierarchy, prior, horizon, kinds, means, contexts)
@@ -348,8 +350,7 @@ def _regret_curve(
     )
     if jobs > 1 and runs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_simulate_run, *task) for task in tasks]
-            results = [f.result() for f in futures]
+            results = list(pool.map(_simulate_run, *zip(*tasks), chunksize=math.ceil(runs / jobs)))
     else:
         results = [_simulate_run(*task) for task in tasks]
     mean: dict[str, np.ndarray] = {}

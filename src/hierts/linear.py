@@ -27,20 +27,35 @@ COND_LIMIT = 1e12
 
 
 class ConditioningError(ArithmeticError):
-    """A linear solve hit a numerically singular system."""
-
-
-def _solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    eig = np.linalg.eigvalsh(a)
-    if eig[0] <= 0 or eig[-1] / eig[0] > COND_LIMIT:
-        raise ConditioningError(
-            f"{what}: condition number exceeds {COND_LIMIT:.0e} (eigenvalues {eig[0]:.3e}..{eig[-1]:.3e})"
-        )
-    return np.linalg.solve(a, b)
+    """A Gaussian conditional's precision is singular, indefinite or too ill-conditioned."""
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _precisions(cov: np.ndarray) -> np.ndarray:
+    """Symmetric precision of each covariance in a (..., d, d) stack."""
+    return _sym(np.linalg.inv(cov))
+
+
+def _conditional(s: np.ndarray, blocks: list[np.ndarray], what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S^-1 [blocks], covariance S^-1, its Cholesky factor) of a Gaussian with precision S, from one solve.
+
+    Raises ConditioningError naming what if S is singular or indefinite (the solve or the factorization
+    fails) or if cond_1(S) exceeds COND_LIMIT. S is symmetric, so cond_1(S) bounds cond_2(S) from above.
+    """
+    d = s.shape[0]
+    try:
+        sol = np.linalg.solve(s, np.concatenate([*blocks, np.eye(d)], axis=1))
+        cov = _sym(sol[:, -d:])
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ConditioningError(f"{what}: precision is singular or not positive definite") from None
+    bound = np.abs(s).sum(axis=0).max() * np.abs(cov).sum(axis=0).max()
+    if not bound <= COND_LIMIT:
+        raise ConditioningError(f"{what}: condition number bound {bound:.3e} exceeds {COND_LIMIT:.0e}")
+    return sol[:, :-d], cov, chol
 
 
 class LinearPosteriorState(_UpwardPass):
@@ -62,10 +77,7 @@ class LinearPosteriorState(_UpwardPass):
         self.dim = prior.dim
         self.noise_prec = 1.0 / prior.noise_std**2
         self.hyper_mean = np.asarray(prior.hyper_mean, float)
-        sigma0 = prior.covariance_stack(hierarchy)
-        self.lam0 = np.empty_like(sigma0)
-        for node in range(sigma0.shape[0]):
-            self.lam0[node] = _sym(np.linalg.inv(sigma0[node]))
+        self.lam0 = _precisions(prior.covariance_stack(hierarchy))
         n, d = hierarchy.num_nodes, self.dim
         self.counts = np.zeros(n + 1)
         self.gram = np.zeros((n + 1, d, d))
@@ -101,14 +113,12 @@ class LinearPosteriorState(_UpwardPass):
         self._walk(action)
 
     def _fold(self, node: int) -> None:
-        """Message and conditional of one node from S^-1 [P | W | I]; the root sends no message."""
+        """Message and conditional of one node from S^-1 [P | W]; the root sends no message."""
         d = self.dim
         lam0, prec, wmean = self.lam0[node], self.ev_prec[node], self.ev_wmean[node]
-        rhs = np.concatenate([prec, wmean[:, None], np.eye(d)], axis=1)
-        sol = _solve_checked(prec + lam0, rhs, f"posterior at node {node}")
-        cov = _sym(sol[:, d + 1:])
+        what = f"posterior at node {node}"
+        sol, cov, self.post_chol[node] = _conditional(prec + lam0, [prec, wmean[:, None]], what)
         self.post_cov[node] = cov
-        self.post_chol[node] = np.linalg.cholesky(cov)
         self.slope[node] = cov @ lam0
         self.intercept[node] = cov @ wmean
         if node == ROOT:

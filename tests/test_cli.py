@@ -12,7 +12,8 @@ import pytest
 
 from hierts import cli
 from hierts.envs import make_cluster_dataset, write_dataset_csv
-from hierts.hierarchy import save_tree_json
+from hierts.hierarchy import PriorSpec, balanced_tree, save_tree_json
+from hierts.linear import ConditioningError
 
 
 def _write_config(path, **overrides):
@@ -294,6 +295,36 @@ def test_classify_bandit_validates_flags(tmp_path, capsys):
     ])
     assert code == cli.EXIT_INPUT
     assert "--runs" in capsys.readouterr().err
+
+
+def test_classify_bandit_ill_conditioned_fit_raises(tmp_path):
+    # cli.main lets ConditioningError propagate, and its message names the node.
+    # A constant feature beside one at scale 1e4: the fitted covariance is
+    # floored at 1e-6 against about 1e8, so the root posterior is ill-conditioned
+    rng = np.random.default_rng(0)
+    dataset, hierarchy, label_map = make_cluster_dataset(
+        rng, num_groups=2, classes_per_group=2, dim=2, train_per_class=6, test_per_class=2,
+    )
+    dataset.features[:, 0] = 1.0
+    dataset.features[:, 1] *= 1e4
+    csv_path, tree_path = tmp_path / "bad.csv", tmp_path / "bad.json"
+    write_dataset_csv(csv_path, dataset, label_map)
+    save_tree_json(tree_path, hierarchy, label_map=label_map)
+    with pytest.raises(ConditioningError, match=r"^posterior at node \d+: condition number"):
+        cli.main([
+            "classify-bandit", "--dataset", str(csv_path), "--hierarchy", str(tree_path),
+            "--out", str(tmp_path / "run"), "--horizon", "5", "--runs", "2", "--jobs", "1",
+        ])
+
+
+def test_simulate_ill_conditioned_prior_raises(tmp_path):
+    tree = balanced_tree(2, 1)
+    cov = {1: np.eye(2), 2: np.diag([1e14, 1.0]), 3: np.eye(2)}
+    save_tree_json(tmp_path / "tree.json", tree, PriorSpec(np.zeros(2), cov, noise_std=1.0))
+    cfg = _write_config(tmp_path / "cfg.json", tree={"file": str(tmp_path / "tree.json")},
+                        prior={"scheme": "file"}, model="linear", dim=2)
+    with pytest.raises(ConditioningError, match="^posterior at node 2: condition number"):
+        cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--jobs", "1"])
 
 
 def test_console_script_entry_point(tmp_path):

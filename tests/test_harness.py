@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from hierts import (
     write_ratio_csv,
     write_regret_csv,
 )
+from hierts import agents
 
 
 def _cfg(**kw):
@@ -252,6 +254,23 @@ def test_worker_count_does_not_change_results():
     for kind in curves[0].agents:
         assert np.array_equal(curves[0].mean[kind], curves[1].mean[kind])
         assert np.array_equal(curves[0].se[kind], curves[1].se[kind])
+
+
+def test_worker_chunks_share_the_cell_setup(monkeypatch):
+    """With jobs workers, FlatTS's flat tree is built at most once per worker, not per instance."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("counting calls across workers needs forked workers")
+    calls = multiprocessing.get_context("fork").Value("i", 0)
+    flatten = agents.flatten_hierarchy
+
+    def counting_flatten(hierarchy, prior):
+        with calls.get_lock():
+            calls.value += 1
+        return flatten(hierarchy, prior)
+
+    monkeypatch.setattr(agents, "flatten_hierarchy", counting_flatten)
+    run_bayes_regret(_cfg(branching=2, height=3, horizon=10, instances=6), jobs=2)
+    assert 1 <= calls.value <= 2
 
 
 def test_complexity_term_worked_values():

@@ -8,13 +8,17 @@ from hierts import (
     LinearPosteriorState,
     PosteriorState,
     PriorSpec,
+    TSAgent,
     action_marginals,
     balanced_tree,
     condition,
     constant_prior,
     joint_prior,
 )
+from hierts.checks import ORACLE_RTOL
+from hierts.envs import _floor_covariance
 from hierts.hierarchy import HierarchyError
+from hierts.linear import COND_LIMIT, _conditional
 
 
 def _matrix_prior(tree, value=1.0, noise_std=1.0, dim=1, hyper_mean=0.0):
@@ -179,11 +183,98 @@ def test_posterior_caches_stay_spd(b2h2, linear_prior):
 
 
 def test_conditioning_error_is_raised():
-    # a node covariance of diag(1, 1e14) makes the data-free S = Lam0 too ill-conditioned
+    # a node covariance of diag(1, 1e14) makes the data-free S = Lam0 too ill-conditioned;
+    # the posterior state names the node and TS the arm
     tree = balanced_tree(2, 1)
     cov = {1: np.eye(2), 2: np.diag([1.0, 1e14]), 3: np.eye(2)}
-    with pytest.raises(ConditioningError):
-        LinearPosteriorState(tree, PriorSpec(hyper_mean=np.zeros(2), node_variance=cov, noise_std=1.0))
+    prior = PriorSpec(hyper_mean=np.zeros(2), node_variance=cov, noise_std=1.0)
+    with pytest.raises(ConditioningError, match="node 2"):
+        LinearPosteriorState(tree, prior)
+    with pytest.raises(ConditioningError, match="arm 0"):
+        TSAgent(tree, prior, np.random.default_rng(0))
+
+
+def test_conditional_is_at_least_as_strict_as_eigenvalue_check():
+    """Every S whose eigenvalue condition number exceeds COND_LIMIT is rejected."""
+    rng = np.random.default_rng(21)
+    rejected = 0
+    for _ in range(300):
+        d = int(rng.integers(2, 11))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eig = np.geomspace(1.0, 10.0 ** rng.uniform(11, 13), d) * 10.0 ** rng.uniform(-3, 3)
+        s = 0.5 * (q * eig) @ q.T
+        s = s + s.T
+        lo, hi = np.linalg.eigvalsh(s)[[0, -1]]
+        if lo <= 0 or hi / lo > COND_LIMIT:
+            rejected += 1
+            with pytest.raises(ConditioningError):
+                _conditional(s, [], "test")
+    assert rejected > 100
+
+
+@pytest.mark.parametrize("s", [
+    np.zeros((2, 2)),
+    np.ones((3, 3)),
+    np.diag([1.0, -1.0]),
+    np.array([[1.0, 2.0], [2.0, 1.0]]),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+], ids=["zero", "rank-one", "indefinite-diag", "indefinite", "nan"])
+def test_conditional_rejects_singular_and_indefinite(s):
+    with pytest.raises(ConditioningError, match="test"):
+        _conditional(s, [np.ones((s.shape[0], 1))], "test")
+
+
+def _information_form_marginals(tree, prior, gram, xy):
+    """Leaf marginals from the joint precision over all nodes, solved once."""
+    n, d = tree.num_nodes, prior.dim
+    prec = np.zeros((n * d, n * d))
+    lin = np.zeros(n * d)
+    for node in range(1, n + 1):
+        lam = np.linalg.inv(prior.node_variance[node])
+        i = slice((node - 1) * d, node * d)
+        prec[i, i] += lam + gram.get(node, 0.0)
+        lin[i] += xy.get(node, 0.0)
+        if node == 1:
+            lin[i] += lam @ prior.hyper_mean
+        else:
+            p = slice((tree.parent[node] - 1) * d, tree.parent[node] * d)
+            prec[p, p] += lam
+            prec[i, p] -= lam
+            prec[p, i] -= lam
+    sol = np.linalg.solve(prec, np.concatenate([lin[:, None], np.eye(n * d)], axis=1))
+    return {
+        int(a): (sol[(a - 1) * d:a * d, 0], sol[(a - 1) * d:a * d, 1 + (a - 1) * d:1 + a * d])
+        for a in tree.action_nodes
+    }
+
+
+@pytest.mark.parametrize("floored", [False, True], ids=["plain", "floored-leaf"])
+def test_long_horizon_collinear_matches_information_form_oracle(b2h2, linear_prior, floored):
+    """10^4 near-collinear updates stay within ORACLE_RTOL of the information-form posterior."""
+    rng = np.random.default_rng(17)
+    prior = linear_prior
+    if floored:  # a rank-one fitted covariance floored to 1e-6, as the dataset fit does
+        u = rng.standard_normal(3)
+        cov = dict(prior.node_variance)
+        cov[4] = _floor_covariance(np.outer(u, u), 1e-6)[0]
+        prior = PriorSpec(hyper_mean=prior.hyper_mean, node_variance=cov, noise_std=prior.noise_std)
+    state = LinearPosteriorState(b2h2, prior)
+    theta = rng.standard_normal((b2h2.num_nodes + 1, 3))
+    v = rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    sigma_sq = prior.noise_std**2
+    gram, xy = {}, {}
+    for _ in range(10_000):
+        leaf = int(rng.choice(b2h2.action_nodes))
+        x = v + 1e-4 * rng.standard_normal(3)
+        y = float(x @ theta[leaf] + prior.noise_std * rng.standard_normal())
+        state.update_path(leaf, x, y)  # raises ConditioningError if the check trips
+        gram[leaf] = gram.get(leaf, 0.0) + np.outer(x, x) / sigma_sq
+        xy[leaf] = xy.get(leaf, 0.0) + x * y / sigma_sq
+    for leaf, (ref_mean, ref_cov) in _information_form_marginals(b2h2, prior, gram, xy).items():
+        mean, cov = state.marginal_action_moments(leaf)
+        assert np.abs(mean - ref_mean).max() / max(np.abs(ref_mean).max(), 1.0) < ORACLE_RTOL
+        assert np.abs(cov - ref_cov).max() / max(np.abs(ref_cov).max(), 1.0) < ORACLE_RTOL
 
 
 @given(
