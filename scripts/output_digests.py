@@ -8,7 +8,8 @@ The set covers each output-writing command:
 - `classify-bandit` on a generated 6-dim clustered dataset (horizon 1000,
   6 runs);
 each at --jobs 1 and --jobs 2, plus `bound` on doubling_b5_h2.json and
-explicit_tree.json. A change that should leave outputs byte-identical
+explicit_tree.json, plus the printed report of `verify-oracle --seed 0` and
+`--seed 5` (saved as runs/verify-oracle-seed{0,5}/stdout.txt). A change that should leave outputs byte-identical
 diffs the manifest of its parent against its own:
 
     PYTHONPATH=src python scripts/output_digests.py --out /tmp/digests-new
@@ -17,9 +18,10 @@ diffs the manifest of its parent against its own:
 The manifest lists `sha256  path` lines sorted by path, with paths relative
 to --out. Commands run inside --out with relative paths, since
 classify-bandit records its input paths in replay.json. The whole set takes
-about 3.5 minutes on 2 cores, most of it the ratio runs.
+about 4 minutes on 2 cores, most of it the ratio runs.
 """
 import argparse
+import contextlib
 import hashlib
 import os
 from pathlib import Path
@@ -34,6 +36,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIMULATE = ("doubling_b5_h2", "explicit_tree", "constant_b2_h2_linear")
 BOUND = ("doubling_b5_h2", "explicit_tree")
 JOBS = (1, 2)
+VERIFY_SEEDS = (0, 5)
 
 
 def commands(data: Path, runs: Path) -> list[list[str]]:
@@ -73,6 +76,15 @@ def main() -> None:
     for argv in commands(data, runs):
         print(" ".join(["hierts"] + argv), flush=True)
         code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            raise SystemExit(f"exit code {code}")
+    for seed in VERIFY_SEEDS:
+        argv = ["verify-oracle", "--seed", str(seed)]
+        print(" ".join(["hierts"] + argv), flush=True)
+        report = runs / f"verify-oracle-seed{seed}"
+        report.mkdir()
+        with open(report / "stdout.txt", "w") as f, contextlib.redirect_stdout(f):
+            code = cli.main(argv)
         if code != cli.EXIT_OK:
             raise SystemExit(f"exit code {code}")
     lines = []

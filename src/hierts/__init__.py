@@ -57,8 +57,6 @@ from .hierarchy import (
     doubling_prior,
     flatten_hierarchy,
     load_tree_json,
-    marginal_prior_covariance,
-    marginal_prior_variance,
     marginal_prior_variances,
     save_tree_json,
 )

@@ -10,18 +10,18 @@ and tracks each arm independently.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .hierarchy import (
     ROOT,
     Hierarchy,
-    HierarchyError,
     PriorSpec,
     flatten_hierarchy,
     marginal_prior_variances,
 )
-from .linear import LinearPosteriorState, _conditional, _precisions
+from .linear import LinearPosteriorState, _conditional, _observation, _precisions
 from .posterior import PosteriorState
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
@@ -76,77 +76,62 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
 
 
 class HierTSAgent:
-    """Thompson sampling with the full tree posterior."""
+    """Thompson sampling with the full tree posterior.
+
+    The posterior lives on the tree that _sampled_tree returns, the acting
+    tree itself here. Its leaves keep the acting tree's action order, so an
+    action maps to its leaf by position (Hierarchy.action_position).
+    """
 
     kind = "HierTS"
 
     def __init__(self, hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator):
         self.hierarchy = hierarchy
         self.rng = rng
+        tree, tree_prior = self._sampled_tree(hierarchy, prior)
         if prior.is_scalar:
-            self.state: PosteriorState | LinearPosteriorState = PosteriorState(hierarchy, prior)
+            self.state: PosteriorState | LinearPosteriorState = PosteriorState(tree, tree_prior)
         else:
-            self.state = LinearPosteriorState(hierarchy, prior)
+            self.state = LinearPosteriorState(tree, tree_prior)
+        self._leaves = tree.action_nodes.tolist()
         self.sample_ops = 0
 
+    @staticmethod
+    def _sampled_tree(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[Hierarchy, PriorSpec]:
+        return hierarchy, prior
+
     def sample_model(self, size: int | None = None) -> np.ndarray:
-        self.sample_ops += self.hierarchy.num_nodes * (1 if size is None else int(size))
+        self.sample_ops += self.state.hierarchy.num_nodes * (1 if size is None else int(size))
         return hierts_sample(self.state, self.rng, size)
 
     def act(self, context: np.ndarray | None = None) -> int:
-        theta = self.sample_model()[self.hierarchy.leaf_index]
+        theta = self.sample_model()[self.state.hierarchy.leaf_index]
         scores = theta if context is None else theta @ context
         return int(self.hierarchy.action_nodes[int(np.argmax(scores))])
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
+        leaf = self._leaves[self.hierarchy.action_position(action)]
         if context is None:
-            self.state.update_path(action, reward)
+            self.state.update_path(leaf, reward)
         else:
-            self.state.update_path(action, context, reward)
+            self.state.update_path(leaf, context, reward)
 
     def marginal_action_moments(self, action: int):
-        return self.state.marginal_action_moments(action)
+        return self.state.marginal_action_moments(self._leaves[self.hierarchy.action_position(action)])
 
 
-class FlatTSAgent:
-    """HierTS on a two-level collapse of the tree.
+class FlatTSAgent(HierTSAgent):
+    """HierTS on the two-level collapse of the tree (flatten_hierarchy).
 
     Keeps each action's marginal prior and the shared root effect but
-    forgets all intermediate structure. Actions are translated between the
-    original tree's leaf ids and the flat tree's.
+    forgets all intermediate structure.
     """
 
     kind = "FlatTS"
 
-    def __init__(self, hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator):
-        self.hierarchy = hierarchy
-        flat, flat_prior, self._to_flat, self._to_orig = _flat_tree(hierarchy, prior)
-        self._inner = HierTSAgent(flat, flat_prior, rng)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._inner.rng
-
-    @property
-    def state(self):
-        return self._inner.state
-
-    @property
-    def sample_ops(self) -> int:
-        return self._inner.sample_ops
-
-    def act(self, context: np.ndarray | None = None) -> int:
-        return self._to_orig[self._inner.act(context)]
-
-    def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
-        try:
-            flat_action = self._to_flat[action]
-        except KeyError:
-            raise HierarchyError(f"action {action} is not a leaf") from None
-        self._inner.update(flat_action, reward, context)
-
-    def marginal_action_moments(self, action: int):
-        return self._inner.marginal_action_moments(self._to_flat[action])
+    @staticmethod
+    def _sampled_tree(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[Hierarchy, PriorSpec]:
+        return _flat_tree(hierarchy, prior)
 
 
 class TSAgent:
@@ -175,9 +160,7 @@ class TSAgent:
 
     def arm_moments(self, action: int):
         """Posterior (mean, variance or covariance) of one arm."""
-        j = int(self.hierarchy.action_index[action])
-        if j < 0:
-            raise HierarchyError(f"action {action} is not a leaf")
+        j = self.hierarchy.action_position(action)
         if self._scalar:
             return float(self.wmean[j] / self.prec[j]), float(1.0 / self.prec[j])
         return self.mean[j].copy(), self.cov[j].copy()
@@ -194,14 +177,14 @@ class TSAgent:
         return int(leaves[int(np.argmax(scores))])
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
-        j = int(self.hierarchy.action_index[action])
-        if j < 0:
-            raise HierarchyError(f"action {action} is not a leaf")
+        j = self.hierarchy.action_position(action)
         if self._scalar:
+            if not math.isfinite(reward):
+                raise ValueError(f"reward must be finite, got {reward}")
             self.prec[j] += self.noise_prec
             self.wmean[j] += reward * self.noise_prec
         else:
-            x = np.asarray(context, float)
+            x = _observation(context, reward, self.dim)
             self.prec[j] += np.outer(x, x) * self.noise_prec
             self.wmean[j] += x * (reward * self.noise_prec)
             self._refresh(j)
@@ -211,10 +194,10 @@ class TSAgent:
 # FlatTS's flat tree and TS's per-arm prior are built once per cell. Hierarchy
 # and PriorSpec hash by identity, so a cached entry never serves another cell.
 @functools.lru_cache(maxsize=1)
-def _flat_tree(hierarchy: Hierarchy, prior: PriorSpec):
-    """(flat tree, flat prior, leaf -> flat leaf map, flat leaf -> leaf map)."""
-    flat, flat_prior, to_flat = flatten_hierarchy(hierarchy, prior)
-    return flat, flat_prior, to_flat, {v: k for k, v in to_flat.items()}
+def _flat_tree(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[Hierarchy, PriorSpec]:
+    """(flat tree, flat prior); the flat leaves keep the tree's action order."""
+    flat, flat_prior, _ = flatten_hierarchy(hierarchy, prior)
+    return flat, flat_prior
 
 
 @functools.lru_cache(maxsize=1)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .agents import HierTSAgent
 from .envs import sample_instance, step
-from .hierarchy import Hierarchy, PriorSpec, build_hierarchy
+from .hierarchy import ROOT, Hierarchy, PriorSpec, build_hierarchy
 from .linear import LinearPosteriorState
 from .oracle import action_marginals, condition, joint_prior
 from .posterior import PosteriorState
@@ -150,6 +150,47 @@ def _result(name, devs, tol, failing, cases) -> CheckResult:
     )
 
 
+def _deviation(got, want) -> tuple[float, float]:
+    """Largest absolute deviation, and that over max(largest |want|, 1) so near-zero values stay comparable."""
+    dev = float(np.abs(np.subtract(got, want)).max())
+    return dev, dev / max(float(np.abs(want).max()), 1.0)
+
+
+def _oracle_suite(names, cases, base_seed, salt, draw_prior, max_levels, max_nodes, max_obs, sentinel):
+    """Recursive leaf moments vs dense-oracle moments, one random problem per case.
+
+    draw_prior(rng, tree) picks the model: a scalar prior gets a PosteriorState
+    and rewards alone, a matrix prior a LinearPosteriorState and a standard
+    normal context drawn before each reward. Returns (mean check, variance or
+    covariance check) under the two names.
+    """
+    devs, fails = ([], []), ([], [])
+    for case in range(cases):
+        rng = _case_rng(base_seed, case, salt)
+        hierarchy = random_tree(rng, max_levels, max_nodes)
+        prior = draw_prior(rng, hierarchy)
+        scalar = prior.is_scalar
+        state = PosteriorState(hierarchy, prior) if scalar else LinearPosteriorState(hierarchy, prior)
+        observations = []
+        for _ in range(int(rng.integers(0, max_obs + 1))):
+            leaf = int(rng.choice(hierarchy.action_nodes))
+            context = () if scalar else (rng.standard_normal(prior.dim),)
+            observations.append((leaf, *context, float(rng.normal(0.0, 2.0))))
+            state.update_path(*observations[-1])
+        if sentinel:
+            state.ev_wmean[ROOT] += sentinel
+            state._fold_root()  # linear marginals read the root's cached conditional
+        joint = condition(joint_prior(hierarchy, prior), observations, prior.noise_std**2)
+        marginals = action_marginals(joint)
+        for leaf in hierarchy.action_nodes:
+            moments = zip(state.marginal_action_moments(int(leaf)), marginals[int(leaf)])
+            for (got, want), dev, fail in zip(moments, devs, fails):
+                dev.append(_deviation(got, want))
+                if dev[-1][1] > ORACLE_RTOL:
+                    fail.append(case)
+    return tuple(_result(name, dev, ORACLE_RTOL, fail, cases) for name, dev, fail in zip(names, devs, fails))
+
+
 def scalar_oracle_suite(
     cases: int = 100,
     base_seed: int = 0,
@@ -163,40 +204,8 @@ def scalar_oracle_suite(
     Returns (mean check, variance check). Relative deviation uses a floor of
     one in the denominator so that near-zero means stay comparable.
     """
-    mean_devs, var_devs = [], []
-    mean_fail, var_fail = [], []
-    for case in range(cases):
-        rng = _case_rng(base_seed, case)
-        hierarchy = random_tree(rng, max_levels, max_nodes)
-        prior = random_scalar_prior(rng, hierarchy)
-        state = PosteriorState(hierarchy, prior)
-        observations = []
-        for _ in range(int(rng.integers(0, max_obs + 1))):
-            leaf = int(rng.choice(hierarchy.action_nodes))
-            reward = float(rng.normal(0.0, 2.0))
-            observations.append((leaf, reward))
-            state.update_path(leaf, reward)
-        if sentinel:
-            state.ev_wmean[1] += sentinel
-        joint = condition(joint_prior(hierarchy, prior), observations, prior.noise_std**2)
-        marginals = action_marginals(joint)
-        for leaf in hierarchy.action_nodes:
-            mean, var = state.marginal_action_moments(int(leaf))
-            ref_mean, ref_var = marginals[int(leaf)]
-            dm = abs(mean - ref_mean)
-            rm = dm / max(abs(ref_mean), 1.0)
-            dv = abs(var - ref_var)
-            rv = dv / max(abs(ref_var), 1.0)
-            mean_devs.append((dm, rm))
-            var_devs.append((dv, rv))
-            if rm > ORACLE_RTOL:
-                mean_fail.append(case)
-            if rv > ORACLE_RTOL:
-                var_fail.append(case)
-    return (
-        _result("mab-marginal-mean", mean_devs, ORACLE_RTOL, mean_fail, cases),
-        _result("mab-marginal-variance", var_devs, ORACLE_RTOL, var_fail, cases),
-    )
+    names = ("mab-marginal-mean", "mab-marginal-variance")
+    return _oracle_suite(names, cases, base_seed, 0, random_scalar_prior, max_levels, max_nodes, max_obs, sentinel)
 
 
 def linear_oracle_suite(
@@ -209,43 +218,12 @@ def linear_oracle_suite(
     sentinel: float = 0.0,
 ) -> tuple[CheckResult, CheckResult]:
     """Linear-model analog of scalar_oracle_suite (means and covariances)."""
-    mean_devs, cov_devs = [], []
-    mean_fail, cov_fail = [], []
-    for case in range(cases):
-        rng = _case_rng(base_seed, case, salt=1)
-        hierarchy = random_tree(rng, max_levels, max_nodes)
-        dim = int(rng.integers(1, max_dim + 1))
-        prior = random_linear_prior(rng, hierarchy, dim)
-        state = LinearPosteriorState(hierarchy, prior)
-        observations = []
-        for _ in range(int(rng.integers(0, max_obs + 1))):
-            leaf = int(rng.choice(hierarchy.action_nodes))
-            x = rng.standard_normal(dim)
-            reward = float(rng.normal(0.0, 2.0))
-            observations.append((leaf, x, reward))
-            state.update_path(leaf, x, reward)
-        if sentinel:
-            state.ev_wmean[1] += sentinel
-            state._fold(1)  # marginals read the root's cached conditional
-        joint = condition(joint_prior(hierarchy, prior), observations, prior.noise_std**2)
-        marginals = action_marginals(joint)
-        for leaf in hierarchy.action_nodes:
-            mean, cov = state.marginal_action_moments(int(leaf))
-            ref_mean, ref_cov = marginals[int(leaf)]
-            dm = float(np.abs(mean - ref_mean).max())
-            rm = dm / max(float(np.abs(ref_mean).max()), 1.0)
-            dv = float(np.abs(cov - ref_cov).max())
-            rv = dv / max(float(np.abs(ref_cov).max()), 1.0)
-            mean_devs.append((dm, rm))
-            cov_devs.append((dv, rv))
-            if rm > ORACLE_RTOL:
-                mean_fail.append(case)
-            if rv > ORACLE_RTOL:
-                cov_fail.append(case)
-    return (
-        _result("linear-marginal-mean", mean_devs, ORACLE_RTOL, mean_fail, cases),
-        _result("linear-marginal-covariance", cov_devs, ORACLE_RTOL, cov_fail, cases),
-    )
+
+    def draw_prior(rng, hierarchy):
+        return random_linear_prior(rng, hierarchy, int(rng.integers(1, max_dim + 1)))
+
+    names = ("linear-marginal-mean", "linear-marginal-covariance")
+    return _oracle_suite(names, cases, base_seed, 1, draw_prior, max_levels, max_nodes, max_obs, sentinel)
 
 
 def lemma_suite(

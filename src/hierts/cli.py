@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: simulate, ratio, bound, verify-oracle, classify-bandit.
-Exit codes: 0 success, 1 verification failure, 2 invalid input (an
-ill-conditioned prior included), 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O
+error. An ill-conditioned prior or posterior (ConditioningError) is not
+caught: it ends with a traceback and exit 1.
 Every run directory gets a replay.json sidecar with the resolved
 configuration and seed.
 """

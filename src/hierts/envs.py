@@ -69,10 +69,8 @@ def sample_parameter_draws(
         theta = np.empty((size, n + 1))
         theta[:, 0] = np.nan
         theta[:, ROOT] = prior.hyper_mean + scale[ROOT] * rng.standard_normal(size)
-        for nodes in hierarchy.sampling_levels:
-            theta[:, nodes] = theta[:, hierarchy.parent[nodes]] + scale[nodes] * rng.standard_normal(
-                (size, nodes.size)
-            )
+        for nodes, parents, start, stop in hierarchy.level_index:
+            theta[:, nodes] = theta[:, parents] + scale[nodes] * rng.standard_normal((size, stop - start))
         return theta
     d = prior.dim
     chol = np.linalg.cholesky(prior.covariance_stack(hierarchy))
@@ -81,9 +79,9 @@ def sample_parameter_draws(
     theta[:, ROOT] = prior.hyper_mean + np.einsum(
         "ij,mj->mi", chol[ROOT], rng.standard_normal((size, d))
     )
-    for nodes in hierarchy.sampling_levels:
-        z = rng.standard_normal((size, nodes.size, d))
-        theta[:, nodes] = theta[:, hierarchy.parent[nodes]] + np.einsum("kij,mkj->mki", chol[nodes], z)
+    for nodes, parents, start, stop in hierarchy.level_index:
+        z = rng.standard_normal((size, stop - start, d))
+        theta[:, nodes] = theta[:, parents] + np.einsum("kij,mkj->mki", chol[nodes], z)
     return theta
 
 
@@ -92,8 +90,7 @@ def sample_instance(hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Gener
 
 
 def reward_mean(instance: Instance, action: int, context: np.ndarray | None = None) -> float:
-    if not instance.hierarchy.is_leaf(action):
-        raise HierarchyError(f"action {action} is not a leaf")
+    instance.hierarchy.action_position(action)  # HierarchyError unless a leaf
     if context is None:
         return float(instance.theta[action])
     return float(instance.theta[action] @ np.asarray(context, float))

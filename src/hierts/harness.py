@@ -307,7 +307,7 @@ def _simulate_run(
         mean_rows = table.tolist()
         best = table.max(axis=1).tolist()
         xs = contexts
-    index = hierarchy.action_index.tolist()
+    index = hierarchy.action_index
     out: dict[str, np.ndarray] = {}
     for kind in kinds:
         pos = AGENT_KINDS.index(kind)

@@ -22,8 +22,6 @@ __all__ = [
     "constant_prior",
     "doubling_prior",
     "marginal_prior_variances",
-    "marginal_prior_variance",
-    "marginal_prior_covariance",
     "flatten_hierarchy",
     "load_tree_json",
     "tree_to_dict",
@@ -53,14 +51,17 @@ class Hierarchy:
         branching_factor: largest observed out-degree.
         action_nodes: leaf ids in ascending order; these are the actions.
         paths: per-node root-to-node id arrays (paths[a][0] == 1).
-        sampling_levels: non-root node ids grouped by height, descending,
-            so parents always appear in an earlier group.
-        level_index: per sampling level, (node index, parent index, start,
-            stop): the level's ids as a slice when they are contiguous (an
-            id array otherwise), their parents' ids, and the level's span in
-            a root-first, level-by-level run of num_nodes values (the root
-            takes position 0).
+        level_index: the non-root nodes grouped by height, descending, so
+            parents always sit in an earlier level; per level, (node index,
+            parent index, start, stop): the level's ids as a slice when they
+            are contiguous (an id array otherwise), their parents' ids, and
+            the level's span in a root-first, level-by-level run of
+            num_nodes values (the root takes position 0).
         leaf_index: action_nodes as a slice when contiguous, else the array.
+        action_index: position of each leaf in action_nodes, -1 for the
+            other ids, as a tuple (it is read once per round, and a tuple
+            indexes faster than an array); action_position is its checked
+            lookup.
     """
 
     num_nodes: int
@@ -71,14 +72,20 @@ class Hierarchy:
     branching_factor: int
     action_nodes: np.ndarray
     paths: tuple[np.ndarray, ...]
-    sampling_levels: tuple[np.ndarray, ...]
     level_index: tuple[tuple[slice | np.ndarray, np.ndarray, int, int], ...] = field(repr=False)
     leaf_index: slice | np.ndarray = field(repr=False)
-    action_index: np.ndarray = field(repr=False)
+    action_index: tuple[int, ...] = field(repr=False)
 
     @property
     def num_actions(self) -> int:
         return int(self.action_nodes.size)
+
+    def action_position(self, action: int) -> int:
+        """Position of a leaf in action_nodes; HierarchyError for any id that is not a leaf."""
+        j = self.action_index[action] if 1 <= action <= self.num_nodes else -1
+        if j < 0:
+            raise HierarchyError(f"action {action} is not a leaf")
+        return j
 
     def is_leaf(self, node: int) -> bool:
         self._check_node(node)
@@ -176,8 +183,9 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
 
     children = tuple(np.array(ch, dtype=np.int64) for ch in child_lists)
     leaves = np.array([i for i in range(1, n + 1) if children[i].size == 0], dtype=np.int64)
-    action_index = np.full(n + 1, -1, dtype=np.int64)
-    action_index[leaves] = np.arange(leaves.size)
+    action_index = [-1] * (n + 1)
+    for j, leaf in enumerate(leaves.tolist()):
+        action_index[leaf] = j
 
     paths: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * (n + 1)
     for node in order:
@@ -189,19 +197,16 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
     by_height: dict[int, list[int]] = {}
     for node in range(2, n + 1):
         by_height.setdefault(int(height[node]), []).append(node)
-    sampling_levels = tuple(
-        np.array(sorted(by_height[h]), dtype=np.int64) for h in sorted(by_height, reverse=True)
-    )
-
     level_index = []
     start = 1
-    for nodes in sampling_levels:
+    for h in sorted(by_height, reverse=True):
+        nodes = np.array(by_height[h], dtype=np.int64)
         parents = parent[nodes]
         parents.setflags(write=False)
         level_index.append((_as_index(nodes), parents, start, start + nodes.size))
         start += nodes.size
 
-    for arr in (parent, height, leaves, action_index):
+    for arr in (parent, height, leaves):
         arr.setflags(write=False)
 
     return Hierarchy(
@@ -213,10 +218,9 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
         branching_factor=max(c.size for c in children),
         action_nodes=leaves,
         paths=tuple(paths),
-        sampling_levels=sampling_levels,
         level_index=tuple(level_index),
         leaf_index=_as_index(leaves),
-        action_index=action_index,
+        action_index=tuple(action_index),
     )
 
 
@@ -376,22 +380,6 @@ def marginal_prior_variances(hierarchy: Hierarchy, prior: PriorSpec) -> np.ndarr
     for nodes, parents, _, _ in hierarchy.level_index:
         out[nodes] = out[parents] + variances[nodes]
     return out
-
-
-def marginal_prior_variance(hierarchy: Hierarchy, prior: PriorSpec, action: int) -> float:
-    """Marginal prior variance of a leaf: the sum of variances on its root path."""
-    if not hierarchy.is_leaf(action):
-        raise HierarchyError(f"node {action} is not a leaf")
-    if not prior.is_scalar:
-        raise HierarchyError("marginal_prior_variance requires a scalar prior")
-    return float(marginal_prior_variances(hierarchy, prior)[action])
-
-
-def marginal_prior_covariance(hierarchy: Hierarchy, prior: PriorSpec, action: int) -> np.ndarray:
-    """Matrix analog of marginal_prior_variance for linear priors."""
-    if not hierarchy.is_leaf(action):
-        raise HierarchyError(f"node {action} is not a leaf")
-    return np.atleast_2d(marginal_prior_variances(hierarchy, prior)[action])
 
 
 def flatten_hierarchy(

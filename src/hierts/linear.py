@@ -58,6 +58,16 @@ def _conditional(s: np.ndarray, blocks: list[np.ndarray], what: str) -> tuple[np
     return sol[:, :-d], cov, chol
 
 
+def _observation(context, reward: float, dim: int) -> np.ndarray:
+    """The context as a float vector; ValueError unless it has shape (dim,) and it and the reward are finite."""
+    x = np.asarray(context, float)
+    if x.shape != (dim,):
+        raise ValueError(f"context must have shape ({dim},), got {x.shape}")
+    if not np.isfinite(reward) or not np.isfinite(x).all():
+        raise ValueError("context and reward must be finite")
+    return x
+
+
 class LinearPosteriorState(_UpwardPass):
     """Linear-model counterpart of PosteriorState.
 
@@ -98,13 +108,8 @@ class LinearPosteriorState(_UpwardPass):
 
     def update_path(self, action: int, context: np.ndarray, reward: float) -> None:
         """Record one (context, reward) pair and refresh the leaf's root path."""
-        if not self.hierarchy.is_leaf(action):
-            raise HierarchyError(f"action {action} is not a leaf")
-        x = np.asarray(context, float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"context must have shape ({self.dim},), got {x.shape}")
-        if not np.isfinite(reward) or not np.isfinite(x).all():
-            raise ValueError("context and reward must be finite")
+        self.hierarchy.action_position(action)  # HierarchyError unless a leaf
+        x = _observation(context, reward, self.dim)
         self.counts[action] += 1.0
         self.gram[action] += np.outer(x, x) * self.noise_prec
         self.xy_sum[action] += x * (reward * self.noise_prec)
@@ -141,8 +146,7 @@ class LinearPosteriorState(_UpwardPass):
     def marginal_action_moments(self, action: int) -> tuple[np.ndarray, np.ndarray]:
         """Marginal posterior (mean, covariance) of a leaf's parameter vector."""
         hier = self.hierarchy
-        if not hier.is_leaf(action):
-            raise HierarchyError(f"action {action} is not a leaf")
+        hier.action_position(action)  # HierarchyError unless a leaf
         mean = self.root_mean
         cov = self.post_cov[ROOT]
         for node in hier.path_to_root(action)[1:]:

@@ -130,8 +130,7 @@ class PosteriorState(_UpwardPass):
 
     def update_path(self, action: int, reward: float) -> None:
         """Record one reward and refresh messages along the leaf's root path."""
-        if not self.hierarchy.is_leaf(action):
-            raise HierarchyError(f"action {action} is not a leaf")
+        self.hierarchy.action_position(action)  # HierarchyError unless a leaf
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
         self.counts[action] += 1.0
@@ -185,8 +184,7 @@ class PosteriorState(_UpwardPass):
         squared slopes below it, and the mean chains slope * mean + intercept.
         """
         hier = self.hierarchy
-        if not hier.is_leaf(action):
-            raise HierarchyError(f"action {action} is not a leaf")
+        hier.action_position(action)  # HierarchyError unless a leaf
         lam0 = self.lam0[ROOT]
         prec = lam0 + self.ev_prec[ROOT]
         mean = (lam0 * self.hyper_mean + self.ev_wmean[ROOT]) / prec

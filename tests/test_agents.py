@@ -62,11 +62,9 @@ def _per_level_sample(state, rng, size=None):
         theta = np.empty((m, n + 1))
         theta[:, 0] = np.nan
         theta[:, ROOT] = mean_root + rng.standard_normal(m) / np.sqrt(lamhat[ROOT])
-        for nodes in hier.sampling_levels:
-            mean = (
-                state.lam0[nodes] * theta[:, hier.parent[nodes]] + state.ev_wmean[nodes]
-            ) / lamhat[nodes]
-            theta[:, nodes] = mean + rng.standard_normal((m, nodes.size)) / np.sqrt(lamhat[nodes])
+        for nodes, parents, start, stop in hier.level_index:
+            mean = (state.lam0[nodes] * theta[:, parents] + state.ev_wmean[nodes]) / lamhat[nodes]
+            theta[:, nodes] = mean + rng.standard_normal((m, stop - start)) / np.sqrt(lamhat[nodes])
     else:
         d = state.dim
         theta = np.empty((m, n + 1, d))
@@ -77,10 +75,10 @@ def _per_level_sample(state, rng, size=None):
             + state.intercept[ROOT]
             + np.einsum("ij,mj->mi", state.post_chol[ROOT], z)
         )
-        for nodes in hier.sampling_levels:
-            z = rng.standard_normal((m, nodes.size, d))
+        for nodes, parents, start, stop in hier.level_index:
+            z = rng.standard_normal((m, stop - start, d))
             theta[:, nodes] = (
-                np.einsum("kij,mkj->mki", state.slope[nodes], theta[:, hier.parent[nodes]])
+                np.einsum("kij,mkj->mki", state.slope[nodes], theta[:, parents])
                 + state.intercept[nodes]
                 + np.einsum("kij,mkj->mki", state.post_chol[nodes], z)
             )
@@ -238,6 +236,40 @@ def test_ts_agent_scalar_update_is_conjugate(b2h2):
         agent.update(1, 0.0)
     with pytest.raises(HierarchyError):
         agent.arm_moments(3)
+
+
+def _moments(agent, action):
+    return agent.arm_moments(action) if agent.kind == "TS" else agent.marginal_action_moments(action)
+
+
+@pytest.mark.parametrize("bad", ["internal", 0, -1, "past_end"])
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_agents_reject_non_leaf_actions(kind, bad, b2h2, b2h2_prior):
+    """Every agent maps actions through one checked lookup: a non-leaf id never wraps or leaks."""
+    action = {"internal": 2, "past_end": b2h2.num_nodes + 1}.get(bad, bad)
+    agent = make_agent(kind, b2h2, b2h2_prior, np.random.default_rng(0))
+    before = [_moments(agent, int(a)) for a in b2h2.action_nodes]
+    with pytest.raises(HierarchyError, match=rf"action {action} is not a leaf"):
+        agent.update(action, 1.0)
+    with pytest.raises(HierarchyError, match=rf"action {action} is not a leaf"):
+        _moments(agent, action)
+    assert [_moments(agent, int(a)) for a in b2h2.action_nodes] == before
+
+
+@pytest.mark.parametrize("dim", [None, 2], ids=["scalar", "linear"])
+def test_ts_agent_rejects_non_finite_input(b2h2, b2h2_prior, dim):
+    prior = b2h2_prior if dim is None else _linear_prior(b2h2, dim=dim)
+    agent = TSAgent(b2h2, prior, np.random.default_rng(0))
+    x = None if dim is None else np.ones(dim)
+    before = agent.arm_moments(4)
+    for reward in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            agent.update(4, reward, x)
+    if dim is not None:
+        with pytest.raises(ValueError, match="finite"):
+            agent.update(4, 1.0, np.array([1.0, np.nan]))
+    after = agent.arm_moments(4)
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 def test_ts_agent_linear_update(b2h2):

@@ -39,13 +39,11 @@ def test_traced_simulate_counts_every_sample_and_update(tmp_path):
         rec.uninstall()
     table = spans.SpanTable(rec)
     rounds = horizon * instances
-    # FlatTS acts and updates through an inner HierTS agent, whose spans nest under its own
-    flat_act, flat_update = table.calls("agents.FlatTS.act"), table.calls("agents.FlatTS.update")
-    hier_act = table.calls("agents.HierTS.act") - flat_act
-    hier_update = table.calls("agents.HierTS.update") - flat_update
-    assert hier_act == flat_act == hier_update == flat_update == rounds
-    assert table.calls("agents.TS.act") == rounds
-    assert table.calls("agents.hierts_sample") == hier_act + flat_act
-    assert table.calls("posterior.update_path") == hier_update + flat_update
+    # each kind's act and update record spans of their own, once per round
+    for kind in ("HierTS", "FlatTS", "TS"):
+        assert table.calls(f"agents.{kind}.act") == table.calls(f"agents.{kind}.update") == rounds
+    # HierTS and FlatTS each draw one tree sample and update one root path per round
+    assert table.calls("agents.hierts_sample") == 2 * rounds
+    assert table.calls("posterior.update_path") == 2 * rounds
     # both instances of the cell share one flat tree
     assert table.calls("hierarchy.flatten_hierarchy") == 1

@@ -16,7 +16,7 @@ from hierts import (
     fit_priors_from_data,
     load_feature_dataset,
     make_cluster_dataset,
-    marginal_prior_variance,
+    marginal_prior_variances,
     reward_mean,
     sample_contexts,
     sample_instance,
@@ -33,7 +33,7 @@ def test_sample_parameter_draws_moments(b2h2):
     assert draws.shape == (200_000, 8)
     leaf = draws[:, 4]
     assert abs(leaf.mean()) < 0.03
-    assert abs(leaf.var() - marginal_prior_variance(b2h2, prior, 4)) < 0.08
+    assert abs(leaf.var() - marginal_prior_variances(b2h2, prior)[4]) < 0.08
     # increments at each edge are independent of the parent level
     inc = draws[:, 4] - draws[:, 2]
     assert abs(inc.var() - 1.0) < 0.02

@@ -12,8 +12,6 @@ from hierts import (
     doubling_prior,
     flatten_hierarchy,
     load_tree_json,
-    marginal_prior_covariance,
-    marginal_prior_variance,
     marginal_prior_variances,
     save_tree_json,
 )
@@ -52,7 +50,8 @@ def test_path_and_lca(b2h2):
 def test_heights_and_levels(b2h2):
     assert list(b2h2.height[1:]) == [2, 1, 1, 0, 0, 0, 0]
     # levels exclude the root, descend by height, parents first
-    levels = [list(level) for level in b2h2.sampling_levels]
+    ids = np.arange(b2h2.num_nodes + 1)
+    levels = [list(ids[idx]) for idx, _, _, _ in b2h2.level_index]
     assert levels == [[2, 3], [4, 5, 6, 7]]
     # contiguous levels index by slice; spans follow the root's position 0
     assert [(idx, list(par), start, stop) for idx, par, start, stop in b2h2.level_index] == [
@@ -123,14 +122,21 @@ def test_prior_spec_matrix_validation():
     assert np.array_equal(prior.hyper_mean, np.full(3, 0.5))
 
 
+def test_action_position_is_a_checked_leaf_lookup(b2h2):
+    assert [b2h2.action_position(int(a)) for a in b2h2.action_nodes] == [0, 1, 2, 3]
+    assert b2h2.action_position(np.int64(7)) == 3
+    for bad in (1, 2, 0, -1, b2h2.num_nodes + 1):
+        with pytest.raises(HierarchyError, match=rf"action {bad} is not a leaf"):
+            b2h2.action_position(bad)
+
+
 def test_marginal_prior_variance_sums_path(b2h2):
     prior = constant_prior(b2h2, 1.0)
-    assert marginal_prior_variance(b2h2, prior, 4) == pytest.approx(3.0)
+    assert marginal_prior_variances(b2h2, prior)[4] == pytest.approx(3.0)
+    assert marginal_prior_variances(b2h2, prior)[2] == pytest.approx(2.0)
     dbl = doubling_prior(b2h2)
     # 2^2 + 2^1 + 2^0, the exact path sum rather than the rounded power of two
-    assert marginal_prior_variance(b2h2, dbl, 4) == pytest.approx(7.0)
-    with pytest.raises(HierarchyError):
-        marginal_prior_variance(b2h2, prior, 2)
+    assert marginal_prior_variances(b2h2, dbl)[4] == pytest.approx(7.0)
 
 
 def test_marginal_prior_variances_match_path_sums():
@@ -149,7 +155,7 @@ def test_marginal_prior_variances_match_path_sums():
 
 
 def test_marginal_prior_covariance(linear_prior, b2h2):
-    total = marginal_prior_covariance(b2h2, linear_prior, 5)
+    total = marginal_prior_variances(b2h2, linear_prior)[5]
     expect = sum(linear_prior.node_variance[i] for i in (1, 2, 5))
     assert np.allclose(total, expect, atol=1e-12)
 
@@ -159,9 +165,11 @@ def test_flatten_preserves_marginals(b2h2):
     flat, flat_prior, to_flat = flatten_hierarchy(b2h2, prior)
     assert flat.num_nodes == b2h2.num_actions + 1
     assert flat.tree_height == 1
+    flat_marginal = marginal_prior_variances(flat, flat_prior)
+    marginal = marginal_prior_variances(b2h2, prior)
     for leaf in b2h2.action_nodes:
-        got = marginal_prior_variance(flat, flat_prior, to_flat[int(leaf)])
-        want = marginal_prior_variance(b2h2, prior, int(leaf))
+        got = flat_marginal[to_flat[int(leaf)]]
+        want = marginal[int(leaf)]
         assert got == pytest.approx(want, rel=1e-12)
     assert flat_prior.node_variance[1] == prior.node_variance[1]
 
@@ -225,14 +233,15 @@ def test_structure_invariants(parents):
     tree = build_hierarchy(parents)
     assert tree.num_nodes == len(parents) + 1
     # every non-root node appears in exactly one sampling level
-    flat = np.concatenate(tree.sampling_levels)
-    assert sorted(flat.tolist()) == list(range(2, tree.num_nodes + 1))
-    heights = [tree.height[level].max() for level in tree.sampling_levels]
-    assert heights == sorted(heights, reverse=True)
     ids = np.arange(tree.num_nodes + 1)
+    levels = [ids[idx] for idx, _, _, _ in tree.level_index]
+    flat = np.concatenate(levels)
+    assert sorted(flat.tolist()) == list(range(2, tree.num_nodes + 1))
+    heights = [tree.height[level].max() for level in levels]
+    assert heights == sorted(heights, reverse=True)
     start = 1
-    for level, (idx, parents, lo, hi) in zip(tree.sampling_levels, tree.level_index):
-        assert np.array_equal(ids[idx], level)
+    for level, (_, parents, lo, hi) in zip(levels, tree.level_index):
+        assert np.array_equal(level, np.sort(level))
         assert np.array_equal(parents, tree.parent[level])
         assert (lo, hi) == (start, start + level.size)
         start = hi
