@@ -3,7 +3,9 @@
 
 The set covers each output-writing command:
 - `simulate` on configs/doubling_b5_h2.json, explicit_tree.json and
-  constant_b2_h2_linear.json;
+  constant_b2_h2_linear.json, and on two tree files with a prior section
+  (`"prior": {"scheme": "file"}`), one scalar and one linear, that the
+  script writes with save_tree_json;
 - `ratio` on configs/ratio_constant_b2.json;
 - `classify-bandit` on a generated 6-dim clustered dataset (horizon 1000,
   6 runs);
@@ -26,11 +28,13 @@ import hashlib
 import os
 from pathlib import Path
 
+import json
+
 import numpy as np
 
 from hierts import cli
 from hierts.envs import make_cluster_dataset, write_dataset_csv
-from hierts.hierarchy import save_tree_json
+from hierts.hierarchy import PriorSpec, balanced_tree, doubling_prior, save_tree_json
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIMULATE = ("doubling_b5_h2", "explicit_tree", "constant_b2_h2_linear")
@@ -39,13 +43,34 @@ JOBS = (1, 2)
 VERIFY_SEEDS = (0, 5)
 
 
+def write_tree_file_configs(data: Path) -> list[Path]:
+    """Scalar and linear tree files with priors, and a simulate config reading each; returns the configs."""
+    tree = balanced_tree(3, 2)
+    scalar = doubling_prior(tree, noise_std=0.8, hyper_mean=0.25)
+    base = np.array([[1.0, 0.3], [0.3, 0.5]])
+    linear = PriorSpec(
+        hyper_mean=np.array([0.1, -0.2]),
+        node_variance={n: base * 2.0 ** int(tree.height[n]) for n in range(1, tree.num_nodes + 1)},
+        noise_std=0.5,
+    )
+    configs = []
+    for name, prior, extra in (("scalar", scalar, {}), ("linear", linear, {"model": "linear", "dim": 2})):
+        save_tree_json(data / f"tree_{name}.json", tree, prior)
+        doc = {"tree": {"file": str(data / f"tree_{name}.json")}, "prior": {"scheme": "file"},
+               "horizon": 200, "instances": 20, "seed": 4, **extra}
+        configs.append(data / f"tree_file_{name}.json")
+        configs[-1].write_text(json.dumps(doc))
+    return configs
+
+
 def commands(data: Path, runs: Path) -> list[list[str]]:
     out = []
+    tree_file_configs = write_tree_file_configs(data)
     for jobs in JOBS:
         j = ["--jobs", str(jobs)]
-        for name in SIMULATE:
-            out.append(["simulate", "--config", str(CONFIGS / f"{name}.json"),
-                        "--out", str(runs / f"simulate-{name}-j{jobs}")] + j)
+        for config in [CONFIGS / f"{name}.json" for name in SIMULATE] + tree_file_configs:
+            out.append(["simulate", "--config", str(config),
+                        "--out", str(runs / f"simulate-{config.stem}-j{jobs}")] + j)
         out.append(["ratio", "--config", str(CONFIGS / "ratio_constant_b2.json"),
                     "--out", str(runs / f"ratio-constant_b2-j{jobs}")] + j)
         out.append(["classify-bandit", "--dataset", str(data / "data.csv"),

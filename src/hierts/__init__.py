@@ -33,7 +33,6 @@ from .envs import (
 )
 from .harness import (
     BoundReport,
-    ConfigError,
     RatioResult,
     RegretCurve,
     RunConfig,
@@ -48,6 +47,7 @@ from .harness import (
     write_regret_csv,
 )
 from .hierarchy import (
+    ConfigError,
     Hierarchy,
     HierarchyError,
     PriorSpec,

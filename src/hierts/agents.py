@@ -21,7 +21,7 @@ from .hierarchy import (
     flatten_hierarchy,
     marginal_prior_variances,
 )
-from .linear import LinearPosteriorState, _conditional, _observation, _precisions
+from .linear import LinearPosteriorState, _argmax_score, _conditional, _observation, _precisions
 from .posterior import PosteriorState
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
@@ -106,8 +106,7 @@ class HierTSAgent:
 
     def act(self, context: np.ndarray | None = None) -> int:
         theta = self.sample_model()[self.state.hierarchy.leaf_index]
-        scores = theta if context is None else theta @ context
-        return int(self.hierarchy.action_nodes[int(np.argmax(scores))])
+        return int(self.hierarchy.action_nodes[_argmax_score(theta, context)])
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
         leaf = self._leaves[self.hierarchy.action_position(action)]
@@ -169,12 +168,10 @@ class TSAgent:
         leaves = self.hierarchy.action_nodes
         if self._scalar:
             draws = self.wmean / self.prec + self.rng.standard_normal(leaves.size) / np.sqrt(self.prec)
-            scores = draws
         else:
             z = self.rng.standard_normal((leaves.size, self.dim))
             draws = self.mean + np.einsum("kij,kj->ki", self.chol, z)
-            scores = draws @ context
-        return int(leaves[int(np.argmax(scores))])
+        return int(leaves[_argmax_score(draws, context)])
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
         j = self.hierarchy.action_position(action)

@@ -19,12 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .envs import DatasetError, dataset_instance, fit_priors_from_data, load_feature_dataset
+from .envs import dataset_instance, fit_priors_from_data, load_feature_dataset
 from .harness import (
-    ConfigError,
     RunConfig,
-    _check_int,
-    _load_json_object,
     complexity_term,
     dataset_bandit_curve,
     ratio_experiment,
@@ -34,7 +31,7 @@ from .harness import (
     write_ratio_csv,
     write_regret_csv,
 )
-from .hierarchy import HierarchyError, load_tree_json, marginal_prior_variances
+from .hierarchy import ConfigError, _check_int, _load_json_object, load_tree_json, marginal_prior_variances
 from .svgchart import write_line_chart
 
 EXIT_OK = 0
@@ -302,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, HierarchyError, DatasetError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, HierarchyError and DatasetError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

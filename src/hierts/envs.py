@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec
+from .hierarchy import ROOT, Hierarchy, PriorSpec, build_hierarchy
+from .linear import _argmax_score
 
 __all__ = [
     "DatasetError",
@@ -65,7 +67,7 @@ def sample_parameter_draws(
     """Draw full parameter trees from the prior; shape (size, num_nodes + 1[, d])."""
     n = hierarchy.num_nodes
     if prior.is_scalar:
-        scale = np.sqrt(prior.variance_vector(hierarchy))
+        scale = np.sqrt(prior.variances(hierarchy))
         theta = np.empty((size, n + 1))
         theta[:, 0] = np.nan
         theta[:, ROOT] = prior.hyper_mean + scale[ROOT] * rng.standard_normal(size)
@@ -73,7 +75,7 @@ def sample_parameter_draws(
             theta[:, nodes] = theta[:, parents] + scale[nodes] * rng.standard_normal((size, stop - start))
         return theta
     d = prior.dim
-    chol = np.linalg.cholesky(prior.covariance_stack(hierarchy))
+    chol = np.linalg.cholesky(prior.variances(hierarchy))
     theta = np.empty((size, n + 1, d))
     theta[:, 0] = np.nan
     theta[:, ROOT] = prior.hyper_mean + np.einsum(
@@ -93,15 +95,15 @@ def reward_mean(instance: Instance, action: int, context: np.ndarray | None = No
     instance.hierarchy.action_position(action)  # HierarchyError unless a leaf
     if context is None:
         return float(instance.theta[action])
-    return float(instance.theta[action] @ np.asarray(context, float))
+    value = float(instance.theta[action] @ np.asarray(context, float))
+    if not math.isfinite(value):
+        raise ValueError(f"context must be finite, got {context}")
+    return value
 
 
 def best_action(instance: Instance, context: np.ndarray | None = None) -> int:
     """The optimal leaf for this instance (and context, in the linear model)."""
-    leaves = instance.hierarchy.action_nodes
-    values = instance.leaf_parameters()
-    scores = values if context is None else values @ np.asarray(context, float)
-    return int(leaves[int(np.argmax(scores))])
+    return int(instance.hierarchy.action_nodes[_argmax_score(instance.leaf_parameters(), context)])
 
 
 def step(
@@ -354,8 +356,6 @@ def _grouped_tree(num_groups: int, classes_per_group: int) -> Hierarchy:
     for g in range(num_groups):
         for c in range(classes_per_group):
             parents[first_leaf + g * classes_per_group + c] = 2 + g
-    from .hierarchy import build_hierarchy
-
     return build_hierarchy(parents)
 
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import json
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,9 +20,14 @@ import numpy as np
 from .agents import AGENT_KINDS, make_agent
 from .envs import Instance, sample_contexts, sample_instance
 from .hierarchy import (
+    ConfigError,
     Hierarchy,
     HierarchyError,
     PriorSpec,
+    _check_int,
+    _check_real,
+    _id_map,
+    _load_json_object,
     balanced_tree,
     build_hierarchy,
     load_tree_json,
@@ -53,42 +56,6 @@ _STREAM_INSTANCE = 0
 _STREAM_CONTEXT = 1
 _STREAM_AGENT = 10  # + agent position in AGENT_KINDS
 _STREAM_NOISE = 20  # + agent position in AGENT_KINDS
-
-
-class ConfigError(ValueError):
-    """An experiment configuration failed validation."""
-
-
-def _load_json_object(path: str | Path) -> dict:
-    """Parse a JSON config file that must hold an object; OSError passes through."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object, got {type(doc).__name__}")
-    return doc
-
-
-def _check_int(name: str, value) -> int:
-    """value as an int if it is an integer (bool excluded), else a ConfigError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_real(name: str, value) -> float:
-    """value as a float if it is a finite real number (bool excluded), else a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _id_map(name: str, doc, check) -> tuple:
-    """A JSON object keyed by node id as sorted (int id, checked value) pairs."""
-    if not isinstance(doc, dict) or not all(str(k).isdecimal() for k in doc):
-        raise ConfigError(f"'{name}' must map node ids to numbers, got {doc!r}")
-    return tuple(sorted((int(k), check(f"{name}.{k}", v)) for k, v in doc.items()))
 
 
 @dataclass(frozen=True)
@@ -225,29 +192,27 @@ class RunConfig:
                 hierarchy = build_hierarchy(dict(self.parents))
             else:
                 hierarchy = balanced_tree(self.branching, self.height)
-        except HierarchyError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.prior_scheme == "file":
-            if file_prior is None:
-                raise ConfigError(f"{self.tree_file}: tree file carries no prior section")
-            return hierarchy, file_prior
-        nodes = range(1, hierarchy.num_nodes + 1)
-        if self.prior_scheme == "constant":
-            variances = {n: float(self.prior_value) for n in nodes}
-        elif self.prior_scheme == "doubling":
-            variances = {n: float(2.0 ** int(hierarchy.height[n])) for n in nodes}
-        else:
-            variances = dict(self.node_variance)
-            missing = [n for n in nodes if n not in variances]
-            if missing:
-                raise ConfigError(f"explicit prior is missing variances for nodes {missing}")
-        if self.model == "linear":
-            eye = np.eye(self.dim)
-            variances = {n: v * eye for n, v in variances.items()}
-        try:
+            if self.prior_scheme == "file":
+                if file_prior is None:
+                    raise ConfigError(f"{self.tree_file}: tree file carries no prior section")
+                fits = "k-armed" if file_prior.is_scalar else f"linear with dim {file_prior.dim}"
+                if fits != ("k-armed" if self.model == "k-armed" else f"linear with dim {self.dim}"):
+                    raise ConfigError(f"{self.tree_file}: its prior fits model {fits}, not {self.model!r}")
+                return hierarchy, file_prior
+            nodes = range(1, hierarchy.num_nodes + 1)
+            if self.prior_scheme == "constant":
+                variances = {n: float(self.prior_value) for n in nodes}
+            elif self.prior_scheme == "doubling":
+                variances = {n: float(2.0 ** int(hierarchy.height[n])) for n in nodes}
+            else:
+                variances = dict(self.node_variance)
+            if self.model == "linear":
+                eye = np.eye(self.dim)
+                variances = {n: v * eye for n, v in variances.items()}
             prior = PriorSpec(
                 hyper_mean=float(self.hyper_mean), node_variance=variances, noise_std=self.noise_std
             )
+            prior.variances(hierarchy)  # HierarchyError unless every node has a variance
         except HierarchyError as exc:
             raise ConfigError(str(exc)) from None
         return hierarchy, prior
@@ -459,7 +424,7 @@ def complexity_term(
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     noise_sq = prior.noise_std**2
-    variances = prior.variance_vector(hierarchy)
+    variances = prior.variances(hierarchy)
     if c is None:
         c = 1.0 + float(np.nanmax(variances)) / noise_sq
     rows = []

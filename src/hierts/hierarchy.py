@@ -8,6 +8,8 @@ node is drawn around its parent's parameter with that variance.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "HierarchyError",
+    "ConfigError",
     "Hierarchy",
     "PriorSpec",
     "build_hierarchy",
@@ -36,6 +39,61 @@ _SPD_TOL = 1e-10
 
 class HierarchyError(ValueError):
     """A tree or prior specification violates a structural constraint."""
+
+
+class ConfigError(HierarchyError):
+    """A value read from a config or tree file failed validation; the message names the field."""
+
+
+def _load_json_object(path: str | Path) -> dict:
+    """Parse a JSON file that must hold an object; OSError passes through."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _check_int(name: str, value) -> int:
+    """value as an int if it is an integer (bool excluded), else a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+# Python's own number types first: isinstance checks them without the slower ABC lookup.
+_REAL = (float, int, numbers.Real)
+
+
+def _check_real(name: str, value) -> float:
+    """value as a float if it is a finite real number (bool excluded), else a ConfigError."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, _REAL) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _id_map(name: str, doc, check=lambda name, value: value) -> tuple:
+    """A JSON object keyed by node id as sorted (int id, checked value) pairs."""
+    if not isinstance(doc, dict) or not all(str(k).isdecimal() for k in doc):
+        raise ConfigError(f"'{name}' must be an object keyed by node id, got {doc!r}")
+    return tuple(sorted((int(k), check(f"{name}.{k}", v)) for k, v in doc.items()))
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """A number, or an array or nested lists of numbers, as a float64 array; a ConfigError
+    naming name unless every entry is a finite real number (bool excluded)."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf" and np.isfinite(value).all():
+        return value.astype(np.float64)
+    if isinstance(value, _REAL):
+        return np.asarray(_check_real(name, value))
+    entries = np.array(value, dtype=object)
+    return np.array([_check_real(name, x) for x in entries.flat], dtype=np.float64).reshape(entries.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +314,12 @@ def balanced_tree(branching: int, tree_height: int) -> Hierarchy:
 class PriorSpec:
     """Gaussian prior for a hierarchy.
 
-    node_variance maps every node id to its conditional prior variance, either
-    a positive float (K-armed model) or a symmetric positive definite matrix
-    (linear model). hyper_mean is the prior mean of the root parameter and
-    noise_std the reward noise level.
+    node_variance maps node ids to conditional prior variances, either
+    finite positive numbers (K-armed model) or symmetric positive definite
+    matrices (linear model). hyper_mean is the prior mean of the root
+    parameter and noise_std the reward noise level. Every value is checked
+    here, whichever source it comes from; HierarchyError names the node or
+    field. variances() checks that the prior covers a given tree.
     """
 
     hyper_mean: float | np.ndarray
@@ -269,35 +329,32 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if not self.node_variance:
             raise HierarchyError("node_variance must not be empty")
-        if not np.isfinite(self.noise_std) or self.noise_std <= 0:
+        if _check_real("noise_std", self.noise_std) <= 0:
             raise HierarchyError(f"noise_std must be positive, got {self.noise_std}")
         normalized: dict[int, float | np.ndarray] = {}
-        dims = set()
+        first = shape = None
         for node, value in self.node_variance.items():
-            arr = np.asarray(value, dtype=np.float64)
+            arr = _real_array(f"node {node} variance", value)
+            if shape is None:
+                first, shape = node, arr.shape
+            elif arr.shape != shape:
+                raise HierarchyError(f"node {node}: variance shape {arr.shape} differs from node {first}'s {shape}")
             if arr.ndim == 0:
-                v = float(arr)
-                if not np.isfinite(v) or v <= 0:
-                    raise HierarchyError(f"node {node}: prior variance must be positive, got {v}")
-                normalized[int(node)] = v
-                dims.add(0)
+                value = float(arr)
+                if value <= 0:
+                    raise HierarchyError(f"node {node}: prior variance must be positive, got {value}")
             elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-                if not np.isfinite(arr).all():
-                    raise HierarchyError(f"node {node}: covariance has non-finite entries")
                 if not np.allclose(arr, arr.T, atol=1e-8):
                     raise HierarchyError(f"node {node}: covariance is not symmetric")
-                arr = 0.5 * (arr + arr.T)
-                if np.linalg.eigvalsh(arr).min() <= _SPD_TOL:
+                value = 0.5 * (arr + arr.T)
+                if np.linalg.eigvalsh(value).min() <= _SPD_TOL:
                     raise HierarchyError(f"node {node}: covariance is not positive definite")
-                arr.setflags(write=False)
-                normalized[int(node)] = arr
-                dims.add(arr.shape[0])
+                value.setflags(write=False)
             else:
                 raise HierarchyError(f"node {node}: variance must be a scalar or a square matrix")
-        if len(dims) != 1:
-            raise HierarchyError(f"mixed prior dimensions {sorted(dims)}; all nodes must agree")
-        d = dims.pop()
-        mean = np.asarray(self.hyper_mean, dtype=np.float64)
+            normalized[int(node)] = value
+        d = shape[0] if shape else 0
+        mean = _real_array("hyper_mean", self.hyper_mean)
         if d == 0:
             if mean.ndim != 0:
                 raise HierarchyError("scalar priors require a scalar hyper_mean")
@@ -320,30 +377,20 @@ class PriorSpec:
         value = next(iter(self.node_variance.values()))
         return 1 if isinstance(value, float) else value.shape[0]
 
-    def variance_vector(self, hierarchy: Hierarchy) -> np.ndarray:
-        """Scalar conditional variances as a (num_nodes + 1,) array; slot 0 unused."""
-        if not self.is_scalar:
-            raise HierarchyError("variance_vector requires a scalar prior")
-        out = np.full(hierarchy.num_nodes + 1, np.nan)
-        for node in range(1, hierarchy.num_nodes + 1):
-            out[node] = self._get(node)
-        return out
+    def variances(self, hierarchy: Hierarchy) -> np.ndarray:
+        """The tree's conditional variances indexed by node id.
 
-    def covariance_stack(self, hierarchy: Hierarchy) -> np.ndarray:
-        """Conditional covariances stacked to (num_nodes + 1, d, d); slot 0 is identity."""
-        d = self.dim
-        out = np.empty((hierarchy.num_nodes + 1, d, d))
-        out[0] = np.eye(d)
-        for node in range(1, hierarchy.num_nodes + 1):
-            value = self._get(node)
-            out[node] = value if not self.is_scalar else np.array([[value]])
-        return out
-
-    def _get(self, node: int):
-        try:
-            return self.node_variance[node]
-        except KeyError:
-            raise HierarchyError(f"prior is missing a variance for node {node}") from None
+        Shape (num_nodes + 1,) with slot 0 NaN for a scalar prior, and
+        (num_nodes + 1, d, d) with slot 0 the identity for a matrix prior.
+        HierarchyError lists the nodes without a variance; ids beyond the
+        tree are ignored.
+        """
+        nodes = range(1, hierarchy.num_nodes + 1)
+        missing = [n for n in nodes if n not in self.node_variance]
+        if missing:
+            raise HierarchyError(f"prior is missing variances for nodes {missing}")
+        slot0 = np.nan if self.is_scalar else np.eye(self.dim)
+        return np.array([slot0] + [self.node_variance[n] for n in nodes])
 
 
 def constant_prior(
@@ -368,13 +415,10 @@ def marginal_prior_variances(hierarchy: Hierarchy, prior: PriorSpec) -> np.ndarr
     """Marginal prior variance of every node: the sum of variances on its root path.
 
     One top-down pass, a left fold from the root (as a path sum from zero).
-    Shape (num_nodes + 1,) for a scalar prior and (num_nodes + 1, d, d), with
-    covariances, for a matrix prior; slot 0 is unused.
+    Shaped as PriorSpec.variances, whose coverage check it runs; slot 0 is
+    unused.
     """
-    if prior.is_scalar:
-        variances = prior.variance_vector(hierarchy)
-    else:
-        variances = prior.covariance_stack(hierarchy)
+    variances = prior.variances(hierarchy)
     out = np.full_like(variances, np.nan)
     out[ROOT] = 0.0 + variances[ROOT]
     for nodes, parents, _, _ in hierarchy.level_index:
@@ -417,14 +461,9 @@ def tree_to_dict(
     }
     if prior is not None:
         doc["prior"] = {
-            "hyper_mean": prior.hyper_mean
-            if prior.is_scalar
-            else [float(v) for v in np.asarray(prior.hyper_mean)],
+            "hyper_mean": np.asarray(prior.hyper_mean).tolist(),
             "noise_std": prior.noise_std,
-            "node_variance": {
-                str(node): (value if isinstance(value, float) else np.asarray(value).tolist())
-                for node, value in prior.node_variance.items()
-            },
+            "node_variance": {str(node): np.asarray(v).tolist() for node, v in prior.node_variance.items()},
         }
     if label_map is not None:
         doc["label_map"] = {str(k): int(v) for k, v in label_map.items()}
@@ -441,37 +480,34 @@ def save_tree_json(
 
 
 def load_tree_json(path: str | Path) -> tuple[Hierarchy, PriorSpec | None, dict[str, int] | None]:
-    """Load a tree file; returns (hierarchy, prior or None, label_map or None)."""
+    """Load a tree file; returns (hierarchy, prior or None, label_map or None).
+
+    Ids and label_map values must be integers and the prior must pass PriorSpec and cover
+    every node, as in a config; errors name the file and the field or node.
+    """
+    doc = _load_json_object(path)
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise HierarchyError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict) or "parents" not in doc:
-        raise HierarchyError(f"{path}: expected an object with a 'parents' section")
-    hierarchy = build_hierarchy(doc["parents"])
-    prior = None
-    if "prior" in doc:
-        spec = doc["prior"]
-        for key in ("hyper_mean", "noise_std", "node_variance"):
-            if key not in spec:
-                raise HierarchyError(f"{path}: prior section is missing '{key}'")
-        try:
-            variances = {int(k): v for k, v in spec["node_variance"].items()}
-        except (TypeError, ValueError, AttributeError):
-            raise HierarchyError(f"{path}: node_variance must map node ids to variances") from None
-        mean = spec["hyper_mean"]
-        prior = PriorSpec(
-            hyper_mean=np.asarray(mean, dtype=np.float64) if isinstance(mean, list) else float(mean),
-            node_variance=variances,
-            noise_std=float(spec["noise_std"]),
-        )
-        missing = [n for n in range(1, hierarchy.num_nodes + 1) if n not in prior.node_variance]
-        if missing:
-            raise HierarchyError(f"{path}: prior is missing variances for nodes {missing}")
-    label_map = None
-    if "label_map" in doc:
-        label_map = {str(k): int(v) for k, v in doc["label_map"].items()}
-        for label, node in label_map.items():
-            if not 1 <= node <= hierarchy.num_nodes or not hierarchy.is_leaf(node):
-                raise HierarchyError(f"{path}: label '{label}' maps to non-leaf node {node}")
+        hierarchy = build_hierarchy(dict(_id_map("parents", doc.get("parents"), _check_int)))
+        prior = None
+        if "prior" in doc:
+            spec = doc["prior"]
+            if not isinstance(spec, dict) or not {"hyper_mean", "noise_std", "node_variance"} <= spec.keys():
+                raise ConfigError(f"'prior' must hold hyper_mean, noise_std and node_variance, got {spec!r}")
+            prior = PriorSpec(
+                hyper_mean=spec["hyper_mean"],
+                node_variance=dict(_id_map("node_variance", spec["node_variance"])),
+                noise_std=spec["noise_std"],
+            )
+            prior.variances(hierarchy)  # HierarchyError unless every node has a variance
+        label_map = None
+        if "label_map" in doc:
+            labels = doc["label_map"]
+            if not isinstance(labels, dict):
+                raise ConfigError(f"'label_map' must map labels to leaf ids, got {labels!r}")
+            label_map = {str(k): _check_int(f"label_map.{k}", v) for k, v in labels.items()}
+            for label, node in label_map.items():
+                if not 1 <= node <= hierarchy.num_nodes or not hierarchy.is_leaf(node):
+                    raise HierarchyError(f"label '{label}' maps to non-leaf node {node}")
+    except HierarchyError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return hierarchy, prior, label_map

@@ -16,6 +16,8 @@ intercept S^-1 W.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec
@@ -68,6 +70,18 @@ def _observation(context, reward: float, dim: int) -> np.ndarray:
     return x
 
 
+def _argmax_score(values: np.ndarray, context) -> int:
+    """Position of the largest value (of values @ context, given a context); ValueError unless
+    that score is finite, since np.argmax picks the first NaN that a NaN or inf in the context makes."""
+    if context is None:
+        return int(np.argmax(values))
+    scores = values @ np.asarray(context, float)
+    j = int(np.argmax(scores))
+    if not math.isfinite(scores[j]):
+        raise ValueError(f"context must be finite, got {context}")
+    return j
+
+
 class LinearPosteriorState(_UpwardPass):
     """Linear-model counterpart of PosteriorState.
 
@@ -87,7 +101,7 @@ class LinearPosteriorState(_UpwardPass):
         self.dim = prior.dim
         self.noise_prec = 1.0 / prior.noise_std**2
         self.hyper_mean = np.asarray(prior.hyper_mean, float)
-        self.lam0 = _precisions(prior.covariance_stack(hierarchy))
+        self.lam0 = _precisions(prior.variances(hierarchy))
         n, d = hierarchy.num_nodes, self.dim
         self.counts = np.zeros(n + 1)
         self.gram = np.zeros((n + 1, d, d))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import Hierarchy, HierarchyError, PriorSpec
+from .hierarchy import Hierarchy, HierarchyError, PriorSpec, marginal_prior_variances
 
 __all__ = [
     "JointGaussian",
@@ -59,21 +59,11 @@ class JointGaussian:
 
 def joint_prior(hierarchy: Hierarchy, prior: PriorSpec) -> JointGaussian:
     """Exact prior over all node parameters implied by the tree."""
-    d = prior.dim if not prior.is_scalar else 1
+    d = prior.dim
     n = hierarchy.num_nodes
-
-    def node_cov(node: int) -> np.ndarray:
-        v = prior.node_variance[node]
-        return np.array([[v]]) if prior.is_scalar else np.asarray(v)
-
     # Cov(theta_i, theta_j) accumulates the independent increments shared by
-    # both paths, i.e. those on the path to lca(i, j).
-    path_cov = np.zeros((n + 1, d, d))
-    for node in range(1, n + 1):
-        total = np.zeros((d, d))
-        for k in hierarchy.path_to_root(node):
-            total += node_cov(int(k))
-        path_cov[node] = total
+    # both paths, i.e. those on the path to lca(i, j): the marginal of lca(i, j).
+    path_cov = marginal_prior_variances(hierarchy, prior).reshape(n + 1, d, d)
     cov = np.empty((n * d, n * d))
     for i in range(1, n + 1):
         bi = slice((i - 1) * d, i * d)
@@ -82,10 +72,7 @@ def joint_prior(hierarchy: Hierarchy, prior: PriorSpec) -> JointGaussian:
             shared = path_cov[hierarchy.lca(i, j)]
             cov[bi, bj] = shared
             cov[bj, bi] = shared.T
-    if prior.is_scalar:
-        mean = np.full(n, float(prior.hyper_mean))
-    else:
-        mean = np.tile(np.asarray(prior.hyper_mean, float), n)
+    mean = np.tile(np.atleast_1d(prior.hyper_mean), n)
     return JointGaussian(hierarchy=hierarchy, node_dim=d, mean=mean, cov=cov)
 
 

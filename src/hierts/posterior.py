@@ -105,7 +105,7 @@ class PosteriorState(_UpwardPass):
         self.prior = prior
         self.noise_prec = 1.0 / prior.noise_std**2
         self.hyper_mean = float(prior.hyper_mean)
-        self.lam0 = 1.0 / prior.variance_vector(hierarchy)
+        self.lam0 = 1.0 / prior.variances(hierarchy)
         n = hierarchy.num_nodes
         self._lam0 = self.lam0.tolist()
         self._ev_prec, self._ev_wmean = [0.0] * (n + 1), [0.0] * (n + 1)

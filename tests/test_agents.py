@@ -272,6 +272,16 @@ def test_ts_agent_rejects_non_finite_input(b2h2, b2h2_prior, dim):
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_agents_reject_non_finite_context(kind, b2h2):
+    """A NaN or inf in the context raises instead of playing the first leaf (np.argmax takes the first NaN)."""
+    agent = make_agent(kind, b2h2, _linear_prior(b2h2, dim=2), np.random.default_rng(0))
+    for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="context must be finite"):
+            agent.act(np.array(bad))
+    assert agent.act(np.array([1.0, 0.0])) in set(b2h2.action_nodes.tolist())
+
+
 def test_ts_agent_linear_update(b2h2):
     prior = _linear_prior(b2h2, dim=2, noise_std=1.0)
     agent = TSAgent(b2h2, prior, np.random.default_rng(0))

@@ -184,13 +184,14 @@ def test_verify_oracle_rejects_unknown_keys(tmp_path, capsys):
         ("simulate", '{"tree": {"b": 2, "h": 1}, "hyper_mean": "x"}', "hyper_mean"),
         ("ratio", '{"heights": [1], "tree": {"parents": {"2": 1, "3": 1}}}', "requires a balanced-tree config"),
         ("simulate", '{"tree": {"parents": {"2": 1.9, "3": 1}}}', "parents.2"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "noise_std": 1' + "0" * 400 + "}", "noise_std"),
         ("verify-oracle", '{"sentinel": "false"}', "sentinel"),
         ("verify-oracle", '{"sentinel": 1}', "sentinel"),
         ("verify-oracle", '{"sentinel": null}', "sentinel"),
     ],
     ids=["syntax", "ratio-tree", "prior-value", "agents", "horizon", "verify-seed", "verify-cases",
          "horizon-bool", "heights-bool", "verify-cases-bool", "delta-str", "noise-str", "hyper-mean-str",
-         "ratio-parents", "parents-float", "sentinel-str", "sentinel-int", "sentinel-null"],
+         "ratio-parents", "parents-float", "noise-huge-int", "sentinel-str", "sentinel-int", "sentinel-null"],
 )
 def test_malformed_config_exits_input(tmp_path, capsys, command, text, field):
     cfg = tmp_path / "cfg.json"
@@ -325,6 +326,32 @@ def test_simulate_ill_conditioned_prior_raises(tmp_path):
                         prior={"scheme": "file"}, model="linear", dim=2)
     with pytest.raises(ConditioningError, match="^posterior at node 2: condition number"):
         cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--jobs", "1"])
+
+
+def test_simulate_tree_file_prior_names_bad_node(tmp_path, capsys):
+    tree = balanced_tree(2, 1)
+    save_tree_json(tmp_path / "tree.json", tree, PriorSpec(0.0, {1: 1.0, 2: 1.0, 3: 1.0}, noise_std=1.0))
+    doc = json.loads((tmp_path / "tree.json").read_text())
+    doc["prior"]["node_variance"]["3"] = True  # was read as 1.0
+    (tmp_path / "tree.json").write_text(json.dumps(doc))
+    cfg = _write_config(tmp_path / "cfg.json", tree={"file": str(tmp_path / "tree.json")}, prior={"scheme": "file"})
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--jobs", "1"])
+    assert code == cli.EXIT_INPUT
+    assert "node 3 variance must be a finite number, got True" in capsys.readouterr().err
+
+
+def test_classify_bandit_label_map_names_field(tmp_path, capsys):
+    csv_path, tree_path, _ = _tiny_dataset(tmp_path)
+    doc = json.loads(tree_path.read_text())
+    label = next(iter(doc["label_map"]))
+    doc["label_map"][label] = doc["label_map"][label] + 0.7  # was truncated to the leaf id
+    tree_path.write_text(json.dumps(doc))
+    code = cli.main([
+        "classify-bandit", "--dataset", str(csv_path), "--hierarchy", str(tree_path),
+        "--out", str(tmp_path / "run"), "--horizon", "5", "--runs", "1", "--jobs", "1",
+    ])
+    assert code == cli.EXIT_INPUT
+    assert f"label_map.{label} must be an integer" in capsys.readouterr().err
 
 
 def test_console_script_entry_point(tmp_path):

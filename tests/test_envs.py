@@ -67,6 +67,11 @@ def test_linear_instance_contextual_best(b2h2, linear_prior):
     a = best_action(inst, ctx)
     values = inst.leaf_parameters() @ ctx
     assert reward_mean(inst, a, ctx) == pytest.approx(values.max())
+    for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="context must be finite"):
+            best_action(inst, np.array(bad))
+        with pytest.raises(ValueError, match="context must be finite"):
+            reward_mean(inst, a, np.array(bad))
 
 
 def test_sample_contexts_unit_norm():

@@ -10,6 +10,7 @@ import pytest
 from hierts import (
     BoundReport,
     ConfigError,
+    PriorSpec,
     RunConfig,
     balanced_tree,
     complexity_term,
@@ -174,6 +175,16 @@ def test_resolve_file_scheme(tmp_path):
     hierarchy, got = cfg.resolve()
     assert hierarchy.num_nodes == 3
     assert got.node_variance[2] == 1.25 and got.noise_std == 0.5
+    # the file's prior must fit the config's model: a mismatch once ended in a traceback or a numpy message
+    with pytest.raises(ConfigError, match="its prior fits model k-armed, not 'linear'"):
+        RunConfig(tree_file=str(path), prior_scheme="file", model="linear", dim=2, horizon=4, instances=1).resolve()
+    save_tree_json(path, tree, PriorSpec(np.zeros(2), {n: np.eye(2) for n in (1, 2, 3)}, noise_std=1.0))
+    with pytest.raises(ConfigError, match="its prior fits model linear with dim 2, not 'k-armed'"):
+        RunConfig(tree_file=str(path), prior_scheme="file", horizon=4, instances=1).resolve()
+    with pytest.raises(ConfigError, match="linear with dim 2"):
+        RunConfig(tree_file=str(path), prior_scheme="file", model="linear", dim=3, horizon=4, instances=1).resolve()
+    cfg = RunConfig(tree_file=str(path), prior_scheme="file", model="linear", dim=2, horizon=4, instances=1)
+    assert cfg.resolve()[1].dim == 2
     save_tree_json(path, tree)  # no prior section
     with pytest.raises(ConfigError, match="no prior section"):
         RunConfig(tree_file=str(path), prior_scheme="file", horizon=4, instances=1).resolve()

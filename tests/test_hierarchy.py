@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from hierts import (
     save_tree_json,
 )
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
+from hierts.hierarchy import tree_to_dict
 
 
 def test_build_basic_shape(two_leaf):
@@ -100,10 +103,20 @@ def test_prior_spec_scalar_validation(two_leaf):
         PriorSpec(hyper_mean=0.0, node_variance={1: 1.0, 2: 1.0, 3: 1.0}, noise_std=0.0)
     with pytest.raises(HierarchyError):
         PriorSpec(hyper_mean=0.0, node_variance={}, noise_std=1.0)
+    for bad in (True, "x", None, [1.0], float("nan")):
+        with pytest.raises(HierarchyError, match="node 2"):
+            PriorSpec(hyper_mean=0.0, node_variance={1: 1.0, 2: bad, 3: 1.0}, noise_std=1.0)
+    for field, kwargs in (("noise_std", {"noise_std": "x"}), ("hyper_mean", {"hyper_mean": True})):
+        with pytest.raises(HierarchyError, match=field):
+            PriorSpec(**{"hyper_mean": 0.0, "node_variance": {1: 1.0}, "noise_std": 1.0, **kwargs})
     prior = constant_prior(tree, 2.5, noise_std=0.7)
     assert prior.is_scalar and prior.dim == 1
-    vec = prior.variance_vector(tree)
-    assert np.isnan(vec[0]) and (vec[1:] == 2.5).all()
+    vec = prior.variances(tree)
+    assert vec.shape == (4,) and np.isnan(vec[0]) and (vec[1:] == 2.5).all()
+    with pytest.raises(HierarchyError, match=r"missing variances for nodes \[4, 5\]"):
+        prior.variances(build_hierarchy({2: 1, 3: 1, 4: 3, 5: 3}))
+    # ids beyond the tree are ignored
+    assert np.array_equal(constant_prior(balanced_tree(2, 2), 2.5).variances(tree), vec, equal_nan=True)
 
 
 def test_prior_spec_matrix_validation():
@@ -120,6 +133,15 @@ def test_prior_spec_matrix_validation():
     prior = PriorSpec(hyper_mean=0.5, node_variance={1: np.eye(3), 2: np.eye(3), 3: np.eye(3)}, noise_std=1.0)
     assert not prior.is_scalar and prior.dim == 3
     assert np.array_equal(prior.hyper_mean, np.full(3, 0.5))
+    stack = prior.variances(build_hierarchy({2: 1, 3: 1}))
+    assert stack.shape == (4, 3, 3) and (stack == np.eye(3)).all()  # slot 0 is the identity
+    bool_entry = [[1.0, True], [True, 1.0]]
+    with pytest.raises(HierarchyError, match="node 2 variance must be a finite number, got True"):
+        PriorSpec(hyper_mean=np.zeros(2), node_variance={1: np.eye(2), 2: bool_entry}, noise_std=1.0)
+    with pytest.raises(HierarchyError, match="node 1 variance"):
+        PriorSpec(hyper_mean=np.zeros(2), node_variance={1: [[1.0, 0.0], [0.0]]}, noise_std=1.0)
+    with pytest.raises(HierarchyError, match="hyper_mean"):
+        PriorSpec(hyper_mean=[0.0, "x"], node_variance={1: np.eye(2)}, noise_std=1.0)
 
 
 def test_action_position_is_a_checked_leaf_lookup(b2h2):
@@ -209,6 +231,59 @@ def test_tree_json_errors(tmp_path):
     bad.write_text('{"parents": {"2": 1, "3": 1}, "prior": {"hyper_mean": 0, "noise_std": 1, "node_variance": {"1": 1}}}')
     with pytest.raises(HierarchyError, match="missing variances"):
         load_tree_json(bad)
+    # each of these was once accepted (truncated or coerced) or rejected without naming the field
+    prior = '"prior": {"hyper_mean": 0, "noise_std": 1, "node_variance": {"1": 1, "2": 1, "3": 1}}'
+    for text, field in [
+        ('{"parents": {"2": 1.9, "3": 1}}', "parents.2 must be an integer"),
+        ('{"parents": {"2": 1, "3": 1}, ' + prior.replace('"2": 1,', '"2": true,') + "}", "node 2 variance"),
+        ('{"parents": {"2": 1, "3": 1}, "label_map": {"x": 3.7}}', "label_map.x must be an integer"),
+        ('{"parents": {"2": 1, "3": 1}, ' + prior.replace('"noise_std": 1', '"noise_std": "x"') + "}", "noise_std"),
+        ('{"parents": {"2": 1, "3": 1}, ' + prior.replace('"hyper_mean": 0', '"hyper_mean": true') + "}", "hyper_mean"),
+        ('{"parents": {"2": 1, "3": 1}, "prior": [1]}', "'prior'"),
+        ('{"parents": {"2": 1, "3": 1}, "label_map": ["x"]}', "'label_map'"),
+        ('{"parents": {"2": 1, "3": 1}, ' + prior.replace('{"1": 1,', '{"one": 1,') + "}", "'node_variance'"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(HierarchyError, match=field):
+            load_tree_json(bad)
+
+
+ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.one_of(st.integers(-2, 9), st.floats(-2, 2), st.booleans(), st.none()), max_size=3),
+)
+
+
+@given(
+    where=st.sampled_from(["parent", "variance", "noise_std", "hyper_mean", "label"]),
+    node=st.integers(2, 7),
+    value=ODD_VALUES,
+    linear=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_tree_file_fuzz_loads_or_names_the_field(tmp_path_factory, where, node, value, linear):
+    """One field of a valid tree file replaced by an odd value: loads, or HierarchyError naming it."""
+    tree = balanced_tree(2, 2)
+    variance = np.eye(2) if linear else 1.0
+    prior = PriorSpec(np.zeros(2) if linear else 0.0, {n: variance for n in range(1, 8)}, noise_std=1.0)
+    doc = tree_to_dict(tree, prior, {"a": 4, "b": 5})
+    if where == "parent":
+        doc["parents"][str(node)], field = value, f"parents.{node}"
+    elif where == "variance":
+        doc["prior"]["node_variance"][str(node)], field = value, f"node {node}"
+    elif where == "label":
+        doc["label_map"]["a"], field = value, "label_map.a"
+    else:
+        doc["prior"][where], field = value, where
+    path = tmp_path_factory.mktemp("fuzz") / "tree.json"
+    path.write_text(json.dumps(doc))  # NaN and inf go out as bare NaN/Infinity, which json reads back
+    try:
+        load_tree_json(path)
+    except HierarchyError as exc:
+        assert field in str(exc), str(exc)
 
 
 @st.composite

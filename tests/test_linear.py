@@ -15,7 +15,7 @@ from hierts import (
     constant_prior,
     joint_prior,
 )
-from hierts.checks import ORACLE_RTOL
+from hierts.checks import ORACLE_RTOL, random_linear_prior
 from hierts.envs import _floor_covariance
 from hierts.hierarchy import HierarchyError
 from hierts.linear import COND_LIMIT, _conditional
@@ -116,17 +116,20 @@ def test_fresh_state_conditionals_are_prior(b2h2):
 
 
 def test_update_path_matches_rebuild(b2h2, linear_prior):
-    state = LinearPosteriorState(b2h2, linear_prior)
+    wide = balanced_tree(64, 2)  # 4,161 nodes; every parent pools 64 child messages
+    cases = [(b2h2, linear_prior, 40), (wide, random_linear_prior(np.random.default_rng(3), wide, 2), 300)]
     rng = np.random.default_rng(9)
-    for _ in range(40):
-        leaf = int(rng.choice(b2h2.action_nodes))
-        x = rng.standard_normal(3)
-        state.update_path(leaf, x, float(rng.standard_normal()))
-    fresh = state.rebuild()
-    # the walk folds each path node with the same operands as the rebuild: bit-identical
-    for name in ("counts", "gram", "xy_sum", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
-                 "post_cov", "post_chol", "slope", "intercept", "root_mean"):
-        assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
+    for tree, prior, updates in cases:
+        state = LinearPosteriorState(tree, prior)
+        for _ in range(updates):
+            leaf = int(rng.choice(tree.action_nodes))
+            x = rng.standard_normal(prior.dim)
+            state.update_path(leaf, x, float(rng.standard_normal()))
+        fresh = state.rebuild()
+        # the walk folds each path node with the same operands as the rebuild: bit-identical
+        for name in ("counts", "gram", "xy_sum", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
+                     "post_cov", "post_chol", "slope", "intercept", "root_mean"):
+            assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
 
 
 def test_update_path_validates_inputs(b2h2, linear_prior):

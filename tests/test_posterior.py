@@ -130,9 +130,13 @@ def test_update_path_matches_rebuild_exactly(b2h2, b2h2_prior):
     for _ in range(6):
         tree = random_tree(rng)
         cases.append((tree, random_scalar_prior(rng, tree)))
+    # deep (8,191 nodes) and wide (64 children per parent: numpy's sum in _pool) trees
+    wide_rng = np.random.default_rng(1)
+    for tree in (balanced_tree(2, 12), balanced_tree(64, 2)):
+        cases.append((tree, random_scalar_prior(wide_rng, tree)))
     for tree, prior in cases:
         state = PosteriorState(tree, prior)
-        for _ in range(60):
+        for _ in range(60 if tree.num_nodes < 100 else 400):
             leaf = int(rng.choice(tree.action_nodes))
             state.update_path(leaf, float(rng.standard_normal()))
         fresh = state.rebuild()
