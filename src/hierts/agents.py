@@ -157,7 +157,7 @@ class TSAgent:
     def _refresh(self, j: int) -> None:
         self.cov[j], self.chol[j], self.mean[j] = _arm_posterior(self.prec[j], self.wmean[j], j)
 
-    def arm_moments(self, action: int):
+    def marginal_action_moments(self, action: int):
         """Posterior (mean, variance or covariance) of one arm."""
         j = self.hierarchy.action_position(action)
         if self._scalar:

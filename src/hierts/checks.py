@@ -2,9 +2,10 @@
 posterior inequalities exercised on instrumented runs.
 
 Each case derives its own seed from (base seed, case index), so a failure
-report names everything needed to replay it. The sentinel option injects a
-small corruption into the root's evidence accumulator before the comparison;
-a healthy detector must flag it.
+report names everything needed to replay it. The oracle suites compare the
+marginals that a posterior state composes from its cached conditionals, the
+values hierts_sample draws from, so a fault in any of them shows up as a
+deviation from the dense oracle.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .agents import HierTSAgent
 from .envs import sample_instance, step
-from .hierarchy import ROOT, Hierarchy, PriorSpec, build_hierarchy
+from .hierarchy import Hierarchy, PriorSpec, build_hierarchy
 from .linear import LinearPosteriorState
 from .oracle import action_marginals, condition, joint_prior
 from .posterior import PosteriorState
@@ -36,6 +37,12 @@ ORACLE_RTOL = 1e-8
 DECOMPOSITION_ATOL = 1e-9
 # Slack for float roundoff when asserting mathematically non-strict inequalities.
 INEQ_SLACK = 1e-9
+# Size budgets of each suite's random problems: (tree levels, tree nodes[, observations per
+# case]); the linear suite draws each case's dimension from 1..LINEAR_MAX_DIM.
+SCALAR_BUDGET = (4, 32, 50)
+LINEAR_BUDGET = (3, 16, 40)
+LINEAR_MAX_DIM = 4
+LEMMA_TREE_BUDGET = (4, 24)
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,7 @@ def _deviation(got, want) -> tuple[float, float]:
     return dev, dev / max(float(np.abs(want).max()), 1.0)
 
 
-def _oracle_suite(names, cases, base_seed, salt, draw_prior, max_levels, max_nodes, max_obs, sentinel):
+def _oracle_suite(names, cases, base_seed, salt, draw_prior, max_levels, max_nodes, max_obs):
     """Recursive leaf moments vs dense-oracle moments, one random problem per case.
 
     draw_prior(rng, tree) picks the model: a scalar prior gets a PosteriorState
@@ -177,9 +184,6 @@ def _oracle_suite(names, cases, base_seed, salt, draw_prior, max_levels, max_nod
             context = () if scalar else (rng.standard_normal(prior.dim),)
             observations.append((leaf, *context, float(rng.normal(0.0, 2.0))))
             state.update_path(*observations[-1])
-        if sentinel:
-            state.ev_wmean[ROOT] += sentinel
-            state._fold_root()  # linear marginals read the root's cached conditional
         joint = condition(joint_prior(hierarchy, prior), observations, prior.noise_std**2)
         marginals = action_marginals(joint)
         for leaf in hierarchy.action_nodes:
@@ -191,47 +195,28 @@ def _oracle_suite(names, cases, base_seed, salt, draw_prior, max_levels, max_nod
     return tuple(_result(name, dev, ORACLE_RTOL, fail, cases) for name, dev, fail in zip(names, devs, fails))
 
 
-def scalar_oracle_suite(
-    cases: int = 100,
-    base_seed: int = 0,
-    max_levels: int = 4,
-    max_nodes: int = 32,
-    max_obs: int = 50,
-    sentinel: float = 0.0,
-) -> tuple[CheckResult, CheckResult]:
+def scalar_oracle_suite(cases: int = 100, base_seed: int = 0) -> tuple[CheckResult, CheckResult]:
     """Recursive leaf marginals vs dense-oracle marginals on random problems.
 
     Returns (mean check, variance check). Relative deviation uses a floor of
     one in the denominator so that near-zero means stay comparable.
     """
     names = ("mab-marginal-mean", "mab-marginal-variance")
-    return _oracle_suite(names, cases, base_seed, 0, random_scalar_prior, max_levels, max_nodes, max_obs, sentinel)
+    return _oracle_suite(names, cases, base_seed, 0, random_scalar_prior, *SCALAR_BUDGET)
 
 
-def linear_oracle_suite(
-    cases: int = 30,
-    base_seed: int = 0,
-    max_levels: int = 3,
-    max_nodes: int = 16,
-    max_obs: int = 40,
-    max_dim: int = 4,
-    sentinel: float = 0.0,
-) -> tuple[CheckResult, CheckResult]:
+def linear_oracle_suite(cases: int = 30, base_seed: int = 0) -> tuple[CheckResult, CheckResult]:
     """Linear-model analog of scalar_oracle_suite (means and covariances)."""
 
     def draw_prior(rng, hierarchy):
-        return random_linear_prior(rng, hierarchy, int(rng.integers(1, max_dim + 1)))
+        return random_linear_prior(rng, hierarchy, int(rng.integers(1, LINEAR_MAX_DIM + 1)))
 
     names = ("linear-marginal-mean", "linear-marginal-covariance")
-    return _oracle_suite(names, cases, base_seed, 1, draw_prior, max_levels, max_nodes, max_obs, sentinel)
+    return _oracle_suite(names, cases, base_seed, 1, draw_prior, *LINEAR_BUDGET)
 
 
 def lemma_suite(
-    runs: int = 20,
-    horizon: int = 100,
-    base_seed: int = 0,
-    max_levels: int = 4,
-    max_nodes: int = 24,
+    runs: int = 20, horizon: int = 100, base_seed: int = 0
 ) -> tuple[CheckResult, CheckResult, CheckResult]:
     """Instrumented agent runs checking three posterior laws each round.
 
@@ -248,7 +233,7 @@ def lemma_suite(
     dec_fail, gain_fail, scale_fail = [], [], []
     for run in range(runs):
         rng = _case_rng(base_seed, run, salt=2)
-        hierarchy = random_tree(rng, max_levels, max_nodes)
+        hierarchy = random_tree(rng, *LEMMA_TREE_BUDGET)
         prior = random_scalar_prior(rng, hierarchy)
         if run % 2 == 0:
             # Force noise >= every prior sd so the universal constant applies.
@@ -311,14 +296,13 @@ def run_default_suites(
     linear_cases: int = 30,
     lemma_runs: int = 20,
     horizon: int = 100,
-    sentinel: float = 0.0,
 ) -> SuiteReport:
     """The full verification battery behind the verify-oracle command."""
     results: list[CheckResult] = []
     if scalar_cases > 0:
-        results.extend(scalar_oracle_suite(scalar_cases, base_seed, sentinel=sentinel))
+        results.extend(scalar_oracle_suite(scalar_cases, base_seed))
     if linear_cases > 0:
-        results.extend(linear_oracle_suite(linear_cases, base_seed, sentinel=sentinel))
+        results.extend(linear_oracle_suite(linear_cases, base_seed))
     if lemma_runs > 0:
         results.extend(lemma_suite(lemma_runs, horizon, base_seed))
     return SuiteReport(base_seed=base_seed, results=tuple(results))

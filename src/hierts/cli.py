@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .envs import dataset_instance, fit_priors_from_data, load_feature_dataset
+from .envs import COVARIANCE_FLOOR, dataset_instance, fit_priors_from_data, load_feature_dataset
 from .harness import (
     RunConfig,
     complexity_term,
@@ -207,14 +207,14 @@ def _cmd_verify(args) -> int:
         "linear_cases": 30,
         "lemma_runs": 20,
         "horizon": 100,
-        "sentinel": 0.0,
     }
     if args.config is not None:
         doc = _load_json_object(args.config)
-        unknown = set(doc) - {"seed", "scalar_cases", "linear_cases", "lemma_runs", "horizon", "sentinel"}
+        keys = ("seed", "scalar_cases", "linear_cases", "lemma_runs", "horizon")
+        unknown = set(doc) - set(keys)
         if unknown:
             raise ConfigError(f"unknown verify config keys: {sorted(unknown)}")
-        for key in ("seed", "scalar_cases", "linear_cases", "lemma_runs", "horizon"):
+        for key in keys:
             if key not in doc:
                 continue
             value = _check_int(key, doc[key])
@@ -224,13 +224,6 @@ def _cmd_verify(args) -> int:
                 raise ConfigError(f"{key} must be nonnegative, got {value}")
             else:
                 params[key] = value
-        sentinel = doc.get("sentinel", False)
-        if not isinstance(sentinel, bool):
-            raise ConfigError(f"sentinel must be true or false, got {sentinel!r}")
-        if sentinel:
-            # Test-only corruption switch: prove the detector catches a
-            # small perturbation of a cached message.
-            params["sentinel"] = 1e-3
     if args.seed is not None:
         params["base_seed"] = args.seed
     report = checks.run_default_suites(**params)
@@ -280,7 +273,7 @@ def _cmd_classify(args) -> int:
     summary = {
         **run,
         "floored_nodes": list(fit.floored_nodes),
-        "covariance_floor": fit.floor,
+        "covariance_floor": COVARIANCE_FLOOR,
         "final_regret": {k: dict(zip(("mean", "se"), curve.final(k))) for k in curve.agents},
     }
     _write_json(out / "summary.json", summary)

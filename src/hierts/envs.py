@@ -43,6 +43,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 COVARIANCE_FLOOR = 1e-6
+# make_cluster_dataset's spreads of group centers, class centers and points
+GROUP_SCALE, CLASS_SCALE, POINT_SCALE = 0.4, 0.25, 0.4
 
 
 class DatasetError(ValueError):
@@ -201,8 +203,6 @@ class FitReport:
     """Bookkeeping from fit_priors_from_data: which covariances were floored."""
 
     floored_nodes: tuple[int, ...]
-    floor: float
-    diagonal: bool
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> tuple[np.ndarray, bool]:
@@ -220,16 +220,15 @@ def fit_priors_from_data(
     *,
     noise_std: float = 0.5,
     diagonal: bool = False,
-    floor: float = COVARIANCE_FLOOR,
 ) -> tuple[PriorSpec, dict[int, np.ndarray], FitReport]:
     """Fit the hierarchical prior to the training split.
 
     The root gets the mean and covariance of all training rows; every other
     node gets the sample covariance of the training rows under its subtree.
     Ground-truth arm parameters are the per-class means of the test split.
-    Covariances are floored so that no eigenvalue falls below `floor`; with
-    diagonal=True only per-feature variances are kept. Returns
-    (prior, theta_star by leaf, report).
+    Covariances are floored so that no eigenvalue falls below
+    COVARIANCE_FLOOR; with diagonal=True only per-feature variances are kept.
+    Returns (prior, theta_star by leaf, report).
     """
     d = dataset.dim
     floored: list[int] = []
@@ -239,7 +238,7 @@ def fit_priors_from_data(
         cov = np.cov(rows, rowvar=False, ddof=1).reshape(d, d)
         if diagonal:
             cov = np.diag(np.diag(cov))
-        cov, was_floored = _floor_covariance(cov, floor)
+        cov, was_floored = _floor_covariance(cov, COVARIANCE_FLOOR)
         if was_floored:
             floored.append(node)
         return cov
@@ -269,11 +268,11 @@ def fit_priors_from_data(
         logger.warning(
             "floored %d covariance(s) at %g during prior fitting: nodes %s",
             len(floored),
-            floor,
+            COVARIANCE_FLOOR,
             floored,
         )
     prior = PriorSpec(hyper_mean=train.mean(axis=0), node_variance=node_variance, noise_std=noise_std)
-    return prior, theta_star, FitReport(tuple(floored), floor, diagonal)
+    return prior, theta_star, FitReport(tuple(floored))
 
 
 def dataset_instance(
@@ -301,9 +300,6 @@ def make_cluster_dataset(
     dim: int = 10,
     train_per_class: int = 40,
     test_per_class: int = 20,
-    group_scale: float = 0.4,
-    class_scale: float = 0.25,
-    point_scale: float = 0.4,
 ) -> tuple[FeatureDataset, Hierarchy, dict[str, int]]:
     """Synthetic Gaussian clusters with a two-level class taxonomy.
 
@@ -311,7 +307,8 @@ def make_cluster_dataset(
     Class labels are c00..cNN and map onto the leaves of a height-2 tree
     whose first level splits by group.
 
-    Default scales keep the subtree-covariance prior fit roughly honest:
+    The scales (GROUP_SCALE, CLASS_SCALE, POINT_SCALE) keep the
+    subtree-covariance prior fit roughly honest:
     point scatter is at least the class spread (so leaf covariances do not
     understate how far class means sit from their group), and the group
     spread stays within the pooled within-group scatter. Shrinking either
@@ -327,13 +324,13 @@ def make_cluster_dataset(
     leaf_ids: list[int] = []
     is_train: list[bool] = []
     rows: list[np.ndarray] = []
-    group_centers = rng.standard_normal((num_groups, dim)) * group_scale
+    group_centers = rng.standard_normal((num_groups, dim)) * GROUP_SCALE
     for g in range(num_groups):
         for c in range(classes_per_group):
             idx = g * classes_per_group + c
-            center = group_centers[g] + rng.standard_normal(dim) * class_scale
+            center = group_centers[g] + rng.standard_normal(dim) * CLASS_SCALE
             n = train_per_class + test_per_class
-            points = center + rng.standard_normal((n, dim)) * point_scale
+            points = center + rng.standard_normal((n, dim)) * POINT_SCALE
             for r in range(n):
                 ids.append(f"{labels[idx]}-{r:03d}")
                 leaf_ids.append(label_map[labels[idx]])

@@ -66,7 +66,8 @@ class RunConfig:
     tree, parents for an explicit one, or tree_file pointing at a tree JSON.
     prior_scheme is one of constant (prior_value at every node), doubling
     (2**height at every node), explicit (node_variance map) or file (take
-    the prior from tree_file).
+    the prior, noise level and hyper-mean included, from tree_file; to_dict
+    then leaves out noise_std and hyper_mean, which the run does not use).
     """
 
     branching: int | None = None
@@ -181,6 +182,8 @@ class RunConfig:
             doc["parents"] = {str(c): p for c, p in self.parents}
         if self.node_variance is not None:
             doc["node_variance"] = {str(k): v for k, v in self.node_variance}
+        if self.prior_scheme == "file":  # the run takes both from the tree file's prior
+            del doc["noise_std"], doc["hyper_mean"]
         return doc
 
     def resolve(self) -> tuple[Hierarchy, PriorSpec]:

@@ -56,9 +56,14 @@ def _load_json_object(path: str | Path) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer (a Python or numpy one; bool excluded)."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
 def _check_int(name: str, value) -> int:
     """value as an int if it is an integer (bool excluded), else a ConfigError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+    if not _is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -182,16 +187,17 @@ class Hierarchy:
 def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
     """Build and validate a Hierarchy from a child -> parent map.
 
-    The map must cover nodes 2..N exactly (the root, node 1, has no parent).
-    Internal nodes need at least two children; the tree must reach every node
-    from the root.
+    The map must cover nodes 2..N exactly (the root, node 1, has no parent),
+    with Python or numpy integers as ids (bools, floats and strings are
+    rejected). Internal nodes need at least two children; the tree must
+    reach every node from the root.
     """
     if not parent_map:
         raise HierarchyError("tree must contain at least two action nodes besides the root")
-    try:
-        items = {int(k): int(v) for k, v in parent_map.items()}
-    except (TypeError, ValueError) as exc:
-        raise HierarchyError(f"parent map entries must be integers: {exc}") from None
+    for child, par in parent_map.items():
+        if not (_is_int(child) and _is_int(par)):
+            raise HierarchyError(f"parent map entry {child!r}: {par!r}: node and parent ids must be integers")
+    items = {int(k): int(v) for k, v in parent_map.items()}
     if ROOT in items:
         raise HierarchyError("the root (index 1) cannot appear as a child in the parent map")
     n = len(items) + 1

@@ -2,9 +2,10 @@
 
 Matrix version of the scalar recursion in posterior.py. Messages are pairs
 (precision matrix, precision-weighted mean). A leaf's below-evidence is its
-scaled Gram matrix G = sum(x x^T) / noise_var and xy_sum = sum(x y) /
-noise_var; an internal node's is the sum of its children's messages. Folding
-evidence (P, W) through one prior edge Sigma0 (precision Lam0) uses
+scaled Gram matrix sum(x x^T) / noise_var and sum(x y) / noise_var, which
+update_path accumulates in place; an internal node's is the sum of its
+children's messages. Folding evidence (P, W) through one prior edge Sigma0
+(precision Lam0) uses
 
     msg_prec  = P - P (P + Lam0)^-1 P
     msg_wmean = Lam0 (P + Lam0)^-1 W
@@ -103,9 +104,6 @@ class LinearPosteriorState(_UpwardPass):
         self.hyper_mean = np.asarray(prior.hyper_mean, float)
         self.lam0 = _precisions(prior.variances(hierarchy))
         n, d = hierarchy.num_nodes, self.dim
-        self.counts = np.zeros(n + 1)
-        self.gram = np.zeros((n + 1, d, d))
-        self.xy_sum = np.zeros((n + 1, d))
         self.ev_prec = np.zeros((n + 1, d, d))
         self.ev_wmean = np.zeros((n + 1, d))
         self.msg_prec = np.zeros((n + 1, d, d))
@@ -124,11 +122,8 @@ class LinearPosteriorState(_UpwardPass):
         """Record one (context, reward) pair and refresh the leaf's root path."""
         self.hierarchy.action_position(action)  # HierarchyError unless a leaf
         x = _observation(context, reward, self.dim)
-        self.counts[action] += 1.0
-        self.gram[action] += np.outer(x, x) * self.noise_prec
-        self.xy_sum[action] += x * (reward * self.noise_prec)
-        self.ev_prec[action] = self.gram[action]
-        self.ev_wmean[action] = self.xy_sum[action]
+        self.ev_prec[action] += np.outer(x, x) * self.noise_prec
+        self.ev_wmean[action] += x * (reward * self.noise_prec)
         self._walk(action)
 
     def _fold(self, node: int) -> None:
@@ -150,12 +145,9 @@ class LinearPosteriorState(_UpwardPass):
         self._fold(ROOT)
 
     def _copy_tallies(self, out: "LinearPosteriorState") -> None:
-        out.counts[:] = self.counts
-        out.gram[:] = self.gram
-        out.xy_sum[:] = self.xy_sum
         leaves = self.hierarchy.action_nodes
-        out.ev_prec[leaves] = out.gram[leaves]
-        out.ev_wmean[leaves] = out.xy_sum[leaves]
+        out.ev_prec[leaves] = self.ev_prec[leaves]
+        out.ev_wmean[leaves] = self.ev_wmean[leaves]
 
     def marginal_action_moments(self, action: int) -> tuple[np.ndarray, np.ndarray]:
         """Marginal posterior (mean, covariance) of a leaf's parameter vector."""

@@ -37,9 +37,10 @@ class _UpwardPass:
 
     Subclasses supply _fold(node), evidence to message; _fold_root(), which
     refreshes the root's cached conditional (the root sends no message); and
-    _copy_tallies(out), which gives a fresh state this one's raw tallies and
-    leaf evidence. _pool sums a parent's child messages with numpy; a
-    subclass may pool faster if it keeps the sums bit-identical.
+    _copy_tallies(out), which gives a fresh state this one's leaf tallies and
+    evidence (one and the same in the linear model). _pool sums a parent's
+    child messages with numpy; a subclass may pool faster if it keeps the
+    sums bit-identical.
     """
 
     @property
@@ -61,7 +62,7 @@ class _UpwardPass:
         self._fold_root()
 
     def rebuild(self):
-        """Fresh state recomputed bottom-up from the raw tallies."""
+        """Fresh state recomputed bottom-up from the leaf tallies."""
         out = type(self)(self.hierarchy, self.prior)
         self._copy_tallies(out)
         hier = self.hierarchy
@@ -179,20 +180,18 @@ class PosteriorState(_UpwardPass):
     def marginal_action_moments(self, action: int) -> tuple[float, float]:
         """Marginal posterior (mean, variance) of a leaf's parameter.
 
-        Composes the affine conditionals down the root path: the marginal
-        variance accumulates each node's conditional variance scaled by the
-        squared slopes below it, and the mean chains slope * mean + intercept.
+        Composes the cached conditionals that hierts_sample reads (root_mean,
+        lamhat, lam0 and ev_wmean) down the root path: the marginal variance
+        accumulates each node's conditional variance scaled by the squared
+        slopes below it, and the mean chains slope * mean + intercept.
         """
         hier = self.hierarchy
         hier.action_position(action)  # HierarchyError unless a leaf
-        lam0 = self.lam0[ROOT]
-        prec = lam0 + self.ev_prec[ROOT]
-        mean = (lam0 * self.hyper_mean + self.ev_wmean[ROOT]) / prec
-        var = 1.0 / prec
+        mean = self.root_mean
+        var = 1.0 / self.lamhat[ROOT]
         for node in hier.path_to_root(action)[1:]:
-            lam0 = self.lam0[node]
-            prec = lam0 + self.ev_prec[node]
-            slope = lam0 / prec
-            mean = slope * mean + self.ev_wmean[node] / prec
-            var = slope * slope * var + 1.0 / prec
+            lamhat = self.lamhat[node]
+            slope = self.lam0[node] / lamhat
+            mean = slope * mean + self.ev_wmean[node] / lamhat
+            var = slope * slope * var + 1.0 / lamhat
         return float(mean), float(var)

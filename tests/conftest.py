@@ -40,3 +40,19 @@ def linear_prior(b2h2):
         a = rng.standard_normal((3, 3))
         cov[node] = a @ a.T / 3.0 + np.eye(3)
     return PriorSpec(hyper_mean=np.zeros(3), node_variance=cov, noise_std=0.8)
+
+
+@pytest.fixture
+def fault_root_mean(monkeypatch):
+    """inject(cls, offset) makes cls._fold_root leave root_mean off by offset: a fault in what hierts_sample reads."""
+
+    def inject(cls, offset=1e-3):
+        fold_root = cls._fold_root
+
+        def faulty(self):
+            fold_root(self)
+            self.root_mean = self.root_mean + offset
+
+        monkeypatch.setattr(cls, "_fold_root", faulty)
+
+    return inject

@@ -132,7 +132,7 @@ def test_round_one_marginals_agree_scalar(kind, b2h2):
     agent = make_agent(kind, b2h2, prior, np.random.default_rng(0))
     for leaf in b2h2.action_nodes:
         if kind == "TS":
-            mean, var = agent.arm_moments(int(leaf))
+            mean, var = agent.marginal_action_moments(int(leaf))
         else:
             mean, var = agent.marginal_action_moments(int(leaf))
         assert mean == pytest.approx(0.4, abs=1e-12)
@@ -149,7 +149,7 @@ def test_round_one_marginals_agree_linear(kind, b2h2):
     agent = make_agent(kind, b2h2, prior, np.random.default_rng(0))
     for leaf in b2h2.action_nodes:
         if kind == "TS":
-            mean, cov = agent.arm_moments(int(leaf))
+            mean, cov = agent.marginal_action_moments(int(leaf))
         else:
             mean, cov = agent.marginal_action_moments(int(leaf))
         assert np.allclose(mean, 0.0, atol=1e-12)
@@ -225,21 +225,17 @@ def test_ts_agent_scalar_update_is_conjugate(b2h2):
     prior = constant_prior(b2h2, 1.0, noise_std=0.5)
     agent = TSAgent(b2h2, prior, np.random.default_rng(0))
     agent.update(4, 2.0)
-    mean, var = agent.arm_moments(4)
+    mean, var = agent.marginal_action_moments(4)
     # prior N(0, 3), one obs at noise var 0.25
     expect_var = 1.0 / (1.0 / 3.0 + 4.0)
     assert var == pytest.approx(expect_var, rel=1e-12)
     assert mean == pytest.approx(expect_var * 2.0 * 4.0, rel=1e-12)
     # the other arms are untouched
-    assert agent.arm_moments(5) == (pytest.approx(0.0), pytest.approx(3.0))
+    assert agent.marginal_action_moments(5) == (pytest.approx(0.0), pytest.approx(3.0))
     with pytest.raises(HierarchyError):
         agent.update(1, 0.0)
     with pytest.raises(HierarchyError):
-        agent.arm_moments(3)
-
-
-def _moments(agent, action):
-    return agent.arm_moments(action) if agent.kind == "TS" else agent.marginal_action_moments(action)
+        agent.marginal_action_moments(3)
 
 
 @pytest.mark.parametrize("bad", ["internal", 0, -1, "past_end"])
@@ -248,12 +244,12 @@ def test_agents_reject_non_leaf_actions(kind, bad, b2h2, b2h2_prior):
     """Every agent maps actions through one checked lookup: a non-leaf id never wraps or leaks."""
     action = {"internal": 2, "past_end": b2h2.num_nodes + 1}.get(bad, bad)
     agent = make_agent(kind, b2h2, b2h2_prior, np.random.default_rng(0))
-    before = [_moments(agent, int(a)) for a in b2h2.action_nodes]
+    before = [agent.marginal_action_moments(int(a)) for a in b2h2.action_nodes]
     with pytest.raises(HierarchyError, match=rf"action {action} is not a leaf"):
         agent.update(action, 1.0)
     with pytest.raises(HierarchyError, match=rf"action {action} is not a leaf"):
-        _moments(agent, action)
-    assert [_moments(agent, int(a)) for a in b2h2.action_nodes] == before
+        agent.marginal_action_moments(action)
+    assert [agent.marginal_action_moments(int(a)) for a in b2h2.action_nodes] == before
 
 
 @pytest.mark.parametrize("dim", [None, 2], ids=["scalar", "linear"])
@@ -261,14 +257,14 @@ def test_ts_agent_rejects_non_finite_input(b2h2, b2h2_prior, dim):
     prior = b2h2_prior if dim is None else _linear_prior(b2h2, dim=dim)
     agent = TSAgent(b2h2, prior, np.random.default_rng(0))
     x = None if dim is None else np.ones(dim)
-    before = agent.arm_moments(4)
+    before = agent.marginal_action_moments(4)
     for reward in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             agent.update(4, reward, x)
     if dim is not None:
         with pytest.raises(ValueError, match="finite"):
             agent.update(4, 1.0, np.array([1.0, np.nan]))
-    after = agent.arm_moments(4)
+    after = agent.marginal_action_moments(4)
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
@@ -287,7 +283,7 @@ def test_ts_agent_linear_update(b2h2):
     agent = TSAgent(b2h2, prior, np.random.default_rng(0))
     x = np.array([1.0, -2.0])
     agent.update(4, 0.5, x)
-    mean, cov = agent.arm_moments(4)
+    mean, cov = agent.marginal_action_moments(4)
     marg = sum(prior.node_variance[i] for i in (1, 2, 4))
     lam = np.linalg.inv(marg) + np.outer(x, x)
     expect_cov = np.linalg.inv(lam)
@@ -316,7 +312,7 @@ def test_agents_of_one_cell_share_their_setup(b2h2, b2h2_prior, monkeypatch, dim
     assert flats[0].state is not flats[2].state
     x = None if dim is None else np.ones(dim)
     flats[0].update(4, 1.0, x)
-    assert flats[2].state.counts.sum() == 0.0
+    assert not flats[2].state.ev_prec.any()
     FlatTSAgent(b2h2, PriorSpec(prior.hyper_mean, prior.node_variance, prior.noise_std),
                 np.random.default_rng(0))
     assert len(calls) == 2

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from hierts import cli
+from hierts import PosteriorState, cli
 from hierts.envs import make_cluster_dataset, write_dataset_csv
 from hierts.hierarchy import PriorSpec, balanced_tree, save_tree_json
 from hierts.linear import ConditioningError
@@ -55,6 +55,25 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
     assert (out1 / "regret.csv").read_bytes() == (out2 / "regret.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def test_simulate_file_prior_records_only_what_the_run_used(tmp_path):
+    """Under the file scheme the tree file holds noise_std and hyper_mean; neither config block
+    records the config's unused values, and the replay config reruns to identical outputs."""
+    tree = balanced_tree(2, 1)
+    save_tree_json(tmp_path / "tree.json", tree, PriorSpec(0.25, {1: 1.0, 2: 2.0, 3: 0.5}, noise_std=0.5))
+    cfg = _write_config(tmp_path / "cfg.json", tree={"file": str(tmp_path / "tree.json")}, prior={"scheme": "file"})
+    out, again = tmp_path / "run", tmp_path / "again"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == cli.EXIT_OK
+    replay = json.loads((out / "replay.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    for doc in (replay["config"], summary["config"]):
+        assert "noise_std" not in doc and "hyper_mean" not in doc
+    replay_cfg = tmp_path / "replay_cfg.json"
+    replay_cfg.write_text(json.dumps(replay["config"]))
+    assert cli.main(["simulate", "--config", str(replay_cfg), "--out", str(again), "--jobs", "1"]) == cli.EXIT_OK
+    for name in ("regret.csv", "summary.json", "replay.json"):
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_simulate_seed_override(tmp_path):
@@ -130,24 +149,14 @@ def test_verify_oracle_passes(tmp_path, capsys):
     assert "suite result: PASS" in out
 
 
-def test_verify_oracle_sentinel_fails(tmp_path, capsys):
+def test_verify_oracle_fails_on_a_root_mean_fault(tmp_path, capsys, fault_root_mean):
+    fault_root_mean(PosteriorState)
     cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({
-        "scalar_cases": 3, "linear_cases": 2, "lemma_runs": 0, "horizon": 10, "sentinel": True,
-    }))
+    cfg.write_text(json.dumps({"scalar_cases": 3, "linear_cases": 2, "lemma_runs": 0, "horizon": 10}))
     assert cli.main(["verify-oracle", "--config", str(cfg)]) == cli.EXIT_VERIFY
     out = capsys.readouterr().out
     assert "suite result: FAIL" in out
     assert "base_seed=0" in out  # replay hint names the seed and case indices
-
-
-def test_verify_oracle_sentinel_false_passes(tmp_path, capsys):
-    cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({
-        "scalar_cases": 3, "linear_cases": 2, "lemma_runs": 0, "horizon": 10, "sentinel": False,
-    }))
-    assert cli.main(["verify-oracle", "--config", str(cfg)]) == cli.EXIT_OK
-    assert "suite result: PASS" in capsys.readouterr().out
 
 
 def test_verify_oracle_vacuous(tmp_path, capsys):
@@ -188,10 +197,13 @@ def test_verify_oracle_rejects_unknown_keys(tmp_path, capsys):
         ("verify-oracle", '{"sentinel": "false"}', "sentinel"),
         ("verify-oracle", '{"sentinel": 1}', "sentinel"),
         ("verify-oracle", '{"sentinel": null}', "sentinel"),
+        ("verify-oracle", '{"sentinel": true}', "sentinel"),
+        ("verify-oracle", '{"sentinel": false}', "sentinel"),
     ],
     ids=["syntax", "ratio-tree", "prior-value", "agents", "horizon", "verify-seed", "verify-cases",
          "horizon-bool", "heights-bool", "verify-cases-bool", "delta-str", "noise-str", "hyper-mean-str",
-         "ratio-parents", "parents-float", "noise-huge-int", "sentinel-str", "sentinel-int", "sentinel-null"],
+         "ratio-parents", "parents-float", "noise-huge-int", "sentinel-str", "sentinel-int", "sentinel-null",
+         "sentinel-true", "sentinel-false"],
 )
 def test_malformed_config_exits_input(tmp_path, capsys, command, text, field):
     cfg = tmp_path / "cfg.json"

