@@ -2,8 +2,10 @@
 """Run a fixed set of CLI commands and write a sha256 manifest of every output file.
 
 The set covers each output-writing command:
-- `simulate` on configs/doubling_b5_h2.json, explicit_tree.json and
-  constant_b2_h2_linear.json, and on two tree files with a prior section
+- `simulate` on configs/doubling_b5_h2.json, explicit_tree.json,
+  constant_b2_h2_linear.json and mixed_depth_tree.json (leaves at depths 1,
+  2 and 3, so a level and the root-first sample order that are not runs of
+  consecutive ids, and a 9-child parent), and on two tree files with a prior section
   (`"prior": {"scheme": "file"}`), one scalar and one linear, that the
   script writes with save_tree_json;
 - `ratio` on configs/ratio_constant_b2.json;
@@ -37,7 +39,7 @@ from hierts.envs import make_cluster_dataset, write_dataset_csv
 from hierts.hierarchy import PriorSpec, balanced_tree, doubling_prior, save_tree_json
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-SIMULATE = ("doubling_b5_h2", "explicit_tree", "constant_b2_h2_linear")
+SIMULATE = ("doubling_b5_h2", "explicit_tree", "constant_b2_h2_linear", "mixed_depth_tree")
 BOUND = ("doubling_b5_h2", "explicit_tree")
 JOBS = (1, 2)
 VERIFY_SEEDS = (0, 5)

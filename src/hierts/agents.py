@@ -41,23 +41,42 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     A call makes one standard-normal draw and consumes it root first, then
     level by level, each level shaped (size, level nodes[, d]). Normal draws
     concatenate exactly, so this is the stream of one draw per level.
+
+    The scalar branch scales the whole draw by 1 / sqrt(lamhat) in one pass,
+    reading lamhat in the draw's root-first node order
+    (Hierarchy.sample_order), then builds each level's mean in place. With a
+    size it first moves each level's (size, k) block into a node-major
+    (num_nodes, size) array, works on columns and returns the transpose.
+    These are the per-level formula's operations on the same operands, so
+    the bits are the same.
     """
-    if not isinstance(state, (PosteriorState, LinearPosteriorState)):
+    scalar = isinstance(state, PosteriorState)
+    if not (scalar or isinstance(state, LinearPosteriorState)):
         raise TypeError(f"unsupported posterior state {type(state).__name__}")
     hier = state.hierarchy
     n = hier.num_nodes
     m = 1 if size is None else int(size)
-    if isinstance(state, PosteriorState):
-        lead = () if size is None else (m,)
+    if scalar:
         lam0, wmean, lamhat, sqrt_lamhat = state.lam0, state.ev_wmean, state.lamhat, state.sqrt_lamhat
         z = rng.standard_normal(m * n)
-        theta = np.empty(lead + (n + 1,))
-        theta[..., 0] = np.nan
-        theta[..., ROOT] = state.root_mean + z[:m].reshape(lead) / sqrt_lamhat[ROOT]
+        if size is not None:  # per-level (m, k) blocks to node-major (n, m); node values as columns
+            blocks, z = z, np.empty((n, m))
+            z[0] = blocks[:m]
+            for _, _, start, stop in hier.level_index:
+                z[start:stop] = blocks[m * start : m * stop].reshape(m, -1).T
+            lam0, wmean, lamhat, sqrt_lamhat = (a[:, None] for a in (lam0, wmean, lamhat, sqrt_lamhat))
+        z /= sqrt_lamhat[hier.sample_order]
+        theta = np.empty((n + 1,) + z.shape[1:])
+        theta[0] = np.nan
+        theta[ROOT] = state.root_mean + z[0]
         for nodes, parents, start, stop in hier.level_index:
-            mean = (lam0[nodes] * theta.take(parents, axis=-1) + wmean[nodes]) / lamhat[nodes]
-            theta[..., nodes] = mean + z[m * start : m * stop].reshape(lead + (-1,)) / sqrt_lamhat[nodes]
-        return theta
+            mean = theta[parents]
+            mean *= lam0[nodes]
+            mean += wmean[nodes]
+            mean /= lamhat[nodes]
+            mean += z[start:stop]
+            theta[nodes] = mean
+        return theta if size is None else np.ascontiguousarray(theta.T)
     # Linear draws keep the size axis even for size None: einsum's summation
     # order can depend on operand shapes, and these are the shapes it has always had.
     d = state.dim
@@ -137,7 +156,10 @@ class TSAgent:
     """Independent conjugate Gaussian posterior per arm.
 
     Each arm's prior is its marginal under the tree prior, so all structure
-    is discarded but the round-one behavior matches the other agents.
+    is discarded but the round-one behavior matches the other agents. Each
+    arm keeps its precision form (prec, wmean) and the moments a draw reads,
+    which update refreshes for the acted arm: mean, and sd = sqrt(prec) for a
+    scalar prior or cov and its Cholesky factor chol for a matrix prior.
     """
 
     kind = "TS"
@@ -149,7 +171,7 @@ class TSAgent:
         self._scalar = prior.is_scalar
         arrays = [a.copy() for a in _ts_prior(hierarchy, prior)]
         if self._scalar:
-            self.prec, self.wmean = arrays
+            self.prec, self.wmean, self.mean, self.sd = arrays
         else:
             self.dim = prior.dim
             self.prec, self.wmean, self.cov, self.chol, self.mean = arrays
@@ -161,13 +183,15 @@ class TSAgent:
         """Posterior (mean, variance or covariance) of one arm."""
         j = self.hierarchy.action_position(action)
         if self._scalar:
-            return float(self.wmean[j] / self.prec[j]), float(1.0 / self.prec[j])
+            return float(self.mean[j]), float(1.0 / self.prec[j])
         return self.mean[j].copy(), self.cov[j].copy()
 
     def act(self, context: np.ndarray | None = None) -> int:
         leaves = self.hierarchy.action_nodes
         if self._scalar:
-            draws = self.wmean / self.prec + self.rng.standard_normal(leaves.size) / np.sqrt(self.prec)
+            draws = self.rng.standard_normal(leaves.size)
+            draws /= self.sd
+            draws += self.mean
         else:
             z = self.rng.standard_normal((leaves.size, self.dim))
             draws = self.mean + np.einsum("kij,kj->ki", self.chol, z)
@@ -178,8 +202,9 @@ class TSAgent:
         if self._scalar:
             if not math.isfinite(reward):
                 raise ValueError(f"reward must be finite, got {reward}")
-            self.prec[j] += self.noise_prec
-            self.wmean[j] += reward * self.noise_prec
+            prec = self.prec[j] = self.prec.item(j) + self.noise_prec
+            wmean = self.wmean[j] = self.wmean.item(j) + reward * self.noise_prec
+            self.mean[j], self.sd[j] = wmean / prec, math.sqrt(prec)
         else:
             x = _observation(context, reward, self.dim)
             self.prec[j] += np.outer(x, x) * self.noise_prec
@@ -201,14 +226,15 @@ def _flat_tree(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[Hierarchy, Prior
 def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
     """Read-only per-arm prior arrays of TSAgent, each arm's prior being its tree marginal.
 
-    (prec, wmean) for a scalar prior; (prec, wmean, cov, chol, mean) for a
-    matrix prior.
+    (prec, wmean, mean, sd) for a scalar prior; (prec, wmean, cov, chol,
+    mean) for a matrix prior.
     """
     leaves = hierarchy.action_nodes
     marginal = marginal_prior_variances(hierarchy, prior)
     if prior.is_scalar:
         prec = 1.0 / marginal[leaves]
-        arrays = (prec, prec * float(prior.hyper_mean))
+        wmean = prec * float(prior.hyper_mean)
+        arrays = (prec, wmean, wmean / prec, np.sqrt(prec))
     else:
         prec = _precisions(marginal[leaves])
         wmean = prec @ np.asarray(prior.hyper_mean, float)

@@ -116,7 +116,9 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     out = _outdir(args.out)
-    curve = run_bayes_regret(config, jobs=_jobs(args.jobs))
+    jobs = _jobs(args.jobs)
+    hierarchy, prior = config.resolve()
+    curve = run_bayes_regret(config, jobs=jobs, resolved=(hierarchy, prior))
     write_regret_csv(curve, out / "regret.csv")
     _regret_svg(curve, out, "Bayes regret")
     summary: dict = {
@@ -124,7 +126,6 @@ def _cmd_simulate(args) -> int:
         "final_regret": {k: dict(zip(("mean", "se"), curve.final(k))) for k in curve.agents},
     }
     if config.model == "k-armed" and config.horizon >= 1:
-        hierarchy, prior = config.resolve()
         report = complexity_term(hierarchy, prior, config.horizon)
         delta = config.resolved_delta()
         summary["bound"] = {**_bound_fields(report, delta), "value": regret_bound(report, delta)}

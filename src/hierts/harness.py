@@ -330,13 +330,16 @@ def _regret_curve(
     return RegretCurve(horizon=horizon, instances=runs, agents=kinds, mean=mean, se=se)
 
 
-def run_bayes_regret(config: RunConfig, jobs: int = 1) -> RegretCurve:
+def run_bayes_regret(
+    config: RunConfig, jobs: int = 1, resolved: tuple[Hierarchy, PriorSpec] | None = None
+) -> RegretCurve:
     """Simulate config.instances sampled environments and average the regret.
 
     jobs > 1 spreads instances over worker processes; the aggregation is
     order-fixed, so the result does not depend on the worker count.
+    resolved is config.resolve()'s (tree, prior) when the caller already has it.
     """
-    hierarchy, prior = config.resolve()
+    hierarchy, prior = config.resolve() if resolved is None else resolved
     seed, n = config.seed, config.horizon
 
     def envs():

@@ -121,6 +121,9 @@ class Hierarchy:
             the level's span in a root-first, level-by-level run of
             num_nodes values (the root takes position 0).
         leaf_index: action_nodes as a slice when contiguous, else the array.
+        sample_order: the ids in that root-first, level-by-level run (the
+            root, then level_index's levels in turn): slice(1, num_nodes + 1)
+            when that is 1..num_nodes, else the id array.
         action_index: position of each leaf in action_nodes, -1 for the
             other ids, as a tuple (it is read once per round, and a tuple
             indexes faster than an array); action_position is its checked
@@ -137,6 +140,7 @@ class Hierarchy:
     paths: tuple[np.ndarray, ...]
     level_index: tuple[tuple[slice | np.ndarray, np.ndarray, int, int], ...] = field(repr=False)
     leaf_index: slice | np.ndarray = field(repr=False)
+    sample_order: slice | np.ndarray = field(repr=False)
     action_index: tuple[int, ...] = field(repr=False)
 
     @property
@@ -262,15 +266,17 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
     for node in range(2, n + 1):
         by_height.setdefault(int(height[node]), []).append(node)
     level_index = []
-    start = 1
+    sample_order = [ROOT]
     for h in sorted(by_height, reverse=True):
         nodes = np.array(by_height[h], dtype=np.int64)
         parents = parent[nodes]
         parents.setflags(write=False)
+        start = len(sample_order)
         level_index.append((_as_index(nodes), parents, start, start + nodes.size))
-        start += nodes.size
+        sample_order.extend(by_height[h])
+    order = np.array(sample_order, dtype=np.int64)
 
-    for arr in (parent, height, leaves):
+    for arr in (parent, height, leaves, order):
         arr.setflags(write=False)
 
     return Hierarchy(
@@ -284,13 +290,14 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
         paths=tuple(paths),
         level_index=tuple(level_index),
         leaf_index=_as_index(leaves),
+        sample_order=_as_index(order),
         action_index=tuple(action_index),
     )
 
 
 def _as_index(ids: np.ndarray) -> slice | np.ndarray:
-    """A slice for ascending consecutive ids (basic indexing gives views), else the ids."""
-    if ids[-1] - ids[0] + 1 == ids.size:
+    """A slice for strictly ascending consecutive ids (basic indexing gives views), else the ids."""
+    if (np.diff(ids) == 1).all():
         return slice(int(ids[0]), int(ids[-1]) + 1)
     return ids
 

@@ -75,7 +75,7 @@ def _argmax_score(values: np.ndarray, context) -> int:
     """Position of the largest value (of values @ context, given a context); ValueError unless
     that score is finite, since np.argmax picks the first NaN that a NaN or inf in the context makes."""
     if context is None:
-        return int(np.argmax(values))
+        return int(values.argmax())
     scores = values @ np.asarray(context, float)
     j = int(np.argmax(scores))
     if not math.isfinite(scores[j]):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec
+from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec, _as_index
 
 __all__ = ["PosteriorState"]
 
@@ -92,8 +92,10 @@ class PosteriorState(_UpwardPass):
     writes the mirror: update_path and _pool write ev_*, _fold is the only
     writer of msg_*, and _copy_tallies refreshes a rebuilt state's ev_*
     mirrors. _pool sums a short child list left to right from 0.0, which is
-    the order numpy's sum takes for at most SHORT_SUM_MAX elements, and
-    leaves wider parents to numpy's sum.
+    the order numpy's sum takes for at most SHORT_SUM_MAX elements. A wider
+    parent's messages are summed by numpy, over a slice view when its child
+    ids are consecutive and over a gathered copy otherwise: either way one
+    pairwise sum of the same contiguous values.
 
     Single-writer: update_path mutates in place, reads are safe between
     updates but not during one.
@@ -111,9 +113,9 @@ class PosteriorState(_UpwardPass):
         self._lam0 = self.lam0.tolist()
         self._ev_prec, self._ev_wmean = [0.0] * (n + 1), [0.0] * (n + 1)
         self._msg_prec, self._msg_wmean = [0.0] * (n + 1), [0.0] * (n + 1)
-        # child id lists of the parents _pool sums in Python; None for wider ones
-        self._short_children = [
-            ch.tolist() if ch.size <= SHORT_SUM_MAX else None for ch in hierarchy.children
+        # child ids as the list _pool folds in Python, or for wider parents as numpy's index
+        self._children = [
+            ch.tolist() if ch.size <= SHORT_SUM_MAX else _as_index(ch) for ch in hierarchy.children
         ]
         self.counts = np.zeros(n + 1)
         self.reward_sums = np.zeros(n + 1)
@@ -141,16 +143,15 @@ class PosteriorState(_UpwardPass):
         self._walk(action)
 
     def _pool(self, node: int) -> None:
-        ch = self._short_children[node]
-        if ch is None:
-            ch = self.hierarchy.children[node]
-            prec, wmean = float(self.msg_prec[ch].sum()), float(self.msg_wmean[ch].sum())
-        else:
+        ch = self._children[node]
+        if type(ch) is list:
             msg_prec, msg_wmean = self._msg_prec, self._msg_wmean
             prec = wmean = 0.0
             for c in ch:
                 prec += msg_prec[c]
                 wmean += msg_wmean[c]
+        else:
+            prec, wmean = float(self.msg_prec[ch].sum()), float(self.msg_wmean[ch].sum())
         self._ev_prec[node] = self.ev_prec[node] = prec
         self._ev_wmean[node] = self.ev_wmean[node] = wmean
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -85,14 +87,19 @@ def _per_level_sample(state, rng, size=None):
     return theta[0] if size is None else theta
 
 
-@pytest.mark.parametrize("size", [None, 5])
+@pytest.mark.parametrize("size", [None, 1, 2, 5])
 def test_hierts_sample_keeps_per_level_draw_order(size):
-    """One draw per call yields exactly the per-level sampler's values and stream position."""
+    """One draw per call yields exactly the per-level sampler's values and stream position.
+
+    The trees include the 257-node flat tree of b=2 h=8 (a 256-child root), b=16 h=2, and
+    random trees with mixed-depth leaves, whose levels and sample order are not id runs.
+    """
     rng = np.random.default_rng(21)
-    tree = balanced_tree(2, 3)
-    flat, _, _ = flatten_hierarchy(tree, constant_prior(tree))
-    trees = [tree, flat] + [random_tree(rng) for _ in range(4)]
+    b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
+    trees = [b2h3, balanced_tree(16, 2)] + [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
+    trees += [random_tree(rng) for _ in range(4)]
     assert any(not isinstance(idx, slice) for t in trees for idx, _, _, _ in t.level_index)
+    assert any(not isinstance(t.sample_order, slice) for t in trees)
     for tree in trees:
         for dim in (None, 1, 3):
             if dim is None:
@@ -111,6 +118,22 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
                 want = _per_level_sample(state, want_rng, size)
                 assert np.array_equal(got, want, equal_nan=True)
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_scalar_ts_act_reads_cached_arm_moments(monkeypatch):
+    """TSAgent's cached mean and sd give the draws of wmean / prec + z / sqrt(prec), bit for bit."""
+    rng = np.random.default_rng(4)
+    tree = random_tree(rng)
+    agent = TSAgent(tree, random_scalar_prior(rng, tree), np.random.default_rng(9))
+    drawn = []
+    monkeypatch.setattr(agents, "_argmax_score", lambda values, context: drawn.append(values.copy()) or 0)
+    for _ in range(200):
+        agent.update(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 3.0)))
+        want_rng = copy.deepcopy(agent.rng)
+        want = agent.wmean / agent.prec + want_rng.standard_normal(tree.num_actions) / np.sqrt(agent.prec)
+        agent.act()
+        assert np.array_equal(drawn[-1], want)
+        assert agent.rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_hierts_sample_prior_moments(b2h2):
@@ -322,7 +345,7 @@ def test_agents_of_one_cell_share_their_setup(b2h2, b2h2_prior, monkeypatch, dim
     a.update(4, 1.0, x)
     agents._ts_prior.cache_clear()
     fresh = TSAgent(b2h2, prior, np.random.default_rng(0))
-    names = ("prec", "wmean") if dim is None else ("prec", "wmean", "cov", "chol", "mean")
+    names = ("prec", "wmean", "mean", "sd") if dim is None else ("prec", "wmean", "cov", "chol", "mean")
     for name in names:
         assert np.array_equal(getattr(b, name), getattr(fresh, name)), name
         assert getattr(b, name).flags.writeable

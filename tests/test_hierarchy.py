@@ -18,7 +18,7 @@ from hierts import (
     save_tree_json,
 )
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
-from hierts.hierarchy import tree_to_dict
+from hierts.hierarchy import _as_index, tree_to_dict
 
 
 def test_build_basic_shape(two_leaf):
@@ -62,6 +62,20 @@ def test_heights_and_levels(b2h2):
         (slice(4, 8), [2, 2, 3, 3], 3, 7),
     ]
     assert b2h2.leaf_index == slice(4, 8)
+    assert b2h2.sample_order == slice(1, 8)
+
+
+def test_as_index_takes_a_slice_only_for_a_strict_run():
+    for ids, want in (([5], slice(5, 6)), ([2, 3, 4], slice(2, 5)), ([1, 3, 2, 4], None),
+                      ([4, 3, 2], None), ([2, 2, 3], None), ([2, 4, 6], None)):
+        got = _as_index(np.array(ids, dtype=np.int64))
+        if want is None:
+            assert np.array_equal(got, ids)
+        else:
+            assert got == want
+    # leaves at depths 1, 2 and 3: the root-first order is 1, 3, 4, 5, 2, 6, ...
+    tree = build_hierarchy({2: 1, 3: 1, 4: 1, 5: 3, 6: 3, 7: 5, 8: 5, 9: 4, 10: 4})
+    assert list(tree.sample_order) == [1, 3, 4, 5, 2, 6, 7, 8, 9, 10]
 
 
 @pytest.mark.parametrize(
@@ -343,6 +357,7 @@ def test_structure_invariants(parents):
         start = hi
     assert start == tree.num_nodes
     assert np.array_equal(ids[tree.leaf_index], tree.action_nodes)
+    assert np.array_equal(ids[tree.sample_order], np.concatenate([[1], flat]))
     for node in range(2, tree.num_nodes + 1):
         path = tree.path_to_root(node)
         assert path[0] == 1 and path[-1] == node

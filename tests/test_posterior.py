@@ -301,6 +301,37 @@ def test_float_path_matches_numpy_reference():
                     assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
 
 
+@pytest.mark.parametrize("width", [8, 9, 16, 17, 31, 128, 129, 300])
+def test_wide_pool_sums_like_numpy_over_view_or_gather(width):
+    """A wide parent's pooled evidence is msg_*[children].sum(), bit for bit.
+
+    Node 4's children are the width ids after the root's r extra leaves, so
+    _pool sums them as a slice view starting at id 5 + r; nodes 2 and 3 take
+    turns over the 2 * width ids after those, so their children are gathered.
+    """
+    rng = np.random.default_rng(width)
+    for r in range(4):
+        parents = {2: 1, 3: 1, 4: 1}
+        parents.update({5 + i: 1 for i in range(r)})
+        parents.update({5 + r + i: 4 for i in range(width)})
+        parents.update({5 + r + width + i: 2 + i % 2 for i in range(2 * width)})
+        tree = build_hierarchy(parents)
+        state = PosteriorState(tree, constant_prior(tree))
+        assert state._children[4] == slice(5 + r, 5 + r + width)
+        assert not isinstance(state._children[2], slice) and not isinstance(state._children[3], slice)
+        n = tree.num_nodes + 1
+        for _ in range(20):
+            state.msg_prec[:] = np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-8, 8, n)
+            state.msg_wmean[:] = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+            for node in (2, 3, 4):
+                state._pool(node)
+                ch = tree.children[node]
+                for name, msg in (("prec", state.msg_prec), ("wmean", state.msg_wmean)):
+                    want = msg[ch].sum().tobytes()
+                    assert getattr(state, f"ev_{name}")[node].tobytes() == want, (name, node, r)
+                    assert np.float64(getattr(state, f"_ev_{name}")[node]).tobytes() == want, (name, node, r)
+
+
 @pytest.mark.parametrize("n", range(1, SHORT_SUM_MAX + 1))
 def test_numpy_short_sum_is_a_left_fold(n):
     """PosteriorState._pool sums up to SHORT_SUM_MAX child messages in Python, left to right from 0.0.
