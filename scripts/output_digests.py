@@ -20,17 +20,18 @@ diffs the manifest of its parent against its own:
     diff /tmp/digests-old/MANIFEST /tmp/digests-new/MANIFEST
 
 The manifest lists `sha256  path` lines sorted by path, with paths relative
-to --out. Commands run inside --out with relative paths, since
+to --out. OUTPUTS lists the same lines for every file but replay.json, with
+each summary.json hashed without its `config` block: it stays identical
+across a change that only alters which config fields a run records. Commands run inside --out with relative paths, since
 classify-bandit records its input paths in replay.json. The whole set takes
 about 4 minutes on 2 cores, most of it the ratio runs.
 """
 import argparse
 import contextlib
 import hashlib
+import json
 import os
 from pathlib import Path
-
-import json
 
 import numpy as np
 
@@ -114,11 +115,20 @@ def main() -> None:
             code = cli.main(argv)
         if code != cli.EXIT_OK:
             raise SystemExit(f"exit code {code}")
-    lines = []
-    for path in sorted(p for p in Path(".").rglob("*") if p.is_file() and p.name != "MANIFEST"):
-        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
-    Path("MANIFEST").write_text("\n".join(lines) + "\n")
-    print(f"wrote {root / 'MANIFEST'} ({len(lines)} files)")
+    manifest, outputs = [], []
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file() and p.name not in ("MANIFEST", "OUTPUTS")):
+        data = path.read_bytes()
+        manifest.append(f"{hashlib.sha256(data).hexdigest()}  {path.as_posix()}")
+        if path.name == "replay.json":
+            continue
+        if path.name == "summary.json":
+            summary = json.loads(data)
+            summary.pop("config", None)
+            data = json.dumps(summary, indent=2, sort_keys=True).encode()
+        outputs.append(f"{hashlib.sha256(data).hexdigest()}  {path.as_posix()}")
+    for name, lines in (("MANIFEST", manifest), ("OUTPUTS", outputs)):
+        Path(name).write_text("\n".join(lines) + "\n")
+        print(f"wrote {root / name} ({len(lines)} files)")
 
 
 if __name__ == "__main__":

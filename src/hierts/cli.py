@@ -4,8 +4,9 @@ Subcommands: simulate, ratio, bound, verify-oracle, classify-bandit.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O
 error. An ill-conditioned prior or posterior (ConditioningError) is not
 caught: it ends with a traceback and exit 1.
-Every run directory gets a replay.json sidecar with the resolved
-configuration and seed.
+simulate, ratio and bound write their run's config document (the fields
+that applied, with the seed in effect) to replay.json, which --config reruns
+byte for byte; classify-bandit's replay.json records its flags.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import checks
 from .envs import COVARIANCE_FLOOR, dataset_instance, fit_priors_from_data, load_feature_dataset
 from .harness import (
+    RUN_FIELDS,
     RunConfig,
     complexity_term,
     dataset_bandit_curve,
@@ -31,13 +33,36 @@ from .harness import (
     write_ratio_csv,
     write_regret_csv,
 )
-from .hierarchy import ConfigError, _check_int, _load_json_object, load_tree_json, marginal_prior_variances
+from .hierarchy import (
+    ConfigError,
+    _bounded,
+    _int_at_least,
+    _is_int,
+    _load_json_object,
+    _read_fields,
+    _spec,
+    load_tree_json,
+    marginal_prior_variances,
+)
 from .svgchart import write_line_chart
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
+
+
+_HEIGHTS = _bounded(lambda v: isinstance(v, list) and v != [] and all(_is_int(h) and h >= 1 for h in v),
+                    "a non-empty list of integers >= 1")
+# ratio reads the simulate document plus heights; it sets the tree height itself and computes no bound.
+_RATIO_FIELDS = {
+    **RUN_FIELDS,
+    "height": _spec(None, _bounded(lambda v: False, "left out: heights sets the tree height"), "tree.h"),
+    "delta": _spec(None, _bounded(lambda v: False, "left out: ratio computes no bound")),
+    "heights": _spec(None, _HEIGHTS, required=True),
+}
+_VERIFY_FIELDS = {name: _spec(default, _int_at_least(0)) for name, default in
+                  (("seed", 0), ("scalar_cases", 100), ("linear_cases", 30), ("lemma_runs", 20), ("horizon", 100))}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -78,11 +103,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _jobs(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {value}")
-        return value
-    return os.cpu_count() or 1
+    return (os.cpu_count() or 1) if value is None else _int_at_least(1)("--jobs", value)
 
 
 def _outdir(path: str) -> Path:
@@ -95,20 +116,25 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_run(out: Path, doc: dict, summary: dict, replay: dict | None = None) -> None:
+    """summary.json with doc as its config block, and replay.json: doc, or replay where a command adds to it."""
+    _write_json(out / "summary.json", {"config": doc, **summary})
+    _write_json(out / "replay.json", doc if replay is None else replay)
+
+
 def _bound_fields(report, delta: float) -> dict:
     """Complexity-term fields that the simulate and bound summaries share."""
     return {"c": report.c, "G": report.total, "delta": delta, "sigma_max": report.sigma_max}
 
 
+def _chart(path: Path, x, mean: dict, se: dict, agents, **labels) -> None:
+    """One line per agent kind, with its standard-error band."""
+    write_line_chart(path, [{"name": k, "x": x, "y": mean[k], "band": se[k]} for k in agents], **labels)
+
+
 def _regret_svg(curve, out: Path, title: str) -> None:
-    rounds = np.arange(1, curve.horizon + 1)
-    series = [
-        {"name": kind, "x": rounds, "y": curve.mean[kind], "band": curve.se[kind]}
-        for kind in curve.agents
-    ]
-    write_line_chart(
-        out / "regret.svg", series, title=title, x_label="round", y_label="cumulative regret"
-    )
+    _chart(out / "regret.svg", np.arange(1, curve.horizon + 1), curve.mean, curve.se, curve.agents,
+           title=title, x_label="round", y_label="cumulative regret")
 
 
 def _cmd_simulate(args) -> int:
@@ -116,59 +142,39 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     out = _outdir(args.out)
-    jobs = _jobs(args.jobs)
     hierarchy, prior = config.resolve()
-    curve = run_bayes_regret(config, jobs=jobs, resolved=(hierarchy, prior))
+    curve = run_bayes_regret(config, jobs=_jobs(args.jobs), resolved=(hierarchy, prior))
     write_regret_csv(curve, out / "regret.csv")
     _regret_svg(curve, out, "Bayes regret")
-    summary: dict = {
-        "config": config.to_dict(),
-        "final_regret": {k: dict(zip(("mean", "se"), curve.final(k))) for k in curve.agents},
-    }
+    summary: dict = {"final_regret": {k: dict(zip(("mean", "se"), curve.final(k))) for k in curve.agents}}
     if config.model == "k-armed" and config.horizon >= 1:
         report = complexity_term(hierarchy, prior, config.horizon)
         delta = config.resolved_delta()
         summary["bound"] = {**_bound_fields(report, delta), "value": regret_bound(report, delta)}
-    _write_json(out / "summary.json", summary)
-    _write_json(out / "replay.json", {"command": "simulate", "config": config.to_dict(), "seed": config.seed})
+    _write_run(out, config.to_dict(), summary)
     return EXIT_OK
 
 
 def _cmd_ratio(args) -> int:
-    doc = _load_json_object(args.config)
-    if "heights" not in doc:
-        raise ConfigError(f"{args.config}: ratio config needs a 'heights' list")
-    heights = doc.pop("heights")
-    if not isinstance(heights, list) or not heights or not all(_check_int("heights", h) >= 1 for h in heights):
-        raise ConfigError("'heights' must be a non-empty list of integers >= 1")
-    tree = doc.get("tree")
-    if isinstance(tree, dict) and "b" in tree:  # only a balanced tree has a height to vary
-        tree.setdefault("h", heights[0])
-    config = RunConfig.from_dict(doc)
+    values = _read_fields(_load_json_object(args.config), _RATIO_FIELDS)
+    heights = values.pop("heights")
+    if values["branching"] is not None:  # only a balanced tree has a height to vary
+        values["height"] = heights[0]
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        values["seed"] = args.seed
+    config = RunConfig(**values)
     out = _outdir(args.out)
     result = ratio_experiment(config, tuple(heights), jobs=_jobs(args.jobs))
     write_ratio_csv(result, out / "ratios.csv")
-    hs = np.asarray(result.heights, float)
-    series = [
-        {"name": kind, "x": hs, "y": result.ratio[kind], "band": result.se[kind]}
-        for kind in result.agents
-    ]
-    write_line_chart(
-        out / "ratios.svg", series, title="Regret ratio vs TS", x_label="tree height", y_label="ratio"
-    )
+    _chart(out / "ratios.svg", np.asarray(result.heights, float), result.ratio, result.se, result.agents,
+           title="Regret ratio vs TS", x_label="tree height", y_label="ratio")
+    doc = {k: v for k, v in config.to_dict().items() if k != "height"}  # heights sets it
     summary = {
-        "config": config.to_dict(),
         "heights": list(result.heights),
         "ratio": {k: [float(v) for v in result.ratio[k]] for k in result.agents},
         "se": {k: [float(v) for v in result.se[k]] for k in result.agents},
     }
-    _write_json(out / "summary.json", summary)
-    _write_json(
-        out / "replay.json",
-        {"command": "ratio", "config": config.to_dict(), "heights": list(result.heights), "seed": config.seed},
-    )
+    _write_run(out, doc, summary, {**doc, "heights": list(result.heights)})
     return EXIT_OK
 
 
@@ -185,7 +191,6 @@ def _cmd_bound(args) -> int:
     variances = marginal_prior_variances(hierarchy, prior)
     marginals = {str(int(a)): float(variances[a]) for a in hierarchy.action_nodes}
     summary = {
-        "config": config.to_dict(),
         "n": n,
         **_bound_fields(report, delta),
         "bound": regret_bound(report, delta),
@@ -196,38 +201,16 @@ def _cmd_bound(args) -> int:
         # marginal 2**(h+1) - 1; both are reported for comparison.
         summary["doubling_marginal_exact"] = max(marginals.values())
         summary["doubling_marginal_nominal"] = float(2 ** (hierarchy.tree_height + 1))
-    _write_json(out / "summary.json", summary)
-    _write_json(out / "replay.json", {"command": "bound", "config": config.to_dict(), "seed": config.seed})
+    _write_run(out, config.to_dict(), summary)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    params = {
-        "base_seed": 0,
-        "scalar_cases": 100,
-        "linear_cases": 30,
-        "lemma_runs": 20,
-        "horizon": 100,
-    }
-    if args.config is not None:
-        doc = _load_json_object(args.config)
-        keys = ("seed", "scalar_cases", "linear_cases", "lemma_runs", "horizon")
-        unknown = set(doc) - set(keys)
-        if unknown:
-            raise ConfigError(f"unknown verify config keys: {sorted(unknown)}")
-        for key in keys:
-            if key not in doc:
-                continue
-            value = _check_int(key, doc[key])
-            if key == "seed":
-                params["base_seed"] = value
-            elif value < 0:
-                raise ConfigError(f"{key} must be nonnegative, got {value}")
-            else:
-                params[key] = value
+    doc = {} if args.config is None else _load_json_object(args.config)
     if args.seed is not None:
-        params["base_seed"] = args.seed
-    report = checks.run_default_suites(**params)
+        doc["seed"] = args.seed
+    params = _read_fields(doc, _VERIFY_FIELDS)
+    report = checks.run_default_suites(params.pop("seed"), **params)
     if not report.results:
         print("warning: all suite sizes are zero; nothing was checked")
         print("suite result: PASS (vacuous)")
@@ -237,12 +220,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.horizon < 1:
-        raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")
-    if args.runs < 1:
-        raise ConfigError(f"--runs must be at least 1, got {args.runs}")
-    if args.noise_std <= 0:
-        raise ConfigError(f"--noise-std must be positive, got {args.noise_std}")
+    for flag, check in (("--horizon", _int_at_least(1)), ("--runs", _int_at_least(1)),
+                        ("--seed", RUN_FIELDS["seed"].metadata["check"]),
+                        ("--noise-std", RUN_FIELDS["noise_std"].metadata["check"])):
+        check(flag, getattr(args, flag[2:].replace("-", "_")))
     hierarchy, _, label_map = load_tree_json(args.hierarchy)
     if not label_map:
         raise ConfigError(f"{args.hierarchy}: classify-bandit needs a label_map section")
@@ -262,15 +243,8 @@ def _cmd_classify(args) -> int:
     out = _outdir(args.out)
     write_regret_csv(curve, out / "regret.csv")
     _regret_svg(curve, out, "Feature-dataset bandit regret")
-    run = {
-        "dataset": str(args.dataset),
-        "hierarchy": str(args.hierarchy),
-        "horizon": args.horizon,
-        "runs": args.runs,
-        "seed": args.seed,
-        "noise_std": args.noise_std,
-        "diagonal": args.diagonal,
-    }
+    run = {"dataset": str(args.dataset), "hierarchy": str(args.hierarchy),
+           **{k: getattr(args, k) for k in ("horizon", "runs", "seed", "noise_std", "diagonal")}}
     summary = {
         **run,
         "floored_nodes": list(fit.floored_nodes),

@@ -12,7 +12,7 @@ import concurrent.futures
 import dataclasses
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +24,23 @@ from .hierarchy import (
     Hierarchy,
     HierarchyError,
     PriorSpec,
+    _applies,
+    _bounded,
     _check_int,
     _check_real,
+    _checked,
     _id_map,
+    _int_at_least,
     _load_json_object,
+    _SCALE,
+    _one_of,
+    _read_fields,
+    _real_in,
+    _spec,
     balanced_tree,
     build_hierarchy,
+    constant_prior,
+    doubling_prior,
     load_tree_json,
     marginal_prior_variances,
 )
@@ -58,137 +69,78 @@ _STREAM_AGENT = 10  # + agent position in AGENT_KINDS
 _STREAM_NOISE = 20  # + agent position in AGENT_KINDS
 
 
+def _agents(name: str, value) -> tuple[str, ...]:
+    if not (isinstance(value, (list, tuple)) and value and all(k in AGENT_KINDS for k in value)
+            and len(set(value)) == len(value)):
+        raise ConfigError(f"{name} must list distinct agent kinds from {AGENT_KINDS}, got {value!r}")
+    return tuple(value)
+
+
+_SCHEMES = ("constant", "doubling", "explicit", "file")
+_NOT_FILE, _K_ARMED = ("prior_scheme", _SCHEMES[:3]), ("model", ("k-armed",))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Declarative experiment description; resolve() yields the tree and prior.
+    """Declarative experiment description; resolve() yields the tree and prior. Its fields are the config
+    table (see _spec). prior_scheme is constant (prior_value at every node), doubling (2**height),
+    explicit (node_variance) or file (the prior, noise_std and hyper_mean of tree_file)."""
 
-    Exactly one tree source must be set: branching/height for a balanced
-    tree, parents for an explicit one, or tree_file pointing at a tree JSON.
-    prior_scheme is one of constant (prior_value at every node), doubling
-    (2**height at every node), explicit (node_variance map) or file (take
-    the prior, noise level and hyper-mean included, from tree_file; to_dict
-    then leaves out noise_std and hyper_mean, which the run does not use).
-    """
-
-    branching: int | None = None
-    height: int | None = None
-    parents: tuple[tuple[int, int], ...] | None = None
-    tree_file: str | None = None
-    prior_scheme: str = "constant"
-    prior_value: float = 1.0
-    node_variance: tuple[tuple[int, float], ...] | None = None
-    hyper_mean: float = 0.0
-    noise_std: float = 1.0
-    horizon: int = 500
-    instances: int = 100
-    agents: tuple[str, ...] = AGENT_KINDS
-    seed: int = 0
-    model: str = "k-armed"
-    dim: int = 1
-    delta: float | None = None
+    branching: int | None = _spec(None, _int_at_least(2), "tree.b")
+    height: int | None = _spec(None, _int_at_least(1), "tree.h")
+    parents: tuple[tuple[int, int], ...] | None = _spec(None, lambda n, v: _id_map(n, v, _check_int), "tree.parents")
+    tree_file: str | None = _spec(None, _bounded(lambda v: isinstance(v, str) and v != "", "a path"), "tree.file")
+    prior_scheme: str = _spec("constant", _one_of(*_SCHEMES), "prior.scheme", required=True)
+    prior_value: float = _spec(1.0, _SCALE, "prior.value", ("prior_scheme", ("constant",)))
+    node_variance: tuple[tuple[int, float], ...] | None = _spec(
+        None, lambda n, v: _id_map(n, v, _SCALE), "prior.node_variance", ("prior_scheme", ("explicit",))
+    )
+    hyper_mean: float = _spec(0.0, _real_in(-1e50, 1e50), when=_NOT_FILE)
+    noise_std: float = _spec(1.0, _SCALE, when=_NOT_FILE)
+    horizon: int = _spec(500, _int_at_least(0))
+    instances: int = _spec(100, _int_at_least(1))
+    agents: tuple[str, ...] = _spec(AGENT_KINDS, _agents)
+    seed: int = _spec(0, _int_at_least(0))
+    model: str = _spec("k-armed", _one_of("k-armed", "linear"))
+    dim: int = _spec(1, _int_at_least(1), when=("model", ("linear",)))
+    delta: float | None = _spec(None, _bounded(lambda v: 0 < v < 1, "in (0, 1)", _check_real), when=_K_ARMED)
 
     def __post_init__(self) -> None:
-        for name in ("branching", "height", "horizon", "instances", "seed", "dim"):
-            if getattr(self, name) is not None:
-                _check_int(name, getattr(self, name))
-        for name in ("prior_value", "hyper_mean", "noise_std", "delta"):
-            if getattr(self, name) is not None:
-                _check_real(name, getattr(self, name))
-        sources = [self.branching is not None or self.height is not None,
-                   self.parents is not None,
-                   self.tree_file is not None]
-        if sum(sources) != 1:
-            raise ConfigError("specify exactly one tree source: branching/height, parents or tree_file")
-        if (self.branching is None) != (self.height is None):
-            raise ConfigError("branching and height must be given together")
-        if self.prior_scheme not in ("constant", "doubling", "explicit", "file"):
-            raise ConfigError(f"unknown prior scheme {self.prior_scheme!r}")
+        for row in dataclasses.fields(self):
+            object.__setattr__(self, row.name, _checked(row, row.name, getattr(self, row.name)))
+        given = {k for k in ("branching", "height", "parents", "tree_file") if getattr(self, k) is not None}
+        if given not in ({"branching", "height"}, {"parents"}, {"tree_file"}):
+            raise ConfigError("specify exactly one tree source: branching and height, parents or tree_file")
         if self.prior_scheme == "explicit" and self.node_variance is None:
             raise ConfigError("explicit prior scheme requires node_variance")
         if self.prior_scheme == "file" and self.tree_file is None:
             raise ConfigError("prior scheme 'file' requires tree_file")
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
-        if self.instances < 1:
-            raise ConfigError(f"instances must be at least 1, got {self.instances}")
-        if not self.agents:
-            raise ConfigError("at least one agent is required")
-        for kind in self.agents:
-            if kind not in AGENT_KINDS:
-                raise ConfigError(f"unknown agent kind {kind!r}; expected a subset of {AGENT_KINDS}")
-        if len(set(self.agents)) != len(self.agents):
-            raise ConfigError("agent kinds must not repeat")
-        if self.model not in ("k-armed", "linear"):
-            raise ConfigError(f"model must be 'k-armed' or 'linear', got {self.model!r}")
-        if self.model == "linear" and self.dim < 1:
-            raise ConfigError(f"linear model needs dim >= 1, got {self.dim}")
-        if self.noise_std <= 0:
-            raise ConfigError(f"noise_std must be positive, got {self.noise_std}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.delta is not None and not 0 < self.delta < 1:
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """The config of a nested or flat JSON document (see _read_fields)."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        unknown = set(doc) - set(cls.__dataclass_fields__) - {"tree", "prior"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        flat = dict(doc)
-        tree = flat.pop("tree", None)
-        if tree is not None:
-            if not isinstance(tree, dict):
-                raise ConfigError("'tree' must be an object")
-            if "b" in tree or "h" in tree:
-                flat["branching"] = tree.get("b")
-                flat["height"] = tree.get("h")
-            if "parents" in tree:
-                flat["parents"] = tree["parents"]
-            if "file" in tree:
-                flat["tree_file"] = str(tree["file"])
-        prior = flat.pop("prior", None)
-        if prior is not None:
-            if not isinstance(prior, dict) or "scheme" not in prior:
-                raise ConfigError("'prior' must be an object with a 'scheme' key")
-            flat["prior_scheme"] = prior["scheme"]
-            if "value" in prior:
-                flat["prior_value"] = _check_real("prior.value", prior["value"])
-            if "node_variance" in prior:
-                flat["node_variance"] = prior["node_variance"]
-        # Nested and flat (replay.json) forms both arrive here as JSON objects.
-        if flat.get("parents") is not None:
-            flat["parents"] = _id_map("parents", flat["parents"], _check_int)
-        if flat.get("node_variance") is not None:
-            flat["node_variance"] = _id_map("node_variance", flat["node_variance"], _check_real)
-        if "agents" in flat:
-            if not isinstance(flat["agents"], list):
-                raise ConfigError(f"'agents' must be a list of agent kinds, got {flat['agents']!r}")
-            flat["agents"] = tuple(flat["agents"])
-        try:
-            return cls(**flat)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**_read_fields(doc, RUN_FIELDS))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(_load_json_object(path))
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["agents"] = list(self.agents)
-        if self.parents is not None:
-            doc["parents"] = {str(c): p for c, p in self.parents}
-        if self.node_variance is not None:
-            doc["node_variance"] = {str(k): v for k, v in self.node_variance}
-        if self.prior_scheme == "file":  # the run takes both from the tree file's prior
-            del doc["noise_std"], doc["hyper_mean"]
+        """The flat document of this run: every field that is set and applies; from_dict reads it back."""
+        doc = {}
+        for name, row in RUN_FIELDS.items():
+            value = getattr(self, name)
+            if value is None or not _applies(row, vars(self)):
+                continue
+            if isinstance(value, tuple):  # the agent kinds, or (node id, value) pairs
+                value = list(value) if name == "agents" else {str(k): v for k, v in value}
+            doc[name] = value
         return doc
 
     def resolve(self) -> tuple[Hierarchy, PriorSpec]:
-        file_prior = None
-        try:
+        try:  # the file scheme requires tree_file, so file_prior is set wherever it is read
             if self.tree_file is not None:
                 hierarchy, file_prior, _ = load_tree_json(self.tree_file)
             elif self.parents is not None:
@@ -202,28 +154,26 @@ class RunConfig:
                 if fits != ("k-armed" if self.model == "k-armed" else f"linear with dim {self.dim}"):
                     raise ConfigError(f"{self.tree_file}: its prior fits model {fits}, not {self.model!r}")
                 return hierarchy, file_prior
-            nodes = range(1, hierarchy.num_nodes + 1)
             if self.prior_scheme == "constant":
-                variances = {n: float(self.prior_value) for n in nodes}
+                prior = constant_prior(hierarchy, self.prior_value, self.noise_std, self.hyper_mean)
             elif self.prior_scheme == "doubling":
-                variances = {n: float(2.0 ** int(hierarchy.height[n])) for n in nodes}
+                prior = doubling_prior(hierarchy, self.noise_std, self.hyper_mean)
             else:
-                variances = dict(self.node_variance)
+                prior = PriorSpec(self.hyper_mean, dict(self.node_variance), self.noise_std)
             if self.model == "linear":
-                eye = np.eye(self.dim)
-                variances = {n: v * eye for n, v in variances.items()}
-            prior = PriorSpec(
-                hyper_mean=float(self.hyper_mean), node_variance=variances, noise_std=self.noise_std
-            )
+                eye, scalar = np.eye(self.dim), prior.node_variance
+                prior = PriorSpec(self.hyper_mean, {n: v * eye for n, v in scalar.items()}, self.noise_std)
             prior.variances(hierarchy)  # HierarchyError unless every node has a variance
         except HierarchyError as exc:
             raise ConfigError(str(exc)) from None
         return hierarchy, prior
 
     def resolved_delta(self) -> float:
-        if self.delta is not None:
-            return self.delta
-        return 1.0 / max(self.horizon, 1)
+        return self.delta if self.delta is not None else 1.0 / max(self.horizon, 1)
+
+
+# The config table that documents are read and written by: field name -> its _spec row.
+RUN_FIELDS = {row.name: row for row in dataclasses.fields(RunConfig)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -83,8 +83,84 @@ def _check_real(name: str, value) -> float:
     return float(value)
 
 
+def _bounded(ok, what: str, check=lambda name, value: value):
+    """A field check: check, then a ConfigError unless ok(value) holds, saying the value must be what."""
+
+    def bounded(name: str, value):
+        value = check(name, value)
+        if not ok(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+
+    return bounded
+
+
+def _int_at_least(lo: int):
+    return _bounded(lambda v: v >= lo, f"at least {lo}", _check_int)
+
+
+def _real_in(lo: float, hi: float):
+    return _bounded(lambda v: lo <= v <= hi, f"in [{lo:g}, {hi:g}]", _check_real)
+
+
+# Variances and noise levels beyond these magnitudes overflow or underflow the posterior arithmetic.
+_SCALE = _real_in(1e-50, 1e50)
+
+
+def _one_of(*choices: str):
+    return _bounded(lambda v: v in choices, f"one of {choices}")
+
+
+def _spec(default, check, nested: str | None = None, when: tuple | None = None, required: bool = False):
+    """A config-table row as a dataclass field: default, check (spelling, value) -> value, 'section.key'
+    spelling, when = (field, values) if it applies only while that field holds one of values, and
+    whether every document (every section object, if nested) must set it."""
+    return field(default=default, metadata=dict(check=check, nested=nested, when=when, required=required))
+
+
+def _checked(row, name: str, value):
+    """value through row's check; None stays None, meaning unset, where the default is None."""
+    return value if value is None and row.default is None else row.metadata["check"](name, value)
+
+
+def _applies(row, values: dict) -> bool:
+    when = row.metadata["when"]
+    return when is None or values[when[0]] in when[1]
+
+
+def _read_fields(doc: dict, table: dict) -> dict:
+    """Every field's checked value, from config document doc or else the default; table maps field
+    names to _spec rows. A ConfigError names the field as doc spells it: an unknown key, a field set
+    by name and nested, a failed check, a required field left unset, or one set where it does not apply."""
+    spelling = {name: name for name in table}
+    spelling.update((row.metadata["nested"], name) for name, row in table.items() if row.metadata["nested"])
+    keys = {}
+    for key, value in doc.items():
+        section = any(s.startswith(f"{key}.") for s in spelling)
+        if section and not isinstance(value, dict):
+            raise ConfigError(f"'{key}' must be an object, got {value!r}")
+        keys.update({f"{key}.{k}": v for k, v in value.items()} if section else {key: value})
+    if set(keys) - set(spelling):
+        raise ConfigError(f"unknown config keys: {sorted(set(keys) - set(spelling))}")
+    values, spelled = {name: row.default for name, row in table.items()}, {}
+    for key, value in keys.items():
+        name = spelling[key]
+        if name in spelled:
+            raise ConfigError(f"{name} is set twice, as {spelled[name]} and as {key}")
+        values[name], spelled[name] = _checked(table[name], key, value), key
+    for name, row in table.items():
+        nested, unset = row.metadata["nested"], name not in spelled or values[name] is None
+        if unset and row.metadata["required"] and (not nested or nested.partition(".")[0] in doc):
+            raise ConfigError(f"{nested or name} must be set")
+        if not unset and not _applies(row, values):
+            cond, allowed = row.metadata["when"]
+            raise ConfigError(f"{spelled[name]} does not apply where {cond} is {values[cond]!r}, only {allowed}")
+    return values
+
+
 def _id_map(name: str, doc, check=lambda name, value: value) -> tuple:
-    """A JSON object keyed by node id as sorted (int id, checked value) pairs."""
+    """A JSON object keyed by node id, or (id, value) pairs, as sorted (int id, checked value) pairs."""
+    doc = dict(doc) if isinstance(doc, tuple) else doc
     if not isinstance(doc, dict) or not all(str(k).isdecimal() for k in doc):
         raise ConfigError(f"'{name}' must be an object keyed by node id, got {doc!r}")
     return tuple(sorted((int(k), check(f"{name}.{k}", v)) for k, v in doc.items()))
@@ -255,12 +331,14 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
     for j, leaf in enumerate(leaves.tolist()):
         action_index[leaf] = j
 
-    paths: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * (n + 1)
+    up = parent.tolist()  # up[ROOT] is 0, where every walk up ends
+    paths = [np.empty(0, dtype=np.int64)] * (n + 1)
     for node in order:
-        if node == ROOT:
-            paths[node] = np.array([ROOT], dtype=np.int64)
-        else:
-            paths[node] = np.append(paths[parent[node]], node)
+        walk, v = [], node
+        while v:
+            walk.append(v)
+            v = up[v]
+        paths[node] = np.array(walk[::-1], dtype=np.int64)
 
     by_height: dict[int, list[int]] = {}
     for node in range(2, n + 1):
@@ -342,8 +420,7 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if not self.node_variance:
             raise HierarchyError("node_variance must not be empty")
-        if _check_real("noise_std", self.noise_std) <= 0:
-            raise HierarchyError(f"noise_std must be positive, got {self.noise_std}")
+        _SCALE("noise_std", self.noise_std)
         normalized: dict[int, float | np.ndarray] = {}
         first = shape = None
         for node, value in self.node_variance.items():
@@ -353,9 +430,7 @@ class PriorSpec:
             elif arr.shape != shape:
                 raise HierarchyError(f"node {node}: variance shape {arr.shape} differs from node {first}'s {shape}")
             if arr.ndim == 0:
-                value = float(arr)
-                if value <= 0:
-                    raise HierarchyError(f"node {node}: prior variance must be positive, got {value}")
+                value = _SCALE(f"node {node} variance", float(arr))
             elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
                 if not np.allclose(arr, arr.T, atol=1e-8):
                     raise HierarchyError(f"node {node}: covariance is not symmetric")

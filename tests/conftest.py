@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hierts import balanced_tree, build_hierarchy, constant_prior, PriorSpec
+
+# Values that no config or tree-file field should take silently: each must be read or named in an error.
+ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.one_of(st.integers(-2, 9), st.floats(-2, 2), st.booleans(), st.none()), max_size=3),
+)
 
 # (index, line) pairs filled in by the acceptance tests; shown after the run.
 ACCEPTANCE_LINES: list[tuple[int, str]] = []

@@ -3,20 +3,26 @@
 Each command runs in-process through cli.main so exit codes and artifacts
 can be asserted directly; one test exercises the installed console script.
 """
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from conftest import ODD_VALUES
+from hypothesis import given, settings, strategies as st
 
 from hierts import PosteriorState, cli
 from hierts.envs import make_cluster_dataset, write_dataset_csv
+from hierts.harness import RUN_FIELDS
 from hierts.hierarchy import PriorSpec, balanced_tree, save_tree_json
 from hierts.linear import ConditioningError
 
 
 def _write_config(path, **overrides):
+    """A small simulate config with overrides applied; an override of None drops the key."""
     doc = {
         "tree": {"b": 2, "h": 1},
         "prior": {"scheme": "constant", "value": 1.0},
@@ -26,7 +32,7 @@ def _write_config(path, **overrides):
         "seed": 3,
     }
     doc.update(overrides)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
     return path
 
 
@@ -44,7 +50,7 @@ def test_simulate_writes_artifacts(tmp_path):
     assert summary["bound"]["value"] > 0.0
     assert summary["bound"]["G"] > 0.0
     replay = json.loads((out / "replay.json").read_text())
-    assert replay["command"] == "simulate"
+    assert replay == summary["config"]  # the run's config document, which --config reads back
     assert replay["seed"] == 3
 
 
@@ -58,22 +64,18 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
 
 
 def test_simulate_file_prior_records_only_what_the_run_used(tmp_path):
-    """Under the file scheme the tree file holds noise_std and hyper_mean; neither config block
-    records the config's unused values, and the replay config reruns to identical outputs."""
+    """Under the file scheme the tree file holds noise_std, hyper_mean and the variances; neither the
+    summary's config block nor replay.json records them (test_replay_reruns_byte_identically reruns it)."""
     tree = balanced_tree(2, 1)
     save_tree_json(tmp_path / "tree.json", tree, PriorSpec(0.25, {1: 1.0, 2: 2.0, 3: 0.5}, noise_std=0.5))
-    cfg = _write_config(tmp_path / "cfg.json", tree={"file": str(tmp_path / "tree.json")}, prior={"scheme": "file"})
-    out, again = tmp_path / "run", tmp_path / "again"
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == cli.EXIT_OK
+    doc = {"tree": {"file": str(tmp_path / "tree.json")}, "prior": {"scheme": "file"}, "horizon": 15, "instances": 3}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out), "--jobs", "1"]) == 0
     replay = json.loads((out / "replay.json").read_text())
     summary = json.loads((out / "summary.json").read_text())
-    for doc in (replay["config"], summary["config"]):
-        assert "noise_std" not in doc and "hyper_mean" not in doc
-    replay_cfg = tmp_path / "replay_cfg.json"
-    replay_cfg.write_text(json.dumps(replay["config"]))
-    assert cli.main(["simulate", "--config", str(replay_cfg), "--out", str(again), "--jobs", "1"]) == cli.EXIT_OK
-    for name in ("regret.csv", "summary.json", "replay.json"):
-        assert (out / name).read_bytes() == (again / name).read_bytes(), name
+    for doc in (replay, summary["config"]):
+        assert not {"noise_std", "hyper_mean", "prior_value"} & set(doc)
 
 
 def test_simulate_seed_override(tmp_path):
@@ -199,22 +201,138 @@ def test_verify_oracle_rejects_unknown_keys(tmp_path, capsys):
         ("verify-oracle", '{"sentinel": null}', "sentinel"),
         ("verify-oracle", '{"sentinel": true}', "sentinel"),
         ("verify-oracle", '{"sentinel": false}', "sentinel"),
+        ("ratio", '{"heights": [1, 2], "tree": {"b": 2, "h": 7}}', "tree.h"),
+        ("ratio", '{"heights": [1, 2], "tree": {"b": 2}, "delta": 0.3}', "delta"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "dim": 7}', "dim"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "prior": {"scheme": "doubling", "value": 3.0}}', "prior.value"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "prior": {"scheme": "doubling", "node_variance": {"1": 2.0}}}',
+         "prior.node_variance"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "branching": 3}', "branching"),
+        ("bound", '{"tree": {"b": 2, "h": 1}, "model": "linear", "dim": 2, "delta": 0.1}', "delta"),
+        ("verify-oracle", '{"seed": -2}', "seed"),
+        ("verify-oracle --seed -1", "{}", "seed"),
     ],
     ids=["syntax", "ratio-tree", "prior-value", "agents", "horizon", "verify-seed", "verify-cases",
          "horizon-bool", "heights-bool", "verify-cases-bool", "delta-str", "noise-str", "hyper-mean-str",
          "ratio-parents", "parents-float", "noise-huge-int", "sentinel-str", "sentinel-int", "sentinel-null",
-         "sentinel-true", "sentinel-false"],
+         "sentinel-true", "sentinel-false", "ratio-tree-h", "ratio-delta", "dim-k-armed", "value-doubling",
+         "node-variance-doubling", "branching-twice", "delta-linear", "verify-seed-negative",
+         "verify-seed-flag-negative"],
 )
 def test_malformed_config_exits_input(tmp_path, capsys, command, text, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    argv = [command, "--config", str(cfg)]
-    if command != "verify-oracle":
+    argv = [*command.split(), "--config", str(cfg)]
+    if command.split()[0] != "verify-oracle":
         argv += ["--out", str(tmp_path / "run")]
     assert cli.main(argv) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert "error:" in err
     assert field in err
+
+
+@pytest.mark.parametrize("key, value", [("noise_std", 0.3), ("hyper_mean", 5.0), ("prior", {"scheme": "file", "value": 9.0})])
+def test_file_scheme_rejects_the_configs_own_prior_fields(tmp_path, capsys, key, value):
+    """The tree file's prior supplies noise_std, hyper_mean and the variances; the config may not set them."""
+    save_tree_json(tmp_path / "tree.json", balanced_tree(2, 1), PriorSpec(0.0, {1: 1.0, 2: 1.0, 3: 1.0}, noise_std=1.0))
+    doc = {"tree": {"file": str(tmp_path / "tree.json")}, "prior": {"scheme": "file"}, "horizon": 5, "instances": 2}
+    (tmp_path / "cfg.json").write_text(json.dumps({**doc, key: value}))
+    code = cli.main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run"), "--jobs", "1"])
+    assert code == cli.EXIT_INPUT
+    assert f"{'prior.value' if key == 'prior' else key} does not apply" in capsys.readouterr().err
+
+
+# The values each `when` condition of the config table reads, so a case can set a field where it does not apply.
+CHOICES = {"prior_scheme": ("constant", "doubling", "explicit", "file"), "model": ("k-armed", "linear")}
+FUZZ_CASES = [
+    (command, name, spelling)
+    for command, table in (("simulate", RUN_FIELDS), ("bound", RUN_FIELDS), ("ratio", cli._RATIO_FIELDS))
+    for name, row in table.items()
+    for spelling in (name, row.metadata["nested"]) if spelling
+] + [("verify-oracle", name, name) for name in cli._VERIFY_FIELDS]
+
+
+def _fuzz_document(command, name, spelling, value, misplace, tree_file):
+    """A valid small document for command with field name set to value under spelling; with misplace,
+    the field's condition (if it has one) picks a value under which the field does not apply."""
+    if command == "verify-oracle":
+        return {"scalar_cases": 0, "linear_cases": 0, "lemma_runs": 0, spelling: value}
+    doc = {"branching": 2, "height": 1, "prior_scheme": "constant", "horizon": 3, "instances": 2}
+    when = RUN_FIELDS[name].metadata["when"] if name in RUN_FIELDS else None
+    if when:
+        field, allowed = when
+        doc[field] = next(c for c in CHOICES[field] if (c in allowed) != misplace)
+    if doc["prior_scheme"] == "explicit":
+        doc["node_variance"] = {"1": 1.0, "2": 1.0, "3": 1.0}
+    if doc["prior_scheme"] == "file":
+        del doc["branching"], doc["height"]
+        doc["tree_file"] = tree_file
+    if command == "ratio":
+        doc.pop("height", None)
+        doc["heights"] = [1]
+    doc.pop(name, None)
+    section, _, key = spelling.rpartition(".")
+    if section:
+        doc.setdefault(section, {})[key] = value
+    else:
+        doc[key] = value
+    return doc
+
+
+@given(case=st.sampled_from(FUZZ_CASES), value=ODD_VALUES, misplace=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_config_fuzz_runs_or_names_the_field(tmp_path_factory, case, value, misplace):
+    """Every field of every config document, under each spelling, set to an odd value or set where it does
+    not apply: the command runs, or exits 2 naming the field; never a traceback. A null stands for unset
+    where the default is None, so it may stand where the field does not apply."""
+    command, name, spelling = case
+    when = RUN_FIELDS[name].metadata["when"] if name in RUN_FIELDS else None
+    misplace = misplace and when is not None and not (value is None and RUN_FIELDS[name].default is None)
+    if command == "bound" and when == ("model", ("linear",)) and not misplace:
+        return  # bound covers the k-armed model only, so a linear-only field never applies there
+    tmp = tmp_path_factory.mktemp("fuzz")
+    save_tree_json(tmp / "tree.json", balanced_tree(2, 1), PriorSpec(0.0, {1: 1.0, 2: 1.0, 3: 1.0}, noise_std=1.0))
+    (tmp / "cfg.json").write_text(json.dumps(_fuzz_document(command, name, spelling, value, misplace, str(tmp / "tree.json"))))
+    argv = [command, "--config", str(tmp / "cfg.json")]
+    if command != "verify-oracle":
+        argv += ["--out", str(tmp / "run")] + ([] if command == "bound" else ["--jobs", "1"])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == cli.EXIT_IO:  # a string tree file names a path that does not exist
+        assert name == "tree_file" and isinstance(value, str), err.getvalue()
+        return
+    assert code in ((cli.EXIT_INPUT,) if misplace else (cli.EXIT_OK, cli.EXIT_INPUT)), err.getvalue()
+    if code == cli.EXIT_INPUT:
+        assert spelling in err.getvalue() or name in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags",
+    [
+        ("simulate", {"tree": {"b": 2, "h": 2}, "prior": {"scheme": "constant", "value": 2.0}}, []),
+        ("simulate", {"tree": {"b": 2, "h": 1}, "prior": {"scheme": "doubling"}, "model": "linear", "dim": 2}, []),
+        ("simulate", {"tree": {"file": "tree.json"}, "prior": {"scheme": "file"}}, []),
+        ("simulate", {"tree": {"parents": {"2": 1, "3": 1}}, "prior": {"scheme": "doubling"}}, ["--seed", "99"]),
+        ("ratio", {"heights": [1, 2], "tree": {"b": 2}, "prior": {"scheme": "constant", "value": 1.0}}, []),
+        ("bound", {"tree": {"b": 2, "h": 2}, "prior": {"scheme": "doubling"}, "delta": 0.05}, []),
+    ],
+    ids=["simulate-scalar", "simulate-linear", "simulate-file-prior", "simulate-seed-flag", "ratio", "bound"],
+)
+def test_replay_reruns_byte_identically(tmp_path, command, doc, flags):
+    """replay.json is the run's config document: passing it back to --config writes the same files."""
+    save_tree_json(tmp_path / "tree.json", balanced_tree(2, 1), PriorSpec(0.25, {1: 1.0, 2: 2.0, 3: 0.5}, noise_std=0.5))
+    if "file" in doc["tree"]:
+        doc["tree"]["file"] = str(tmp_path / "tree.json")
+    (tmp_path / "cfg.json").write_text(json.dumps({"horizon": 12, "instances": 3, "seed": 3, **doc}))
+    jobs = [] if command == "bound" else ["--jobs", "1"]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(first), *flags, *jobs]) == 0
+    assert cli.main([command, "--config", str(first / "replay.json"), "--out", str(again), *jobs]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir()) and "replay.json" in names
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_missing_config_exits_io(tmp_path, capsys):
@@ -302,12 +420,13 @@ def test_classify_bandit_needs_label_map(tmp_path, capsys):
 
 def test_classify_bandit_validates_flags(tmp_path, capsys):
     csv_path, tree_path, _ = _tiny_dataset(tmp_path)
-    code = cli.main([
-        "classify-bandit", "--dataset", str(csv_path), "--hierarchy", str(tree_path),
-        "--out", str(tmp_path / "run"), "--runs", "0",
-    ])
-    assert code == cli.EXIT_INPUT
-    assert "--runs" in capsys.readouterr().err
+    for flag, value in (("--runs", "0"), ("--seed", "-1"), ("--horizon", "0"), ("--noise-std", "nan")):
+        code = cli.main([
+            "classify-bandit", "--dataset", str(csv_path), "--hierarchy", str(tree_path),
+            "--out", str(tmp_path / "run"), flag, value,
+        ])
+        assert code == cli.EXIT_INPUT
+        assert flag in capsys.readouterr().err
 
 
 def test_classify_bandit_ill_conditioned_fit_raises(tmp_path):
@@ -335,7 +454,7 @@ def test_simulate_ill_conditioned_prior_raises(tmp_path):
     cov = {1: np.eye(2), 2: np.diag([1e14, 1.0]), 3: np.eye(2)}
     save_tree_json(tmp_path / "tree.json", tree, PriorSpec(np.zeros(2), cov, noise_std=1.0))
     cfg = _write_config(tmp_path / "cfg.json", tree={"file": str(tmp_path / "tree.json")},
-                        prior={"scheme": "file"}, model="linear", dim=2)
+                        prior={"scheme": "file"}, model="linear", dim=2, noise_std=None)
     with pytest.raises(ConditioningError, match="^posterior at node 2: condition number"):
         cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--jobs", "1"])
 
@@ -346,7 +465,8 @@ def test_simulate_tree_file_prior_names_bad_node(tmp_path, capsys):
     doc = json.loads((tmp_path / "tree.json").read_text())
     doc["prior"]["node_variance"]["3"] = True  # was read as 1.0
     (tmp_path / "tree.json").write_text(json.dumps(doc))
-    cfg = _write_config(tmp_path / "cfg.json", tree={"file": str(tmp_path / "tree.json")}, prior={"scheme": "file"})
+    cfg = _write_config(tmp_path / "cfg.json", tree={"file": str(tmp_path / "tree.json")}, prior={"scheme": "file"},
+                        noise_std=None)
     code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--jobs", "1"])
     assert code == cli.EXIT_INPUT
     assert "node 3 variance must be a finite number, got True" in capsys.readouterr().err

@@ -158,9 +158,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
     ids=["doubling_b5_h2", "explicit_tree", "constant_b2_h2_linear", "linear_explicit"],
 )
 def test_replay_config_roundtrip(source):
-    """The flat config that replay.json records reads back as the same RunConfig."""
+    """The flat config that replay.json records holds only set fields that apply, so the reader,
+    which rejects a field set where it does not apply, reads it back as the same RunConfig."""
     cfg = RunConfig.from_json_file(CONFIGS / source) if isinstance(source, str) else RunConfig.from_dict(source)
     doc = json.loads(json.dumps(cfg.to_dict()))
+    assert None not in doc.values()
     again = RunConfig.from_dict(doc)
     assert again == cfg
     assert again.to_dict() == doc

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import ODD_VALUES
 from hypothesis import given, settings, strategies as st
 
 from hierts import (
@@ -281,15 +282,6 @@ def test_tree_json_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(HierarchyError, match=field):
             load_tree_json(bad)
-
-
-ODD_VALUES = st.one_of(
-    st.booleans(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.text(max_size=3),
-    st.none(),
-    st.lists(st.one_of(st.integers(-2, 9), st.floats(-2, 2), st.booleans(), st.none()), max_size=3),
-)
 
 
 @given(
