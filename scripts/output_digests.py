@@ -3,9 +3,12 @@
 
 The set covers each output-writing command:
 - `simulate` on configs/doubling_b5_h2.json, explicit_tree.json,
-  constant_b2_h2_linear.json and mixed_depth_tree.json (leaves at depths 1,
+  constant_b2_h2_linear.json, mixed_depth_tree.json (leaves at depths 1,
   2 and 3, so a level and the root-first sample order that are not runs of
-  consecutive ids, and a 9-child parent), and on two tree files with a prior section
+  consecutive ids, and a 9-child parent) and doubling_b2_h7.json (255 nodes and
+  a 129-node flat tree, which hierts_sample draws with its numpy level loop,
+  as it does doubling_b5_h2's 26-node flat tree; it draws the other scalar
+  trees on Python floats), and on two tree files with a prior section
   (`"prior": {"scheme": "file"}`), one scalar and one linear, that the
   script writes with save_tree_json;
 - `ratio` on configs/ratio_constant_b2.json;
@@ -40,7 +43,7 @@ from hierts.envs import make_cluster_dataset, write_dataset_csv
 from hierts.hierarchy import PriorSpec, balanced_tree, doubling_prior, save_tree_json
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-SIMULATE = ("doubling_b5_h2", "explicit_tree", "constant_b2_h2_linear", "mixed_depth_tree")
+SIMULATE = ("doubling_b5_h2", "explicit_tree", "constant_b2_h2_linear", "mixed_depth_tree", "doubling_b2_h7")
 BOUND = ("doubling_b5_h2", "explicit_tree")
 JOBS = (1, 2)
 VERIFY_SEEDS = (0, 5)

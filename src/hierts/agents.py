@@ -28,6 +28,12 @@ __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgen
 
 AGENT_KINDS = ("HierTS", "FlatTS", "TS")
 
+# A scalar draw without a size runs on Python floats, node by node, when the tree has at most this
+# many nodes per numpy pass of the level loop (tree_height + 1 of them, the root's included): below
+# that, numpy's cost per call outweighs the float walk's cost per node. The measured crossover is in
+# the README. Both draws give the same bits, so this only moves time.
+FLOAT_DRAW_NODES_PER_LEVEL = 12
+
 
 def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw node parameters from the exact joint posterior, root downward.
@@ -42,7 +48,12 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     level by level, each level shaped (size, level nodes[, d]). Normal draws
     concatenate exactly, so this is the stream of one draw per level.
 
-    The scalar branch scales the whole draw by 1 / sqrt(lamhat) in one pass,
+    A scalar draw without a size on a small tree (FLOAT_DRAW_NODES_PER_LEVEL)
+    walks Hierarchy.sample_nodes on the state's float mirrors instead,
+    computing theta[v] = (theta[parent] * lam0 + wmean) / lamhat + z / sqrt_lamhat
+    one node at a time.
+
+    Otherwise the scalar branch scales the whole draw by 1 / sqrt(lamhat) in one pass,
     reading lamhat in the draw's root-first node order
     (Hierarchy.sample_order), then builds each level's mean in place. With a
     size it first moves each level's (size, k) block into a node-major
@@ -55,6 +66,8 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
         raise TypeError(f"unsupported posterior state {type(state).__name__}")
     hier = state.hierarchy
     n = hier.num_nodes
+    if scalar and size is None and n <= FLOAT_DRAW_NODES_PER_LEVEL * (hier.tree_height + 1):
+        return _float_draw(state, rng)
     m = 1 if size is None else int(size)
     if scalar:
         lam0, wmean, lamhat, sqrt_lamhat = state.lam0, state.ev_wmean, state.lamhat, state.sqrt_lamhat
@@ -92,6 +105,18 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
             + np.einsum("kij,mkj->mki", chol[nodes], z[m * d * start : m * d * stop].reshape(m, -1, d))
         )
     return theta[0] if size is None else theta
+
+
+def _float_draw(state: PosteriorState, rng: np.random.Generator) -> np.ndarray:
+    """hierts_sample's scalar draw without a size, on Python floats: the level loop's operations, node by node."""
+    hier = state.hierarchy
+    lam0, wmean, lamhat, sqrt_lamhat = state._lam0, state._ev_wmean, state._lamhat, state._sqrt_lamhat
+    z = iter(rng.standard_normal(hier.num_nodes).tolist())
+    theta = [math.nan] * (hier.num_nodes + 1)
+    theta[ROOT] = state.root_mean + next(z) / sqrt_lamhat[ROOT]
+    for v, p, zv in zip(hier.sample_nodes, hier.sample_parents, z):
+        theta[v] = (theta[p] * lam0[v] + wmean[v]) / lamhat[v] + zv / sqrt_lamhat[v]
+    return np.array(theta)
 
 
 class HierTSAgent:

@@ -143,14 +143,15 @@ def _cmd_simulate(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     out = _outdir(args.out)
     hierarchy, prior = config.resolve()
-    curve = run_bayes_regret(config, jobs=_jobs(args.jobs), resolved=(hierarchy, prior))
-    write_regret_csv(curve, out / "regret.csv")
-    _regret_svg(curve, out, "Bayes regret")
-    summary: dict = {"final_regret": {k: dict(zip(("mean", "se"), curve.final(k))) for k in curve.agents}}
-    if config.model == "k-armed" and config.horizon >= 1:
+    summary: dict = {}
+    if config.model == "k-armed" and config.horizon >= 1:  # before the run: a bound that overflows is an input error
         report = complexity_term(hierarchy, prior, config.horizon)
         delta = config.resolved_delta()
         summary["bound"] = {**_bound_fields(report, delta), "value": regret_bound(report, delta)}
+    curve = run_bayes_regret(config, jobs=_jobs(args.jobs), resolved=(hierarchy, prior))
+    write_regret_csv(curve, out / "regret.csv")
+    _regret_svg(curve, out, "Bayes regret")
+    summary["final_regret"] = {k: dict(zip(("mean", "se"), curve.final(k))) for k in curve.agents}
     _write_run(out, config.to_dict(), summary)
     return EXIT_OK
 

@@ -374,6 +374,8 @@ def complexity_term(
     internal weights only grow with their children's prior precisions. The
     default c = 1 + max_variance / noise_var is the posterior-scaling
     constant; c = 2 suffices when the noise dominates every prior variance.
+    A G(n) that overflows raises ConfigError: c grows with the ratio of prior
+    variance to noise variance, and its power with the tree height.
     """
     if not prior.is_scalar:
         raise HierarchyError("complexity_term requires a scalar prior")
@@ -394,7 +396,16 @@ def complexity_term(
             w = _weight(s0, noise_sq, s0 * float((1.0 / variances[ch]).sum()))
         h = int(hierarchy.height[node])
         rows.append((node, h, s0, w))
-        total += c**h * w
+        try:
+            total += c**h * w
+        except OverflowError:  # a float power raises where a product gives inf
+            total = math.inf
+    if not math.isfinite(total):
+        raise ConfigError(
+            f"the complexity term G({n}) is not finite: c = 1 + max prior variance / noise_std**2 = {c:g} "
+            f"at tree height {hierarchy.tree_height}; lower the prior variances (prior.value, "
+            "prior.node_variance) or raise noise_std"
+        )
     marginal = marginal_prior_variances(hierarchy, prior)
     sigma_max = math.sqrt(float(marginal[hierarchy.action_nodes].max()))
     return BoundReport(
@@ -425,6 +436,11 @@ def regret_bound(report: BoundReport, delta: float) -> float:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     head = math.sqrt(2.0 * report.n * report.total * math.log(1.0 / delta))
     tail = math.sqrt(2.0 / math.pi) * report.sigma_max * report.num_actions * report.n * delta
+    if not math.isfinite(head + tail):
+        raise ConfigError(
+            f"the regret bound is not finite at horizon {report.n} and G(n) = {report.total:g}; lower the "
+            "prior variances (prior.value, prior.node_variance) or raise noise_std"
+        )
     return head + tail
 
 

@@ -104,7 +104,8 @@ def _real_in(lo: float, hi: float):
 
 
 # Variances and noise levels beyond these magnitudes overflow or underflow the posterior arithmetic.
-_SCALE = _real_in(1e-50, 1e50)
+_SCALE_MIN, _SCALE_MAX = 1e-50, 1e50
+_SCALE = _real_in(_SCALE_MIN, _SCALE_MAX)
 
 
 def _one_of(*choices: str):
@@ -200,6 +201,8 @@ class Hierarchy:
         sample_order: the ids in that root-first, level-by-level run (the
             root, then level_index's levels in turn): slice(1, num_nodes + 1)
             when that is 1..num_nodes, else the id array.
+        sample_nodes, sample_parents: that run's non-root ids as a tuple
+            of ints, and their parents' ids, for walks on Python floats.
         action_index: position of each leaf in action_nodes, -1 for the
             other ids, as a tuple (it is read once per round, and a tuple
             indexes faster than an array); action_position is its checked
@@ -217,6 +220,8 @@ class Hierarchy:
     level_index: tuple[tuple[slice | np.ndarray, np.ndarray, int, int], ...] = field(repr=False)
     leaf_index: slice | np.ndarray = field(repr=False)
     sample_order: slice | np.ndarray = field(repr=False)
+    sample_nodes: tuple[int, ...] = field(repr=False)
+    sample_parents: tuple[int, ...] = field(repr=False)
     action_index: tuple[int, ...] = field(repr=False)
 
     @property
@@ -369,6 +374,8 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
         level_index=tuple(level_index),
         leaf_index=_as_index(leaves),
         sample_order=_as_index(order),
+        sample_nodes=tuple(sample_order[1:]),
+        sample_parents=tuple(up[v] for v in sample_order[1:]),
         action_index=tuple(action_index),
     )
 
@@ -523,6 +530,9 @@ def flatten_hierarchy(
     of its original marginal (marginal minus root), so the prior over actions
     is unchanged but all structure between root and leaves is discarded.
     Returns (flat_hierarchy, flat_prior, original_leaf -> flat_leaf map).
+    A scalar remainder outside the variance range raises HierarchyError
+    naming the leaf: a root variance that dwarfs the variances below it
+    cancels the remainder to 0.
     """
     leaves = [int(a) for a in hierarchy.action_nodes]
     flat = build_hierarchy({j + 2: 1 for j in range(len(leaves))})
@@ -531,7 +541,14 @@ def flatten_hierarchy(
     marginal = marginal_prior_variances(hierarchy, prior)
     variances: dict[int, float | np.ndarray] = {ROOT: root_var}
     for leaf in leaves:
-        variances[to_flat[leaf]] = marginal[leaf] - root_var
+        rest = variances[to_flat[leaf]] = marginal[leaf] - root_var
+        if prior.is_scalar and not _SCALE_MIN <= rest <= _SCALE_MAX:
+            why = "the root variance cancels" if rest < _SCALE_MIN else "the variances below the root overflow in"
+            raise HierarchyError(
+                f"{why} leaf {leaf}'s flat variance: FlatTS gives the leaf its marginal prior variance "
+                f"{marginal[leaf]:g} minus the root's {root_var:g}, which is {rest:g} in floating point, "
+                f"outside [{_SCALE_MIN:g}, {_SCALE_MAX:g}]"
+            )
     flat_prior = PriorSpec(
         hyper_mean=prior.hyper_mean, node_variance=variances, noise_std=prior.noise_std
     )

@@ -87,12 +87,14 @@ class PosteriorState(_UpwardPass):
     a full bottom-up rebuild because the per-node reductions see the same
     operands in the same order.
 
-    The path walk runs on Python floats: lam0, ev_* and msg_* are mirrored
-    as float lists, which the walk reads. Every write to ev_* or msg_* also
-    writes the mirror: update_path and _pool write ev_*, _fold is the only
-    writer of msg_*, and _copy_tallies refreshes a rebuilt state's ev_*
-    mirrors. _pool sums a short child list left to right from 0.0, which is
-    the order numpy's sum takes for at most SHORT_SUM_MAX elements. A wider
+    The path walk runs on Python floats: lam0, ev_*, msg_*, lamhat and
+    sqrt_lamhat are mirrored as float lists, which the walk and hierts_sample's
+    float draw read. Every write to those arrays also writes the mirror:
+    update_path and _pool write ev_*, _fold is the only writer of msg_*,
+    _fold and _fold_root are the only writers of lamhat and sqrt_lamhat, and
+    _copy_tallies refreshes a rebuilt state's ev_* mirrors. _pool sums a
+    short child list left to right from 0.0, which is the order numpy's sum
+    takes for at most SHORT_SUM_MAX elements. A wider
     parent's messages are summed by numpy, over a slice view when its child
     ids are consecutive and over a gathered copy otherwise: either way one
     pairwise sum of the same contiguous values.
@@ -125,6 +127,7 @@ class PosteriorState(_UpwardPass):
         self.msg_wmean = np.zeros(n + 1)
         self.lamhat = self.lam0 + self.ev_prec
         self.sqrt_lamhat = np.sqrt(self.lamhat)
+        self._lamhat, self._sqrt_lamhat = self.lamhat.tolist(), self.sqrt_lamhat.tolist()
         self._fold_root()
 
     def posterior_precisions(self) -> np.ndarray:
@@ -158,16 +161,16 @@ class PosteriorState(_UpwardPass):
     def _fold(self, node: int) -> None:
         lam0, prec = self._lam0[node], self._ev_prec[node]
         lamhat = lam0 + prec
-        self.lamhat[node] = lamhat
-        self.sqrt_lamhat[node] = math.sqrt(lamhat)
+        self._lamhat[node] = self.lamhat[node] = lamhat
+        self._sqrt_lamhat[node] = self.sqrt_lamhat[node] = math.sqrt(lamhat)
         self._msg_prec[node] = self.msg_prec[node] = prec * lam0 / lamhat
         self._msg_wmean[node] = self.msg_wmean[node] = lam0 / lamhat * self._ev_wmean[node]
 
     def _fold_root(self) -> None:
         lam0 = self._lam0[ROOT]
         lamhat = lam0 + self._ev_prec[ROOT]
-        self.lamhat[ROOT] = lamhat
-        self.sqrt_lamhat[ROOT] = math.sqrt(lamhat)
+        self._lamhat[ROOT] = self.lamhat[ROOT] = lamhat
+        self._sqrt_lamhat[ROOT] = self.sqrt_lamhat[ROOT] = math.sqrt(lamhat)
         self.root_mean = (lam0 * self.hyper_mean + self._ev_wmean[ROOT]) / lamhat
 
     def _copy_tallies(self, out: "PosteriorState") -> None:

@@ -93,6 +93,8 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
 
     The trees include the 257-node flat tree of b=2 h=8 (a 256-child root), b=16 h=2, and
     random trees with mixed-depth leaves, whose levels and sample order are not id runs.
+    Without a size, b=2 h=3, its flat tree and the random trees take the float draw, and
+    b=16 h=2 and the flat tree of b=2 h=8 the numpy level loop.
     """
     rng = np.random.default_rng(21)
     b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
@@ -100,6 +102,8 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
     trees += [random_tree(rng) for _ in range(4)]
     assert any(not isinstance(idx, slice) for t in trees for idx, _, _, _ in t.level_index)
     assert any(not isinstance(t.sample_order, slice) for t in trees)
+    float_draw = [t.num_nodes <= agents.FLOAT_DRAW_NODES_PER_LEVEL * (t.tree_height + 1) for t in trees]
+    assert float_draw == [True, False, True, False] + [True] * 4
     for tree in trees:
         for dim in (None, 1, 3):
             if dim is None:

@@ -8,17 +8,21 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import ODD_VALUES
 from hypothesis import given, settings, strategies as st
 
-from hierts import PosteriorState, cli
+from hierts import PosteriorState, agents, cli
 from hierts.envs import make_cluster_dataset, write_dataset_csv
 from hierts.harness import RUN_FIELDS
 from hierts.hierarchy import PriorSpec, balanced_tree, save_tree_json
 from hierts.linear import ConditioningError
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write_config(path, **overrides):
@@ -61,6 +65,24 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
     assert (out1 / "regret.csv").read_bytes() == (out2 / "regret.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("config", ["mixed_depth_tree", "doubling_b2_h3"])
+def test_float_draw_rule_never_changes_an_output(tmp_path, monkeypatch, config):
+    """The tree-size rule picks how hierts_sample computes a draw, never its value: regret.csv is
+    byte-identical with every draw on numpy's level loop (0) and every draw on Python floats."""
+    if config == "mixed_depth_tree":
+        cfg = CONFIGS / "mixed_depth_tree.json"
+    else:
+        cfg = _write_config(tmp_path / "cfg.json", tree={"b": 2, "h": 3}, prior={"scheme": "doubling"},
+                            horizon=200, instances=10)
+    csv = []
+    for nodes_per_level in (0, 10**9):
+        monkeypatch.setattr(agents, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
+        out = tmp_path / f"run-{nodes_per_level}"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == cli.EXIT_OK
+        csv.append((out / "regret.csv").read_bytes())
+    assert csv[0] == csv[1]
 
 
 def test_simulate_file_prior_records_only_what_the_run_used(tmp_path):
@@ -177,6 +199,11 @@ def test_verify_oracle_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+# c = 1 + 1e50 / noise_std**2: c**3 overflows at noise_std 1e-50, G(n) sums to inf at 1e-25, and at
+# 1.3e-18 G(n) is 1.2e305 but the bound, sqrt(2 n G(n) log(1/delta)) + ..., overflows
+HUGE_C = '{"tree": {"b": 2, "h": 3}, "prior": {"scheme": "constant", "value": 1e50}, "noise_std": %s}'
+
+
 @pytest.mark.parametrize(
     "command, text, field",
     [
@@ -211,13 +238,20 @@ def test_verify_oracle_rejects_unknown_keys(tmp_path, capsys):
         ("bound", '{"tree": {"b": 2, "h": 1}, "model": "linear", "dim": 2, "delta": 0.1}', "delta"),
         ("verify-oracle", '{"seed": -2}', "seed"),
         ("verify-oracle --seed -1", "{}", "seed"),
+        ("simulate", HUGE_C % "1e-50", "prior.value"),
+        ("bound", HUGE_C % "1e-50", "prior.value"),
+        ("bound", HUGE_C % "1e-25", "noise_std"),
+        ("bound", HUGE_C % "1.3e-18", "the regret bound is not finite"),
+        ("simulate", '{"tree": {"b": 2, "h": 1}, "prior": {"scheme": "explicit", "node_variance": '
+                     '{"1": 1e17, "2": 1.0, "3": 1.0}}}', "the root variance cancels leaf 2's flat variance"),
     ],
     ids=["syntax", "ratio-tree", "prior-value", "agents", "horizon", "verify-seed", "verify-cases",
          "horizon-bool", "heights-bool", "verify-cases-bool", "delta-str", "noise-str", "hyper-mean-str",
          "ratio-parents", "parents-float", "noise-huge-int", "sentinel-str", "sentinel-int", "sentinel-null",
          "sentinel-true", "sentinel-false", "ratio-tree-h", "ratio-delta", "dim-k-armed", "value-doubling",
          "node-variance-doubling", "branching-twice", "delta-linear", "verify-seed-negative",
-         "verify-seed-flag-negative"],
+         "verify-seed-flag-negative", "simulate-g-overflow", "bound-g-overflow", "bound-g-infinite",
+         "bound-infinite", "flat-variance-cancels"],
 )
 def test_malformed_config_exits_input(tmp_path, capsys, command, text, field):
     cfg = tmp_path / "cfg.json"

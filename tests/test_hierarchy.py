@@ -232,6 +232,23 @@ def test_flatten_preserves_marginals(b2h2):
     assert flat_prior.node_variance[1] == prior.node_variance[1]
 
 
+def test_flatten_names_a_leaf_whose_flat_variance_is_out_of_range():
+    """A flat leaf's variance is its marginal minus the root's, as computed; out of range it names the leaf."""
+    tree = balanced_tree(2, 1)
+    for root, leaf in ((1e17, 1.0), (1e20, 1e3)):  # 1e17 + 1.0 - 1e17 is 0.0
+        prior = PriorSpec(0.0, {1: root, 2: 1.0, 3: leaf}, noise_std=1.0)
+        with pytest.raises(HierarchyError, match="the root variance cancels leaf 2's flat variance"):
+            flatten_hierarchy(tree, prior)
+    deep = balanced_tree(2, 2)
+    prior = PriorSpec(0.0, {n: 1.0 if n == 1 else 1e50 for n in range(1, 8)}, noise_std=1.0)
+    with pytest.raises(HierarchyError, match="below the root overflow in leaf 4's flat variance"):
+        flatten_hierarchy(deep, prior)
+    # in range, a remainder is the subtraction's result, rounding included: 1e16 + 3.0 rounds to 1e16 + 4.0
+    prior = PriorSpec(0.0, {1: 1e16, 2: 4.0, 3: 3.0}, noise_std=1.0)
+    _, flat_prior, to_flat = flatten_hierarchy(tree, prior)
+    assert flat_prior.node_variance[to_flat[2]] == flat_prior.node_variance[to_flat[3]] == 4.0
+
+
 def test_tree_json_roundtrip(tmp_path, b2h2):
     prior = doubling_prior(b2h2, noise_std=0.5, hyper_mean=0.25)
     labels = {"a": 4, "b": 5, "c": 6, "d": 7}

@@ -22,6 +22,15 @@ from hierts.posterior import SHORT_SUM_MAX
 
 STATE_ARRAYS = ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
                 "lamhat", "sqrt_lamhat", "root_mean")
+# PosteriorState's arrays with a float-list mirror, which the path walk and the float draw read
+MIRRORED = ("lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "lamhat", "sqrt_lamhat")
+
+
+def _assert_mirrors_match(state):
+    for name in MIRRORED:
+        mirror = getattr(state, f"_{name}")
+        assert type(mirror) is list and all(type(x) is float for x in mirror), name
+        assert np.array_equal(np.array(mirror), getattr(state, name), equal_nan=True), name
 
 
 def test_unobserved_leaf_sends_zero_message(two_leaf):
@@ -143,6 +152,8 @@ def test_update_path_matches_rebuild_exactly(b2h2, b2h2_prior):
         # same reductions in the same order: bit-identical, not just close
         for name in STATE_ARRAYS:
             assert np.array_equal(getattr(state, name), getattr(fresh, name), equal_nan=True), name
+        _assert_mirrors_match(state)
+        _assert_mirrors_match(fresh)
         # and the caches hold what they stand for
         assert np.array_equal(state.lamhat, state.lam0 + state.ev_prec, equal_nan=True)
         assert np.array_equal(state.sqrt_lamhat, np.sqrt(state.lamhat), equal_nan=True)
@@ -295,10 +306,12 @@ def test_float_path_matches_numpy_reference():
                 ref.update_path(leaf, reward)
             for name in STATE_ARRAYS:
                 assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
+            _assert_mirrors_match(state)
             if phase == 0:  # more updates on rebuilt states, whose float mirrors start over
                 state, ref = state.rebuild(), ref.rebuild()
                 for name in STATE_ARRAYS:
                     assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
+                _assert_mirrors_match(state)
 
 
 @pytest.mark.parametrize("width", [8, 9, 16, 17, 31, 128, 129, 300])
