@@ -16,8 +16,14 @@ The set covers each output-writing command:
   6 runs);
 each at --jobs 1 and --jobs 2, plus `bound` on doubling_b5_h2.json and
 explicit_tree.json, plus the printed report of `verify-oracle --seed 0` and
-`--seed 5` (saved as runs/verify-oracle-seed{0,5}/stdout.txt). A change that should leave outputs byte-identical
-diffs the manifest of its parent against its own:
+`--seed 5` (saved as runs/verify-oracle-seed{0,5}/stdout.txt). It also saves
+raw `hierts_sample` draws (draws/<tree>/<route>.bin, the array's bytes) on
+b=2 h=3, b=16 h=2 and a random tree with leaves at mixed depths, after 60
+updates each: the scalar draw without a size on Python floats and on the
+numpy level loop (both forced, whichever the tree would take), a sized scalar
+draw, and a linear (d=3) draw without and with a size. Run outputs average
+draws away, and these show a change in a draw's last bit. A change that should
+leave outputs byte-identical diffs the manifest of its parent against its own:
 
     PYTHONPATH=src python scripts/output_digests.py --out /tmp/digests-new
     diff /tmp/digests-old/MANIFEST /tmp/digests-new/MANIFEST
@@ -38,7 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hierts import cli
+from hierts import LinearPosteriorState, PosteriorState, agents, cli, hierts_sample
+from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.envs import make_cluster_dataset, write_dataset_csv
 from hierts.hierarchy import PriorSpec, balanced_tree, doubling_prior, save_tree_json
 
@@ -67,6 +74,32 @@ def write_tree_file_configs(data: Path) -> list[Path]:
         configs.append(data / f"tree_file_{name}.json")
         configs[-1].write_text(json.dumps(doc))
     return configs
+
+
+def write_draws(root: Path) -> None:
+    """Raw hierts_sample draws, one file per tree and route, after 60 updates from fixed seeds."""
+    rng = np.random.default_rng(11)
+    trees = {"b2h3": balanced_tree(2, 3), "b16h2": balanced_tree(16, 2), "random": random_tree(rng)}
+    for name, tree in trees.items():
+        scalar = PosteriorState(tree, random_scalar_prior(rng, tree))
+        linear = LinearPosteriorState(tree, random_linear_prior(rng, tree, 3))
+        for _ in range(60):
+            leaf, x, y = int(rng.choice(tree.action_nodes)), rng.standard_normal(3), float(rng.normal(0.0, 2.0))
+            scalar.update_path(leaf, y)
+            linear.update_path(leaf, x, y)
+        routes = {}
+        for route, nodes_per_level in (("scalar-float", tree.num_nodes), ("scalar-levels", 0)):
+            saved, agents.FLOAT_DRAW_NODES_PER_LEVEL = agents.FLOAT_DRAW_NODES_PER_LEVEL, nodes_per_level
+            try:
+                routes[route] = hierts_sample(scalar, np.random.default_rng(1))
+            finally:
+                agents.FLOAT_DRAW_NODES_PER_LEVEL = saved
+        routes["scalar-size3"] = hierts_sample(scalar, np.random.default_rng(2), 3)
+        routes["linear"] = hierts_sample(linear, np.random.default_rng(3))
+        routes["linear-size3"] = hierts_sample(linear, np.random.default_rng(4), 3)
+        (root / name).mkdir(parents=True)
+        for route, theta in routes.items():
+            (root / name / f"{route}.bin").write_bytes(theta.tobytes())
 
 
 def commands(data: Path, runs: Path) -> list[list[str]]:
@@ -104,6 +137,7 @@ def main() -> None:
     )
     write_dataset_csv(data / "data.csv", dataset, label_map)
     save_tree_json(data / "tree.json", hierarchy, label_map=label_map)
+    write_draws(Path("draws"))
     for argv in commands(data, runs):
         print(" ".join(["hierts"] + argv), flush=True)
         code = cli.main(argv)

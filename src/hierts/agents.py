@@ -21,7 +21,7 @@ from .hierarchy import (
     flatten_hierarchy,
     marginal_prior_variances,
 )
-from .linear import LinearPosteriorState, _argmax_score, _conditional, _observation, _precisions
+from .linear import LinearPosteriorState, _argmax_score, _conditional, _observation, _sym
 from .posterior import PosteriorState
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
@@ -60,6 +60,10 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     (num_nodes, size) array, works on columns and returns the transpose.
     These are the per-level formula's operations on the same operands, so
     the bits are the same.
+
+    The linear branch computes each level as slope @ parent + post_factor @ z
+    + intercept on (size, nodes, d, 1) columns with stacked matmuls, which give
+    each matrix its own bits whatever the batch shape.
     """
     scalar = isinstance(state, PosteriorState)
     if not (scalar or isinstance(state, LinearPosteriorState)):
@@ -90,21 +94,18 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
             mean += z[start:stop]
             theta[nodes] = mean
         return theta if size is None else np.ascontiguousarray(theta.T)
-    # Linear draws keep the size axis even for size None: einsum's summation
-    # order can depend on operand shapes, and these are the shapes it has always had.
     d = state.dim
-    slope, intercept, chol = state.slope, state.intercept, state.post_chol
+    slope, intercept, factor = state.slope, state.intercept, state.post_factor
     z = rng.standard_normal(m * n * d)
-    theta = np.empty((m, n + 1, d))
+    theta = np.empty((m, n + 1, d, 1))
     theta[:, 0] = np.nan
-    theta[:, ROOT] = state.root_mean + np.einsum("ij,mj->mi", chol[ROOT], z[: m * d].reshape(m, d))
+    theta[:, ROOT] = state.root_mean[:, None] + factor[ROOT] @ z[: m * d].reshape(m, d, 1)
     for nodes, parents, start, stop in hier.level_index:
-        theta[:, nodes] = (
-            np.einsum("kij,mkj->mki", slope[nodes], theta[:, parents])
-            + intercept[nodes]
-            + np.einsum("kij,mkj->mki", chol[nodes], z[m * d * start : m * d * stop].reshape(m, -1, d))
-        )
-    return theta[0] if size is None else theta
+        mean = slope[nodes] @ theta[:, parents]
+        mean += factor[nodes] @ z[m * d * start : m * d * stop].reshape(m, -1, d, 1)
+        mean += intercept[nodes, :, None]
+        theta[:, nodes] = mean
+    return theta[0, ..., 0] if size is None else theta[..., 0]
 
 
 def _float_draw(state: PosteriorState, rng: np.random.Generator) -> np.ndarray:
@@ -184,7 +185,8 @@ class TSAgent:
     is discarded but the round-one behavior matches the other agents. Each
     arm keeps its precision form (prec, wmean) and the moments a draw reads,
     which update refreshes for the acted arm: mean, and sd = sqrt(prec) for a
-    scalar prior or cov and its Cholesky factor chol for a matrix prior.
+    scalar prior or cov and a sampling factor (factor @ factor.T = cov) for a
+    matrix prior.
     """
 
     kind = "TS"
@@ -199,10 +201,7 @@ class TSAgent:
             self.prec, self.wmean, self.mean, self.sd = arrays
         else:
             self.dim = prior.dim
-            self.prec, self.wmean, self.cov, self.chol, self.mean = arrays
-
-    def _refresh(self, j: int) -> None:
-        self.cov[j], self.chol[j], self.mean[j] = _arm_posterior(self.prec[j], self.wmean[j], j)
+            self.prec, self.wmean, self.cov, self.factor, self.mean = arrays
 
     def marginal_action_moments(self, action: int):
         """Posterior (mean, variance or covariance) of one arm."""
@@ -218,8 +217,7 @@ class TSAgent:
             draws /= self.sd
             draws += self.mean
         else:
-            z = self.rng.standard_normal((leaves.size, self.dim))
-            draws = self.mean + np.einsum("kij,kj->ki", self.chol, z)
+            draws = self.mean + (self.factor @ self.rng.standard_normal((leaves.size, self.dim, 1)))[..., 0]
         return int(leaves[_argmax_score(draws, context)])
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
@@ -234,7 +232,7 @@ class TSAgent:
             x = _observation(context, reward, self.dim)
             self.prec[j] += np.outer(x, x) * self.noise_prec
             self.wmean[j] += x * (reward * self.noise_prec)
-            self._refresh(j)
+            self.cov[j], self.factor[j], self.mean[j] = _arm_posterior(self.prec[j], self.wmean[j], j)
 
 
 # Each agent of a cell's instances starts from the same tree and prior, so
@@ -251,7 +249,7 @@ def _flat_tree(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[Hierarchy, Prior
 def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
     """Read-only per-arm prior arrays of TSAgent, each arm's prior being its tree marginal.
 
-    (prec, wmean, mean, sd) for a scalar prior; (prec, wmean, cov, chol,
+    (prec, wmean, mean, sd) for a scalar prior; (prec, wmean, cov, factor,
     mean) for a matrix prior.
     """
     leaves = hierarchy.action_nodes
@@ -261,21 +259,21 @@ def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
         wmean = prec * float(prior.hyper_mean)
         arrays = (prec, wmean, wmean / prec, np.sqrt(prec))
     else:
-        prec = _precisions(marginal[leaves])
+        prec = _sym(np.linalg.inv(marginal[leaves]))
         wmean = prec @ np.asarray(prior.hyper_mean, float)
-        cov, chol, mean = np.empty_like(prec), np.empty_like(prec), np.empty_like(wmean)
+        cov, factor, mean = np.empty_like(prec), np.empty_like(prec), np.empty_like(wmean)
         for j in range(leaves.size):
-            cov[j], chol[j], mean[j] = _arm_posterior(prec[j], wmean[j], j)
-        arrays = (prec, wmean, cov, chol, mean)
+            cov[j], factor[j], mean[j] = _arm_posterior(prec[j], wmean[j], j)
+        arrays = (prec, wmean, cov, factor, mean)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
 def _arm_posterior(prec: np.ndarray, wmean: np.ndarray, j: int):
-    """(covariance, its Cholesky factor, mean) of one arm from its precision form."""
-    _, cov, chol = _conditional(prec, [], f"arm {j} covariance")
-    return cov, chol, cov @ wmean
+    """(covariance, its sampling factor, mean) of one arm from its precision form."""
+    cov, li = _conditional(prec, f"arm {j} covariance")
+    return cov, li.T, cov @ wmean
 
 
 def make_agent(kind: str, hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator):

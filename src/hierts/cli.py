@@ -141,7 +141,6 @@ def _cmd_simulate(args) -> int:
     config = RunConfig.from_json_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    out = _outdir(args.out)
     hierarchy, prior = config.resolve()
     summary: dict = {}
     if config.model == "k-armed" and config.horizon >= 1:  # before the run: a bound that overflows is an input error
@@ -149,6 +148,7 @@ def _cmd_simulate(args) -> int:
         delta = config.resolved_delta()
         summary["bound"] = {**_bound_fields(report, delta), "value": regret_bound(report, delta)}
     curve = run_bayes_regret(config, jobs=_jobs(args.jobs), resolved=(hierarchy, prior))
+    out = _outdir(args.out)
     write_regret_csv(curve, out / "regret.csv")
     _regret_svg(curve, out, "Bayes regret")
     summary["final_regret"] = {k: dict(zip(("mean", "se"), curve.final(k))) for k in curve.agents}
@@ -164,8 +164,8 @@ def _cmd_ratio(args) -> int:
     if args.seed is not None:
         values["seed"] = args.seed
     config = RunConfig(**values)
-    out = _outdir(args.out)
     result = ratio_experiment(config, tuple(heights), jobs=_jobs(args.jobs))
+    out = _outdir(args.out)
     write_ratio_csv(result, out / "ratios.csv")
     _chart(out / "ratios.svg", np.asarray(result.heights, float), result.ratio, result.se, result.agents,
            title="Regret ratio vs TS", x_label="tree height", y_label="ratio")
@@ -184,11 +184,9 @@ def _cmd_bound(args) -> int:
     if config.model != "k-armed":
         raise ConfigError("the bound command covers the k-armed model only")
     hierarchy, prior = config.resolve()
-    out = _outdir(args.out)
     n = max(config.horizon, 1)
     report = complexity_term(hierarchy, prior, n)
     delta = config.resolved_delta()
-    write_bound_csv(report, out / "bound.csv")
     variances = marginal_prior_variances(hierarchy, prior)
     marginals = {str(int(a)): float(variances[a]) for a in hierarchy.action_nodes}
     summary = {
@@ -202,6 +200,8 @@ def _cmd_bound(args) -> int:
         # marginal 2**(h+1) - 1; both are reported for comparison.
         summary["doubling_marginal_exact"] = max(marginals.values())
         summary["doubling_marginal_nominal"] = float(2 ** (hierarchy.tree_height + 1))
+    out = _outdir(args.out)
+    write_bound_csv(report, out / "bound.csv")
     _write_run(out, config.to_dict(), summary)
     return EXIT_OK
 

@@ -346,13 +346,10 @@ def make_cluster_dataset(
 
 
 def _grouped_tree(num_groups: int, classes_per_group: int) -> Hierarchy:
-    parents: dict[int, int] = {}
-    for g in range(num_groups):
-        parents[2 + g] = 1
-    first_leaf = 2 + num_groups
-    for g in range(num_groups):
-        for c in range(classes_per_group):
-            parents[first_leaf + g * classes_per_group + c] = 2 + g
+    first_leaf = 2 + num_groups  # groups are nodes 2.., each followed by its classes' leaves in turn
+    parents = dict.fromkeys(range(2, first_leaf), 1)
+    parents.update((v, 2 + (v - first_leaf) // classes_per_group)
+                   for v in range(first_leaf, first_leaf + num_groups * classes_per_group))
     return build_hierarchy(parents)
 
 

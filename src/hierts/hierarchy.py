@@ -305,28 +305,17 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
         if len(child_lists[node]) == 1:
             raise HierarchyError(f"node {node} has exactly one child; internal nodes need at least two")
 
-    # Reachability from the root; anything unreached sits on a cycle.
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[ROOT] = True
-    frontier = [ROOT]
-    order = [ROOT]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for ch in child_lists[node]:
-                seen[ch] = True
-                nxt.append(ch)
-        order.extend(nxt)
-        frontier = nxt
-    if not seen[1:].all():
-        bad = [i for i in range(1, n + 1) if not seen[i]]
+    order = [ROOT]  # breadth first from the root; anything unreached sits on a cycle
+    for node in order:
+        order.extend(child_lists[node])
+    if len(order) < n:
+        bad = sorted(set(range(1, n + 1)) - set(order))
         raise HierarchyError(f"nodes {bad} are not reachable from the root (cycle in parent map)")
 
     height = np.zeros(n + 1, dtype=np.int64)
     for node in reversed(order):
-        ch = child_lists[node]
-        if ch:
-            height[node] = 1 + max(int(height[c]) for c in ch)
+        if child_lists[node]:
+            height[node] = 1 + max(int(height[c]) for c in child_lists[node])
     if height[ROOT] == 0:
         raise HierarchyError("tree must contain at least two action nodes besides the root")
 
@@ -397,15 +386,8 @@ def balanced_tree(branching: int, tree_height: int) -> Hierarchy:
         raise HierarchyError(f"branching factor must be at least 2, got {branching}")
     if tree_height < 1:
         raise HierarchyError(f"tree height must be at least 1, got {tree_height}")
-    parents: dict[int, int] = {}
-    level_start = 1
-    level_size = 1
-    for _ in range(tree_height):
-        next_start = level_start + level_size
-        for j in range(level_size * branching):
-            parents[next_start + j] = level_start + j // branching
-        level_start, level_size = next_start, level_size * branching
-    return build_hierarchy(parents)
+    n = sum(branching**t for t in range(tree_height + 1))
+    return build_hierarchy({v: (v - 2) // branching + 1 for v in range(2, n + 1)})
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,11 +36,11 @@ class _UpwardPass:
     """Leaf-to-root pass over the ev_* (pooled evidence) and msg_* (message) arrays.
 
     Subclasses supply _fold(node), evidence to message; _fold_root(), which
-    refreshes the root's cached conditional (the root sends no message); and
+    refreshes the root's cached conditional (the root sends no message);
     _copy_tallies(out), which gives a fresh state this one's leaf tallies and
-    evidence (one and the same in the linear model). _pool sums a parent's
-    child messages with numpy; a subclass may pool faster if it keeps the
-    sums bit-identical.
+    evidence (one and the same in the linear model); and _children, each
+    node's child ids as an index. _pool sums a parent's child messages with
+    numpy; a subclass may pool faster if it keeps the sums bit-identical.
     """
 
     @property
@@ -48,7 +48,7 @@ class _UpwardPass:
         return self.hierarchy.num_nodes
 
     def _pool(self, node: int) -> None:
-        ch = self.hierarchy.children[node]
+        ch = self._children[node]
         self.ev_prec[node] = self.msg_prec[ch].sum(axis=0)
         self.ev_wmean[node] = self.msg_wmean[ch].sum(axis=0)
 

@@ -71,19 +71,12 @@ def _per_level_sample(state, rng, size=None):
         d = state.dim
         theta = np.empty((m, n + 1, d))
         theta[:, 0] = np.nan
-        z = rng.standard_normal((m, d))
-        theta[:, ROOT] = (
-            state.slope[ROOT] @ state.hyper_mean
-            + state.intercept[ROOT]
-            + np.einsum("ij,mj->mi", state.post_chol[ROOT], z)
-        )
+        z = rng.standard_normal((m, d, 1))
+        theta[:, ROOT] = state.slope[ROOT] @ state.hyper_mean + state.intercept[ROOT] + (state.post_factor[ROOT] @ z)[..., 0]
         for nodes, parents, start, stop in hier.level_index:
-            z = rng.standard_normal((m, stop - start, d))
-            theta[:, nodes] = (
-                np.einsum("kij,mkj->mki", state.slope[nodes], theta[:, parents])
-                + state.intercept[nodes]
-                + np.einsum("kij,mkj->mki", state.post_chol[nodes], z)
-            )
+            z = rng.standard_normal((m, stop - start, d, 1))
+            mean = state.slope[nodes] @ theta[:, parents, :, None] + state.post_factor[nodes] @ z
+            theta[:, nodes] = mean[..., 0] + state.intercept[nodes]
     return theta[0] if size is None else theta
 
 
@@ -349,7 +342,7 @@ def test_agents_of_one_cell_share_their_setup(b2h2, b2h2_prior, monkeypatch, dim
     a.update(4, 1.0, x)
     agents._ts_prior.cache_clear()
     fresh = TSAgent(b2h2, prior, np.random.default_rng(0))
-    names = ("prec", "wmean", "mean", "sd") if dim is None else ("prec", "wmean", "cov", "chol", "mean")
+    names = ("prec", "wmean", "mean", "sd") if dim is None else ("prec", "wmean", "cov", "factor", "mean")
     for name in names:
         assert np.array_equal(getattr(b, name), getattr(fresh, name)), name
         assert getattr(b, name).flags.writeable

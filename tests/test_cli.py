@@ -263,6 +263,7 @@ def test_malformed_config_exits_input(tmp_path, capsys, command, text, field):
     err = capsys.readouterr().err
     assert "error:" in err
     assert field in err
+    assert not (tmp_path / "run").exists()  # an input error leaves no empty run directory
 
 
 @pytest.mark.parametrize("key, value", [("noise_std", 0.3), ("hyper_mean", 5.0), ("prior", {"scheme": "file", "value": 9.0})])

@@ -16,9 +16,10 @@ from hierts import (
     joint_prior,
 )
 from hierts.checks import ORACLE_RTOL, random_linear_prior
-from hierts.envs import _floor_covariance
+from hierts.envs import _floor_covariance, fit_priors_from_data, make_cluster_dataset
 from hierts.hierarchy import HierarchyError
 from hierts.linear import COND_LIMIT, _conditional
+from hierts.oracle import information_form_marginals
 
 
 def _matrix_prior(tree, value=1.0, noise_std=1.0, dim=1, hyper_mean=0.0):
@@ -76,6 +77,28 @@ def test_shrink_matches_textbook_when_invertible():
         assert np.allclose(state.intercept[2], cov @ wmean, rtol=1e-9, atol=1e-11)
 
 
+@pytest.mark.parametrize("k", [-8, 4, 8])
+def test_message_matches_textbook_across_evidence_scales(k):
+    """msg_prec is within 1e-12 of (Sigma0 + P^-1)^-1 for P = 10^k * SPD, far below and far above Lam0.
+
+    P - P S^-1 P cancels when P >> Lam0 (it is off by 1e-8 relative at k = 8) and Lam0 - Lam0 S^-1 Lam0
+    when P << Lam0; the fold subtracts from whichever of P and Lam0 has the smaller trace.
+    """
+    rng = np.random.default_rng(5)
+    d = 4
+    a = rng.standard_normal((d, d + 2))
+    spd = a @ a.T / d + 0.5 * np.eye(d)
+    b = rng.standard_normal((d, d + 1))
+    sigma0 = b @ b.T / d + 0.2 * np.eye(d)
+    tree = balanced_tree(2, 1)
+    state = LinearPosteriorState(tree, PriorSpec(np.zeros(d), {n: sigma0 for n in (1, 2, 3)}, noise_std=1.0))
+    prec = 10.0**k * spd
+    state.ev_prec[2] = prec
+    state._fold(2)
+    textbook = np.linalg.inv(sigma0 + np.linalg.inv(prec))
+    assert np.abs(state.msg_prec[2] - textbook).max() <= 1e-12 * np.abs(textbook).max()
+
+
 def test_shrink_handles_singular_evidence():
     # rank-1 Gram from a single context: textbook form is undefined, the
     # Woodbury form is not
@@ -128,7 +151,7 @@ def test_update_path_matches_rebuild(b2h2, linear_prior):
         fresh = state.rebuild()
         # the walk folds each path node with the same operands as the rebuild: bit-identical
         for name in ("ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
-                     "post_cov", "post_chol", "slope", "intercept", "root_mean"):
+                     "post_cov", "post_factor", "slope", "intercept", "root_mean"):
             assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
 
 
@@ -179,9 +202,9 @@ def test_posterior_caches_stay_spd(b2h2, linear_prior):
         for node in range(1, b2h2.num_nodes + 1):
             assert np.linalg.eigvalsh(state.post_cov[node]).min() > 0
             assert np.linalg.eigvalsh(state.msg_prec[node]).min() >= -1e-12
-            # chol is kept in sync with the covariance
+            # the sampling factor is kept in sync with the covariance
             assert np.allclose(
-                state.post_chol[node] @ state.post_chol[node].T, state.post_cov[node], atol=1e-12
+                state.post_factor[node] @ state.post_factor[node].T, state.post_cov[node], atol=1e-12
             )
 
 
@@ -211,7 +234,7 @@ def test_conditional_is_at_least_as_strict_as_eigenvalue_check():
         if lo <= 0 or hi / lo > COND_LIMIT:
             rejected += 1
             with pytest.raises(ConditioningError):
-                _conditional(s, [], "test")
+                _conditional(s, "test")
     assert rejected > 100
 
 
@@ -224,31 +247,7 @@ def test_conditional_is_at_least_as_strict_as_eigenvalue_check():
 ], ids=["zero", "rank-one", "indefinite-diag", "indefinite", "nan"])
 def test_conditional_rejects_singular_and_indefinite(s):
     with pytest.raises(ConditioningError, match="test"):
-        _conditional(s, [np.ones((s.shape[0], 1))], "test")
-
-
-def _information_form_marginals(tree, prior, gram, xy):
-    """Leaf marginals from the joint precision over all nodes, solved once."""
-    n, d = tree.num_nodes, prior.dim
-    prec = np.zeros((n * d, n * d))
-    lin = np.zeros(n * d)
-    for node in range(1, n + 1):
-        lam = np.linalg.inv(prior.node_variance[node])
-        i = slice((node - 1) * d, node * d)
-        prec[i, i] += lam + gram.get(node, 0.0)
-        lin[i] += xy.get(node, 0.0)
-        if node == 1:
-            lin[i] += lam @ prior.hyper_mean
-        else:
-            p = slice((tree.parent[node] - 1) * d, tree.parent[node] * d)
-            prec[p, p] += lam
-            prec[i, p] -= lam
-            prec[p, i] -= lam
-    sol = np.linalg.solve(prec, np.concatenate([lin[:, None], np.eye(n * d)], axis=1))
-    return {
-        int(a): (sol[(a - 1) * d:a * d, 0], sol[(a - 1) * d:a * d, 1 + (a - 1) * d:1 + a * d])
-        for a in tree.action_nodes
-    }
+        _conditional(s, "test")
 
 
 @pytest.mark.parametrize("floored", [False, True], ids=["plain", "floored-leaf"])
@@ -266,18 +265,44 @@ def test_long_horizon_collinear_matches_information_form_oracle(b2h2, linear_pri
     v = rng.standard_normal(3)
     v /= np.linalg.norm(v)
     sigma_sq = prior.noise_std**2
-    gram, xy = {}, {}
+    gram, xy = np.zeros((b2h2.num_nodes + 1, 3, 3)), np.zeros((b2h2.num_nodes + 1, 3))
     for _ in range(10_000):
         leaf = int(rng.choice(b2h2.action_nodes))
         x = v + 1e-4 * rng.standard_normal(3)
         y = float(x @ theta[leaf] + prior.noise_std * rng.standard_normal())
         state.update_path(leaf, x, y)  # raises ConditioningError if the check trips
-        gram[leaf] = gram.get(leaf, 0.0) + np.outer(x, x) / sigma_sq
-        xy[leaf] = xy.get(leaf, 0.0) + x * y / sigma_sq
-    for leaf, (ref_mean, ref_cov) in _information_form_marginals(b2h2, prior, gram, xy).items():
+        gram[leaf] += np.outer(x, x) / sigma_sq
+        xy[leaf] += x * y / sigma_sq
+    _assert_matches_information_form(state, gram, xy)
+
+
+def _assert_matches_information_form(state, gram, xy):
+    for leaf, (ref_mean, ref_cov) in information_form_marginals(state.hierarchy, state.prior, gram, xy).items():
         mean, cov = state.marginal_action_moments(leaf)
         assert np.abs(mean - ref_mean).max() / max(np.abs(ref_mean).max(), 1.0) < ORACLE_RTOL
         assert np.abs(cov - ref_cov).max() / max(np.abs(ref_cov).max(), 1.0) < ORACLE_RTOL
+
+
+def test_fitted_d10_long_horizon_matches_information_form_oracle():
+    """10^4 updates on the 5 x 5 cluster tree at d = 10 with its fitted prior, so that every leaf's
+    evidence dwarfs its edge precision, stay within ORACLE_RTOL of the information-form posterior."""
+    rng = np.random.default_rng(7)
+    dataset, tree, _ = make_cluster_dataset(rng, num_groups=5, classes_per_group=5, dim=10)
+    prior, theta, _ = fit_priors_from_data(dataset, tree, noise_std=0.5)
+    state = LinearPosteriorState(tree, prior)
+    contexts = dataset.features[~dataset.is_train]
+    sigma_sq = prior.noise_std**2
+    gram, xy = np.zeros((tree.num_nodes + 1, 10, 10)), np.zeros((tree.num_nodes + 1, 10))
+    for _ in range(10_000):
+        leaf = int(rng.choice(tree.action_nodes))
+        x = contexts[rng.integers(contexts.shape[0])]
+        y = float(x @ theta[leaf] + prior.noise_std * rng.standard_normal())
+        state.update_path(leaf, x, y)
+        gram[leaf] += np.outer(x, x) / sigma_sq
+        xy[leaf] += x * y / sigma_sq
+    leaves = tree.action_nodes
+    assert (gram[leaves].trace(axis1=1, axis2=2) > 20 * state.lam0[leaves].trace(axis1=1, axis2=2)).all()
+    _assert_matches_information_form(state, gram, xy)
 
 
 @given(

@@ -14,7 +14,9 @@ from hierts import (
     joint_prior,
     sample_action_values,
 )
+from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import HierarchyError
+from hierts.oracle import information_form_marginals
 
 
 def test_joint_prior_two_leaf_covariance(two_leaf):
@@ -145,3 +147,27 @@ def test_linear_conditioning_matches_batch_regression():
 @pytest.mark.parametrize("m,expect", [(1, 2), (2, 10), (8, 298), (25, 6458)])
 def test_factorization_flops_values(m, expect):
     assert factorization_flops(m) == expect
+
+
+@pytest.mark.parametrize("dim", [None, 2])
+def test_information_form_agrees_with_dense_oracle(dim):
+    """The two oracles reach the same leaf marginals on a tree with leaves at mixed depths."""
+    rng = np.random.default_rng(8)
+    tree = random_tree(rng)
+    prior = random_scalar_prior(rng, tree) if dim is None else random_linear_prior(rng, tree, dim)
+    d = prior.dim
+    gram, xy = np.zeros((tree.num_nodes + 1, d, d)), np.zeros((tree.num_nodes + 1, d))
+    observations = []
+    for _ in range(40):
+        leaf = int(rng.choice(tree.action_nodes))
+        x, y = rng.standard_normal(d), float(rng.standard_normal())
+        observations.append((leaf, y) if dim is None else (leaf, x, y))
+        x = np.ones(1) if dim is None else x
+        gram[leaf] += np.outer(x, x) / prior.noise_std**2
+        xy[leaf] += x * y / prior.noise_std**2
+    dense = action_marginals(condition(joint_prior(tree, prior), observations, prior.noise_std**2))
+    sparse = information_form_marginals(tree, prior, gram, xy)
+    assert dense.keys() == sparse.keys()
+    for leaf, (mean, cov) in dense.items():
+        assert np.allclose(sparse[leaf][0], mean, rtol=1e-10, atol=1e-12)
+        assert np.allclose(sparse[leaf][1], cov, rtol=1e-10, atol=1e-12)
