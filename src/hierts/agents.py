@@ -49,11 +49,12 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     concatenate exactly, so this is the stream of one draw per level.
 
     A scalar draw without a size on a small tree (FLOAT_DRAW_NODES_PER_LEVEL)
-    walks Hierarchy.sample_nodes on the state's float mirrors instead,
+    walks Hierarchy.sample_nodes on the state's float lists instead,
     computing theta[v] = (theta[parent] * lam0 + wmean) / lamhat + z / sqrt_lamhat
     one node at a time.
 
-    Otherwise the scalar branch scales the whole draw by 1 / sqrt(lamhat) in one pass,
+    Otherwise the scalar branch reads the state's level_arrays, numpy copies
+    of those floats. It scales the whole draw by 1 / sqrt(lamhat) in one pass,
     reading lamhat in the draw's root-first node order
     (Hierarchy.sample_order), then builds each level's mean in place. With a
     size it first moves each level's (size, k) block into a node-major
@@ -74,7 +75,7 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
         return _float_draw(state, rng)
     m = 1 if size is None else int(size)
     if scalar:
-        lam0, wmean, lamhat, sqrt_lamhat = state.lam0, state.ev_wmean, state.lamhat, state.sqrt_lamhat
+        lam0, wmean, lamhat, sqrt_lamhat = state.level_arrays()
         z = rng.standard_normal(m * n)
         if size is not None:  # per-level (m, k) blocks to node-major (n, m); node values as columns
             blocks, z = z, np.empty((n, m))
@@ -111,7 +112,7 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
 def _float_draw(state: PosteriorState, rng: np.random.Generator) -> np.ndarray:
     """hierts_sample's scalar draw without a size, on Python floats: the level loop's operations, node by node."""
     hier = state.hierarchy
-    lam0, wmean, lamhat, sqrt_lamhat = state._lam0, state._ev_wmean, state._lamhat, state._sqrt_lamhat
+    lam0, wmean, lamhat, sqrt_lamhat = state.lam0, state.ev_wmean, state.lamhat, state.sqrt_lamhat
     z = iter(rng.standard_normal(hier.num_nodes).tolist())
     theta = [math.nan] * (hier.num_nodes + 1)
     theta[ROOT] = state.root_mean + next(z) / sqrt_lamhat[ROOT]

@@ -251,6 +251,7 @@ def lemma_suite(
         noise_rng = _case_rng(base_seed, run, salt=5)
         joint = joint_prior(hierarchy, prior)
         state = agent.state
+        lam0 = np.array(state.lam0)
         for _ in range(horizon):
             lamhat_pre = state.posterior_precisions()
             action = agent.act()
@@ -265,7 +266,7 @@ def lemma_suite(
             joint = condition(joint, [(action, reward)], noise_sq)
             lamhat_post = state.posterior_precisions()
             path = hierarchy.path_to_root(action)
-            slopes_sq = (state.lam0[path] / lamhat_pre[path]) ** 2
+            slopes_sq = (lam0[path] / lamhat_pre[path]) ** 2
             length = path.size
             for i in range(length):
                 lhs = lamhat_post[path[i]] - lamhat_pre[path[i]]

@@ -182,7 +182,7 @@ def load_feature_dataset(
                 feats = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from None
-            if not all(np.isfinite(feats)):
+            if not all(map(math.isfinite, feats)):
                 raise DatasetError(f"{path}: line {lineno}: non-finite feature value")
             ids.append(rid)
             leaf_ids.append(label_map[label])

@@ -214,7 +214,7 @@ def _simulate_run(
     context row per round. All agents face the same means and contexts.
     """
     # Per-round lookups go through Python lists, which index faster than
-    # numpy arrays do for single elements.
+    # numpy arrays do for single elements, and hand the agents Python floats.
     if contexts is None:
         means = leaf_means.tolist()
         mean_rows = [means] * horizon  # every round shares one row
@@ -230,15 +230,15 @@ def _simulate_run(
     for kind in kinds:
         pos = AGENT_KINDS.index(kind)
         agent = make_agent(kind, hierarchy, prior, _instance_rng(seed, run, _STREAM_AGENT + pos))
-        noise = _instance_rng(seed, run, _STREAM_NOISE + pos).standard_normal(horizon) * prior.noise_std
-        regret = np.empty(horizon)
+        noise = (_instance_rng(seed, run, _STREAM_NOISE + pos).standard_normal(horizon) * prior.noise_std).tolist()
+        regret = [0.0] * horizon
         for t in range(horizon):
             x = xs[t]
             action = agent.act(x)
             mean_a = mean_rows[t][index[action]]
             agent.update(action, mean_a + noise[t], x)
             regret[t] = best[t] - mean_a
-        if horizon and regret.min() < -1e-12:
+        if horizon and min(regret) < -1e-12:
             raise AssertionError(f"negative per-round regret for {kind} on instance {run}")
         out[kind] = np.cumsum(regret)
     return out

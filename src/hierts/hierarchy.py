@@ -185,6 +185,7 @@ class Hierarchy:
     Attributes:
         num_nodes: total node count |V|; node ids are 1..num_nodes.
         parent: int array of shape (num_nodes + 1,), parent[1] = 0.
+        parent_ids: parent as a tuple of ints, for walks on Python floats.
         children: per-node int arrays; index 0 unused.
         height: int array; leaves have height 0, root has the tree height.
         tree_height: height of the root.
@@ -211,6 +212,7 @@ class Hierarchy:
 
     num_nodes: int
     parent: np.ndarray
+    parent_ids: tuple[int, ...] = field(repr=False)
     children: tuple[np.ndarray, ...]
     height: np.ndarray
     tree_height: int
@@ -354,6 +356,7 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
     return Hierarchy(
         num_nodes=n,
         parent=parent,
+        parent_ids=tuple(up),
         children=children,
         height=height,
         tree_height=int(height[ROOT]),

@@ -59,13 +59,14 @@ def _per_level_sample(state, rng, size=None):
     n = hier.num_nodes
     m = 1 if size is None else int(size)
     if isinstance(state, PosteriorState):
-        lamhat = state.lam0 + state.ev_prec
-        mean_root = (state.lam0[ROOT] * state.hyper_mean + state.ev_wmean[ROOT]) / lamhat[ROOT]
+        lam0, ev_prec, ev_wmean = (np.array(getattr(state, name)) for name in ("lam0", "ev_prec", "ev_wmean"))
+        lamhat = lam0 + ev_prec
+        mean_root = (lam0[ROOT] * state.hyper_mean + ev_wmean[ROOT]) / lamhat[ROOT]
         theta = np.empty((m, n + 1))
         theta[:, 0] = np.nan
         theta[:, ROOT] = mean_root + rng.standard_normal(m) / np.sqrt(lamhat[ROOT])
         for nodes, parents, start, stop in hier.level_index:
-            mean = (state.lam0[nodes] * theta[:, parents] + state.ev_wmean[nodes]) / lamhat[nodes]
+            mean = (lam0[nodes] * theta[:, parents] + ev_wmean[nodes]) / lamhat[nodes]
             theta[:, nodes] = mean + rng.standard_normal((m, stop - start)) / np.sqrt(lamhat[nodes])
     else:
         d = state.dim
@@ -115,6 +116,30 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
                 want = _per_level_sample(state, want_rng, size)
                 assert np.array_equal(got, want, equal_nan=True)
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_forced_routes_draw_the_same_bytes(monkeypatch):
+    """Which arrays a state keeps never changes a draw: each route, forced on an updated state, gives the same bytes.
+
+    b=2 h=3 and a random tree keep no numpy copies until a forced level-loop draw builds them from
+    the floats; b=16 h=2 and the flat tree of b=2 h=8 (a 256-child root) keep them and are forced
+    onto the float draw. Further updates then run with the copies in place.
+    """
+    rng = np.random.default_rng(5)
+    b2h8 = balanced_tree(2, 8)
+    trees = [balanced_tree(2, 3), random_tree(rng), balanced_tree(16, 2)]
+    trees.append(flatten_hierarchy(b2h8, constant_prior(b2h8))[0])
+    for tree in trees:
+        state = PosteriorState(tree, random_scalar_prior(rng, tree))
+        for phase in range(3):
+            for _ in range(40):
+                state.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
+            draws = []
+            for nodes_per_level in ((10**9, 0) if phase % 2 == 0 else (0, 10**9)):
+                monkeypatch.setattr(agents, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
+                draws.append(hierts_sample(state, np.random.default_rng(phase)).tobytes())
+            assert draws[0] == draws[1]
+            assert draws[0] == _per_level_sample(state, np.random.default_rng(phase)).tobytes()
 
 
 def test_scalar_ts_act_reads_cached_arm_moments(monkeypatch):
@@ -332,7 +357,7 @@ def test_agents_of_one_cell_share_their_setup(b2h2, b2h2_prior, monkeypatch, dim
     assert flats[0].state is not flats[2].state
     x = None if dim is None else np.ones(dim)
     flats[0].update(4, 1.0, x)
-    assert not flats[2].state.ev_prec.any()
+    assert not np.any(flats[2].state.ev_prec)
     FlatTSAgent(b2h2, PriorSpec(prior.hyper_mean, prior.node_variance, prior.noise_std),
                 np.random.default_rng(0))
     assert len(calls) == 2

@@ -99,7 +99,7 @@ def test_scalar_marginals_read_the_cached_conditionals(field):
     observations = _observe(state, rng, 30)
     assert _worst_oracle_deviation(state, observations) < ORACLE_RTOL
     if field == "lamhat":
-        state.lamhat[2] *= 1.0 + 1e-6  # internal node 2, parent of leaves 5..7
+        state.lamhat[2] *= 1.0 + 1e-6  # the float that the float draw reads: internal node 2, parent of leaves 5..7
     else:
         state.root_mean += 1e-6
     assert _worst_oracle_deviation(state, observations) > ORACLE_RTOL

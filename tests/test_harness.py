@@ -29,7 +29,7 @@ from hierts import (
     write_ratio_csv,
     write_regret_csv,
 )
-from hierts import agents
+from hierts import agents, harness
 
 
 def _cfg(**kw):
@@ -284,6 +284,34 @@ def test_worker_chunks_share_the_cell_setup(monkeypatch):
     monkeypatch.setattr(agents, "flatten_hierarchy", counting_flatten)
     run_bayes_regret(_cfg(branching=2, height=3, horizon=10, instances=6), jobs=2)
     assert 1 <= calls.value <= 2
+
+
+def test_simulated_rounds_hand_agents_python_floats(monkeypatch):
+    """The round loop passes float rewards, and the tree agents' per-node lists hold only floats after a run."""
+    made = []
+    reward_types = set()
+
+    def recording_make_agent(kind, hierarchy, prior, rng):
+        agent = agents.make_agent(kind, hierarchy, prior, rng)
+        update = agent.update
+
+        def recording_update(action, reward, context=None):
+            reward_types.add(type(reward))
+            update(action, reward, context)
+
+        agent.update = recording_update
+        made.append(agent)
+        return agent
+
+    monkeypatch.setattr(harness, "make_agent", recording_make_agent)
+    run_bayes_regret(_cfg(branching=2, height=3, horizon=60, instances=2), jobs=1)
+    assert reward_types == {float}
+    states = [agent.state for agent in made if agent.kind != "TS"]
+    assert len(states) == 4
+    for state in states:
+        for name in ("counts", "reward_sums", "lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
+                     "lamhat", "sqrt_lamhat"):
+            assert all(type(x) is float for x in getattr(state, name)), name
 
 
 def test_complexity_term_worked_values():

@@ -22,15 +22,25 @@ from hierts.posterior import SHORT_SUM_MAX
 
 STATE_ARRAYS = ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
                 "lamhat", "sqrt_lamhat", "root_mean")
-# PosteriorState's arrays with a float-list mirror, which the path walk and the float draw read
-MIRRORED = ("lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "lamhat", "sqrt_lamhat")
+# PosteriorState's per-node float lists, its only per-node state
+PER_NODE = ("counts", "reward_sums", "lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
+            "lamhat", "sqrt_lamhat")
 
 
-def _assert_mirrors_match(state):
-    for name in MIRRORED:
-        mirror = getattr(state, f"_{name}")
-        assert type(mirror) is list and all(type(x) is float for x in mirror), name
-        assert np.array_equal(np.array(mirror), getattr(state, name), equal_nan=True), name
+def _assert_floats_and_copies(state):
+    """Every per-node value is exactly a float, and every numpy copy written through equals its floats bit for bit."""
+    for name in PER_NODE:
+        floats = getattr(state, name)
+        assert type(floats) is list and all(type(x) is float for x in floats), name
+    assert type(state.root_mean) is float
+    if state._levels is not None:
+        for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state._levels):
+            assert array.tobytes() == np.array(getattr(state, name)).tobytes(), name
+    wide = [ch for ch in state.hierarchy.children if ch.size > SHORT_SUM_MAX]
+    if wide:
+        kids = np.concatenate(wide)
+        for name, array in zip(("msg_prec", "msg_wmean"), state._msg_arrays):
+            assert array[kids].tobytes() == np.array(getattr(state, name))[kids].tobytes(), name
 
 
 def test_unobserved_leaf_sends_zero_message(two_leaf):
@@ -55,7 +65,7 @@ def test_message_precision_saturates(two_leaf):
     # precision saturates at 1/sigma0_sq as count grows
     tree, _ = two_leaf
     state = PosteriorState(tree, constant_prior(tree, 2.0, noise_std=1.0))
-    state.counts[2] = 10**6
+    state.counts[2] = 1e6
     assert state.rebuild().msg_prec[2] == pytest.approx(0.5, rel=1e-5)
     with pytest.raises(ValueError):
         constant_prior(tree, 0.0, noise_std=1.0)
@@ -152,11 +162,12 @@ def test_update_path_matches_rebuild_exactly(b2h2, b2h2_prior):
         # same reductions in the same order: bit-identical, not just close
         for name in STATE_ARRAYS:
             assert np.array_equal(getattr(state, name), getattr(fresh, name), equal_nan=True), name
-        _assert_mirrors_match(state)
-        _assert_mirrors_match(fresh)
+        _assert_floats_and_copies(state)
+        _assert_floats_and_copies(fresh)
         # and the caches hold what they stand for
-        assert np.array_equal(state.lamhat, state.lam0 + state.ev_prec, equal_nan=True)
-        assert np.array_equal(state.sqrt_lamhat, np.sqrt(state.lamhat), equal_nan=True)
+        lamhat = np.array(state.lam0) + np.array(state.ev_prec)
+        assert np.array_equal(state.lamhat, lamhat, equal_nan=True)
+        assert np.array_equal(state.sqrt_lamhat, np.sqrt(lamhat), equal_nan=True)
         lam0 = state.lam0[1]
         assert state.root_mean == (lam0 * prior.hyper_mean + state.ev_wmean[1]) / state.lamhat[1]
 
@@ -249,19 +260,49 @@ def test_single_observation_closed_form(sigma0, noise, y):
     assert mean == pytest.approx(expect_var * y / noise**2, rel=1e-10, abs=1e-12)
 
 
-class _NumpyPathState(PosteriorState):
-    """PosteriorState walking on numpy scalars and pooling with numpy's sum.
+class _NumpyPathState:
+    """The scalar path update on its own numpy arrays, walking on numpy scalars and pooling with numpy's sum.
 
-    The reference the float path must match bit for bit; rebuild() keeps
-    the type.
+    A self-contained reference that the float path must match bit for bit.
     """
+
+    def __init__(self, hierarchy, prior):
+        self.hierarchy, self.prior = hierarchy, prior
+        self.noise_prec = 1.0 / prior.noise_std**2
+        self.hyper_mean = float(prior.hyper_mean)
+        self.lam0 = 1.0 / prior.variances(hierarchy)
+        for name in ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean"):
+            setattr(self, name, np.zeros(hierarchy.num_nodes + 1))
+        self.lamhat = self.lam0 + self.ev_prec
+        self.sqrt_lamhat = np.sqrt(self.lamhat)
+        self._fold_root()
 
     def update_path(self, action, reward):
         self.counts[action] += 1.0
         self.reward_sums[action] += reward
         self.ev_prec[action] = self.counts[action] * self.noise_prec
         self.ev_wmean[action] = self.reward_sums[action] * self.noise_prec
-        self._walk(action)
+        node = action
+        while node != 1:
+            self._fold(node)
+            node = int(self.hierarchy.parent[node])
+            self._pool(node)
+        self._fold_root()
+
+    def rebuild(self):
+        hier = self.hierarchy
+        out = _NumpyPathState(hier, self.prior)
+        out.counts[:], out.reward_sums[:] = self.counts, self.reward_sums
+        leaves = hier.action_nodes
+        out.ev_prec[leaves] = out.counts[leaves] * out.noise_prec
+        out.ev_wmean[leaves] = out.reward_sums[leaves] * out.noise_prec
+        for node in sorted(range(2, hier.num_nodes + 1), key=lambda i: int(hier.height[i])):
+            if hier.children[node].size:
+                out._pool(node)
+            out._fold(node)
+        out._pool(1)
+        out._fold_root()
+        return out
 
     def _pool(self, node):
         ch = self.hierarchy.children[node]
@@ -306,12 +347,53 @@ def test_float_path_matches_numpy_reference():
                 ref.update_path(leaf, reward)
             for name in STATE_ARRAYS:
                 assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
-            _assert_mirrors_match(state)
-            if phase == 0:  # more updates on rebuilt states, whose float mirrors start over
+            _assert_floats_and_copies(state)
+            if phase == 0:  # more updates on rebuilt states
                 state, ref = state.rebuild(), ref.rebuild()
                 for name in STATE_ARRAYS:
                     assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
-                _assert_mirrors_match(state)
+                _assert_floats_and_copies(state)
+
+
+def test_written_through_copies_equal_their_floats():
+    """On trees that hierts_sample draws with its level loop, each numpy copy is the floats' bits after every update.
+
+    b=2 h=8 keeps only the level loop's copies; its 257-node flat tree and b=16 h=2 also keep the
+    messages of a wide parent's children. A rebuilt state starts without level copies.
+    """
+    rng = np.random.default_rng(8)
+    deep = balanced_tree(2, 8)
+    flat, flat_prior, _ = flatten_hierarchy(deep, doubling_prior(deep, noise_std=0.8, hyper_mean=0.4))
+    wide = balanced_tree(16, 2)
+    cases = [(deep, random_scalar_prior(rng, deep)), (flat, flat_prior), (wide, random_scalar_prior(rng, wide))]
+    for tree, prior in cases:
+        state = PosteriorState(tree, prior)
+        levels = state.level_arrays()
+        assert state.level_arrays() is levels  # built once, then written through
+        for step in range(400):
+            state.update_path(int(rng.choice(tree.action_nodes)), float(rng.standard_normal() * 3.0))
+            if step % 40 == 0:
+                _assert_floats_and_copies(state)
+        _assert_floats_and_copies(state)
+        fresh = state.rebuild()
+        assert fresh._levels is None
+        _assert_floats_and_copies(fresh)
+        assert fresh.level_arrays()[2].tobytes() == levels[2].tobytes()
+
+
+def test_numpy_rewards_stay_out_of_the_float_lists():
+    """np.float64 rewards are summed into the tallies as Python floats, so no numpy scalar enters the walk."""
+    rng = np.random.default_rng(3)
+    for tree in (balanced_tree(2, 3), balanced_tree(16, 2)):
+        state = PosteriorState(tree, random_scalar_prior(rng, tree))
+        ref = PosteriorState(tree, state.prior)
+        for _ in range(50):
+            leaf, reward = int(rng.choice(tree.action_nodes)), np.float64(rng.standard_normal())
+            state.update_path(leaf, reward)
+            ref.update_path(leaf, float(reward))
+        _assert_floats_and_copies(state)
+        for name in STATE_ARRAYS:
+            assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
 
 
 @pytest.mark.parametrize("width", [8, 9, 16, 17, 31, 128, 129, 300])
@@ -334,15 +416,18 @@ def test_wide_pool_sums_like_numpy_over_view_or_gather(width):
         assert not isinstance(state._children[2], slice) and not isinstance(state._children[3], slice)
         n = tree.num_nodes + 1
         for _ in range(20):
-            state.msg_prec[:] = np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-8, 8, n)
-            state.msg_wmean[:] = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+            msgs = {"prec": np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-8, 8, n),
+                    "wmean": rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)}
+            # every message here is a wide parent's child's: set the floats and their numpy copies
+            for (name, msg), array in zip(msgs.items(), state._msg_arrays):
+                getattr(state, f"msg_{name}")[:] = msg.tolist()
+                array[:] = msg
             for node in (2, 3, 4):
                 state._pool(node)
                 ch = tree.children[node]
-                for name, msg in (("prec", state.msg_prec), ("wmean", state.msg_wmean)):
-                    want = msg[ch].sum().tobytes()
-                    assert getattr(state, f"ev_{name}")[node].tobytes() == want, (name, node, r)
-                    assert np.float64(getattr(state, f"_ev_{name}")[node]).tobytes() == want, (name, node, r)
+                for name, msg in msgs.items():
+                    got = getattr(state, f"ev_{name}")[node]
+                    assert type(got) is float and np.float64(got).tobytes() == msg[ch].sum().tobytes(), (name, node, r)
 
 
 @pytest.mark.parametrize("n", range(1, SHORT_SUM_MAX + 1))
