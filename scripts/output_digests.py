@@ -22,7 +22,12 @@ b=2 h=3, b=16 h=2 and a random tree with leaves at mixed depths, after 60
 updates each: the scalar draw without a size on Python floats and on the
 numpy level loop (both forced, whichever the tree would take), a sized scalar
 draw, and a linear (d=3) draw without and with a size. Run outputs average
-draws away, and these show a change in a draw's last bit. A change that should
+draws away, and these show a change in a draw's last bit. At d=10, the
+dimension of the benchmark's classify workload, it saves the same on the
+fitted 5x5 cluster tree after 200 updates (draws/fitted-d10/): the linear
+draws without and with a size, the fold caches of a LinearPosteriorState
+(post_cov, post_factor, slope, intercept, msg_prec, msg_wmean) and a
+TSAgent's arm moments (mean, cov, factor). A change that should
 leave outputs byte-identical diffs the manifest of its parent against its own:
 
     PYTHONPATH=src python scripts/output_digests.py --out /tmp/digests-new
@@ -44,9 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hierts import LinearPosteriorState, PosteriorState, agents, cli, hierts_sample
+from hierts import LinearPosteriorState, PosteriorState, TSAgent, agents, cli, hierts_sample
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
-from hierts.envs import make_cluster_dataset, write_dataset_csv
+from hierts.envs import fit_priors_from_data, make_cluster_dataset, write_dataset_csv
 from hierts.hierarchy import PriorSpec, balanced_tree, doubling_prior, save_tree_json
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -102,6 +107,29 @@ def write_draws(root: Path) -> None:
             (root / name / f"{route}.bin").write_bytes(theta.tobytes())
 
 
+def write_fitted_d10(root: Path) -> None:
+    """Raw linear draws, fold caches and TS arm moments at d=10, after 200 updates on the fitted cluster tree."""
+    rng = np.random.default_rng(13)
+    dataset, tree, _ = make_cluster_dataset(rng, num_groups=5, classes_per_group=5, dim=10)
+    prior, theta, _ = fit_priors_from_data(dataset, tree, noise_std=0.5)
+    contexts = dataset.features[~dataset.is_train]
+    state, ts = LinearPosteriorState(tree, prior), TSAgent(tree, prior, np.random.default_rng(5))
+    for _ in range(200):
+        leaf, x = int(rng.choice(tree.action_nodes)), contexts[rng.integers(contexts.shape[0])]
+        y = float(x @ theta[leaf] + prior.noise_std * rng.standard_normal())
+        state.update_path(leaf, x, y)
+        ts.update(leaf, y, x)
+    arrays = {"linear": hierts_sample(state, np.random.default_rng(3)),
+              "linear-size3": hierts_sample(state, np.random.default_rng(4), 3)}
+    for name in ("post_cov", "post_factor", "slope", "intercept", "msg_prec", "msg_wmean"):
+        arrays[f"state-{name}"] = getattr(state, name)
+    for name in ("mean", "cov", "factor"):
+        arrays[f"ts-{name}"] = getattr(ts, name)
+    (root / "fitted-d10").mkdir(parents=True)
+    for name, a in arrays.items():
+        (root / "fitted-d10" / f"{name}.bin").write_bytes(a.tobytes())
+
+
 def commands(data: Path, runs: Path) -> list[list[str]]:
     out = []
     tree_file_configs = write_tree_file_configs(data)
@@ -138,6 +166,7 @@ def main() -> None:
     write_dataset_csv(data / "data.csv", dataset, label_map)
     save_tree_json(data / "tree.json", hierarchy, label_map=label_map)
     write_draws(Path("draws"))
+    write_fitted_d10(Path("draws"))
     for argv in commands(data, runs):
         print(" ".join(["hierts"] + argv), flush=True)
         code = cli.main(argv)

@@ -21,7 +21,7 @@ from .hierarchy import (
     flatten_hierarchy,
     marginal_prior_variances,
 )
-from .linear import LinearPosteriorState, _argmax_score, _conditional, _observation, _sym
+from .linear import LinearPosteriorState, _add_observation, _argmax_score, _conditional, _sym
 from .posterior import PosteriorState
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
@@ -187,7 +187,8 @@ class TSAgent:
     arm keeps its precision form (prec, wmean) and the moments a draw reads,
     which update refreshes for the acted arm: mean, and sd = sqrt(prec) for a
     scalar prior or cov and a sampling factor (factor @ factor.T = cov) for a
-    matrix prior.
+    matrix prior. A matrix prior keeps each arm's prec beside its cov in one
+    (K, 2, d, d) array, the pair the conditional kernel reads and writes.
     """
 
     kind = "TS"
@@ -202,7 +203,8 @@ class TSAgent:
             self.prec, self.wmean, self.mean, self.sd = arrays
         else:
             self.dim = prior.dim
-            self.prec, self.wmean, self.cov, self.factor, self.mean = arrays
+            self._prec_cov, self.wmean, self.factor, self.mean = arrays
+            self.prec, self.cov = self._prec_cov[:, 0], self._prec_cov[:, 1]
 
     def marginal_action_moments(self, action: int):
         """Posterior (mean, variance or covariance) of one arm."""
@@ -230,10 +232,8 @@ class TSAgent:
             wmean = self.wmean[j] = self.wmean.item(j) + reward * self.noise_prec
             self.mean[j], self.sd[j] = wmean / prec, math.sqrt(prec)
         else:
-            x = _observation(context, reward, self.dim)
-            self.prec[j] += np.outer(x, x) * self.noise_prec
-            self.wmean[j] += x * (reward * self.noise_prec)
-            self.cov[j], self.factor[j], self.mean[j] = _arm_posterior(self.prec[j], self.wmean[j], j)
+            _add_observation(self.prec[j], self.wmean[j], context, reward, self.noise_prec)
+            _arm_posterior(self._prec_cov[j], self.wmean[j], self.factor[j], self.mean[j], j)
 
 
 # Each agent of a cell's instances starts from the same tree and prior, so
@@ -250,8 +250,8 @@ def _flat_tree(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[Hierarchy, Prior
 def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
     """Read-only per-arm prior arrays of TSAgent, each arm's prior being its tree marginal.
 
-    (prec, wmean, mean, sd) for a scalar prior; (prec, wmean, cov, factor,
-    mean) for a matrix prior.
+    (prec, wmean, mean, sd) for a scalar prior; (prec_cov, wmean, factor,
+    mean) for a matrix prior, with each arm's prec and cov stacked in prec_cov.
     """
     leaves = hierarchy.action_nodes
     marginal = marginal_prior_variances(hierarchy, prior)
@@ -262,19 +262,21 @@ def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
     else:
         prec = _sym(np.linalg.inv(marginal[leaves]))
         wmean = prec @ np.asarray(prior.hyper_mean, float)
-        cov, factor, mean = np.empty_like(prec), np.empty_like(prec), np.empty_like(wmean)
+        prec_cov = np.stack([prec, np.empty_like(prec)], axis=1)
+        factor, mean = np.empty_like(prec), np.empty_like(wmean)
         for j in range(leaves.size):
-            cov[j], factor[j], mean[j] = _arm_posterior(prec[j], wmean[j], j)
-        arrays = (prec, wmean, cov, factor, mean)
+            _arm_posterior(prec_cov[j], wmean[j], factor[j], mean[j], j)
+        arrays = (prec_cov, wmean, factor, mean)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _arm_posterior(prec: np.ndarray, wmean: np.ndarray, j: int):
-    """(covariance, its sampling factor, mean) of one arm from its precision form."""
-    cov, li = _conditional(prec, f"arm {j} covariance")
-    return cov, li.T, cov @ wmean
+def _arm_posterior(prec_cov: np.ndarray, wmean: np.ndarray, factor: np.ndarray, mean: np.ndarray, j: int) -> None:
+    """One arm's covariance (into prec_cov[1]), its sampling factor and mean, from its precision form."""
+    li = _conditional(prec_cov, f"arm {j} covariance")
+    factor[...] = li.T
+    np.matmul(prec_cov[1], wmean, out=mean)
 
 
 def make_agent(kind: str, hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator):

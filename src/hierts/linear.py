@@ -37,43 +37,75 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _conditional(s: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(covariance S^-1, inverse Cholesky factor L^-1) of a Gaussian with precision S = L L^T.
+def _bind_inverse_factor():
+    """L^-1 for S = L L^T from numpy's LAPACK gufuncs, called directly: at d = 10 numpy.linalg's wrappers around
+    them cost about as much as LAPACK. A gufunc flags a failed factorization or inversion as an invalid
+    operation, which the errstate numpy.linalg sets around them raises as FloatingPointError, so the same inputs
+    fail. Without that private module, the public wrappers: the same bits, and LinAlgError where these raise."""
+    try:
+        from numpy.linalg._umath_linalg import cholesky_lo, inv
+    except ImportError:
+        def inverse_factor(s):
+            return np.linalg.inv(np.linalg.cholesky(s))
+    else:
+        @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+        def inverse_factor(s):
+            return inv(cholesky_lo(s, signature="d->d"), signature="d->d")
+    return inverse_factor
 
-    S^-1 = L^-T L^-1 is formed as that one product, so it is exactly symmetric, and L^-T samples it. Raises
-    ConditioningError naming what if S is singular or indefinite (the factorization fails) or if cond_1(S)
-    exceeds COND_LIMIT. S is symmetric, so cond_1(S) bounds cond_2(S) from above.
+
+_inverse_factor = _bind_inverse_factor()
+
+
+def _conditional(pair: np.ndarray, what: str) -> np.ndarray:
+    """Inverse Cholesky factor L^-1 of a Gaussian with precision S = L L^T, given pair = [S, out] of shape (2, d, d).
+
+    Writes the covariance S^-1 = L^-T L^-1 to pair[1] as that one product, so it is exactly symmetric, and L^-T
+    samples it. Raises ConditioningError naming what if S is singular or indefinite (the factorization fails) or
+    if cond_1(S) exceeds COND_LIMIT. S is symmetric, so cond_1(S) bounds cond_2(S) from above.
     """
     try:
-        li = np.linalg.inv(np.linalg.cholesky(s))
-    except np.linalg.LinAlgError:
+        li = _inverse_factor(pair[0])
+    except (FloatingPointError, np.linalg.LinAlgError):
         raise ConditioningError(f"{what}: precision is singular or not positive definite") from None
-    pair = np.empty((2,) + s.shape)  # S and S^-1 side by side: both 1-norms in one pass
-    pair[0] = s
-    cov = np.matmul(li.T, li, out=pair[1])
-    bound = math.prod(np.abs(pair).sum(axis=1).max(axis=1).tolist())
+    np.matmul(li.T, li, out=pair[1])
+    bound = math.prod(np.maximum.reduce(np.add.reduce(np.abs(pair), axis=1), axis=1).tolist())  # both 1-norms
     if not bound <= COND_LIMIT:
         raise ConditioningError(f"{what}: condition number bound {bound:.3e} exceeds {COND_LIMIT:.0e}")
-    return cov, li
+    return li
 
 
-def _observation(context, reward: float, dim: int) -> np.ndarray:
-    """The context as a float vector; ValueError unless it has shape (dim,) and it and the reward are finite."""
+def _context(context, dim: int) -> np.ndarray:
+    """The context as a float vector; ValueError unless it has shape (dim,)."""
     x = np.asarray(context, float)
-    if x.shape != (dim,):
-        raise ValueError(f"context must have shape ({dim},), got {x.shape}")
-    if not np.isfinite(reward) or not np.isfinite(x).all():
-        raise ValueError("context and reward must be finite")
+    if context is None or x.shape != (dim,):
+        raise ValueError(f"context must have shape ({dim},), got {None if context is None else x.shape}")
     return x
 
 
+def _add_observation(prec: np.ndarray, wmean: np.ndarray, context, reward: float, noise_prec: float) -> None:
+    """Add one pair's x x^T / noise_var to prec and x y / noise_var to wmean, in place; ValueError, before any
+    change, unless the context has shape (d,) and it and the reward are finite."""
+    x = _context(context, wmean.shape[0])
+    if not math.isfinite(reward) or not np.isfinite(x).all():
+        raise ValueError("context and reward must be finite")
+    outer = np.multiply.outer(x, x)
+    outer *= noise_prec
+    prec += outer
+    wmean += x * (reward * noise_prec)
+
+
 def _argmax_score(values: np.ndarray, context) -> int:
-    """Position of the largest value (of values @ context, given a context); ValueError unless
-    that score is finite, since np.argmax picks the first NaN that a NaN or inf in the context makes."""
-    if context is None:
+    """Position of the largest value of a k-armed model's (K,) values, whose context must be None, or of
+    the scores values @ context of a linear model's (K, d) values, whose context must have shape (d,).
+    ValueError otherwise, or unless that score is finite, since np.argmax picks the first NaN that a NaN or
+    inf in the context makes."""
+    if values.ndim == 1:
+        if context is not None:
+            raise ValueError(f"context must be None for the k-armed model, got shape {np.shape(context)}")
         return int(values.argmax())
-    scores = values @ np.asarray(context, float)
-    j = int(np.argmax(scores))
+    scores = values @ _context(context, values.shape[1])
+    j = int(scores.argmax())
     if not math.isfinite(scores[j]):
         raise ValueError(f"context must be finite, got {context}")
     return j
@@ -106,11 +138,13 @@ class LinearPosteriorState(_UpwardPass):
         self.ev_wmean = np.zeros((n + 1, d))
         self.msg_prec = np.zeros((n + 1, d, d))
         self.msg_wmean = np.zeros((n + 1, d))
-        self.post_cov = np.empty((n + 1, d, d))
+        # per node, S = P + Lam0 beside the covariance S^-1: the cond_1 bound reads both without a copy
+        self._s_cov = np.empty((n + 1, 2, d, d))
+        self.post_cov = self._s_cov[:, 1]
         self.post_factor = np.empty((n + 1, d, d))
         self.slope = np.empty((n + 1, d, d))
         self.intercept = np.zeros((n + 1, d))
-        self.post_cov[0] = np.eye(d)
+        self._s_cov[0] = np.eye(d)
         self.post_factor[0] = np.eye(d)
         self.slope[0] = np.eye(d)
         for node in range(1, n + 1):
@@ -119,26 +153,32 @@ class LinearPosteriorState(_UpwardPass):
     def update_path(self, action: int, context: np.ndarray, reward: float) -> None:
         """Record one (context, reward) pair and refresh the leaf's root path."""
         self.hierarchy.action_position(action)  # HierarchyError unless a leaf
-        x = _observation(context, reward, self.dim)
-        self.ev_prec[action] += np.outer(x, x) * self.noise_prec
-        self.ev_wmean[action] += x * (reward * self.noise_prec)
+        _add_observation(self.ev_prec[action], self.ev_wmean[action], context, reward, self.noise_prec)
         self._walk(action)
+
+    def _pool(self, node: int) -> None:
+        ch = self._children[node]
+        np.add.reduce(self.msg_prec[ch], axis=0, out=self.ev_prec[node])
+        np.add.reduce(self.msg_wmean[ch], axis=0, out=self.ev_wmean[node])
 
     def _fold(self, node: int) -> None:
         """Message and conditional of one node from one factor of S = P + Lam0; the root sends no message."""
         lam0, prec, wmean = self.lam0[node], self.ev_prec[node], self.ev_wmean[node]
-        cov, li = _conditional(prec + lam0, f"posterior at node {node}")
-        self.post_cov[node] = cov
+        s_cov = self._s_cov[node]
+        np.add(prec, lam0, out=s_cov[0])
+        li = _conditional(s_cov, f"posterior at node {node}")
+        cov = s_cov[1]
         self.post_factor[node] = li.T
-        slope = self.slope[node] = cov @ lam0
-        intercept = self.intercept[node] = cov @ wmean
+        slope = np.matmul(cov, lam0, out=self.slope[node])
+        intercept = np.matmul(cov, wmean, out=self.intercept[node])
         if node == ROOT:
             self.root_mean = slope @ self.hyper_mean + intercept
             return
-        small = prec if prec.diagonal().sum() <= self._lam0_trace[node] else lam0
+        small = prec if prec.trace() <= self._lam0_trace[node] else lam0
         h = li @ small
-        self.msg_prec[node] = small - h.T @ h
-        self.msg_wmean[node] = lam0 @ intercept
+        msg_prec = np.matmul(h.T, h, out=self.msg_prec[node])
+        np.subtract(small, msg_prec, out=msg_prec)
+        np.matmul(lam0, intercept, out=self.msg_wmean[node])
 
     def _fold_root(self) -> None:
         self._fold(ROOT)

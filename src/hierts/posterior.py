@@ -35,22 +35,16 @@ SHORT_SUM_MAX = 7
 class _UpwardPass:
     """Leaf-to-root pass over the ev_* (pooled evidence) and msg_* (message) caches.
 
-    Subclasses supply _fold(node), evidence to message; _fold_root(), which
-    refreshes the root's cached conditional (the root sends no message);
+    Subclasses supply _pool(node), which sums a parent's child messages into
+    its evidence; _fold(node), evidence to message; _fold_root(), which
+    refreshes the root's cached conditional (the root sends no message); and
     _copy_tallies(out), which gives a fresh state this one's leaf tallies and
-    evidence (one and the same in the linear model); and _children, each
-    node's child ids as an index. _pool sums a parent's child messages with
-    numpy; a subclass may pool faster if it keeps the sums bit-identical.
+    evidence (one and the same in the linear model).
     """
 
     @property
     def num_nodes(self) -> int:
         return self.hierarchy.num_nodes
-
-    def _pool(self, node: int) -> None:
-        ch = self._children[node]
-        self.ev_prec[node] = self.msg_prec[ch].sum(axis=0)
-        self.ev_wmean[node] = self.msg_wmean[ch].sum(axis=0)
 
     def _walk(self, node: int) -> None:
         """Fold node and each ancestor below the root, pooling every parent's children."""

@@ -323,6 +323,23 @@ def test_agents_reject_non_finite_context(kind, b2h2):
     assert agent.act(np.array([1.0, 0.0])) in set(b2h2.action_nodes.tolist())
 
 
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+@pytest.mark.parametrize("dim, context, message", [
+    (2, np.ones((2, 1)), r"context must have shape \(2,\), got \(2, 1\)"),
+    (2, np.ones((2, 2)), r"context must have shape \(2,\), got \(2, 2\)"),
+    (2, None, r"context must have shape \(2,\), got None"),
+    (None, np.ones(2), r"context must be None for the k-armed model, got shape \(2,\)"),
+], ids=["column", "matrix", "missing", "scalar-given-context"])
+def test_act_rejects_a_context_of_the_wrong_shape(kind, dim, context, message):
+    """act checks the context's shape as update does: a ValueError, not a TypeError or IndexError from
+    the scoring, nor (HierTS without a context) the argmax of its flattened (K, d) draw."""
+    tree = balanced_tree(2, 1)
+    prior = constant_prior(tree, 1.0) if dim is None else _linear_prior(tree, dim)
+    agent = make_agent(kind, tree, prior, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        agent.act(context)
+
+
 def test_ts_agent_linear_update(b2h2):
     prior = _linear_prior(b2h2, dim=2, noise_std=1.0)
     agent = TSAgent(b2h2, prior, np.random.default_rng(0))

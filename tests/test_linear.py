@@ -1,4 +1,6 @@
 """Linear-model posterior: scalar reduction, Woodbury identities, oracle agreement."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from hierts import (
     constant_prior,
     joint_prior,
 )
+from hierts import linear
 from hierts.checks import ORACLE_RTOL, random_linear_prior
 from hierts.envs import _floor_covariance, fit_priors_from_data, make_cluster_dataset
 from hierts.hierarchy import HierarchyError
@@ -234,20 +237,70 @@ def test_conditional_is_at_least_as_strict_as_eigenvalue_check():
         if lo <= 0 or hi / lo > COND_LIMIT:
             rejected += 1
             with pytest.raises(ConditioningError):
-                _conditional(s, "test")
+                _kernel(s)
     assert rejected > 100
 
 
-@pytest.mark.parametrize("s", [
-    np.zeros((2, 2)),
-    np.ones((3, 3)),
-    np.diag([1.0, -1.0]),
-    np.array([[1.0, 2.0], [2.0, 1.0]]),
-    np.array([[np.nan, 0.0], [0.0, 1.0]]),
-], ids=["zero", "rank-one", "indefinite-diag", "indefinite", "nan"])
-def test_conditional_rejects_singular_and_indefinite(s):
-    with pytest.raises(ConditioningError, match="test"):
-        _conditional(s, "test")
+def _kernel(s):
+    """_conditional on a fresh [S, out] pair: (covariance, inverse factor)."""
+    pair = np.stack([s, np.empty_like(s)])
+    li = _conditional(pair, "test")
+    return pair[1], li
+
+
+SINGULAR = "test: precision is singular or not positive definite"
+# (S, the exact message) of every way the kernel fails: the factorization fails on a singular or
+# indefinite S, while a NaN or inf passes it and trips the cond_1 bound
+KERNEL_FAILURES = [
+    (np.zeros((2, 2)), SINGULAR),
+    (np.ones((3, 3)), SINGULAR),
+    (np.diag([1.0, -1.0]), SINGULAR),
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), SINGULAR),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "test: condition number bound nan exceeds 1e+12"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "test: condition number bound inf exceeds 1e+12"),
+    (np.diag([1.0, 1e13]), "test: condition number bound 1.000e+13 exceeds 1e+12"),
+]
+KERNEL_FAILURE_IDS = ["zero", "rank-one", "indefinite-diag", "indefinite", "nan", "inf", "cond-1e13"]
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning may leak from the LAPACK calls
+@pytest.mark.parametrize("s, message", KERNEL_FAILURES, ids=KERNEL_FAILURE_IDS)
+def test_conditional_rejects_singular_and_indefinite(s, message):
+    with pytest.raises(ConditioningError) as err:
+        _kernel(s)
+    assert str(err.value) == message
+
+
+@pytest.fixture(params=["gufunc", "fallback"])
+def kernel_binding(request, monkeypatch):
+    """The kernel as bound at import, or as bound when numpy ships no numpy.linalg._umath_linalg."""
+    if request.param == "fallback":
+        monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)  # the import raises ImportError
+        monkeypatch.setattr(linear, "_inverse_factor", linear._bind_inverse_factor())
+        calls, cholesky = [], np.linalg.cholesky
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", lambda s: calls.append(s) or cholesky(s))
+            linear._inverse_factor(np.eye(2))
+        assert calls, "the fallback binding does not call numpy.linalg"
+    return request.param
+
+
+@pytest.mark.filterwarnings("error")
+def test_conditional_matches_numpy_linalg_bytes(kernel_binding):
+    """Both bindings return numpy.linalg's bytes, L^-1 = inv(cholesky(S)) and S^-1 = L^-T L^-1, and the same messages."""
+    rng = np.random.default_rng(31)
+    for d in range(1, 13):
+        a = rng.standard_normal((8, d, d + 2))
+        stack = a @ a.swapaxes(1, 2) / (d + 2) + np.geomspace(1e-3, 10.0, 8)[:, None, None] * np.eye(d)
+        for s in stack:
+            want_li = np.linalg.inv(np.linalg.cholesky(s))
+            cov, li = _kernel(s)
+            assert li.tobytes() == want_li.tobytes(), d
+            assert cov.tobytes() == (want_li.T @ want_li).tobytes(), d
+    for s, message in KERNEL_FAILURES:
+        with pytest.raises(ConditioningError) as err:
+            _kernel(s)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("floored", [False, True], ids=["plain", "floored-leaf"])
