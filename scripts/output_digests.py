@@ -33,6 +33,9 @@ leave outputs byte-identical diffs the manifest of its parent against its own:
     PYTHONPATH=src python scripts/output_digests.py --out /tmp/digests-new
     diff /tmp/digests-old/MANIFEST /tmp/digests-new/MANIFEST
 
+tests/test_output_digests.py reuses run, manifest and write_draws to check a fast
+subset of these outputs in tier-1 against tests/data/output_digests.txt.
+
 The manifest lists `sha256  path` lines sorted by path, with paths relative
 to --out. OUTPUTS lists the same lines for every file but replay.json, with
 each summary.json hashed without its `config` block: it stays identical
@@ -149,6 +152,20 @@ def commands(data: Path, runs: Path) -> list[list[str]]:
     return out
 
 
+def run(argv: list[str]) -> None:
+    """Run one hierts command in-process; SystemExit unless it exits 0."""
+    print(" ".join(["hierts"] + argv), flush=True)
+    code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"exit code {code}")
+
+
+def manifest(root: Path) -> list[str]:
+    """`sha256  path` lines of every file under root, sorted by path, with paths relative to root."""
+    paths = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256((root / p).read_bytes()).hexdigest()}  {p.as_posix()}" for p in paths]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="new or empty directory for the runs and MANIFEST")
@@ -168,10 +185,7 @@ def main() -> None:
     write_draws(Path("draws"))
     write_fitted_d10(Path("draws"))
     for argv in commands(data, runs):
-        print(" ".join(["hierts"] + argv), flush=True)
-        code = cli.main(argv)
-        if code != cli.EXIT_OK:
-            raise SystemExit(f"exit code {code}")
+        run(argv)
     for seed in VERIFY_SEEDS:
         argv = ["verify-oracle", "--seed", str(seed)]
         print(" ".join(["hierts"] + argv), flush=True)
@@ -181,18 +195,15 @@ def main() -> None:
             code = cli.main(argv)
         if code != cli.EXIT_OK:
             raise SystemExit(f"exit code {code}")
-    manifest, outputs = [], []
-    for path in sorted(p for p in Path(".").rglob("*") if p.is_file() and p.name not in ("MANIFEST", "OUTPUTS")):
+    outputs = []
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file() and p.name != "replay.json"):
         data = path.read_bytes()
-        manifest.append(f"{hashlib.sha256(data).hexdigest()}  {path.as_posix()}")
-        if path.name == "replay.json":
-            continue
         if path.name == "summary.json":
             summary = json.loads(data)
             summary.pop("config", None)
             data = json.dumps(summary, indent=2, sort_keys=True).encode()
         outputs.append(f"{hashlib.sha256(data).hexdigest()}  {path.as_posix()}")
-    for name, lines in (("MANIFEST", manifest), ("OUTPUTS", outputs)):
+    for name, lines in (("MANIFEST", manifest(root)), ("OUTPUTS", outputs)):
         Path(name).write_text("\n".join(lines) + "\n")
         print(f"wrote {root / name} ({len(lines)} files)")
 

@@ -14,6 +14,7 @@ from .checks import (
     run_default_suites,
     scalar_oracle_suite,
 )
+from .config import RunConfig
 from .envs import (
     DatasetError,
     FeatureDataset,
@@ -35,7 +36,6 @@ from .harness import (
     BoundReport,
     RatioResult,
     RegretCurve,
-    RunConfig,
     complexity_term,
     dataset_bandit_curve,
     ratio_experiment,

@@ -1,6 +1,8 @@
 """Command line interface.
 
-Subcommands: simulate, ratio, bound, verify-oracle, classify-bandit.
+Subcommands: simulate, ratio, bound, verify-oracle, classify-bandit. Each
+reads its input through hierts.config.read: its JSON document, with the
+flags that are set laid over it, read once through its table.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O
 error. An ill-conditioned prior or posterior (ConditioningError) is not
 caught: it ends with a traceback and exit 1.
@@ -11,58 +13,24 @@ byte for byte; classify-bandit's replay.json records its flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import checks
+from .config import RunConfig, jobs, read
 from .envs import COVARIANCE_FLOOR, dataset_instance, fit_priors_from_data, load_feature_dataset
-from .harness import (
-    RUN_FIELDS,
-    RunConfig,
-    complexity_term,
-    dataset_bandit_curve,
-    ratio_experiment,
-    regret_bound,
-    run_bayes_regret,
-    write_bound_csv,
-    write_ratio_csv,
-    write_regret_csv,
-)
-from .hierarchy import (
-    ConfigError,
-    _bounded,
-    _int_at_least,
-    _is_int,
-    _load_json_object,
-    _read_fields,
-    _spec,
-    load_tree_json,
-    marginal_prior_variances,
-)
+from .harness import (complexity_term, dataset_bandit_curve, ratio_experiment, regret_bound, run_bayes_regret,
+                      write_bound_csv, write_ratio_csv, write_regret_csv)
+from .hierarchy import ConfigError, load_tree_json, marginal_prior_variances
 from .svgchart import write_line_chart
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
-
-
-_HEIGHTS = _bounded(lambda v: isinstance(v, list) and v != [] and all(_is_int(h) and h >= 1 for h in v),
-                    "a non-empty list of integers >= 1")
-# ratio reads the simulate document plus heights; it sets the tree height itself and computes no bound.
-_RATIO_FIELDS = {
-    **RUN_FIELDS,
-    "height": _spec(None, _bounded(lambda v: False, "left out: heights sets the tree height"), "tree.h"),
-    "delta": _spec(None, _bounded(lambda v: False, "left out: ratio computes no bound")),
-    "heights": _spec(None, _HEIGHTS, required=True),
-}
-_VERIFY_FIELDS = {name: _spec(default, _int_at_least(0)) for name, default in
-                  (("seed", 0), ("scalar_cases", 100), ("linear_cases", 30), ("lemma_runs", 20), ("horizon", 100))}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -93,17 +61,13 @@ def _parser() -> argparse.ArgumentParser:
     cls.add_argument("--dataset", required=True, help="feature CSV (id,label,split,f1..fd)")
     cls.add_argument("--hierarchy", required=True, help="tree JSON with a label_map")
     cls.add_argument("--out", required=True)
-    cls.add_argument("--horizon", type=int, default=2000)
-    cls.add_argument("--runs", type=int, default=10)
-    cls.add_argument("--seed", type=int, default=0)
-    cls.add_argument("--noise-std", type=float, default=0.5)
+    cls.add_argument("--horizon", type=int)
+    cls.add_argument("--runs", type=int)
+    cls.add_argument("--seed", type=int)
+    cls.add_argument("--noise-std", type=float)
     cls.add_argument("--diagonal", action="store_true", help="fit diagonal covariances only")
     cls.add_argument("--jobs", type=int, default=None)
     return parser
-
-
-def _jobs(value: int | None) -> int:
-    return (os.cpu_count() or 1) if value is None else _int_at_least(1)("--jobs", value)
 
 
 def _outdir(path: str) -> Path:
@@ -138,16 +102,14 @@ def _regret_svg(curve, out: Path, title: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    config = RunConfig.from_json_file(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = RunConfig(**read("simulate", args.config, {"seed": args.seed}))
     hierarchy, prior = config.resolve()
     summary: dict = {}
     if config.model == "k-armed" and config.horizon >= 1:  # before the run: a bound that overflows is an input error
         report = complexity_term(hierarchy, prior, config.horizon)
         delta = config.resolved_delta()
         summary["bound"] = {**_bound_fields(report, delta), "value": regret_bound(report, delta)}
-    curve = run_bayes_regret(config, jobs=_jobs(args.jobs), resolved=(hierarchy, prior))
+    curve = run_bayes_regret(config, jobs=jobs(args.jobs), resolved=(hierarchy, prior))
     out = _outdir(args.out)
     write_regret_csv(curve, out / "regret.csv")
     _regret_svg(curve, out, "Bayes regret")
@@ -157,14 +119,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    values = _read_fields(_load_json_object(args.config), _RATIO_FIELDS)
+    values = read("ratio", args.config, {"seed": args.seed})
     heights = values.pop("heights")
     if values["branching"] is not None:  # only a balanced tree has a height to vary
         values["height"] = heights[0]
-    if args.seed is not None:
-        values["seed"] = args.seed
     config = RunConfig(**values)
-    result = ratio_experiment(config, tuple(heights), jobs=_jobs(args.jobs))
+    result = ratio_experiment(config, tuple(heights), jobs=jobs(args.jobs))
     out = _outdir(args.out)
     write_ratio_csv(result, out / "ratios.csv")
     _chart(out / "ratios.svg", np.asarray(result.heights, float), result.ratio, result.se, result.agents,
@@ -180,7 +140,7 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    config = RunConfig.from_json_file(args.config)
+    config = RunConfig(**read("bound", args.config, {}))
     if config.model != "k-armed":
         raise ConfigError("the bound command covers the k-armed model only")
     hierarchy, prior = config.resolve()
@@ -207,10 +167,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = {} if args.config is None else _load_json_object(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    params = _read_fields(doc, _VERIFY_FIELDS)
+    params = read("verify-oracle", args.config, {"seed": args.seed})
     report = checks.run_default_suites(params.pop("seed"), **params)
     if not report.results:
         print("warning: all suite sizes are zero; nothing was checked")
@@ -221,31 +178,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    for flag, check in (("--horizon", _int_at_least(1)), ("--runs", _int_at_least(1)),
-                        ("--seed", RUN_FIELDS["seed"].metadata["check"]),
-                        ("--noise-std", RUN_FIELDS["noise_std"].metadata["check"])):
-        check(flag, getattr(args, flag[2:].replace("-", "_")))
+    flags = {"--horizon": args.horizon, "--runs": args.runs, "--seed": args.seed, "--noise-std": args.noise_std}
+    run = {"dataset": str(args.dataset), "hierarchy": str(args.hierarchy), "diagonal": args.diagonal,
+           **{flag[2:].replace("-", "_"): v for flag, v in read("classify-bandit", None, flags).items()}}
     hierarchy, _, label_map = load_tree_json(args.hierarchy)
     if not label_map:
         raise ConfigError(f"{args.hierarchy}: classify-bandit needs a label_map section")
     dataset = load_feature_dataset(args.dataset, hierarchy, label_map)
-    prior, theta_star, fit = fit_priors_from_data(
-        dataset, hierarchy, noise_std=args.noise_std, diagonal=args.diagonal
-    )
+    prior, theta_star, fit = fit_priors_from_data(dataset, hierarchy, noise_std=run["noise_std"],
+                                                  diagonal=args.diagonal)
     instance = dataset_instance(hierarchy, prior, theta_star)
-    curve = dataset_bandit_curve(
-        instance,
-        dataset,
-        horizon=args.horizon,
-        runs=args.runs,
-        seed=args.seed,
-        jobs=_jobs(args.jobs),
-    )
+    curve = dataset_bandit_curve(instance, dataset, horizon=run["horizon"], runs=run["runs"], seed=run["seed"],
+                                 jobs=jobs(args.jobs))
     out = _outdir(args.out)
     write_regret_csv(curve, out / "regret.csv")
     _regret_svg(curve, out, "Feature-dataset bandit regret")
-    run = {"dataset": str(args.dataset), "hierarchy": str(args.hierarchy),
-           **{k: getattr(args, k) for k in ("horizon", "runs", "seed", "noise_std", "diagonal")}}
     summary = {
         **run,
         "floored_nodes": list(fit.floored_nodes),

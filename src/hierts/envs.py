@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, PriorSpec, build_hierarchy
-from .linear import _argmax_score
+from .linear import _argmax_score, _context
 
 __all__ = [
     "DatasetError",
@@ -94,10 +94,13 @@ def sample_instance(hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Gener
 
 
 def reward_mean(instance: Instance, action: int, context: np.ndarray | None = None) -> float:
+    """The action's mean reward; ValueError unless the context fits the model, as in best_action."""
     instance.hierarchy.action_position(action)  # HierarchyError unless a leaf
-    if context is None:
-        return float(instance.theta[action])
-    value = float(instance.theta[action] @ np.asarray(context, float))
+    theta = instance.theta[action]
+    x = _context(context, theta.shape[0] if theta.ndim else None)
+    if x is None:
+        return float(theta)
+    value = float(theta @ x)
     if not math.isfinite(value):
         raise ValueError(f"context must be finite, got {context}")
     return value

@@ -18,32 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .agents import AGENT_KINDS, make_agent
+from .config import RunConfig
 from .envs import Instance, sample_contexts, sample_instance
-from .hierarchy import (
-    ConfigError,
-    Hierarchy,
-    HierarchyError,
-    PriorSpec,
-    _applies,
-    _bounded,
-    _check_int,
-    _check_real,
-    _checked,
-    _id_map,
-    _int_at_least,
-    _load_json_object,
-    _SCALE,
-    _one_of,
-    _read_fields,
-    _real_in,
-    _spec,
-    balanced_tree,
-    build_hierarchy,
-    constant_prior,
-    doubling_prior,
-    load_tree_json,
-    marginal_prior_variances,
-)
+from .hierarchy import ConfigError, Hierarchy, HierarchyError, PriorSpec, marginal_prior_variances
 
 __all__ = [
     "ConfigError",
@@ -67,113 +44,6 @@ _STREAM_INSTANCE = 0
 _STREAM_CONTEXT = 1
 _STREAM_AGENT = 10  # + agent position in AGENT_KINDS
 _STREAM_NOISE = 20  # + agent position in AGENT_KINDS
-
-
-def _agents(name: str, value) -> tuple[str, ...]:
-    if not (isinstance(value, (list, tuple)) and value and all(k in AGENT_KINDS for k in value)
-            and len(set(value)) == len(value)):
-        raise ConfigError(f"{name} must list distinct agent kinds from {AGENT_KINDS}, got {value!r}")
-    return tuple(value)
-
-
-_SCHEMES = ("constant", "doubling", "explicit", "file")
-_NOT_FILE, _K_ARMED = ("prior_scheme", _SCHEMES[:3]), ("model", ("k-armed",))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Declarative experiment description; resolve() yields the tree and prior. Its fields are the config
-    table (see _spec). prior_scheme is constant (prior_value at every node), doubling (2**height),
-    explicit (node_variance) or file (the prior, noise_std and hyper_mean of tree_file)."""
-
-    branching: int | None = _spec(None, _int_at_least(2), "tree.b")
-    height: int | None = _spec(None, _int_at_least(1), "tree.h")
-    parents: tuple[tuple[int, int], ...] | None = _spec(None, lambda n, v: _id_map(n, v, _check_int), "tree.parents")
-    tree_file: str | None = _spec(None, _bounded(lambda v: isinstance(v, str) and v != "", "a path"), "tree.file")
-    prior_scheme: str = _spec("constant", _one_of(*_SCHEMES), "prior.scheme", required=True)
-    prior_value: float = _spec(1.0, _SCALE, "prior.value", ("prior_scheme", ("constant",)))
-    node_variance: tuple[tuple[int, float], ...] | None = _spec(
-        None, lambda n, v: _id_map(n, v, _SCALE), "prior.node_variance", ("prior_scheme", ("explicit",))
-    )
-    hyper_mean: float = _spec(0.0, _real_in(-1e50, 1e50), when=_NOT_FILE)
-    noise_std: float = _spec(1.0, _SCALE, when=_NOT_FILE)
-    horizon: int = _spec(500, _int_at_least(0))
-    instances: int = _spec(100, _int_at_least(1))
-    agents: tuple[str, ...] = _spec(AGENT_KINDS, _agents)
-    seed: int = _spec(0, _int_at_least(0))
-    model: str = _spec("k-armed", _one_of("k-armed", "linear"))
-    dim: int = _spec(1, _int_at_least(1), when=("model", ("linear",)))
-    delta: float | None = _spec(None, _bounded(lambda v: 0 < v < 1, "in (0, 1)", _check_real), when=_K_ARMED)
-
-    def __post_init__(self) -> None:
-        for row in dataclasses.fields(self):
-            object.__setattr__(self, row.name, _checked(row, row.name, getattr(self, row.name)))
-        given = {k for k in ("branching", "height", "parents", "tree_file") if getattr(self, k) is not None}
-        if given not in ({"branching", "height"}, {"parents"}, {"tree_file"}):
-            raise ConfigError("specify exactly one tree source: branching and height, parents or tree_file")
-        if self.prior_scheme == "explicit" and self.node_variance is None:
-            raise ConfigError("explicit prior scheme requires node_variance")
-        if self.prior_scheme == "file" and self.tree_file is None:
-            raise ConfigError("prior scheme 'file' requires tree_file")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        """The config of a nested or flat JSON document (see _read_fields)."""
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        return cls(**_read_fields(doc, RUN_FIELDS))
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(_load_json_object(path))
-
-    def to_dict(self) -> dict:
-        """The flat document of this run: every field that is set and applies; from_dict reads it back."""
-        doc = {}
-        for name, row in RUN_FIELDS.items():
-            value = getattr(self, name)
-            if value is None or not _applies(row, vars(self)):
-                continue
-            if isinstance(value, tuple):  # the agent kinds, or (node id, value) pairs
-                value = list(value) if name == "agents" else {str(k): v for k, v in value}
-            doc[name] = value
-        return doc
-
-    def resolve(self) -> tuple[Hierarchy, PriorSpec]:
-        try:  # the file scheme requires tree_file, so file_prior is set wherever it is read
-            if self.tree_file is not None:
-                hierarchy, file_prior, _ = load_tree_json(self.tree_file)
-            elif self.parents is not None:
-                hierarchy = build_hierarchy(dict(self.parents))
-            else:
-                hierarchy = balanced_tree(self.branching, self.height)
-            if self.prior_scheme == "file":
-                if file_prior is None:
-                    raise ConfigError(f"{self.tree_file}: tree file carries no prior section")
-                fits = "k-armed" if file_prior.is_scalar else f"linear with dim {file_prior.dim}"
-                if fits != ("k-armed" if self.model == "k-armed" else f"linear with dim {self.dim}"):
-                    raise ConfigError(f"{self.tree_file}: its prior fits model {fits}, not {self.model!r}")
-                return hierarchy, file_prior
-            if self.prior_scheme == "constant":
-                prior = constant_prior(hierarchy, self.prior_value, self.noise_std, self.hyper_mean)
-            elif self.prior_scheme == "doubling":
-                prior = doubling_prior(hierarchy, self.noise_std, self.hyper_mean)
-            else:
-                prior = PriorSpec(self.hyper_mean, dict(self.node_variance), self.noise_std)
-            if self.model == "linear":
-                eye, scalar = np.eye(self.dim), prior.node_variance
-                prior = PriorSpec(self.hyper_mean, {n: v * eye for n, v in scalar.items()}, self.noise_std)
-            prior.variances(hierarchy)  # HierarchyError unless every node has a variance
-        except HierarchyError as exc:
-            raise ConfigError(str(exc)) from None
-        return hierarchy, prior
-
-    def resolved_delta(self) -> float:
-        return self.delta if self.delta is not None else 1.0 / max(self.horizon, 1)
-
-
-# The config table that documents are read and written by: field name -> its _spec row.
-RUN_FIELDS = {row.name: row for row in dataclasses.fields(RunConfig)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,11 +341,11 @@ def ratio_experiment(config: RunConfig, heights: tuple[int, ...], jobs: int = 1)
         raise ConfigError("at least one height is required")
     if config.branching is None:
         raise ConfigError("ratio_experiment requires a balanced-tree config (branching + height)")
+    configs = [dataclasses.replace(config, height=int(h)) for h in heights]  # every height checked before a run
     curves = []
     ratio: dict[str, list[float]] = {k: [] for k in others}
     se: dict[str, list[float]] = {k: [] for k in others}
-    for h in heights:
-        cfg = dataclasses.replace(config, height=int(h))
+    for cfg in configs:
         curve = run_bayes_regret(cfg, jobs=jobs)
         curves.append(curve)
         ts_mean, ts_se = curve.final("TS")

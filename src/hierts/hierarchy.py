@@ -95,10 +95,6 @@ def _bounded(ok, what: str, check=lambda name, value: value):
     return bounded
 
 
-def _int_at_least(lo: int):
-    return _bounded(lambda v: v >= lo, f"at least {lo}", _check_int)
-
-
 def _real_in(lo: float, hi: float):
     return _bounded(lambda v: lo <= v <= hi, f"in [{lo:g}, {hi:g}]", _check_real)
 
@@ -106,57 +102,6 @@ def _real_in(lo: float, hi: float):
 # Variances and noise levels beyond these magnitudes overflow or underflow the posterior arithmetic.
 _SCALE_MIN, _SCALE_MAX = 1e-50, 1e50
 _SCALE = _real_in(_SCALE_MIN, _SCALE_MAX)
-
-
-def _one_of(*choices: str):
-    return _bounded(lambda v: v in choices, f"one of {choices}")
-
-
-def _spec(default, check, nested: str | None = None, when: tuple | None = None, required: bool = False):
-    """A config-table row as a dataclass field: default, check (spelling, value) -> value, 'section.key'
-    spelling, when = (field, values) if it applies only while that field holds one of values, and
-    whether every document (every section object, if nested) must set it."""
-    return field(default=default, metadata=dict(check=check, nested=nested, when=when, required=required))
-
-
-def _checked(row, name: str, value):
-    """value through row's check; None stays None, meaning unset, where the default is None."""
-    return value if value is None and row.default is None else row.metadata["check"](name, value)
-
-
-def _applies(row, values: dict) -> bool:
-    when = row.metadata["when"]
-    return when is None or values[when[0]] in when[1]
-
-
-def _read_fields(doc: dict, table: dict) -> dict:
-    """Every field's checked value, from config document doc or else the default; table maps field
-    names to _spec rows. A ConfigError names the field as doc spells it: an unknown key, a field set
-    by name and nested, a failed check, a required field left unset, or one set where it does not apply."""
-    spelling = {name: name for name in table}
-    spelling.update((row.metadata["nested"], name) for name, row in table.items() if row.metadata["nested"])
-    keys = {}
-    for key, value in doc.items():
-        section = any(s.startswith(f"{key}.") for s in spelling)
-        if section and not isinstance(value, dict):
-            raise ConfigError(f"'{key}' must be an object, got {value!r}")
-        keys.update({f"{key}.{k}": v for k, v in value.items()} if section else {key: value})
-    if set(keys) - set(spelling):
-        raise ConfigError(f"unknown config keys: {sorted(set(keys) - set(spelling))}")
-    values, spelled = {name: row.default for name, row in table.items()}, {}
-    for key, value in keys.items():
-        name = spelling[key]
-        if name in spelled:
-            raise ConfigError(f"{name} is set twice, as {spelled[name]} and as {key}")
-        values[name], spelled[name] = _checked(table[name], key, value), key
-    for name, row in table.items():
-        nested, unset = row.metadata["nested"], name not in spelled or values[name] is None
-        if unset and row.metadata["required"] and (not nested or nested.partition(".")[0] in doc):
-            raise ConfigError(f"{nested or name} must be set")
-        if not unset and not _applies(row, values):
-            cond, allowed = row.metadata["when"]
-            raise ConfigError(f"{spelled[name]} does not apply where {cond} is {values[cond]!r}, only {allowed}")
-    return values
 
 
 def _id_map(name: str, doc, check=lambda name, value: value) -> tuple:
@@ -389,8 +334,25 @@ def balanced_tree(branching: int, tree_height: int) -> Hierarchy:
         raise HierarchyError(f"branching factor must be at least 2, got {branching}")
     if tree_height < 1:
         raise HierarchyError(f"tree height must be at least 1, got {tree_height}")
-    n = sum(branching**t for t in range(tree_height + 1))
+    n = _balanced_size(branching, tree_height)
     return build_hierarchy({v: (v - 2) // branching + 1 for v in range(2, n + 1)})
+
+
+# build_hierarchy keeps about 900 bytes of Python objects per node: 2**20 nodes take 0.97 GB and 6.4 s.
+MAX_BALANCED_NODES = 2**20
+
+
+def _balanced_size(branching: int, tree_height: int) -> int:
+    """Node count of a complete b-ary tree, summed level by level (at most 20 of them, so branching**tree_height
+    is never formed); ConfigError above MAX_BALANCED_NODES."""
+    n = level = 1
+    for _ in range(tree_height):
+        level *= branching
+        n += level
+        if n > MAX_BALANCED_NODES:
+            raise ConfigError(f"a balanced tree with branching factor {branching} and height {tree_height} has "
+                              f"more than {MAX_BALANCED_NODES} nodes")
+    return n
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,8 +75,12 @@ def _conditional(pair: np.ndarray, what: str) -> np.ndarray:
     return li
 
 
-def _context(context, dim: int) -> np.ndarray:
-    """The context as a float vector; ValueError unless it has shape (dim,)."""
+def _context(context, dim: int | None) -> np.ndarray | None:
+    """The context as a float vector, or None for the k-armed model (dim None); ValueError unless it fits."""
+    if dim is None:
+        if context is not None:
+            raise ValueError(f"context must be None for the k-armed model, got shape {np.shape(context)}")
+        return None
     x = np.asarray(context, float)
     if context is None or x.shape != (dim,):
         raise ValueError(f"context must have shape ({dim},), got {None if context is None else x.shape}")
@@ -101,8 +105,7 @@ def _argmax_score(values: np.ndarray, context) -> int:
     ValueError otherwise, or unless that score is finite, since np.argmax picks the first NaN that a NaN or
     inf in the context makes."""
     if values.ndim == 1:
-        if context is not None:
-            raise ValueError(f"context must be None for the k-armed model, got shape {np.shape(context)}")
+        _context(context, None)
         return int(values.argmax())
     scores = values @ _context(context, values.shape[1])
     j = int(scores.argmax())

@@ -15,9 +15,9 @@ import pytest
 from conftest import ODD_VALUES
 from hypothesis import given, settings, strategies as st
 
-from hierts import PosteriorState, agents, cli
+from hierts import FeatureDataset, PosteriorState, agents, cli, config, harness
 from hierts.envs import make_cluster_dataset, write_dataset_csv
-from hierts.harness import RUN_FIELDS
+from hierts.config import RUN_FIELDS
 from hierts.hierarchy import PriorSpec, balanced_tree, save_tree_json
 from hierts.linear import ConditioningError
 
@@ -281,10 +281,10 @@ def test_file_scheme_rejects_the_configs_own_prior_fields(tmp_path, capsys, key,
 CHOICES = {"prior_scheme": ("constant", "doubling", "explicit", "file"), "model": ("k-armed", "linear")}
 FUZZ_CASES = [
     (command, name, spelling)
-    for command, table in (("simulate", RUN_FIELDS), ("bound", RUN_FIELDS), ("ratio", cli._RATIO_FIELDS))
+    for command, table in (("simulate", RUN_FIELDS), ("bound", RUN_FIELDS), ("ratio", config._RATIO_FIELDS))
     for name, row in table.items()
     for spelling in (name, row.metadata["nested"]) if spelling
-] + [("verify-oracle", name, name) for name in cli._VERIFY_FIELDS]
+] + [("verify-oracle", name, name) for name in config._VERIFY_FIELDS]
 
 
 def _fuzz_document(command, name, spelling, value, misplace, tree_file):
@@ -368,6 +368,27 @@ def test_replay_reruns_byte_identically(tmp_path, command, doc, flags):
     assert names == sorted(p.name for p in again.iterdir()) and "replay.json" in names
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("simulate", {"tree": {"b": 2, "h": 40}}, "branching factor 2 and height 40"),
+    ("simulate", {"tree": {"b": 2, "h": 10**9}}, "branching factor 2 and height 1000000000"),
+    ("bound", {"tree": {"b": 1024, "h": 2}}, "branching factor 1024 and height 2"),
+    ("ratio", {"heights": [1, 2, 40], "tree": {"b": 2}}, "branching factor 2 and height 40"),
+])
+def test_oversized_balanced_tree_exits_input_before_building(tmp_path, capsys, monkeypatch, command, doc, named):
+    """A balanced tree above MAX_BALANCED_NODES is an input error found before any tree is built or any
+    height of a ratio runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("built a tree or ran a height before the size check")
+
+    monkeypatch.setattr(config, "balanced_tree", never)
+    monkeypatch.setattr(harness, "run_bayes_regret", never)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert f"error: a balanced tree with {named} has more than 1048576 nodes" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_config_exits_io(tmp_path, capsys):
@@ -462,6 +483,53 @@ def test_classify_bandit_validates_flags(tmp_path, capsys):
         ])
         assert code == cli.EXIT_INPUT
         assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, error", [
+    ("single class", "node 3 has 0 training rows"),
+    ("class without test rows", "leaf 4 has no test rows"),
+    ("no test split", "leaf 4 has no test rows"),
+    ("constant features", None),
+    ("2 train rows per class", None),
+])
+def test_classify_bandit_degenerate_datasets(tmp_path, capsys, case, error):
+    """A degenerate 2x2-class d=3 dataset runs with finite values in every output, or exits 2 naming the
+    node or leaf it cannot fit."""
+    dataset, hierarchy, label_map = make_cluster_dataset(
+        np.random.default_rng(0), num_groups=2, classes_per_group=2, dim=3,
+        train_per_class=2 if case == "2 train rows per class" else 6, test_per_class=2,
+    )
+    features, leaf_ids, is_train = dataset.features, dataset.leaf_ids, dataset.is_train.copy()
+    keep = np.ones(leaf_ids.size, bool)
+    if case == "single class":
+        keep = leaf_ids == 4
+    elif case == "class without test rows":
+        keep = (leaf_ids != 4) | is_train
+    elif case == "no test split":
+        is_train[:] = True
+    elif case == "constant features":
+        features = np.ones_like(features)
+    ids = tuple(np.array(dataset.ids)[keep])
+    write_dataset_csv(tmp_path / "data.csv", FeatureDataset(ids, features[keep], leaf_ids[keep], is_train[keep]),
+                      label_map)
+    save_tree_json(tmp_path / "tree.json", hierarchy, label_map=label_map)
+    out = tmp_path / "run"
+    code = cli.main(["classify-bandit", "--dataset", str(tmp_path / "data.csv"), "--hierarchy",
+                     str(tmp_path / "tree.json"), "--out", str(out), "--horizon", "30", "--runs", "2", "--jobs", "1"])
+    if error:
+        assert code == cli.EXIT_INPUT
+        assert f"error: {error}" in capsys.readouterr().err
+        return
+    assert code == cli.EXIT_OK
+    regret = np.loadtxt(out / "regret.csv", delimiter=",", skiprows=1, usecols=(2, 3))
+    summary = json.loads((out / "summary.json").read_text())
+    finals = [v for stats in summary["final_regret"].values() for v in stats.values()]
+    assert np.isfinite(regret).all() and np.isfinite(finals).all()
+    if case == "constant features":
+        assert summary["floored_nodes"] == list(range(1, 8))
+        assert not regret.any()  # every class has the same mean, so no action has regret
+    else:
+        assert {4, 5, 6, 7} <= set(summary["floored_nodes"])
 
 
 def test_classify_bandit_ill_conditioned_fit_raises(tmp_path):

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hierts import (
     DatasetError,
     FeatureDataset,
     Instance,
+    PriorSpec,
     balanced_tree,
     best_action,
     build_hierarchy,
@@ -73,6 +75,29 @@ def test_linear_instance_contextual_best(b2h2, linear_prior):
             best_action(inst, np.array(bad))
         with pytest.raises(ValueError, match="context must be finite"):
             reward_mean(inst, a, np.array(bad))
+
+
+@pytest.mark.parametrize("context", [np.zeros((2, 1)), np.zeros((2, 2)), None, np.zeros(3)],
+                         ids=["column", "matrix", "missing", "length-3"])
+def test_reward_mean_and_step_check_the_linear_context(context):
+    """reward_mean and step reject a context that does not fit a d=2 linear instance as best_action does."""
+    tree = balanced_tree(2, 1)
+    prior = PriorSpec(np.zeros(2), {n: np.eye(2) for n in (1, 2, 3)}, noise_std=1.0)
+    inst = sample_instance(tree, prior, np.random.default_rng(0))
+    shape = None if context is None else context.shape
+    for call in (lambda: reward_mean(inst, 2, context), lambda: step(inst, 2, np.random.default_rng(1), context),
+                 lambda: best_action(inst, context)):
+        with pytest.raises(ValueError, match=re.escape(f"context must have shape (2,), got {shape}")):
+            call()
+
+
+def test_reward_mean_and_step_reject_a_context_on_a_k_armed_instance(b2h2, b2h2_prior):
+    inst = sample_instance(b2h2, b2h2_prior, np.random.default_rng(0))
+    ctx = np.zeros(2)
+    for call in (lambda: reward_mean(inst, 4, ctx), lambda: step(inst, 4, np.random.default_rng(1), ctx),
+                 lambda: best_action(inst, ctx)):
+        with pytest.raises(ValueError, match=re.escape("context must be None for the k-armed model, got shape (2,)")):
+            call()
 
 
 def test_sample_contexts_unit_norm():

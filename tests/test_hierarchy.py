@@ -19,7 +19,7 @@ from hierts import (
     save_tree_json,
 )
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
-from hierts.hierarchy import _as_index, tree_to_dict
+from hierts.hierarchy import MAX_BALANCED_NODES, ConfigError, _as_index, _balanced_size, tree_to_dict
 
 
 def test_build_basic_shape(two_leaf):
@@ -129,6 +129,15 @@ def test_balanced_tree_rejects_bad_shape():
         balanced_tree(1, 2)
     with pytest.raises(HierarchyError):
         balanced_tree(2, 0)
+
+
+def test_balanced_tree_size_limit_is_checked_before_building():
+    """The node count is summed level by level, so a huge height fails at once instead of forming 2**10**9."""
+    assert _balanced_size(2, 19) == 2**20 - 1 and MAX_BALANCED_NODES == 2**20
+    assert _balanced_size(1023, 2) == 1 + 1023 + 1023**2
+    for b, h in ((2, 20), (1024, 2), (2, 10**9), (10**100, 1)):
+        with pytest.raises(ConfigError, match=f"branching factor {b} and height {h} has more than 1048576 nodes"):
+            balanced_tree(b, h)
 
 
 def test_prior_spec_scalar_validation(two_leaf):
