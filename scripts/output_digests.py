@@ -6,9 +6,11 @@ The set covers each output-writing command:
   constant_b2_h2_linear.json, mixed_depth_tree.json (leaves at depths 1,
   2 and 3, so a level and the root-first sample order that are not runs of
   consecutive ids, and a 9-child parent) and doubling_b2_h7.json (255 nodes and
-  a 129-node flat tree, which hierts_sample draws with its numpy level loop,
-  as it does doubling_b5_h2's 26-node flat tree; it draws the other scalar
-  trees on Python floats), and on two tree files with a prior section
+  a 129-node flat tree, which hierts_sample draws with its numpy level loop
+  from the root, as it does doubling_b5_h2's 26-node flat tree; the 255-node
+  tree and doubling_b5_h2's own tree split, floats for their levels of at
+  most 16 nodes and the level loop below; the other scalar trees take floats
+  throughout), and on two tree files with a prior section
   (`"prior": {"scheme": "file"}`), one scalar and one linear, that the
   script writes with save_tree_json;
 - `ratio` on configs/ratio_constant_b2.json;
@@ -18,10 +20,14 @@ each at --jobs 1 and --jobs 2, plus `bound` on doubling_b5_h2.json and
 explicit_tree.json, plus the printed report of `verify-oracle --seed 0` and
 `--seed 5` (saved as runs/verify-oracle-seed{0,5}/stdout.txt). It also saves
 raw `hierts_sample` draws (draws/<tree>/<route>.bin, the array's bytes) on
-b=2 h=3, b=16 h=2 and a random tree with leaves at mixed depths, after 60
-updates each: the scalar draw without a size on Python floats and on the
-numpy level loop (both forced, whichever the tree would take), a sized scalar
-draw, and a linear (d=3) draw without and with a size. Run outputs average
+b=2 h=3, b=16 h=2, a random tree with leaves at mixed depths and b=2 h=5,
+after 60 updates each: the scalar draw without a size on Python floats and on
+the numpy level loop (both forced), a sized scalar draw, and a linear (d=3)
+draw without and with a size. It also draws each tree's scalar draw without a
+size on the route the tree takes by itself and stops unless its bytes equal
+both forced routes': b=2 h=3 and the random tree take floats throughout,
+b=16 h=2 and b=2 h=5 (levels of 2 to 32 nodes) split between floats for the
+narrow top levels and the level loop below. Run outputs average
 draws away, and these show a change in a draw's last bit. At d=10, the
 dimension of the benchmark's classify workload, it saves the same on the
 fitted 5x5 cluster tree after 200 updates (draws/fitted-d10/): the linear
@@ -87,7 +93,8 @@ def write_tree_file_configs(data: Path) -> list[Path]:
 def write_draws(root: Path) -> None:
     """Raw hierts_sample draws, one file per tree and route, after 60 updates from fixed seeds."""
     rng = np.random.default_rng(11)
-    trees = {"b2h3": balanced_tree(2, 3), "b16h2": balanced_tree(16, 2), "random": random_tree(rng)}
+    trees = {"b2h3": balanced_tree(2, 3), "b16h2": balanced_tree(16, 2), "random": random_tree(rng),
+             "b2h5": balanced_tree(2, 5)}
     for name, tree in trees.items():
         scalar = PosteriorState(tree, random_scalar_prior(rng, tree))
         linear = LinearPosteriorState(tree, random_linear_prior(rng, tree, 3))
@@ -102,6 +109,9 @@ def write_draws(root: Path) -> None:
                 routes[route] = hierts_sample(scalar, np.random.default_rng(1))
             finally:
                 agents.FLOAT_DRAW_NODES_PER_LEVEL = saved
+        split = hierts_sample(scalar, np.random.default_rng(1))  # the route the tree takes by itself
+        if not split.tobytes() == routes["scalar-float"].tobytes() == routes["scalar-levels"].tobytes():
+            raise SystemExit(f"{name}: the scalar draw differs between routes")
         routes["scalar-size3"] = hierts_sample(scalar, np.random.default_rng(2), 3)
         routes["linear"] = hierts_sample(linear, np.random.default_rng(3))
         routes["linear-size3"] = hierts_sample(linear, np.random.default_rng(4), 3)

@@ -28,11 +28,11 @@ __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgen
 
 AGENT_KINDS = ("HierTS", "FlatTS", "TS")
 
-# A scalar draw without a size runs on Python floats, node by node, when the tree has at most this
-# many nodes per numpy pass of the level loop (tree_height + 1 of them, the root's included): below
-# that, numpy's cost per call outweighs the float walk's cost per node. The measured crossover is in
-# the README. Both draws give the same bits, so this only moves time.
-FLOAT_DRAW_NODES_PER_LEVEL = 12
+# A scalar draw without a size walks its levels on Python floats, node by node, from the root down while
+# each level has at most this many nodes, and runs numpy's level loop on the levels below: on a narrow
+# level numpy's cost per call outweighs the float walk's cost per node. The measured per-level crossover
+# is in the README. Every split gives the same bits, so this only moves time.
+FLOAT_DRAW_NODES_PER_LEVEL = 16
 
 
 def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -48,19 +48,24 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     level by level, each level shaped (size, level nodes[, d]). Normal draws
     concatenate exactly, so this is the stream of one draw per level.
 
-    A scalar draw without a size on a small tree (FLOAT_DRAW_NODES_PER_LEVEL)
-    walks Hierarchy.sample_nodes on the state's float lists instead,
-    computing theta[v] = (theta[parent] * lam0 + wmean) / lamhat + z / sqrt_lamhat
-    one node at a time.
+    A scalar draw without a size walks the root and then each level on the
+    state's float lists while the level has at most FLOAT_DRAW_NODES_PER_LEVEL
+    nodes, computing theta[v] = (theta[parent] * lam0 + wmean) / lamhat
+    + z / sqrt_lamhat one node at a time (Hierarchy.sample_nodes). A tree
+    whose levels are all that narrow takes no numpy call beyond the draw and
+    the result. Otherwise the levels below the float prefix take numpy's
+    level loop, seeded with the prefix's values by one slice assignment
+    (a fancy one when the prefix ids are not 1..k); a tree whose first level
+    is wide runs the level loop from the root.
 
-    Otherwise the scalar branch reads the state's level_arrays, numpy copies
-    of those floats. It scales the whole draw by 1 / sqrt(lamhat) in one pass,
+    The level loop reads the state's level_arrays, numpy copies of those
+    floats. It scales its part of the draw by 1 / sqrt(lamhat) in one pass,
     reading lamhat in the draw's root-first node order
     (Hierarchy.sample_order), then builds each level's mean in place. With a
-    size it first moves each level's (size, k) block into a node-major
+    size it first moves each level's (size, width) block into a node-major
     (num_nodes, size) array, works on columns and returns the transpose.
     These are the per-level formula's operations on the same operands, so
-    the bits are the same.
+    the bits are the same whichever level takes which route.
 
     The linear branch computes each level as slope @ parent + post_factor @ z
     + intercept on (size, nodes, d, 1) columns with stacked matmuls, which give
@@ -71,28 +76,44 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
         raise TypeError(f"unsupported posterior state {type(state).__name__}")
     hier = state.hierarchy
     n = hier.num_nodes
-    if scalar and size is None and n <= FLOAT_DRAW_NODES_PER_LEVEL * (hier.tree_height + 1):
-        return _float_draw(state, rng)
+    levels, k = hier.level_index, 0  # the level loop's levels, after k draw positions on floats
+    if scalar and size is None:  # no level has fewer nodes than the one above it, so the last is the widest
+        if levels[-1][3] - levels[-1][2] <= FLOAT_DRAW_NODES_PER_LEVEL:
+            return np.array(_float_walk(state, rng.standard_normal(n).tolist(), n))
+        while levels[0][3] - levels[0][2] <= FLOAT_DRAW_NODES_PER_LEVEL:
+            k, levels = levels[0][3], levels[1:]
     m = 1 if size is None else int(size)
     if scalar:
-        lam0, wmean, lamhat, sqrt_lamhat = state.level_arrays()
         z = rng.standard_normal(m * n)
-        if size is not None:  # per-level (m, k) blocks to node-major (n, m); node values as columns
+        lam0, wmean, lamhat, sqrt_lamhat = state.level_arrays(k)
+        order = hier.sample_order
+        if size is not None:  # per-level (m, width) blocks to node-major (n, m); node values as columns
             blocks, z = z, np.empty((n, m))
             z[0] = blocks[:m]
-            for _, _, start, stop in hier.level_index:
+            for _, _, start, stop in levels:
                 z[start:stop] = blocks[m * start : m * stop].reshape(m, -1).T
             lam0, wmean, lamhat, sqrt_lamhat = (a[:, None] for a in (lam0, wmean, lamhat, sqrt_lamhat))
-        z /= sqrt_lamhat[hier.sample_order]
+        elif k:  # top: the float prefix's highest id, k when the prefix is ids 1..k
+            top = k if type(order) is slice else max(hier.sample_nodes[: k - 1])
+            floats = _float_walk(state, z[:k].tolist(), top)
+            z = z[k:]
+            order = slice(order.start + k, order.stop) if type(order) is slice else order[k:]
+        z /= sqrt_lamhat[order]
         theta = np.empty((n + 1,) + z.shape[1:])
-        theta[0] = np.nan
-        theta[ROOT] = state.root_mean + z[0]
-        for nodes, parents, start, stop in hier.level_index:
+        if not k:
+            theta[0] = np.nan
+            theta[ROOT] = state.root_mean + z[0]
+        elif top == k:
+            theta[: k + 1] = floats
+        else:
+            prefix = [0, ROOT, *hier.sample_nodes[: k - 1]]
+            theta[prefix] = [floats[v] for v in prefix]
+        for nodes, parents, start, stop in levels:
             mean = theta[parents]
             mean *= lam0[nodes]
             mean += wmean[nodes]
             mean /= lamhat[nodes]
-            mean += z[start:stop]
+            mean += z[start - k : stop - k]
             theta[nodes] = mean
         return theta if size is None else np.ascontiguousarray(theta.T)
     d = state.dim
@@ -109,16 +130,17 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     return theta[0, ..., 0] if size is None else theta[..., 0]
 
 
-def _float_draw(state: PosteriorState, rng: np.random.Generator) -> np.ndarray:
-    """hierts_sample's scalar draw without a size, on Python floats: the level loop's operations, node by node."""
+def _float_walk(state: PosteriorState, z: list, top: int) -> list:
+    """The scalar draw of the first len(z) draw positions (Hierarchy.sample_order) on the state's float lists,
+    node by node, in a list indexed by node id up to top (nan where not drawn)."""
     hier = state.hierarchy
     lam0, wmean, lamhat, sqrt_lamhat = state.lam0, state.ev_wmean, state.lamhat, state.sqrt_lamhat
-    z = iter(rng.standard_normal(hier.num_nodes).tolist())
-    theta = [math.nan] * (hier.num_nodes + 1)
+    z = iter(z)
+    theta = [math.nan] * (top + 1)
     theta[ROOT] = state.root_mean + next(z) / sqrt_lamhat[ROOT]
     for v, p, zv in zip(hier.sample_nodes, hier.sample_parents, z):
         theta[v] = (theta[p] * lam0[v] + wmean[v]) / lamhat[v] + zv / sqrt_lamhat[v]
-    return np.array(theta)
+    return theta
 
 
 class HierTSAgent:

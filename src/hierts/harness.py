@@ -372,12 +372,12 @@ def _fmt(x: float) -> str:
 
 
 def write_regret_csv(curve: RegretCurve, path: str | Path) -> None:
-    lines = ["round,agent,mean_regret,se,instances"]
+    """One row per round and agent; each agent's rows are one template applied to a flat tuple (_fmt's format)."""
+    blocks = ["round,agent,mean_regret,se,instances\n"]
     for kind in curve.agents:
-        m, s = curve.mean[kind], curve.se[kind]
-        for t in range(curve.horizon):
-            lines.append(f"{t + 1},{kind},{_fmt(m[t])},{_fmt(s[t])},{curve.instances}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        rows = np.column_stack((np.arange(1, curve.horizon + 1), curve.mean[kind], curve.se[kind])).ravel()
+        blocks.append((f"%d,{kind},%.12g,%.12g,{curve.instances}\n" * curve.horizon) % tuple(rows.tolist()))
+    Path(path).write_text("".join(blocks))
 
 
 def write_bound_csv(report: BoundReport, path: str | Path) -> None:

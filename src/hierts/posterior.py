@@ -83,9 +83,12 @@ class PosteriorState(_UpwardPass):
 
     The lists are the one truth. A numpy copy is written through, by _fold
     and _fold_root, only where numpy reads it in a round:
-    - ev_wmean, lamhat and sqrt_lamhat, once hierts_sample's level loop has
-      asked for them (level_arrays builds them from the floats on that first
-      request, so a forced level draw never reads a stale copy);
+    - ev_wmean, lamhat and sqrt_lamhat of the nodes that hierts_sample's
+      level loop reads, once it has asked for them: the nodes from a draw
+      position on (level_arrays' start; the float prefix above it reads the
+      lists). level_arrays builds the copies from the floats on the first
+      request and again whenever a request starts above the nodes they
+      cover, so no route reads a stale copy;
     - msg_prec and msg_wmean of the children of a parent with more than
       SHORT_SUM_MAX children, which _pool sums with numpy's pairwise sum,
       over a slice view when the child ids are consecutive and over a
@@ -116,7 +119,9 @@ class PosteriorState(_UpwardPass):
         self.sqrt_lamhat = np.sqrt(lam0).tolist()
         # child ids as the list _pool folds in Python, or for wider parents as numpy's index
         self._children = [ch.tolist() if ch.size <= SHORT_SUM_MAX else _as_index(ch) for ch in hierarchy.children]
-        self._levels = None  # level_arrays' copies, once asked for
+        # level_arrays' copies once asked for, the first draw position they cover, and per node the copies
+        # _fold writes it to (the covered nodes only)
+        self._levels, self._levels_from, self._level_copies = None, n, [None] * (n + 1)
         # per node, the (msg_prec, msg_wmean) copies _fold writes its message to; a wide parent's children only
         self._msg_copies = [None] * (n + 1)
         if hierarchy.branching_factor > SHORT_SUM_MAX:
@@ -125,14 +130,20 @@ class PosteriorState(_UpwardPass):
             self._msg_copies = [self._msg_arrays if wide[p] else None for p in hierarchy.parent_ids]
         self._fold_root()
 
-    def level_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def level_arrays(self, start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lam0, ev_wmean, lamhat, sqrt_lamhat) as numpy arrays, which hierts_sample's level loop reads.
 
-        The first call builds them from the floats; from then on every fold
-        writes the last three through.
+        The copies are current for the nodes at draw position start and after
+        (Hierarchy.sample_order; 0 is the root). The first call, and a call
+        with a start above the nodes they cover, builds them from the floats;
+        from then on every fold of a covered node writes the last three through.
         """
-        if self._levels is None:
-            self._levels = tuple(np.array(x) for x in (self.lam0, self.ev_wmean, self.lamhat, self.sqrt_lamhat))
+        if start < self._levels_from:
+            levels = tuple(np.array(x) for x in (self.lam0, self.ev_wmean, self.lamhat, self.sqrt_lamhat))
+            copies = [None] * len(self._level_copies)
+            for v in ((ROOT,) + self.hierarchy.sample_nodes)[start:]:
+                copies[v] = levels
+            self._levels, self._levels_from, self._level_copies = levels, start, copies
         return self._levels
 
     def posterior_precisions(self) -> np.ndarray:
@@ -170,7 +181,7 @@ class PosteriorState(_UpwardPass):
         sqrt_lamhat = self.sqrt_lamhat[node] = math.sqrt(lamhat)
         msg_prec = self.msg_prec[node] = prec * lam0 / lamhat
         msg_wmean = self.msg_wmean[node] = lam0 / lamhat * wmean
-        levels = self._levels
+        levels = self._level_copies[node]
         if levels is not None:
             levels[1][node], levels[2][node], levels[3][node] = wmean, lamhat, sqrt_lamhat
         msg_copies = self._msg_copies[node]
@@ -182,7 +193,7 @@ class PosteriorState(_UpwardPass):
         lamhat = self.lamhat[ROOT] = lam0 + self.ev_prec[ROOT]
         sqrt_lamhat = self.sqrt_lamhat[ROOT] = math.sqrt(lamhat)
         self.root_mean = (lam0 * self.hyper_mean + wmean) / lamhat
-        levels = self._levels
+        levels = self._level_copies[ROOT]
         if levels is not None:
             levels[1][ROOT], levels[2][ROOT], levels[3][ROOT] = wmean, lamhat, sqrt_lamhat
 

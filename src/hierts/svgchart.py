@@ -27,6 +27,11 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """SVG points "x,y x,y ..." at two decimals, formatted by one template over the flat coordinates."""
+    return ("%.2f,%.2f " * x.size)[:-1] % tuple(np.stack((x, y), 1).ravel().tolist())
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -61,10 +66,11 @@ def write_line_chart(
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def sx(v: float) -> float:
+    # Pixel coordinates of a tick (a float) or of a whole series (an array): the same IEEE operations either way.
+    def sx(v):
         return _ML + (v - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
     out = [
@@ -105,18 +111,13 @@ def write_line_chart(
         y = np.asarray(s["y"], float)
         if not x.size:
             continue
+        px = sx(x)
         band = s.get("band")
-        if band is not None:
+        if band is not None:  # the upper edge left to right, then the lower edge back
             band = np.asarray(band, float)
-            upper = [f"{sx(xv):.2f},{sy(yv + bv):.2f}" for xv, yv, bv in zip(x, y, band)]
-            lower = [
-                f"{sx(xv):.2f},{sy(yv - bv):.2f}" for xv, yv, bv in zip(x[::-1], y[::-1], band[::-1])
-            ]
-            out.append(
-                f'<polygon points="{" ".join(upper + lower)}" fill="{color}" fill-opacity="0.15" stroke="none"/>'
-            )
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
+            pts = _points(np.concatenate([px, px[::-1]]), np.concatenate([sy(y + band), sy(y - band)[::-1]]))
+            out.append(f'<polygon points="{pts}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
+        out.append(f'<polyline points="{_points(px, sy(y))}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         ly = _MT + 16 + 16 * i
         out.append(f'<line x1="{_W - 150}" y1="{ly}" x2="{_W - 126}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{_W - 120}" y="{ly + 4}" font-size="11">{s["name"]}</text>')

@@ -4,6 +4,7 @@ Each command runs in-process through cli.main so exit codes and artifacts
 can be asserted directly; one test exercises the installed console script.
 """
 import contextlib
+import inspect
 import io
 import json
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from conftest import ODD_VALUES
 from hypothesis import given, settings, strategies as st
 
-from hierts import FeatureDataset, PosteriorState, agents, cli, config, harness
+from hierts import FeatureDataset, PosteriorState, agents, checks, cli, config, harness
 from hierts.envs import make_cluster_dataset, write_dataset_csv
 from hierts.config import RUN_FIELDS
 from hierts.hierarchy import PriorSpec, balanced_tree, save_tree_json
@@ -190,6 +191,23 @@ def test_verify_oracle_vacuous(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "nothing was checked" in out
     assert "PASS (vacuous)" in out
+
+
+def test_bare_verify_oracle_runs_the_default_suite_sizes(monkeypatch, capsys):
+    """`hierts verify-oracle` without a config or a seed runs what a bare run_default_suites() runs."""
+    signature = inspect.signature(checks.run_default_suites)
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs))
+        return checks.SuiteReport(base_seed=0, results=())
+
+    monkeypatch.setattr(checks, "run_default_suites", record)
+    assert cli.main(["verify-oracle"]) == cli.EXIT_OK
+    (got,), want = calls, signature.bind()
+    got.apply_defaults()
+    want.apply_defaults()
+    assert got.arguments == want.arguments
 
 
 def test_verify_oracle_rejects_unknown_keys(tmp_path, capsys):

@@ -17,7 +17,7 @@ from hierts import (
     joint_prior,
 )
 from hierts.checks import random_scalar_prior, random_tree
-from hierts.hierarchy import HierarchyError
+from hierts.hierarchy import ROOT, HierarchyError
 from hierts.posterior import SHORT_SUM_MAX
 
 STATE_ARRAYS = ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
@@ -33,9 +33,11 @@ def _assert_floats_and_copies(state):
         floats = getattr(state, name)
         assert type(floats) is list and all(type(x) is float for x in floats), name
     assert type(state.root_mean) is float
-    if state._levels is not None:
+    if state._levels is not None:  # the level copies of the nodes from draw position _levels_from on
+        covered = [v for v, copies in enumerate(state._level_copies) if copies is not None]
+        assert covered == sorted(((ROOT,) + state.hierarchy.sample_nodes)[state._levels_from:])
         for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state._levels):
-            assert array.tobytes() == np.array(getattr(state, name)).tobytes(), name
+            assert array[covered].tobytes() == np.array(getattr(state, name))[covered].tobytes(), name
     wide = [ch for ch in state.hierarchy.children if ch.size > SHORT_SUM_MAX]
     if wide:
         kids = np.concatenate(wide)
@@ -379,6 +381,26 @@ def test_written_through_copies_equal_their_floats():
         assert fresh._levels is None
         _assert_floats_and_copies(fresh)
         assert fresh.level_arrays()[2].tobytes() == levels[2].tobytes()
+
+
+def test_level_copies_cover_only_what_the_level_loop_reads():
+    """A split draw's copies cover the nodes below the float prefix, and only those get written through; a
+    request that starts higher rebuilds them from the floats, and one that starts lower keeps them."""
+    rng = np.random.default_rng(9)
+    tree = balanced_tree(2, 8)
+    state = PosteriorState(tree, random_scalar_prior(rng, tree))
+    levels = state.level_arrays(31)  # numpy from the level of 32 nodes on: ids 32..511
+    assert state._levels_from == 31 and state.level_arrays(63) is levels
+    for _ in range(100):
+        state.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
+    _assert_floats_and_copies(state)
+    assert levels[2][1:32].tolist() == state.lam0[1:32]  # the prefix's copies were never written
+    assert levels[2][32:].tolist() == state.lamhat[32:]
+    full = state.level_arrays(0)
+    assert full is not levels and state._levels_from == 0
+    assert full[2].tolist()[1:] == state.lamhat[1:]
+    state.update_path(int(tree.action_nodes[0]), 1.0)
+    _assert_floats_and_copies(state)
 
 
 def test_numpy_rewards_stay_out_of_the_float_lists():
