@@ -8,11 +8,10 @@ The set covers each output-writing command:
   consecutive ids, and a 9-child parent) and doubling_b2_h7.json (255 nodes and
   a 129-node flat tree, which hierts_sample draws with its numpy level loop
   from the root, as it does doubling_b5_h2's 26-node flat tree; the 255-node
-  tree and doubling_b5_h2's own tree split, floats for their levels of at
-  most 16 nodes and the level loop below; the other scalar trees take floats
-  throughout), and on two tree files with a prior section
-  (`"prior": {"scheme": "file"}`), one scalar and one linear, that the
-  script writes with save_tree_json;
+  tree splits, floats for its levels of at most 16 nodes and the level loop
+  below; the other scalar trees take floats throughout), and on two tree
+  files with a prior section (`"prior": {"scheme": "file"}`), one scalar
+  and one linear, that the script writes with save_tree_json;
 - `ratio` on configs/ratio_constant_b2.json;
 - `classify-bandit` on a generated 6-dim clustered dataset (horizon 1000,
   6 runs);
@@ -26,9 +25,10 @@ the numpy level loop (both forced), a sized scalar draw, and a linear (d=3)
 draw without and with a size. It also draws each tree's scalar draw without a
 size on the route the tree takes by itself and stops unless its bytes equal
 both forced routes': b=2 h=3 and the random tree take floats throughout,
-b=16 h=2 and b=2 h=5 (levels of 2 to 32 nodes) split between floats for the
-narrow top levels and the level loop below. Run outputs average
-draws away, and these show a change in a draw's last bit. At d=10, the
+b=16 h=2 takes the level loop from the root, and b=2 h=5 (levels of 2 to 32
+nodes) splits between floats for the narrow top levels and the level loop
+below. Run outputs average draws away, and these show a change in a draw's
+last bit. At d=10, the
 dimension of the benchmark's classify workload, it saves the same on the
 fitted 5x5 cluster tree after 200 updates (draws/fitted-d10/): the linear
 draws without and with a size, the fold caches of a LinearPosteriorState

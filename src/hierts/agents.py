@@ -31,7 +31,8 @@ AGENT_KINDS = ("HierTS", "FlatTS", "TS")
 # A scalar draw without a size walks its levels on Python floats, node by node, from the root down while
 # each level has at most this many nodes, and runs numpy's level loop on the levels below: on a narrow
 # level numpy's cost per call outweighs the float walk's cost per node. The measured per-level crossover
-# is in the README. Every split gives the same bits, so this only moves time.
+# is in the README; it also prices a numpy level, and a switch between routes, at about this many float
+# nodes, which is how hierts_sample weighs a split. Every split gives the same bits, so this only moves time.
 FLOAT_DRAW_NODES_PER_LEVEL = 16
 
 
@@ -49,14 +50,20 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     concatenate exactly, so this is the stream of one draw per level.
 
     A scalar draw without a size walks the root and then each level on the
-    state's float lists while the level has at most FLOAT_DRAW_NODES_PER_LEVEL
-    nodes, computing theta[v] = (theta[parent] * lam0 + wmean) / lamhat
-    + z / sqrt_lamhat one node at a time (Hierarchy.sample_nodes). A tree
-    whose levels are all that narrow takes no numpy call beyond the draw and
-    the result. Otherwise the levels below the float prefix take numpy's
-    level loop, seeded with the prefix's values by one slice assignment
-    (a fancy one when the prefix ids are not 1..k); a tree whose first level
-    is wide runs the level loop from the root.
+    state's float lists while the level has at most R =
+    FLOAT_DRAW_NODES_PER_LEVEL nodes, computing theta[v] = (theta[parent] *
+    lam0 + wmean) / lamhat + z / sqrt_lamhat one node at a time
+    (Hierarchy.sample_nodes), and runs numpy's level loop on the levels
+    below, seeded with the float prefix's values by one slice assignment. A
+    tree whose levels are all that narrow takes floats throughout, with no
+    numpy call beyond the draw and the result. Otherwise the draw takes the
+    cheapest of three routes, counted in float nodes with a numpy level and
+    the switch between routes at R each: floats throughout (num_nodes), the
+    level loop from the root (R per level) or the split (its float prefix's
+    draw positions, R per level below and R for the switch). A tree whose
+    first level is wide always runs the level loop from the root. The
+    choice (_draw_route) depends only on the tree and R; the state keeps it
+    in draw_route and makes it again when R has changed.
 
     The level loop reads the state's level_arrays, numpy copies of those
     floats. It scales its part of the draw by 1 / sqrt(lamhat) in one pass,
@@ -77,11 +84,12 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     hier = state.hierarchy
     n = hier.num_nodes
     levels, k = hier.level_index, 0  # the level loop's levels, after k draw positions on floats
-    if scalar and size is None:  # no level has fewer nodes than the one above it, so the last is the widest
-        if levels[-1][3] - levels[-1][2] <= FLOAT_DRAW_NODES_PER_LEVEL:
+    if scalar and size is None:
+        if state.draw_route[0] != FLOAT_DRAW_NODES_PER_LEVEL:
+            state.draw_route = (FLOAT_DRAW_NODES_PER_LEVEL, *_draw_route(hier, FLOAT_DRAW_NODES_PER_LEVEL))
+        _, k, levels = state.draw_route
+        if k == n:
             return np.array(_float_walk(state, rng.standard_normal(n).tolist(), n))
-        while levels[0][3] - levels[0][2] <= FLOAT_DRAW_NODES_PER_LEVEL:
-            k, levels = levels[0][3], levels[1:]
     m = 1 if size is None else int(size)
     if scalar:
         z = rng.standard_normal(m * n)
@@ -103,11 +111,8 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
         if not k:
             theta[0] = np.nan
             theta[ROOT] = state.root_mean + z[0]
-        elif top == k:
-            theta[: k + 1] = floats
-        else:
-            prefix = [0, ROOT, *hier.sample_nodes[: k - 1]]
-            theta[prefix] = [floats[v] for v in prefix]
+        else:  # the ids up to top that the prefix did not draw are nan here and the level loop's to write
+            theta[: top + 1] = floats
         for nodes, parents, start, stop in levels:
             mean = theta[parents]
             mean *= lam0[nodes]
@@ -128,6 +133,22 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
         mean += intercept[nodes, :, None]
         theta[:, nodes] = mean
     return theta[0, ..., 0] if size is None else theta[..., 0]
+
+
+def _draw_route(hier: Hierarchy, r: int) -> tuple[int, tuple]:
+    """A scalar draw's route without a size at FLOAT_DRAW_NODES_PER_LEVEL = r: (k, levels), the draw positions
+    it takes on floats and the levels its level loop runs. No level has fewer nodes than the one above it, so
+    the narrow levels are the top ones and the last is the widest."""
+    levels, n, h, j = hier.level_index, hier.num_nodes, len(hier.level_index), 0
+    if levels[-1][3] - levels[-1][2] <= r:
+        return n, ()
+    while levels[j][3] - levels[j][2] <= r:
+        j += 1
+    prefix = levels[j - 1][3] if j else 1  # the draw positions of the root and the j narrow levels
+    on_levels, split = r * h, prefix + r * (h - j + 1)
+    if n < on_levels and n < split:
+        return n, ()
+    return (prefix, levels[j:]) if split < on_levels else (0, levels)
 
 
 def _float_walk(state: PosteriorState, z: list, top: int) -> list:

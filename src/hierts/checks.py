@@ -31,6 +31,7 @@ __all__ = [
     "linear_oracle_suite",
     "lemma_suite",
     "run_default_suites",
+    "DEFAULT_SUITE_SIZES",
 ]
 
 ORACLE_RTOL = 1e-8
@@ -43,6 +44,8 @@ SCALAR_BUDGET = (4, 32, 50)
 LINEAR_BUDGET = (3, 16, 40)
 LINEAR_MAX_DIM = 4
 LEMMA_TREE_BUDGET = (4, 24)
+# run_default_suites' sizes when none are given, which a bare verify-oracle runs.
+DEFAULT_SUITE_SIZES = {"scalar_cases": 100, "linear_cases": 30, "lemma_runs": 20, "horizon": 100}
 
 
 @dataclass(frozen=True)
@@ -293,10 +296,10 @@ def lemma_suite(
 
 def run_default_suites(
     base_seed: int = 0,
-    scalar_cases: int = 100,
-    linear_cases: int = 30,
-    lemma_runs: int = 20,
-    horizon: int = 100,
+    scalar_cases: int = DEFAULT_SUITE_SIZES["scalar_cases"],
+    linear_cases: int = DEFAULT_SUITE_SIZES["linear_cases"],
+    lemma_runs: int = DEFAULT_SUITE_SIZES["lemma_runs"],
+    horizon: int = DEFAULT_SUITE_SIZES["horizon"],
 ) -> SuiteReport:
     """The full verification battery behind the verify-oracle command."""
     results: list[CheckResult] = []

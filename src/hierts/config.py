@@ -6,7 +6,6 @@ and classify-bandit have tables of their own. read() is how every command reads 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import AGENT_KINDS
-from .checks import run_default_suites
+from .checks import DEFAULT_SUITE_SIZES
 from .hierarchy import (ConfigError, Hierarchy, HierarchyError, PriorSpec, _balanced_size, _bounded, _check_int,
                         _check_real, _id_map, _is_int, _load_json_object, _real_in, _SCALE, balanced_tree,
                         build_hierarchy, constant_prior, doubling_prior, load_tree_json)
@@ -194,9 +193,8 @@ _RATIO_FIELDS = {
     "delta": _spec(None, _bounded(lambda v: False, "left out: ratio computes no bound")),
     "heights": _spec(None, _HEIGHTS, required=True),
 }
-# verify-oracle's fields are run_default_suites' parameters, with its defaults; its base_seed is spelled seed.
-_VERIFY_FIELDS = {"seed" if name == "base_seed" else name: _spec(p.default, _int_at_least(0))
-                  for name, p in inspect.signature(run_default_suites).parameters.items()}
+_VERIFY_FIELDS = {name: _spec(default, _int_at_least(0)) for name, default in
+                  (("seed", 0), *DEFAULT_SUITE_SIZES.items())}
 # classify-bandit reads no document, only these flags, so an error names the flag.
 _CLASSIFY_FLAGS = {"--horizon": _spec(2000, _int_at_least(1)), "--runs": _spec(10, _int_at_least(1)),
                    "--seed": RUN_FIELDS["seed"], "--noise-std": _spec(0.5, _SCALE)}

@@ -96,7 +96,9 @@ class PosteriorState(_UpwardPass):
     A shorter child list is summed left to right from 0.0, which is the order
     numpy's sum takes for at most SHORT_SUM_MAX elements. Every other reader
     (marginal_action_moments, posterior_precisions, the checks) works on the
-    floats or on arrays built from them on request.
+    floats or on arrays built from them on request. draw_route holds the
+    route hierts_sample chose for this state's tree at the last value of
+    FLOAT_DRAW_NODES_PER_LEVEL it saw, so it is chosen once per value.
 
     Single-writer: update_path mutates in place, reads are safe between
     updates but not during one.
@@ -122,6 +124,7 @@ class PosteriorState(_UpwardPass):
         # level_arrays' copies once asked for, the first draw position they cover, and per node the copies
         # _fold writes it to (the covered nodes only)
         self._levels, self._levels_from, self._level_copies = None, n, [None] * (n + 1)
+        self.draw_route = (None, 0, ())  # hierts_sample's (FLOAT_DRAW_NODES_PER_LEVEL, k, levels) at its last draw
         # per node, the (msg_prec, msg_wmean) copies _fold writes its message to; a wide parent's children only
         self._msg_copies = [None] * (n + 1)
         if hierarchy.branching_factor > SHORT_SUM_MAX:

@@ -87,14 +87,17 @@ def _widths(tree):
 
 
 def _float_positions(tree, nodes_per_level):
-    """How many draw positions (root first) a scalar draw without a size takes on floats: the root and each level
-    while it has at most nodes_per_level nodes, none when the first level is wider."""
-    k = 0
-    for (_, _, _, stop), width in zip(tree.level_index, _widths(tree)):
-        if width > nodes_per_level:
-            break
-        k = stop
-    return k
+    """How many draw positions (root first) a scalar draw without a size takes on floats: all of them when
+    every level has at most nodes_per_level (r) nodes, else the cheapest route counted in float nodes, with
+    a numpy level and the switch between routes at r each: floats throughout (num_nodes), the level loop
+    (none; r per level) or the split (the root and the levels of at most r nodes; r per level below, plus r)."""
+    widths, r, n = _widths(tree), nodes_per_level, tree.num_nodes
+    if widths[-1] <= r:
+        return n
+    narrow = sum(w <= r for w in widths)
+    prefix = 1 + sum(widths[:narrow])
+    on_levels, split = r * len(widths), prefix + r * (len(widths) - narrow + 1)
+    return n if n < min(on_levels, split) else prefix if split < on_levels else 0
 
 
 def _route(tree):
@@ -108,9 +111,10 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
 
     The trees include the 257-node flat tree of b=2 h=8 (a 256-child root), b=2 h=8, b=16 h=2, and
     random trees with mixed-depth leaves, whose levels and sample order are not id runs.
-    Without a size, b=2 h=3, its flat tree and the random trees take floats throughout, b=16 h=2 and
-    b=2 h=8 split (floats for the root and the levels of at most 16 nodes, numpy's level loop below), and
-    the flat tree of b=2 h=8 runs the level loop from the root.
+    Without a size, b=2 h=3, its flat tree and the random trees take floats throughout, b=2 h=8 splits
+    (floats for the root and the levels of at most 16 nodes, numpy's level loop below), and b=16 h=2 (whose
+    one narrow level saves less than the switch costs) and the flat tree of b=2 h=8 run the level loop from
+    the root.
     """
     rng = np.random.default_rng(21)
     b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
@@ -118,7 +122,7 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
     trees += [b2h8] + [random_tree(rng) for _ in range(4)]
     assert any(not isinstance(idx, slice) for t in trees for idx, _, _, _ in t.level_index)
     assert any(not isinstance(t.sample_order, slice) for t in trees)
-    assert [_route(t) for t in trees] == ["floats", "split", "floats", "levels", "split"] + ["floats"] * 4
+    assert [_route(t) for t in trees] == ["floats", "levels", "floats", "levels", "split"] + ["floats"] * 4
     for tree in trees:
         for dim in (None, 1, 3):
             if dim is None:
@@ -142,33 +146,40 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
 def test_every_split_point_draws_the_per_level_bytes(monkeypatch):
     """Wherever the float prefix ends, a scalar draw gives the per-level sampler's bytes and stream position.
 
-    Split points: 10**9 (floats throughout), each level's width, 1 and 0 (the level loop from the root), in
-    descending and then ascending order with updates in between, so the level loop starts both above and
-    below the nodes its copies cover. Trees: b=2 h=8, b=16 h=2, both flat trees, random trees with mixed leaf
-    depths, and a tree whose one-node levels put ids 1, 3 and 5 on floats, which seeds the level loop by a
-    fancy assignment. A tree with a wide level above a narrow one cannot be built: a node of height h >= 1
-    has a child of height h - 1, so each level has at least as many nodes as the one above it (asserted).
+    Split settings: every value from 0 (the level loop from the root) through the widest level (floats
+    throughout) and 10**9, in descending and then ascending order with updates in between, so the level loop
+    starts both above and below the nodes its copies cover; every prefix the rule splits at is among them, and
+    the route the state keeps (draw_route) must follow each change of the setting.
+    Trees: b=2 h=8 (which splits after 15, 31, 63, 127 and 255 draw positions), b=16 h=2, both flat trees,
+    random trees with mixed leaf depths, and a tree whose one-node levels put ids 1, 3 and 5 on floats, which
+    leaves ids 2 and 4 of the float prefix's span to the level loop. A tree with a wide level above a narrow one
+    cannot be built: a node of height h >= 1 has a child of height h - 1, so each level has at least as many
+    nodes as the one above it (asserted).
     """
     rng = np.random.default_rng(12)
     b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
     trees = [b2h8, balanced_tree(16, 2)] + [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
     trees += [random_tree(rng, max_levels=5, max_nodes=60) for _ in range(4)]
-    gapped = build_hierarchy({2: 1, 3: 1, 4: 3, 5: 3, 6: 5, 7: 5, 8: 5})
+    gapped = build_hierarchy({2: 1, 3: 1, 4: 3, 5: 3, **{v: 5 for v in range(6, 46)}})
     assert [idx for idx, _, _, _ in gapped.level_index][:2] == [slice(3, 4), slice(5, 6)]
     trees.append(gapped)
     assert any(len({t.paths[a].size for a in t.action_nodes.tolist()}) > 1 for t in trees)  # mixed leaf depths
     for tree in trees:
         widths = _widths(tree)
         assert widths == sorted(widths)
-        splits = sorted({0, 1, *widths, 10**9})
-        assert {_float_positions(tree, s) for s in splits} >= {0, tree.num_nodes}
+        splits = [*range(widths[-1] + 1), 10**9]
+        positions = {_float_positions(tree, s) for s in splits}
+        assert {0, tree.num_nodes} <= positions
+        if tree is b2h8 or tree is gapped:
+            assert positions == ({0, 15, 31, 63, 127, 255, 511} if tree is b2h8 else {0, 3, 45})
         state = PosteriorState(tree, random_scalar_prior(rng, tree))
         for phase, nodes_per_level in enumerate(splits[::-1] + splits):
-            for _ in range(10):
+            for _ in range(2):
                 state.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
             monkeypatch.setattr(agents, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
             got_rng, want_rng = np.random.default_rng(phase), np.random.default_rng(phase)
             got = hierts_sample(state, got_rng)
+            assert state.draw_route[:2] == (nodes_per_level, _float_positions(tree, nodes_per_level))
             assert got.tobytes() == _per_level_sample(state, want_rng).tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -177,25 +188,25 @@ def test_forced_routes_draw_the_same_bytes(monkeypatch):
     """Which arrays a state keeps never changes a draw: each route, forced on an updated state, gives the same bytes.
 
     Each tree runs pairs of forced routes on a fresh state, alternating between them with updates in
-    between: floats throughout (10**9) against the level loop from the root (0), in both orders, and a
-    mid-tree split against the level loop from the root, in both orders. A split draw first leaves copies
-    of only the levels below its float prefix, so the root-first draw after more updates reads a stale
-    copy unless level_arrays rebuilds them; in the other order the split reads copies that cover more
-    than it needs. b=2 h=3, b=2 h=5 and a random tree keep no numpy copies until a forced level-loop
-    draw builds them; b=16 h=2 and the flat tree of b=2 h=8 (a 256-child root) keep message copies too.
+    between: floats throughout (10**9) against the level loop from the root (0), in both orders, and, on
+    b=2 h=5 and b=2 h=8, a split after the tree's first narrow levels against the level loop from the root,
+    in both orders. A split draw first leaves copies of only the levels below its float prefix, so the
+    root-first draw after more updates reads a stale copy unless level_arrays rebuilds them; in the other
+    order the split reads copies that cover more than it needs. b=2 h=3, b=2 h=5 and a random tree keep no
+    numpy copies until a forced level-loop draw builds them; b=16 h=2 and the flat tree of b=2 h=8 (a
+    256-child root) keep message copies too.
     """
     rng = np.random.default_rng(5)
     b2h8 = balanced_tree(2, 8)
-    trees = [balanced_tree(2, 3), balanced_tree(2, 5), random_tree(rng), balanced_tree(16, 2)]
+    trees = [balanced_tree(2, 3), balanced_tree(2, 5), b2h8, random_tree(rng), balanced_tree(16, 2)]
     trees.append(flatten_hierarchy(b2h8, constant_prior(b2h8))[0])
     for tree in trees:
         prior = random_scalar_prior(rng, tree)
-        widths = _widths(tree)
         pairs = [(10**9, 0), (0, 10**9)]
-        if len(widths) > 1:
-            mid = widths[(len(widths) - 1) // 2]
-            assert 0 < _float_positions(tree, mid) < tree.num_nodes
-            pairs += [(mid, 0), (0, mid)]
+        splits = [r for r in range(_widths(tree)[-1]) if 0 < _float_positions(tree, r) < tree.num_nodes]
+        assert bool(splits) == any(tree is t for t in trees[1:3])  # b=2 h=5 and b=2 h=8
+        if splits:
+            pairs += [(splits[0], 0), (0, splits[0])]
         for pair in pairs:
             state = PosteriorState(tree, prior)
             for phase in range(4):
