@@ -21,11 +21,13 @@ explicit_tree.json, plus the printed report of `verify-oracle --seed 0` and
 raw `hierts_sample` draws (draws/<tree>/<route>.bin, the array's bytes) on
 b=2 h=3, b=16 h=2, a random tree with leaves at mixed depths and b=2 h=5,
 after 60 updates each: the scalar draw without a size on Python floats and on
-the numpy level loop (both forced), a sized scalar draw, and a linear (d=3)
-draw without and with a size. It also draws each tree's scalar draw without a
-size on the route the tree takes by itself and stops unless its bytes equal
-both forced routes': b=2 h=3 and the random tree take floats throughout,
-b=16 h=2 takes the level loop from the root, and b=2 h=5 (levels of 2 to 32
+the numpy level loop (both forced: a state built under each
+FLOAT_DRAW_NODES_PER_LEVEL, which fixes its route, replays the same updates),
+a sized scalar draw, and a linear (d=3) draw without and with a size. It also
+draws each tree's scalar draw without a size on the route the tree takes by
+itself and stops unless its bytes equal both forced routes': b=2 h=3 and the
+random tree take floats throughout, b=16 h=2 takes the level loop from the
+root, and b=2 h=5 (levels of 2 to 32
 nodes) splits between floats for the narrow top levels and the level loop
 below. Run outputs average draws away, and these show a change in a draw's
 last bit. At d=10, the
@@ -58,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hierts import LinearPosteriorState, PosteriorState, TSAgent, agents, cli, hierts_sample
+from hierts import LinearPosteriorState, PosteriorState, TSAgent, cli, hierts_sample, posterior
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.envs import fit_priors_from_data, make_cluster_dataset, write_dataset_csv
 from hierts.hierarchy import PriorSpec, balanced_tree, doubling_prior, save_tree_json
@@ -91,24 +93,32 @@ def write_tree_file_configs(data: Path) -> list[Path]:
 
 
 def write_draws(root: Path) -> None:
-    """Raw hierts_sample draws, one file per tree and route, after 60 updates from fixed seeds."""
+    """Raw hierts_sample draws, one file per tree and route, after 60 updates from fixed seeds.
+
+    A state fixes its route when it is built, so each forced route is a state built under that
+    FLOAT_DRAW_NODES_PER_LEVEL, with the recorded updates replayed on it."""
     rng = np.random.default_rng(11)
     trees = {"b2h3": balanced_tree(2, 3), "b16h2": balanced_tree(16, 2), "random": random_tree(rng),
              "b2h5": balanced_tree(2, 5)}
     for name, tree in trees.items():
         scalar = PosteriorState(tree, random_scalar_prior(rng, tree))
         linear = LinearPosteriorState(tree, random_linear_prior(rng, tree, 3))
+        updates = []
         for _ in range(60):
             leaf, x, y = int(rng.choice(tree.action_nodes)), rng.standard_normal(3), float(rng.normal(0.0, 2.0))
             scalar.update_path(leaf, y)
             linear.update_path(leaf, x, y)
+            updates.append((leaf, y))
         routes = {}
         for route, nodes_per_level in (("scalar-float", tree.num_nodes), ("scalar-levels", 0)):
-            saved, agents.FLOAT_DRAW_NODES_PER_LEVEL = agents.FLOAT_DRAW_NODES_PER_LEVEL, nodes_per_level
+            saved, posterior.FLOAT_DRAW_NODES_PER_LEVEL = posterior.FLOAT_DRAW_NODES_PER_LEVEL, nodes_per_level
             try:
-                routes[route] = hierts_sample(scalar, np.random.default_rng(1))
+                forced = PosteriorState(tree, scalar.prior)
             finally:
-                agents.FLOAT_DRAW_NODES_PER_LEVEL = saved
+                posterior.FLOAT_DRAW_NODES_PER_LEVEL = saved
+            for leaf, y in updates:
+                forced.update_path(leaf, y)
+            routes[route] = hierts_sample(forced, np.random.default_rng(1))
         split = hierts_sample(scalar, np.random.default_rng(1))  # the route the tree takes by itself
         if not split.tobytes() == routes["scalar-float"].tobytes() == routes["scalar-levels"].tobytes():
             raise SystemExit(f"{name}: the scalar draw differs between routes")

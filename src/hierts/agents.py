@@ -21,19 +21,12 @@ from .hierarchy import (
     flatten_hierarchy,
     marginal_prior_variances,
 )
-from .linear import LinearPosteriorState, _add_observation, _argmax_score, _conditional, _sym
+from .linear import LinearPosteriorState, _add_observation, _argmax_score, _conditional, _context, _sym
 from .posterior import PosteriorState
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
 
 AGENT_KINDS = ("HierTS", "FlatTS", "TS")
-
-# A scalar draw without a size walks its levels on Python floats, node by node, from the root down while
-# each level has at most this many nodes, and runs numpy's level loop on the levels below: on a narrow
-# level numpy's cost per call outweighs the float walk's cost per node. The measured per-level crossover
-# is in the README; it also prices a numpy level, and a switch between routes, at about this many float
-# nodes, which is how hierts_sample weighs a split. Every split gives the same bits, so this only moves time.
-FLOAT_DRAW_NODES_PER_LEVEL = 16
 
 
 def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -49,30 +42,33 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     level by level, each level shaped (size, level nodes[, d]). Normal draws
     concatenate exactly, so this is the stream of one draw per level.
 
-    A scalar draw without a size walks the root and then each level on the
-    state's float lists while the level has at most R =
-    FLOAT_DRAW_NODES_PER_LEVEL nodes, computing theta[v] = (theta[parent] *
-    lam0 + wmean) / lamhat + z / sqrt_lamhat one node at a time
-    (Hierarchy.sample_nodes), and runs numpy's level loop on the levels
-    below, seeded with the float prefix's values by one slice assignment. A
-    tree whose levels are all that narrow takes floats throughout, with no
-    numpy call beyond the draw and the result. Otherwise the draw takes the
-    cheapest of three routes, counted in float nodes with a numpy level and
-    the switch between routes at R each: floats throughout (num_nodes), the
-    level loop from the root (R per level) or the split (its float prefix's
-    draw positions, R per level below and R for the switch). A tree whose
-    first level is wide always runs the level loop from the root. The
-    choice (_draw_route) depends only on the tree and R; the state keeps it
-    in draw_route and makes it again when R has changed.
+    A scalar draw without a size takes the route that the state chose when
+    it was built (PosteriorState.draw_route, by posterior._draw_route from
+    the tree and FLOAT_DRAW_NODES_PER_LEVEL = R): it walks the root and then
+    each level on the state's float lists while the level has at most R
+    nodes, computing theta[v] = (theta[parent] * lam0 + wmean) / lamhat +
+    z / sqrt_lamhat one node at a time (Hierarchy.sample_nodes), and runs
+    numpy's level loop on the levels below, seeded with the float prefix's
+    values by one slice assignment. A tree whose levels are all that narrow
+    takes floats throughout, with no numpy call beyond the draw and the
+    result. Otherwise the route is the cheapest of three, counted in float
+    nodes with a numpy level and the switch between routes at R each: floats
+    throughout (num_nodes), the level loop from the root (R per level) or
+    the split (its float prefix's draw positions, R per level below and R
+    for the switch). A tree whose first level is wide always runs the level
+    loop from the root.
 
-    The level loop reads the state's level_arrays, numpy copies of those
-    floats. It scales its part of the draw by 1 / sqrt(lamhat) in one pass,
-    reading lamhat in the draw's root-first node order
-    (Hierarchy.sample_order), then builds each level's mean in place. With a
-    size it first moves each level's (size, width) block into a node-major
-    (num_nodes, size) array, works on columns and returns the transpose.
-    These are the per-level formula's operations on the same operands, so
-    the bits are the same whichever level takes which route.
+    The level loop reads the state's level_copies, numpy copies of those
+    floats that are kept current for the nodes it draws; a sized draw
+    builds its arrays from the floats on each call. It scales its part of
+    the draw by 1 / sqrt(lamhat) in one pass, reading lamhat in the draw's
+    root-first node order (Hierarchy.sample_order), then builds each level's
+    mean in place. With a size it first moves each level's (size, width)
+    block into a node-major (num_nodes, size) array, works on columns and
+    returns the transpose. These are the per-level formula's operations on
+    the same operands, so the bits are the same whichever level takes which
+    route. A size that is not a positive integer raises ValueError before
+    any draw.
 
     The linear branch computes each level as slope @ parent + post_factor @ z
     + intercept on (size, nodes, d, 1) columns with stacked matmuls, which give
@@ -81,31 +77,29 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     scalar = isinstance(state, PosteriorState)
     if not (scalar or isinstance(state, LinearPosteriorState)):
         raise TypeError(f"unsupported posterior state {type(state).__name__}")
+    if not (size is None or isinstance(size, (int, np.integer)) and size > 0):
+        raise ValueError(f"size must be a positive integer or None, got {size!r}")
+    m = 1 if size is None else int(size)
     hier = state.hierarchy
     n = hier.num_nodes
-    levels, k = hier.level_index, 0  # the level loop's levels, after k draw positions on floats
-    if scalar and size is None:
-        if state.draw_route[0] != FLOAT_DRAW_NODES_PER_LEVEL:
-            state.draw_route = (FLOAT_DRAW_NODES_PER_LEVEL, *_draw_route(hier, FLOAT_DRAW_NODES_PER_LEVEL))
-        _, k, levels = state.draw_route
-        if k == n:
-            return np.array(_float_walk(state, rng.standard_normal(n).tolist(), n))
-    m = 1 if size is None else int(size)
     if scalar:
-        z = rng.standard_normal(m * n)
-        lam0, wmean, lamhat, sqrt_lamhat = state.level_arrays(k)
-        order = hier.sample_order
-        if size is not None:  # per-level (m, width) blocks to node-major (n, m); node values as columns
-            blocks, z = z, np.empty((n, m))
+        if size is None:
+            k, top, order, levels = state.draw_route  # the level loop's levels, after k draw positions on floats
+            if k == n:
+                return np.array(_float_walk(state, rng.standard_normal(n).tolist(), n))
+            lam0, wmean, lamhat, sqrt_lamhat = state.level_copies
+            z = rng.standard_normal(n)
+            if k:
+                floats = _float_walk(state, z[:k].tolist(), top)
+                z = z[k:]
+        else:  # per-level (m, width) blocks to node-major (n, m); node values as columns
+            k, order, levels = 0, hier.sample_order, hier.level_index
+            lists = (state.lam0, state.ev_wmean, state.lamhat, state.sqrt_lamhat)
+            lam0, wmean, lamhat, sqrt_lamhat = (np.array(x)[:, None] for x in lists)
+            blocks, z = rng.standard_normal(m * n), np.empty((n, m))
             z[0] = blocks[:m]
             for _, _, start, stop in levels:
                 z[start:stop] = blocks[m * start : m * stop].reshape(m, -1).T
-            lam0, wmean, lamhat, sqrt_lamhat = (a[:, None] for a in (lam0, wmean, lamhat, sqrt_lamhat))
-        elif k:  # top: the float prefix's highest id, k when the prefix is ids 1..k
-            top = k if type(order) is slice else max(hier.sample_nodes[: k - 1])
-            floats = _float_walk(state, z[:k].tolist(), top)
-            z = z[k:]
-            order = slice(order.start + k, order.stop) if type(order) is slice else order[k:]
         z /= sqrt_lamhat[order]
         theta = np.empty((n + 1,) + z.shape[1:])
         if not k:
@@ -133,22 +127,6 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
         mean += intercept[nodes, :, None]
         theta[:, nodes] = mean
     return theta[0, ..., 0] if size is None else theta[..., 0]
-
-
-def _draw_route(hier: Hierarchy, r: int) -> tuple[int, tuple]:
-    """A scalar draw's route without a size at FLOAT_DRAW_NODES_PER_LEVEL = r: (k, levels), the draw positions
-    it takes on floats and the levels its level loop runs. No level has fewer nodes than the one above it, so
-    the narrow levels are the top ones and the last is the widest."""
-    levels, n, h, j = hier.level_index, hier.num_nodes, len(hier.level_index), 0
-    if levels[-1][3] - levels[-1][2] <= r:
-        return n, ()
-    while levels[j][3] - levels[j][2] <= r:
-        j += 1
-    prefix = levels[j - 1][3] if j else 1  # the draw positions of the root and the j narrow levels
-    on_levels, split = r * h, prefix + r * (h - j + 1)
-    if n < on_levels and n < split:
-        return n, ()
-    return (prefix, levels[j:]) if split < on_levels else (0, levels)
 
 
 def _float_walk(state: PosteriorState, z: list, top: int) -> list:
@@ -190,8 +168,9 @@ class HierTSAgent:
         return hierarchy, prior
 
     def sample_model(self, size: int | None = None) -> np.ndarray:
+        theta = hierts_sample(self.state, self.rng, size)
         self.sample_ops += self.state.hierarchy.num_nodes * (1 if size is None else int(size))
-        return hierts_sample(self.state, self.rng, size)
+        return theta
 
     def act(self, context: np.ndarray | None = None) -> int:
         theta = self.sample_model()[self.state.hierarchy.leaf_index]
@@ -199,10 +178,11 @@ class HierTSAgent:
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
         leaf = self._leaves[self.hierarchy.action_position(action)]
-        if context is None:
+        if isinstance(self.state, PosteriorState):
+            _context(context, None)
             self.state.update_path(leaf, reward)
         else:
-            self.state.update_path(leaf, context, reward)
+            self.state.update_path(leaf, context, reward)  # which checks the context first
 
     def marginal_action_moments(self, action: int):
         return self.state.marginal_action_moments(self._leaves[self.hierarchy.action_position(action)])
@@ -269,6 +249,7 @@ class TSAgent:
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
         j = self.hierarchy.action_position(action)
         if self._scalar:
+            _context(context, None)
             if not math.isfinite(reward):
                 raise ValueError(f"reward must be finite, got {reward}")
             prec = self.prec[j] = self.prec.item(j) + self.noise_prec

@@ -35,6 +35,7 @@ __all__ = [
     "FeatureDataset",
     "load_feature_dataset",
     "fit_priors_from_data",
+    "dataset_instance",
     "FitReport",
     "make_cluster_dataset",
     "write_dataset_csv",

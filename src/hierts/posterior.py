@@ -32,6 +32,34 @@ __all__ = ["PosteriorState"]
 SHORT_SUM_MAX = 7
 
 
+# A scalar draw without a size walks its levels on Python floats, node by node, from the root down while
+# each level has at most this many nodes, and runs numpy's level loop on the levels below: on a narrow
+# level numpy's cost per call outweighs the float walk's cost per node. The measured per-level crossover
+# is in the README; it also prices a numpy level, and a switch between routes, at about this many float
+# nodes, which is how _draw_route weighs a split. Every split gives the same bits, so this only moves time.
+# PosteriorState reads it once, when it is built.
+FLOAT_DRAW_NODES_PER_LEVEL = 16
+
+
+def _draw_route(hier: Hierarchy, r: int) -> tuple[int, int, slice | np.ndarray | None, tuple]:
+    """A scalar draw's route without a size at FLOAT_DRAW_NODES_PER_LEVEL = r: (k, top, order, levels), the k
+    draw positions it takes on floats (Hierarchy.sample_order, root first), the highest id among them, the
+    sample order of the draw positions after them and the levels its level loop runs. No level has fewer nodes
+    than the one above it, so the narrow levels are the top ones and the last is the widest."""
+    levels, n, h, j = hier.level_index, hier.num_nodes, len(hier.level_index), 0
+    while j < h and levels[j][3] - levels[j][2] <= r:
+        j += 1
+    k = levels[j - 1][3] if j else 1  # the draw positions of the root and the j narrow levels
+    on_levels, split = r * h, k + r * (h - j + 1)
+    if j == h or n < on_levels and n < split:
+        return n, n, None, ()
+    order = hier.sample_order
+    if split >= on_levels:
+        return 0, 0, order, levels
+    rest = slice(order.start + k, order.stop) if type(order) is slice else order[k:]
+    return k, max(hier.sample_nodes[: k - 1]), rest, levels[j:]
+
+
 class _UpwardPass:
     """Leaf-to-root pass over the ev_* (pooled evidence) and msg_* (message) caches.
 
@@ -41,10 +69,6 @@ class _UpwardPass:
     _copy_tallies(out), which gives a fresh state this one's leaf tallies and
     evidence (one and the same in the linear model).
     """
-
-    @property
-    def num_nodes(self) -> int:
-        return self.hierarchy.num_nodes
 
     def _walk(self, node: int) -> None:
         """Fold node and each ancestor below the root, pooling every parent's children."""
@@ -81,24 +105,26 @@ class PosteriorState(_UpwardPass):
     identical to a full bottom-up rebuild because the per-node reductions see
     the same operands in the same order.
 
+    draw_route is hierts_sample's route for a draw without a size, (k, top,
+    order, levels) from _draw_route. It depends only on the tree and
+    FLOAT_DRAW_NODES_PER_LEVEL, so it is chosen once, here, and fixed for
+    the state's life.
+
     The lists are the one truth. A numpy copy is written through, by _fold
     and _fold_root, only where numpy reads it in a round:
-    - ev_wmean, lamhat and sqrt_lamhat of the nodes that hierts_sample's
-      level loop reads, once it has asked for them: the nodes from a draw
-      position on (level_arrays' start; the float prefix above it reads the
-      lists). level_arrays builds the copies from the floats on the first
-      request and again whenever a request starts above the nodes they
-      cover, so no route reads a stale copy;
+    - ev_wmean, lamhat and sqrt_lamhat of the nodes that the route's level
+      loop reads, those at draw positions k and after (the float prefix
+      above them reads the lists). level_copies holds (lam0, ev_wmean,
+      lamhat, sqrt_lamhat) as arrays built here from the floats, or None
+      when the route takes floats throughout;
     - msg_prec and msg_wmean of the children of a parent with more than
       SHORT_SUM_MAX children, which _pool sums with numpy's pairwise sum,
       over a slice view when the child ids are consecutive and over a
       gathered copy otherwise.
     A shorter child list is summed left to right from 0.0, which is the order
     numpy's sum takes for at most SHORT_SUM_MAX elements. Every other reader
-    (marginal_action_moments, posterior_precisions, the checks) works on the
-    floats or on arrays built from them on request. draw_route holds the
-    route hierts_sample chose for this state's tree at the last value of
-    FLOAT_DRAW_NODES_PER_LEVEL it saw, so it is chosen once per value.
+    (marginal_action_moments, posterior_precisions, a sized draw, the
+    checks) works on the floats or on arrays built from them on request.
 
     Single-writer: update_path mutates in place, reads are safe between
     updates but not during one.
@@ -121,10 +147,12 @@ class PosteriorState(_UpwardPass):
         self.sqrt_lamhat = np.sqrt(lam0).tolist()
         # child ids as the list _pool folds in Python, or for wider parents as numpy's index
         self._children = [ch.tolist() if ch.size <= SHORT_SUM_MAX else _as_index(ch) for ch in hierarchy.children]
-        # level_arrays' copies once asked for, the first draw position they cover, and per node the copies
-        # _fold writes it to (the covered nodes only)
-        self._levels, self._levels_from, self._level_copies = None, n, [None] * (n + 1)
-        self.draw_route = (None, 0, ())  # hierts_sample's (FLOAT_DRAW_NODES_PER_LEVEL, k, levels) at its last draw
+        self.draw_route = _draw_route(hierarchy, FLOAT_DRAW_NODES_PER_LEVEL)
+        k = self.draw_route[0]
+        self.level_copies = None if k == n else (lam0, *map(np.array, (self.ev_wmean, self.lamhat, self.sqrt_lamhat)))
+        self._level_copies = [None] * (n + 1)  # per node, the copies _fold writes it to: the level loop's nodes
+        for v in ((ROOT,) + hierarchy.sample_nodes)[k:]:
+            self._level_copies[v] = self.level_copies
         # per node, the (msg_prec, msg_wmean) copies _fold writes its message to; a wide parent's children only
         self._msg_copies = [None] * (n + 1)
         if hierarchy.branching_factor > SHORT_SUM_MAX:
@@ -132,22 +160,6 @@ class PosteriorState(_UpwardPass):
             wide = [type(ch) is not list for ch in self._children]
             self._msg_copies = [self._msg_arrays if wide[p] else None for p in hierarchy.parent_ids]
         self._fold_root()
-
-    def level_arrays(self, start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(lam0, ev_wmean, lamhat, sqrt_lamhat) as numpy arrays, which hierts_sample's level loop reads.
-
-        The copies are current for the nodes at draw position start and after
-        (Hierarchy.sample_order; 0 is the root). The first call, and a call
-        with a start above the nodes they cover, builds them from the floats;
-        from then on every fold of a covered node writes the last three through.
-        """
-        if start < self._levels_from:
-            levels = tuple(np.array(x) for x in (self.lam0, self.ev_wmean, self.lamhat, self.sqrt_lamhat))
-            copies = [None] * len(self._level_copies)
-            for v in ((ROOT,) + self.hierarchy.sample_nodes)[start:]:
-                copies[v] = levels
-            self._levels, self._levels_from, self._level_copies = levels, start, copies
-        return self._levels
 
     def posterior_precisions(self) -> np.ndarray:
         """Conditional posterior precision of every node, shape (num_nodes + 1,); slot 0 is nan."""

@@ -19,7 +19,7 @@ from hierts import (
     hierts_sample,
     make_agent,
 )
-from hierts import agents
+from hierts import agents, posterior
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import ROOT, HierarchyError
 
@@ -101,7 +101,7 @@ def _float_positions(tree, nodes_per_level):
 
 
 def _route(tree):
-    k = _float_positions(tree, agents.FLOAT_DRAW_NODES_PER_LEVEL)
+    k = _float_positions(tree, posterior.FLOAT_DRAW_NODES_PER_LEVEL)
     return "floats" if k == tree.num_nodes else "split" if k else "levels"
 
 
@@ -143,13 +143,29 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _replayed_state(monkeypatch, tree, prior, nodes_per_level, updates):
+    """A scalar state built with FLOAT_DRAW_NODES_PER_LEVEL = nodes_per_level, which fixes its route, and
+    each update replayed in turn; yields the state after each chunk of updates."""
+    monkeypatch.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
+    state = PosteriorState(tree, prior)
+    assert state.draw_route[0] == _float_positions(tree, nodes_per_level)
+    for chunk in updates:
+        for leaf, reward in chunk:
+            state.update_path(leaf, reward)
+        yield state
+
+
+def _updates(rng, tree, chunks, per_chunk):
+    return [[(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0))) for _ in range(per_chunk)]
+            for _ in range(chunks)]
+
+
 def test_every_split_point_draws_the_per_level_bytes(monkeypatch):
     """Wherever the float prefix ends, a scalar draw gives the per-level sampler's bytes and stream position.
 
     Split settings: every value from 0 (the level loop from the root) through the widest level (floats
-    throughout) and 10**9, in descending and then ascending order with updates in between, so the level loop
-    starts both above and below the nodes its copies cover; every prefix the rule splits at is among them, and
-    the route the state keeps (draw_route) must follow each change of the setting.
+    throughout) and 10**9; every prefix the rule splits at is among them. Each setting builds its own state,
+    which keeps the route chosen then, and replays the same updates, drawing between them.
     Trees: b=2 h=8 (which splits after 15, 31, 63, 127 and 255 draw positions), b=16 h=2, both flat trees,
     random trees with mixed leaf depths, and a tree whose one-node levels put ids 1, 3 and 5 on floats, which
     leaves ids 2 and 4 of the float prefix's span to the level loop. A tree with a wide level above a narrow one
@@ -172,49 +188,41 @@ def test_every_split_point_draws_the_per_level_bytes(monkeypatch):
         assert {0, tree.num_nodes} <= positions
         if tree is b2h8 or tree is gapped:
             assert positions == ({0, 15, 31, 63, 127, 255, 511} if tree is b2h8 else {0, 3, 45})
-        state = PosteriorState(tree, random_scalar_prior(rng, tree))
-        for phase, nodes_per_level in enumerate(splits[::-1] + splits):
-            for _ in range(2):
-                state.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
-            monkeypatch.setattr(agents, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
-            got_rng, want_rng = np.random.default_rng(phase), np.random.default_rng(phase)
-            got = hierts_sample(state, got_rng)
-            assert state.draw_route[:2] == (nodes_per_level, _float_positions(tree, nodes_per_level))
-            assert got.tobytes() == _per_level_sample(state, want_rng).tobytes()
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        prior, updates = random_scalar_prior(rng, tree), _updates(rng, tree, 3, 2)
+        for nodes_per_level in splits:
+            for phase, state in enumerate(_replayed_state(monkeypatch, tree, prior, nodes_per_level, updates)):
+                got_rng, want_rng = np.random.default_rng(phase), np.random.default_rng(phase)
+                got = hierts_sample(state, got_rng)
+                assert got.tobytes() == _per_level_sample(state, want_rng).tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_forced_routes_draw_the_same_bytes(monkeypatch):
-    """Which arrays a state keeps never changes a draw: each route, forced on an updated state, gives the same bytes.
+    """Which arrays a state keeps never changes a draw: each route, forced on its own state, gives the same bytes.
 
-    Each tree runs pairs of forced routes on a fresh state, alternating between them with updates in
-    between: floats throughout (10**9) against the level loop from the root (0), in both orders, and, on
-    b=2 h=5 and b=2 h=8, a split after the tree's first narrow levels against the level loop from the root,
-    in both orders. A split draw first leaves copies of only the levels below its float prefix, so the
-    root-first draw after more updates reads a stale copy unless level_arrays rebuilds them; in the other
-    order the split reads copies that cover more than it needs. b=2 h=3, b=2 h=5 and a random tree keep no
-    numpy copies until a forced level-loop draw builds them; b=16 h=2 and the flat tree of b=2 h=8 (a
-    256-child root) keep message copies too.
+    Each tree builds one state per forced route and replays the same updates on each, drawing after every
+    20: floats throughout (10**9), the level loop from the root (0) and, on b=2 h=5 and b=2 h=8, a split after
+    the tree's first narrow levels. Every route's draws equal the per-level sampler's and each other's.
+    b=2 h=3, b=2 h=5 and a random tree keep no numpy copies unless the forced route runs the level loop;
+    b=16 h=2 and the flat tree of b=2 h=8 (a 256-child root) keep message copies too.
     """
     rng = np.random.default_rng(5)
     b2h8 = balanced_tree(2, 8)
     trees = [balanced_tree(2, 3), balanced_tree(2, 5), b2h8, random_tree(rng), balanced_tree(16, 2)]
     trees.append(flatten_hierarchy(b2h8, constant_prior(b2h8))[0])
     for tree in trees:
-        prior = random_scalar_prior(rng, tree)
-        pairs = [(10**9, 0), (0, 10**9)]
+        prior, updates = random_scalar_prior(rng, tree), _updates(rng, tree, 4, 20)
+        settings = [10**9, 0]
         splits = [r for r in range(_widths(tree)[-1]) if 0 < _float_positions(tree, r) < tree.num_nodes]
         assert bool(splits) == any(tree is t for t in trees[1:3])  # b=2 h=5 and b=2 h=8
-        if splits:
-            pairs += [(splits[0], 0), (0, splits[0])]
-        for pair in pairs:
-            state = PosteriorState(tree, prior)
-            for phase in range(4):
-                for _ in range(20):
-                    state.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
-                monkeypatch.setattr(agents, "FLOAT_DRAW_NODES_PER_LEVEL", pair[phase % 2])
-                draw = hierts_sample(state, np.random.default_rng(phase)).tobytes()
-                assert draw == _per_level_sample(state, np.random.default_rng(phase)).tobytes()
+        settings += splits[:1]
+        draws = []
+        for nodes_per_level in settings:
+            draws.append([])
+            for phase, state in enumerate(_replayed_state(monkeypatch, tree, prior, nodes_per_level, updates)):
+                draws[-1].append(hierts_sample(state, np.random.default_rng(phase)).tobytes())
+                assert draws[-1][-1] == _per_level_sample(state, np.random.default_rng(phase)).tobytes()
+        assert all(d == draws[0] for d in draws)
 
 
 def test_scalar_ts_act_reads_cached_arm_moments(monkeypatch):
@@ -251,10 +259,7 @@ def test_round_one_marginals_agree_scalar(kind, b2h2):
     prior = doubling_prior(b2h2, noise_std=0.8, hyper_mean=0.4)
     agent = make_agent(kind, b2h2, prior, np.random.default_rng(0))
     for leaf in b2h2.action_nodes:
-        if kind == "TS":
-            mean, var = agent.marginal_action_moments(int(leaf))
-        else:
-            mean, var = agent.marginal_action_moments(int(leaf))
+        mean, var = agent.marginal_action_moments(int(leaf))
         assert mean == pytest.approx(0.4, abs=1e-12)
         assert var == pytest.approx(7.0, rel=1e-12)
 
@@ -268,10 +273,7 @@ def test_round_one_marginals_agree_linear(kind, b2h2):
     }
     agent = make_agent(kind, b2h2, prior, np.random.default_rng(0))
     for leaf in b2h2.action_nodes:
-        if kind == "TS":
-            mean, cov = agent.marginal_action_moments(int(leaf))
-        else:
-            mean, cov = agent.marginal_action_moments(int(leaf))
+        mean, cov = agent.marginal_action_moments(int(leaf))
         assert np.allclose(mean, 0.0, atol=1e-12)
         assert np.allclose(cov, expect[int(leaf)], rtol=1e-10, atol=1e-12)
 
@@ -413,6 +415,41 @@ def test_act_rejects_a_context_of_the_wrong_shape(kind, dim, context, message):
     agent = make_agent(kind, tree, prior, np.random.default_rng(0))
     with pytest.raises(ValueError, match=message):
         agent.act(context)
+
+
+@pytest.mark.parametrize("kind, dim, context, message", [
+    pytest.param(kind, None, context, rf"context must be None for the k-armed model, got shape \({shape}\)",
+                 id=f"{kind}-scalar-given-{name}")
+    for kind in AGENT_KINDS for name, context, shape in (("vector", np.ones(2), "2,"), ("float", 1.0, ""))
+] + [pytest.param(kind, 2, None, r"context must have shape \(2,\), got None", id=f"{kind}-linear-missing")
+     for kind in ("HierTS", "FlatTS")])
+def test_update_rejects_a_context_that_does_not_fit(kind, dim, context, message):
+    """update checks the context as act does, with act's ValueError and before any state changes: a k-armed
+    model takes none (HierTS and FlatTS used to pass it on as the reward, TS ignored it), and a linear model
+    needs one (HierTS and FlatTS used to raise TypeError; TS's linear update already checked)."""
+    tree = balanced_tree(2, 1)
+    prior = constant_prior(tree, 1.0) if dim is None else _linear_prior(tree, dim)
+    agent = make_agent(kind, tree, prior, np.random.default_rng(0))
+    before = [agent.marginal_action_moments(int(a)) for a in tree.action_nodes]
+    with pytest.raises(ValueError, match=message):
+        agent.update(2, 1.0, context)
+    after = [agent.marginal_action_moments(int(a)) for a in tree.action_nodes]
+    assert all(np.array_equal(x, y) for a, b in zip(after, before) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("size", [0, -1, 2.5])
+@pytest.mark.parametrize("dim", [None, 2], ids=["scalar", "linear"])
+def test_sampling_rejects_a_size_that_is_not_a_positive_integer(b2h2, b2h2_prior, dim, size):
+    """A size of 0, -1 or 2.5 raises a ValueError naming size before any draw, and sample_model counts nothing."""
+    prior = b2h2_prior if dim is None else _linear_prior(b2h2, dim)
+    agent = HierTSAgent(b2h2, prior, np.random.default_rng(0))
+    rng_state = agent.rng.bit_generator.state
+    with pytest.raises(ValueError, match="size must be a positive integer"):
+        hierts_sample(agent.state, agent.rng, size)
+    with pytest.raises(ValueError, match="size must be a positive integer"):
+        agent.sample_model(size)
+    assert agent.sample_ops == 0
+    assert agent.rng.bit_generator.state == rng_state
 
 
 def test_ts_agent_linear_update(b2h2):

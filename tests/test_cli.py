@@ -16,7 +16,7 @@ import pytest
 from conftest import ODD_VALUES
 from hypothesis import given, settings, strategies as st
 
-from hierts import FeatureDataset, PosteriorState, agents, checks, cli, config, harness
+from hierts import FeatureDataset, PosteriorState, checks, cli, config, harness, posterior
 from hierts.envs import make_cluster_dataset, write_dataset_csv
 from hierts.config import RUN_FIELDS
 from hierts.hierarchy import PriorSpec, balanced_tree, save_tree_json
@@ -71,7 +71,8 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
 @pytest.mark.parametrize("config", ["mixed_depth_tree", "doubling_b2_h3"])
 def test_float_draw_rule_never_changes_an_output(tmp_path, monkeypatch, config):
     """The tree-size rule picks how hierts_sample computes a draw, never its value: regret.csv is
-    byte-identical with every draw on numpy's level loop (0) and every draw on Python floats."""
+    byte-identical with every draw on numpy's level loop (0) and every draw on Python floats. Each run
+    builds its states under the setting, which fixes their routes."""
     if config == "mixed_depth_tree":
         cfg = CONFIGS / "mixed_depth_tree.json"
     else:
@@ -79,7 +80,7 @@ def test_float_draw_rule_never_changes_an_output(tmp_path, monkeypatch, config):
                             horizon=200, instances=10)
     csv = []
     for nodes_per_level in (0, 10**9):
-        monkeypatch.setattr(agents, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
+        monkeypatch.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
         out = tmp_path / f"run-{nodes_per_level}"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == cli.EXIT_OK
         csv.append((out / "regret.csv").read_bytes())

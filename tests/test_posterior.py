@@ -14,8 +14,10 @@ from hierts import (
     constant_prior,
     doubling_prior,
     flatten_hierarchy,
+    hierts_sample,
     joint_prior,
 )
+from hierts import posterior
 from hierts.checks import random_scalar_prior, random_tree
 from hierts.hierarchy import ROOT, HierarchyError
 from hierts.posterior import SHORT_SUM_MAX
@@ -33,10 +35,13 @@ def _assert_floats_and_copies(state):
         floats = getattr(state, name)
         assert type(floats) is list and all(type(x) is float for x in floats), name
     assert type(state.root_mean) is float
-    if state._levels is not None:  # the level copies of the nodes from draw position _levels_from on
-        covered = [v for v, copies in enumerate(state._level_copies) if copies is not None]
-        assert covered == sorted(((ROOT,) + state.hierarchy.sample_nodes)[state._levels_from:])
-        for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state._levels):
+    k, n = state.draw_route[0], state.hierarchy.num_nodes
+    covered = [v for v, copies in enumerate(state._level_copies) if copies is not None]
+    assert covered == sorted(((ROOT,) + state.hierarchy.sample_nodes)[k:])  # the route's level-loop nodes
+    assert (state.level_copies is None) == (k == n)
+    if k < n:
+        assert all(copies is state.level_copies for copies in state._level_copies if copies is not None)
+        for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies):
             assert array[covered].tobytes() == np.array(getattr(state, name))[covered].tobytes(), name
     wide = [ch for ch in state.hierarchy.children if ch.size > SHORT_SUM_MAX]
     if wide:
@@ -361,7 +366,7 @@ def test_written_through_copies_equal_their_floats():
     """On trees that hierts_sample draws with its level loop, each numpy copy is the floats' bits after every update.
 
     b=2 h=8 keeps only the level loop's copies; its 257-node flat tree and b=16 h=2 also keep the
-    messages of a wide parent's children. A rebuilt state starts without level copies.
+    messages of a wide parent's children. A rebuilt state builds its own copies from its floats.
     """
     rng = np.random.default_rng(8)
     deep = balanced_tree(2, 8)
@@ -370,37 +375,40 @@ def test_written_through_copies_equal_their_floats():
     cases = [(deep, random_scalar_prior(rng, deep)), (flat, flat_prior), (wide, random_scalar_prior(rng, wide))]
     for tree, prior in cases:
         state = PosteriorState(tree, prior)
-        levels = state.level_arrays()
-        assert state.level_arrays() is levels  # built once, then written through
+        levels = state.level_copies
+        assert levels is not None
+        _assert_floats_and_copies(state)
         for step in range(400):
             state.update_path(int(rng.choice(tree.action_nodes)), float(rng.standard_normal() * 3.0))
             if step % 40 == 0:
                 _assert_floats_and_copies(state)
+        assert state.level_copies is levels  # built once, then written through
         _assert_floats_and_copies(state)
         fresh = state.rebuild()
-        assert fresh._levels is None
+        assert fresh.level_copies is not levels
         _assert_floats_and_copies(fresh)
-        assert fresh.level_arrays()[2].tobytes() == levels[2].tobytes()
+        assert fresh.level_copies[2].tobytes() == levels[2].tobytes()
 
 
-def test_level_copies_cover_only_what_the_level_loop_reads():
-    """A split draw's copies cover the nodes below the float prefix, and only those get written through; a
-    request that starts higher rebuilds them from the floats, and one that starts lower keeps them."""
+def test_level_copies_cover_only_what_the_level_loop_reads(monkeypatch):
+    """A split route's copies cover the nodes below the float prefix, and only those get written through.
+    Route and coverage are fixed when the state is built: a later FLOAT_DRAW_NODES_PER_LEVEL, or a draw, or a
+    sized draw (which builds its own arrays) changes neither."""
     rng = np.random.default_rng(9)
     tree = balanced_tree(2, 8)
     state = PosteriorState(tree, random_scalar_prior(rng, tree))
-    levels = state.level_arrays(31)  # numpy from the level of 32 nodes on: ids 32..511
-    assert state._levels_from == 31 and state.level_arrays(63) is levels
+    route, levels = state.draw_route, state.level_copies
+    assert route[:2] == (31, 31)  # floats for ids 1..31, numpy from the level of 32 nodes on: ids 32..511
+    assert [v for v, copies in enumerate(state._level_copies) if copies is not None] == list(range(32, 512))
+    monkeypatch.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", 0)
     for _ in range(100):
         state.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
+        hierts_sample(state, rng)
+    hierts_sample(state, rng, 3)
+    assert state.draw_route is route and state.level_copies is levels
     _assert_floats_and_copies(state)
     assert levels[2][1:32].tolist() == state.lam0[1:32]  # the prefix's copies were never written
     assert levels[2][32:].tolist() == state.lamhat[32:]
-    full = state.level_arrays(0)
-    assert full is not levels and state._levels_from == 0
-    assert full[2].tolist()[1:] == state.lamhat[1:]
-    state.update_path(int(tree.action_nodes[0]), 1.0)
-    _assert_floats_and_copies(state)
 
 
 def test_numpy_rewards_stay_out_of_the_float_lists():
