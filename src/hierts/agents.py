@@ -18,6 +18,7 @@ from .hierarchy import (
     ROOT,
     Hierarchy,
     PriorSpec,
+    _is_int,
     flatten_hierarchy,
     marginal_prior_variances,
 )
@@ -67,8 +68,8 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     block into a node-major (num_nodes, size) array, works on columns and
     returns the transpose. These are the per-level formula's operations on
     the same operands, so the bits are the same whichever level takes which
-    route. A size that is not a positive integer raises ValueError before
-    any draw.
+    route. A size that is not a positive integer, a bool among them, raises
+    ValueError before any draw.
 
     The linear branch computes each level as slope @ parent + post_factor @ z
     + intercept on (size, nodes, d, 1) columns with stacked matmuls, which give
@@ -77,7 +78,7 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     scalar = isinstance(state, PosteriorState)
     if not (scalar or isinstance(state, LinearPosteriorState)):
         raise TypeError(f"unsupported posterior state {type(state).__name__}")
-    if not (size is None or isinstance(size, (int, np.integer)) and size > 0):
+    if not (size is None or _is_int(size) and size > 0):
         raise ValueError(f"size must be a positive integer or None, got {size!r}")
     m = 1 if size is None else int(size)
     hier = state.hierarchy

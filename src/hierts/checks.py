@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import HierTSAgent
+from .config import DEFAULT_SUITE_SIZES
 from .envs import sample_instance, step
 from .hierarchy import Hierarchy, PriorSpec, build_hierarchy
 from .linear import LinearPosteriorState
@@ -44,8 +45,6 @@ SCALAR_BUDGET = (4, 32, 50)
 LINEAR_BUDGET = (3, 16, 40)
 LINEAR_MAX_DIM = 4
 LEMMA_TREE_BUDGET = (4, 24)
-# run_default_suites' sizes when none are given, which a bare verify-oracle runs.
-DEFAULT_SUITE_SIZES = {"scalar_cases": 100, "linear_cases": 30, "lemma_runs": 20, "horizon": 100}
 
 
 @dataclass(frozen=True)

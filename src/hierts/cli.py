@@ -13,13 +13,13 @@ byte for byte; classify-bandit's replay.json records its flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import checks
 from .config import RunConfig, jobs, read
 from .envs import COVARIANCE_FLOOR, dataset_instance, fit_priors_from_data, load_feature_dataset
 from .harness import (complexity_term, dataset_bandit_curve, ratio_experiment, regret_bound, run_bayes_regret,
@@ -33,6 +33,7 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hierts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,6 +168,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks  # only verify-oracle runs the suites, so other commands do not load them
+
     params = read("verify-oracle", args.config, {"seed": args.seed})
     report = checks.run_default_suites(params.pop("seed"), **params)
     if not report.results:

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .agents import AGENT_KINDS
-from .checks import DEFAULT_SUITE_SIZES
 from .hierarchy import (ConfigError, Hierarchy, HierarchyError, PriorSpec, _balanced_size, _bounded, _check_int,
                         _check_real, _id_map, _is_int, _load_json_object, _real_in, _SCALE, balanced_tree,
                         build_hierarchy, constant_prior, doubling_prior, load_tree_json)
@@ -193,6 +192,8 @@ _RATIO_FIELDS = {
     "delta": _spec(None, _bounded(lambda v: False, "left out: ratio computes no bound")),
     "heights": _spec(None, _HEIGHTS, required=True),
 }
+# checks.run_default_suites' sizes when none are given, which a bare verify-oracle runs.
+DEFAULT_SUITE_SIZES = {"scalar_cases": 100, "linear_cases": 30, "lemma_runs": 20, "horizon": 100}
 _VERIFY_FIELDS = {name: _spec(default, _int_at_least(0)) for name, default in
                   (("seed", 0), *DEFAULT_SUITE_SIZES.items())}
 # classify-bandit reads no document, only these flags, so an error names the flag.

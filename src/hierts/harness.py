@@ -8,7 +8,6 @@ reward-noise streams.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 from collections.abc import Iterable
@@ -127,18 +126,21 @@ def _regret_curve(
 ) -> RegretCurve:
     """Run _simulate_run on each (leaf_means, contexts) of envs and average.
 
-    jobs > 1 spreads runs over worker processes, one chunk per worker: a chunk
-    is pickled whole, so its runs share one tree and prior and thus the agents'
-    per-cell setup. Results are gathered in run order, so the curve does not
-    depend on the worker count.
+    jobs > 1 spreads runs over min(jobs, runs) worker processes, one
+    chunk per worker: a chunk is pickled whole, so its runs share one tree and
+    prior and thus the agents' per-cell setup. Results are gathered in run
+    order, so the curve does not depend on the worker count.
     """
     tasks = (
         (run, seed, hierarchy, prior, horizon, kinds, means, contexts)
         for run, (means, contexts) in enumerate(envs)
     )
     if jobs > 1 and runs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_simulate_run, *zip(*tasks), chunksize=math.ceil(runs / jobs)))
+        import concurrent.futures  # only a multi-process run needs the pool machinery
+
+        workers = min(jobs, runs)  # the pool starts every worker at the first submit
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_simulate_run, *zip(*tasks), chunksize=math.ceil(runs / workers)))
     else:
         results = [_simulate_run(*task) for task in tasks]
     mean: dict[str, np.ndarray] = {}

@@ -437,10 +437,10 @@ def test_update_rejects_a_context_that_does_not_fit(kind, dim, context, message)
     assert all(np.array_equal(x, y) for a, b in zip(after, before) for x, y in zip(a, b))
 
 
-@pytest.mark.parametrize("size", [0, -1, 2.5])
+@pytest.mark.parametrize("size", [0, -1, 2.5, True])
 @pytest.mark.parametrize("dim", [None, 2], ids=["scalar", "linear"])
 def test_sampling_rejects_a_size_that_is_not_a_positive_integer(b2h2, b2h2_prior, dim, size):
-    """A size of 0, -1 or 2.5 raises a ValueError naming size before any draw, and sample_model counts nothing."""
+    """A size of 0, -1, 2.5 or True raises a ValueError naming size before any draw, and sample_model counts nothing."""
     prior = b2h2_prior if dim is None else _linear_prior(b2h2, dim)
     agent = HierTSAgent(b2h2, prior, np.random.default_rng(0))
     rng_state = agent.rng.bit_generator.state

@@ -286,6 +286,42 @@ def test_worker_chunks_share_the_cell_setup(monkeypatch):
     assert 1 <= calls.value <= 2
 
 
+def test_worker_pool_is_capped_at_the_run_count(monkeypatch):
+    """jobs above the run count starts one worker per run, with the chunk size and the curve of jobs=1."""
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size and chunk sizes and maps in this process."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.chunksizes = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            self.chunksizes.append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = _cfg(instances=2)
+    serial = run_bayes_regret(cfg, jobs=1)
+    capped = run_bayes_regret(cfg, jobs=64)
+    for kind in cfg.agents:
+        assert np.array_equal(serial.mean[kind], capped.mean[kind])
+        assert np.array_equal(serial.se[kind], capped.se[kind])
+    ratio_experiment(cfg, (1, 2), jobs=64)  # one pool per height
+    run_bayes_regret(_cfg(instances=7), jobs=3)  # fewer jobs than runs: the pool keeps jobs workers
+    assert [(p.max_workers, p.chunksizes) for p in pools] == [(2, [1]), (2, [1]), (2, [1]), (3, [3])]
+
+
 def test_simulated_rounds_hand_agents_python_floats(monkeypatch):
     """The round loop passes float rewards, and the tree agents' per-node lists hold only floats after a run."""
     made = []
