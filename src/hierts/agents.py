@@ -37,43 +37,20 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     level conditions on the already-sampled parents. Works for both scalar
     and linear states; returns an array indexed by node id (slot 0 unused),
     of shape (num_nodes + 1,) or (num_nodes + 1, d), with a leading size
-    axis when size is given.
+    axis when size is given. A size that is not a positive integer, a bool
+    among them, raises ValueError before any draw.
 
     A call makes one standard-normal draw and consumes it root first, then
     level by level, each level shaped (size, level nodes[, d]). Normal draws
-    concatenate exactly, so this is the stream of one draw per level.
-
-    A scalar draw without a size takes the route that the state chose when
-    it was built (PosteriorState.draw_route, by posterior._draw_route from
-    the tree and FLOAT_DRAW_NODES_PER_LEVEL = R): it walks the root and then
-    each level on the state's float lists while the level has at most R
-    nodes, computing theta[v] = (theta[parent] * lam0 + wmean) / lamhat +
-    z / sqrt_lamhat one node at a time (Hierarchy.sample_nodes), and runs
-    numpy's level loop on the levels below, seeded with the float prefix's
-    values by one slice assignment. A tree whose levels are all that narrow
-    takes floats throughout, with no numpy call beyond the draw and the
-    result. Otherwise the route is the cheapest of three, counted in float
-    nodes with a numpy level and the switch between routes at R each: floats
-    throughout (num_nodes), the level loop from the root (R per level) or
-    the split (its float prefix's draw positions, R per level below and R
-    for the switch). A tree whose first level is wide always runs the level
-    loop from the root.
-
-    The level loop reads the state's level_copies, numpy copies of those
-    floats that are kept current for the nodes it draws; a sized draw
-    builds its arrays from the floats on each call. It scales its part of
-    the draw by 1 / sqrt(lamhat) in one pass, reading lamhat in the draw's
-    root-first node order (Hierarchy.sample_order), then builds each level's
-    mean in place. With a size it first moves each level's (size, width)
-    block into a node-major (num_nodes, size) array, works on columns and
-    returns the transpose. These are the per-level formula's operations on
-    the same operands, so the bits are the same whichever level takes which
-    route. A size that is not a positive integer, a bool among them, raises
-    ValueError before any draw.
-
-    The linear branch computes each level as slope @ parent + post_factor @ z
-    + intercept on (size, nodes, d, 1) columns with stacked matmuls, which give
-    each matrix its own bits whatever the batch shape.
+    concatenate exactly, so this is the stream of one draw per level. A
+    scalar draw without a size follows the state's draw_route: its top
+    levels on the state's float lists, node by node, the rest in numpy's
+    level loop. Both apply the per-level formula's operations to the same
+    operands, so the bits do not depend on the route (the README has the
+    route rule and its timings). Sized draws and the linear model take the
+    level loop; the linear one computes slope @ parent + post_factor @ z +
+    intercept with stacked matmuls, which give each matrix its own bits
+    whatever the batch shape.
     """
     scalar = isinstance(state, PosteriorState)
     if not (scalar or isinstance(state, LinearPosteriorState)):

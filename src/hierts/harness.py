@@ -261,7 +261,7 @@ def complexity_term(
     total = 0.0
     for node in range(1, hierarchy.num_nodes + 1):
         s0 = float(variances[node])
-        ch = hierarchy.children[node]
+        ch = hierarchy.children(node)
         if ch.size == 0:
             w = _weight(s0, noise_sq, s0 * n / noise_sq)
         else:

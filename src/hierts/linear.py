@@ -135,7 +135,8 @@ class LinearPosteriorState(_UpwardPass):
         self.hyper_mean = np.asarray(prior.hyper_mean, float)
         self.lam0 = _sym(np.linalg.inv(prior.variances(hierarchy)))
         self._lam0_trace = self.lam0.trace(axis1=1, axis2=2).tolist()
-        self._children = [_as_index(ch) if ch.size else ch for ch in hierarchy.children]  # slices pool over views
+        start = hierarchy.child_start.tolist()  # each parent's child ids, a slice when consecutive: _pool sums views
+        self._children = [_as_index(hierarchy.child_ids[a:b]) if b > a else None for a, b in zip(start, start[1:])]
         n, d = hierarchy.num_nodes, self.dim
         self.ev_prec = np.zeros((n + 1, d, d))
         self.ev_wmean = np.zeros((n + 1, d))

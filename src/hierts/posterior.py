@@ -32,11 +32,9 @@ __all__ = ["PosteriorState"]
 SHORT_SUM_MAX = 7
 
 
-# A scalar draw without a size walks its levels on Python floats, node by node, from the root down while
-# each level has at most this many nodes, and runs numpy's level loop on the levels below: on a narrow
-# level numpy's cost per call outweighs the float walk's cost per node. The measured per-level crossover
-# is in the README; it also prices a numpy level, and a switch between routes, at about this many float
-# nodes, which is how _draw_route weighs a split. Every split gives the same bits, so this only moves time.
+# A scalar draw without a size walks its top levels on Python floats while each has at most this many nodes,
+# and the levels below in numpy's level loop; _draw_route prices a numpy level, and a switch between routes,
+# at this many float nodes. Every route gives the same bits, so this only moves time (timings in the README).
 # PosteriorState reads it once, when it is built.
 FLOAT_DRAW_NODES_PER_LEVEL = 16
 
@@ -84,8 +82,8 @@ class _UpwardPass:
         out = type(self)(self.hierarchy, self.prior)
         self._copy_tallies(out)
         hier = self.hierarchy
-        for node in sorted(range(2, hier.num_nodes + 1), key=lambda i: int(hier.height[i])):
-            if hier.children[node].size:
+        for node in reversed(hier.sample_nodes):  # heights ascend; the nodes of one height are independent
+            if hier.action_index[node] < 0:
                 out._pool(node)
             out._fold(node)
         out._pool(ROOT)
@@ -146,7 +144,9 @@ class PosteriorState(_UpwardPass):
         self.lamhat = list(self.lam0)  # no evidence yet: lamhat = lam0
         self.sqrt_lamhat = np.sqrt(lam0).tolist()
         # child ids as the list _pool folds in Python, or for wider parents as numpy's index
-        self._children = [ch.tolist() if ch.size <= SHORT_SUM_MAX else _as_index(ch) for ch in hierarchy.children]
+        ids, start = hierarchy.child_ids.tolist(), hierarchy.child_start.tolist()
+        self._children = [ids[a:b] if b - a <= SHORT_SUM_MAX else _as_index(hierarchy.child_ids[a:b])
+                          for a, b in zip(start, start[1:])]
         self.draw_route = _draw_route(hierarchy, FLOAT_DRAW_NODES_PER_LEVEL)
         k = self.draw_route[0]
         self.level_copies = None if k == n else (lam0, *map(np.array, (self.ev_wmean, self.lamhat, self.sqrt_lamhat)))

@@ -179,7 +179,7 @@ def test_every_split_point_draws_the_per_level_bytes(monkeypatch):
     gapped = build_hierarchy({2: 1, 3: 1, 4: 3, 5: 3, **{v: 5 for v in range(6, 46)}})
     assert [idx for idx, _, _, _ in gapped.level_index][:2] == [slice(3, 4), slice(5, 6)]
     trees.append(gapped)
-    assert any(len({t.paths[a].size for a in t.action_nodes.tolist()}) > 1 for t in trees)  # mixed leaf depths
+    assert any(len({t.path_to_root(a).size for a in t.action_nodes.tolist()}) > 1 for t in trees)  # mixed leaf depths
     for tree in trees:
         widths = _widths(tree)
         assert widths == sorted(widths)

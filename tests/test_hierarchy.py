@@ -79,19 +79,38 @@ def test_as_index_takes_a_slice_only_for_a_strict_run():
     assert list(tree.sample_order) == [1, 3, 4, 5, 2, 6, 7, 8, 9, 10]
 
 
+CYCLE = {2: 3, 3: 2, 4: 2, 5: 3, 6: 1, 7: 1, 8: 4, 9: 4}  # 2 and 3 parent each other; 4, 5, 8, 9 hang below
+
+
 @pytest.mark.parametrize(
-    "parents",
+    "parents, message",
     [
-        {},
-        {3: 1},  # ids skip 2
-        {2: 1, 3: 2},  # node 2 has a single child
-        {2: 1, 3: 1, 4: 9},  # unknown parent
-        {2: 3, 3: 2, 4: 1, 5: 1},  # cycle
-        {1: 2, 2: 1, 3: 1},  # root listed as child
+        ({}, "tree must contain at least two action nodes besides the root"),
+        ({3: 1}, r"node ids must be exactly 1..2; missing parents for \[2\], out-of-range ids \[3\]"),
+        ({2: 1, 3: 2}, "node 1 has exactly one child; internal nodes need at least two"),
+        ({2: 1, 3: 1, 4: 9}, "node 4 references unknown parent 9"),
+        # 2 and 3 form a cycle, but each has a single child, which is reported first
+        ({2: 3, 3: 2, 4: 1, 5: 1}, "node 2 has exactly one child; internal nodes need at least two"),
+        ({1: 2, 2: 1, 3: 1}, r"the root \(index 1\) cannot appear as a child in the parent map"),
+        (CYCLE, r"nodes \[2, 3, 4, 5, 8, 9\] are not reachable from the root \(cycle in parent map\)"),
     ],
+    ids=[f"parents{i}" for i in range(7)],
 )
-def test_build_rejects_malformed(parents):
-    with pytest.raises(HierarchyError):
+def test_build_rejects_malformed(parents, message):
+    with pytest.raises(HierarchyError, match=f"^{message}$"):
+        build_hierarchy(parents)
+
+
+def test_build_reports_unknown_parent_then_single_child_then_cycle():
+    """A map with all three faults reports the unknown parent; mended one by one, the single child, then the cycle."""
+    parents = {**CYCLE, 10: 6, 11: 99}  # node 6 has the single child 10, and 11's parent does not exist
+    with pytest.raises(HierarchyError, match="^node 11 references unknown parent 99$"):
+        build_hierarchy(parents)
+    parents[11] = 7  # now node 7 has a single child too; the lowest such id is named
+    with pytest.raises(HierarchyError, match="^node 6 has exactly one child; internal nodes need at least two$"):
+        build_hierarchy(parents)
+    parents.update({12: 6, 13: 7})
+    with pytest.raises(HierarchyError, match=r"^nodes \[2, 3, 4, 5, 8, 9\] are not reachable from the root"):
         build_hierarchy(parents)
 
 
@@ -113,7 +132,7 @@ def test_build_rejects_non_integer_ids(parents, entry):
 
 def test_build_accepts_numpy_integer_ids():
     tree = build_hierarchy({np.int64(2): np.int32(1), np.int16(3): 1})
-    assert tree.num_nodes == 3 and list(tree.children[1]) == [2, 3]
+    assert tree.num_nodes == 3 and list(tree.children(1)) == [2, 3]
 
 
 def test_node_bounds_checked(two_leaf):
@@ -355,34 +374,59 @@ def random_parent_maps(draw):
     return parents
 
 
-@given(random_parent_maps())
-@settings(max_examples=60, deadline=None)
+def _tree_maps():
+    """The strategy's maps, and the maps of checks.random_tree trees, whose leaves sit at mixed depths."""
+
+    def random_tree_map(seed):
+        tree = random_tree(np.random.default_rng(seed), max_levels=5, max_nodes=40)
+        return {v: int(tree.parent[v]) for v in range(2, tree.num_nodes + 1)}
+
+    return st.one_of(random_parent_maps(), st.integers(0, 2**32 - 1).map(random_tree_map))
+
+
+@given(_tree_maps())
+@settings(max_examples=80, deadline=None)
 def test_structure_invariants(parents):
     tree = build_hierarchy(parents)
-    assert tree.num_nodes == len(parents) + 1
+    n = tree.num_nodes
+    assert n == len(parents) + 1
     # every non-root node appears in exactly one sampling level
-    ids = np.arange(tree.num_nodes + 1)
+    ids = np.arange(n + 1)
     levels = [ids[idx] for idx, _, _, _ in tree.level_index]
     flat = np.concatenate(levels)
-    assert sorted(flat.tolist()) == list(range(2, tree.num_nodes + 1))
+    assert sorted(flat.tolist()) == list(range(2, n + 1))
     heights = [tree.height[level].max() for level in levels]
     assert heights == sorted(heights, reverse=True)
     start = 1
-    for level, (_, parents, lo, hi) in zip(levels, tree.level_index):
+    for level, (_, level_parents, lo, hi) in zip(levels, tree.level_index):
         assert np.array_equal(level, np.sort(level))
-        assert np.array_equal(parents, tree.parent[level])
+        assert np.array_equal(level_parents, tree.parent[level])
         assert (lo, hi) == (start, start + level.size)
         start = hi
-    assert start == tree.num_nodes
+    assert start == n
     assert np.array_equal(ids[tree.leaf_index], tree.action_nodes)
     assert np.array_equal(ids[tree.sample_order], np.concatenate([[1], flat]))
-    for node in range(2, tree.num_nodes + 1):
-        path = tree.path_to_root(node)
-        assert path[0] == 1 and path[-1] == node
-        assert tree.parent[node] == path[-2]
+    # the accessors against plain scans of the parent map
+    kids = {v: [c for c in range(2, n + 1) if parents[c] == v] for v in range(1, n + 1)}
+    paths = {}
+    for v in range(1, n + 1):
+        path, u = [], v
+        while u != 1:
+            path.append(u)
+            u = parents[u]
+        paths[v] = [1] + path[::-1]
+    for v in range(1, n + 1):
+        assert tree.children(v).tolist() == kids[v]
+        assert tree.is_leaf(v) == (not kids[v])
+        assert tree.path_to_root(v).tolist() == paths[v]
+        assert tree.subtree_leaves(v).tolist() == [a for a in range(1, n + 1) if not kids[a] and v in paths[a]]
         # heights strictly decrease along any root path
-        assert (np.diff(tree.height[path]) < 0).all()
-    leaves = tree.action_nodes
-    assert tree.num_nodes <= 2 * leaves.size  # no single-child chains
-    for leaf in leaves:
-        assert tree.height[leaf] == 0
+        assert (np.diff(tree.height[paths[v]]) < 0).all()
+        assert tree.height[v] == (0 if not kids[v] else 1 + max(tree.height[c] for c in kids[v]))
+        for w in range(1, n + 1):
+            common = [a for a, b in zip(paths[v], paths[w]) if a == b]
+            assert tree.lca(v, w) == common[-1]
+    assert tree.action_nodes.tolist() == [v for v in range(1, n + 1) if not kids[v]]
+    assert tree.branching_factor == max(len(k) for k in kids.values())
+    assert tree.tree_height == max(len(p) for p in paths.values()) - 1
+    assert n <= 2 * tree.num_actions  # no single-child chains
