@@ -23,7 +23,8 @@ b=2 h=3, b=16 h=2, a random tree with leaves at mixed depths and b=2 h=5,
 after 60 updates each: the scalar draw without a size on Python floats and on
 the numpy level loop (both forced: a state built under each
 FLOAT_DRAW_NODES_PER_LEVEL, which fixes its route, replays the same updates),
-a sized scalar draw, and a linear (d=3) draw without and with a size. It also
+a sized scalar draw, and a linear (d=3) draw without and with a size; it stops
+unless each sized draw equals that many draws without a size in a row. It also
 draws each tree's scalar draw without a size on the route the tree takes by
 itself and stops unless its bytes equal both forced routes': b=2 h=3 and the
 random tree take floats throughout, b=16 h=2 takes the level loop from the
@@ -49,7 +50,7 @@ to --out. OUTPUTS lists the same lines for every file but replay.json, with
 each summary.json hashed without its `config` block: it stays identical
 across a change that only alters which config fields a run records. Commands run inside --out with relative paths, since
 classify-bandit records its input paths in replay.json. The whole set takes
-about 4 minutes on 2 cores, most of it the ratio runs.
+about 75 s on 2 cores, most of it the ratio runs.
 """
 import argparse
 import contextlib
@@ -92,6 +93,15 @@ def write_tree_file_configs(data: Path) -> list[Path]:
     return configs
 
 
+def sized_draw(state, seed: int, size: int = 3) -> np.ndarray:
+    """hierts_sample(state, rng, size) from default_rng(seed); SystemExit unless it equals size draws without a
+    size in a row from an identically seeded generator."""
+    theta, rng = hierts_sample(state, np.random.default_rng(seed), size), np.random.default_rng(seed)
+    if not all(row.tobytes() == hierts_sample(state, rng).tobytes() for row in theta):
+        raise SystemExit(f"a draw of size {size} differs from {size} draws without a size")
+    return theta
+
+
 def write_draws(root: Path) -> None:
     """Raw hierts_sample draws, one file per tree and route, after 60 updates from fixed seeds.
 
@@ -107,7 +117,7 @@ def write_draws(root: Path) -> None:
         for _ in range(60):
             leaf, x, y = int(rng.choice(tree.action_nodes)), rng.standard_normal(3), float(rng.normal(0.0, 2.0))
             scalar.update_path(leaf, y)
-            linear.update_path(leaf, x, y)
+            linear.update_path(leaf, y, x)
             updates.append((leaf, y))
         routes = {}
         for route, nodes_per_level in (("scalar-float", tree.num_nodes), ("scalar-levels", 0)):
@@ -122,9 +132,9 @@ def write_draws(root: Path) -> None:
         split = hierts_sample(scalar, np.random.default_rng(1))  # the route the tree takes by itself
         if not split.tobytes() == routes["scalar-float"].tobytes() == routes["scalar-levels"].tobytes():
             raise SystemExit(f"{name}: the scalar draw differs between routes")
-        routes["scalar-size3"] = hierts_sample(scalar, np.random.default_rng(2), 3)
+        routes["scalar-size3"] = sized_draw(scalar, 2)
         routes["linear"] = hierts_sample(linear, np.random.default_rng(3))
-        routes["linear-size3"] = hierts_sample(linear, np.random.default_rng(4), 3)
+        routes["linear-size3"] = sized_draw(linear, 4)
         (root / name).mkdir(parents=True)
         for route, theta in routes.items():
             (root / name / f"{route}.bin").write_bytes(theta.tobytes())
@@ -140,10 +150,9 @@ def write_fitted_d10(root: Path) -> None:
     for _ in range(200):
         leaf, x = int(rng.choice(tree.action_nodes)), contexts[rng.integers(contexts.shape[0])]
         y = float(x @ theta[leaf] + prior.noise_std * rng.standard_normal())
-        state.update_path(leaf, x, y)
+        state.update_path(leaf, y, x)
         ts.update(leaf, y, x)
-    arrays = {"linear": hierts_sample(state, np.random.default_rng(3)),
-              "linear-size3": hierts_sample(state, np.random.default_rng(4), 3)}
+    arrays = {"linear": hierts_sample(state, np.random.default_rng(3)), "linear-size3": sized_draw(state, 4)}
     for name in ("post_cov", "post_factor", "slope", "intercept", "msg_prec", "msg_wmean"):
         arrays[f"state-{name}"] = getattr(state, name)
     for name in ("mean", "cov", "factor"):

@@ -15,15 +15,14 @@ import math
 import numpy as np
 
 from .hierarchy import (
-    ROOT,
     Hierarchy,
     PriorSpec,
     _is_int,
     flatten_hierarchy,
     marginal_prior_variances,
 )
-from .linear import LinearPosteriorState, _add_observation, _argmax_score, _conditional, _context, _sym
-from .posterior import PosteriorState
+from .linear import LinearPosteriorState, _add_observation, _argmax_score, _conditional, _sym
+from .posterior import PosteriorState, _context
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
 
@@ -31,93 +30,24 @@ AGENT_KINDS = ("HierTS", "FlatTS", "TS")
 
 
 def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw node parameters from the exact joint posterior, root downward.
+    """Draw node parameters from the exact joint posterior, root downward: state.draw(rng).
 
     The root is drawn from its posterior given the hyper-prior, then each
     level conditions on the already-sampled parents. Works for both scalar
     and linear states; returns an array indexed by node id (slot 0 unused),
     of shape (num_nodes + 1,) or (num_nodes + 1, d), with a leading size
     axis when size is given. A size that is not a positive integer, a bool
-    among them, raises ValueError before any draw.
-
-    A call makes one standard-normal draw and consumes it root first, then
-    level by level, each level shaped (size, level nodes[, d]). Normal draws
-    concatenate exactly, so this is the stream of one draw per level. A
-    scalar draw without a size follows the state's draw_route: its top
-    levels on the state's float lists, node by node, the rest in numpy's
-    level loop. Both apply the per-level formula's operations to the same
-    operands, so the bits do not depend on the route (the README has the
-    route rule and its timings). Sized draws and the linear model take the
-    level loop; the linear one computes slope @ parent + post_factor @ z +
-    intercept with stacked matmuls, which give each matrix its own bits
-    whatever the batch shape.
+    among them, raises ValueError before any draw. A sized draw is size
+    draws in a row from rng, stacked: it equals that many calls without a
+    size, and leaves rng where they would.
     """
-    scalar = isinstance(state, PosteriorState)
-    if not (scalar or isinstance(state, LinearPosteriorState)):
+    if not isinstance(state, (PosteriorState, LinearPosteriorState)):
         raise TypeError(f"unsupported posterior state {type(state).__name__}")
-    if not (size is None or _is_int(size) and size > 0):
+    if size is None:
+        return state.draw(rng)
+    if not (_is_int(size) and size > 0):
         raise ValueError(f"size must be a positive integer or None, got {size!r}")
-    m = 1 if size is None else int(size)
-    hier = state.hierarchy
-    n = hier.num_nodes
-    if scalar:
-        if size is None:
-            k, top, order, levels = state.draw_route  # the level loop's levels, after k draw positions on floats
-            if k == n:
-                return np.array(_float_walk(state, rng.standard_normal(n).tolist(), n))
-            lam0, wmean, lamhat, sqrt_lamhat = state.level_copies
-            z = rng.standard_normal(n)
-            if k:
-                floats = _float_walk(state, z[:k].tolist(), top)
-                z = z[k:]
-        else:  # per-level (m, width) blocks to node-major (n, m); node values as columns
-            k, order, levels = 0, hier.sample_order, hier.level_index
-            lists = (state.lam0, state.ev_wmean, state.lamhat, state.sqrt_lamhat)
-            lam0, wmean, lamhat, sqrt_lamhat = (np.array(x)[:, None] for x in lists)
-            blocks, z = rng.standard_normal(m * n), np.empty((n, m))
-            z[0] = blocks[:m]
-            for _, _, start, stop in levels:
-                z[start:stop] = blocks[m * start : m * stop].reshape(m, -1).T
-        z /= sqrt_lamhat[order]
-        theta = np.empty((n + 1,) + z.shape[1:])
-        if not k:
-            theta[0] = np.nan
-            theta[ROOT] = state.root_mean + z[0]
-        else:  # the ids up to top that the prefix did not draw are nan here and the level loop's to write
-            theta[: top + 1] = floats
-        for nodes, parents, start, stop in levels:
-            mean = theta[parents]
-            mean *= lam0[nodes]
-            mean += wmean[nodes]
-            mean /= lamhat[nodes]
-            mean += z[start - k : stop - k]
-            theta[nodes] = mean
-        return theta if size is None else np.ascontiguousarray(theta.T)
-    d = state.dim
-    slope, intercept, factor = state.slope, state.intercept, state.post_factor
-    z = rng.standard_normal(m * n * d)
-    theta = np.empty((m, n + 1, d, 1))
-    theta[:, 0] = np.nan
-    theta[:, ROOT] = state.root_mean[:, None] + factor[ROOT] @ z[: m * d].reshape(m, d, 1)
-    for nodes, parents, start, stop in hier.level_index:
-        mean = slope[nodes] @ theta[:, parents]
-        mean += factor[nodes] @ z[m * d * start : m * d * stop].reshape(m, -1, d, 1)
-        mean += intercept[nodes, :, None]
-        theta[:, nodes] = mean
-    return theta[0, ..., 0] if size is None else theta[..., 0]
-
-
-def _float_walk(state: PosteriorState, z: list, top: int) -> list:
-    """The scalar draw of the first len(z) draw positions (Hierarchy.sample_order) on the state's float lists,
-    node by node, in a list indexed by node id up to top (nan where not drawn)."""
-    hier = state.hierarchy
-    lam0, wmean, lamhat, sqrt_lamhat = state.lam0, state.ev_wmean, state.lamhat, state.sqrt_lamhat
-    z = iter(z)
-    theta = [math.nan] * (top + 1)
-    theta[ROOT] = state.root_mean + next(z) / sqrt_lamhat[ROOT]
-    for v, p, zv in zip(hier.sample_nodes, hier.sample_parents, z):
-        theta[v] = (theta[p] * lam0[v] + wmean[v]) / lamhat[v] + zv / sqrt_lamhat[v]
-    return theta
+    return np.stack([state.draw(rng) for _ in range(size)])
 
 
 class HierTSAgent:
@@ -134,10 +64,7 @@ class HierTSAgent:
         self.hierarchy = hierarchy
         self.rng = rng
         tree, tree_prior = self._sampled_tree(hierarchy, prior)
-        if prior.is_scalar:
-            self.state: PosteriorState | LinearPosteriorState = PosteriorState(tree, tree_prior)
-        else:
-            self.state = LinearPosteriorState(tree, tree_prior)
+        self.state = (PosteriorState if tree_prior.is_scalar else LinearPosteriorState)(tree, tree_prior)
         self._leaves = tree.action_nodes.tolist()
         self.sample_ops = 0
 
@@ -155,12 +82,7 @@ class HierTSAgent:
         return int(self.hierarchy.action_nodes[_argmax_score(theta, context)])
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
-        leaf = self._leaves[self.hierarchy.action_position(action)]
-        if isinstance(self.state, PosteriorState):
-            _context(context, None)
-            self.state.update_path(leaf, reward)
-        else:
-            self.state.update_path(leaf, context, reward)  # which checks the context first
+        self.state.update_path(self._leaves[self.hierarchy.action_position(action)], reward, context)
 
     def marginal_action_moments(self, action: int):
         return self.state.marginal_action_moments(self._leaves[self.hierarchy.action_position(action)])

@@ -179,13 +179,14 @@ def _oracle_suite(names, cases, base_seed, salt, draw_prior, max_levels, max_nod
         hierarchy = random_tree(rng, max_levels, max_nodes)
         prior = draw_prior(rng, hierarchy)
         scalar = prior.is_scalar
-        state = PosteriorState(hierarchy, prior) if scalar else LinearPosteriorState(hierarchy, prior)
+        state = (PosteriorState if scalar else LinearPosteriorState)(hierarchy, prior)
         observations = []
         for _ in range(int(rng.integers(0, max_obs + 1))):
             leaf = int(rng.choice(hierarchy.action_nodes))
             context = () if scalar else (rng.standard_normal(prior.dim),)
-            observations.append((leaf, *context, float(rng.normal(0.0, 2.0))))
-            state.update_path(*observations[-1])
+            reward = float(rng.normal(0.0, 2.0))
+            state.update_path(leaf, reward, *context)
+            observations.append((leaf, *context, reward))  # oracle.condition's (leaf, reward) or (leaf, x, reward)
         joint = condition(joint_prior(hierarchy, prior), observations, prior.noise_std**2)
         marginals = action_marginals(joint)
         for leaf in hierarchy.action_nodes:

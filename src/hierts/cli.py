@@ -106,9 +106,10 @@ def _cmd_simulate(args) -> int:
     config = RunConfig(**read("simulate", args.config, {"seed": args.seed}))
     hierarchy, prior = config.resolve()
     summary: dict = {}
-    if config.model == "k-armed" and config.horizon >= 1:  # before the run: a bound that overflows is an input error
+    delta = config.resolved_delta()
+    # before the run: a bound that overflows is an input error
+    if config.model == "k-armed" and config.horizon >= 1 and delta is not None:
         report = complexity_term(hierarchy, prior, config.horizon)
-        delta = config.resolved_delta()
         summary["bound"] = {**_bound_fields(report, delta), "value": regret_bound(report, delta)}
     curve = run_bayes_regret(config, jobs=jobs(args.jobs), resolved=(hierarchy, prior))
     out = _outdir(args.out)
@@ -144,10 +145,13 @@ def _cmd_bound(args) -> int:
     config = RunConfig(**read("bound", args.config, {}))
     if config.model != "k-armed":
         raise ConfigError("the bound command covers the k-armed model only")
+    delta = config.resolved_delta()
+    if delta is None:
+        raise ConfigError(f"no default delta at horizon {config.horizon}: 1/horizon is not in (0, 1); "
+                          "set delta or a horizon of at least 2")
     hierarchy, prior = config.resolve()
     n = max(config.horizon, 1)
     report = complexity_term(hierarchy, prior, n)
-    delta = config.resolved_delta()
     variances = marginal_prior_variances(hierarchy, prior)
     marginals = {str(int(a)): float(variances[a]) for a in hierarchy.action_nodes}
     summary = {

@@ -176,8 +176,12 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         return hierarchy, prior
 
-    def resolved_delta(self) -> float:
-        return self.delta if self.delta is not None else 1.0 / max(self.horizon, 1)
+    def resolved_delta(self) -> float | None:
+        """delta, else 1 / horizon; None where delta is unset and the horizon is below 2, since 1 / horizon
+        then lies outside (0, 1). simulate computes no bound without one, and bound stops."""
+        if self.delta is not None:
+            return self.delta
+        return 1.0 / self.horizon if self.horizon >= 2 else None
 
 
 # The config table that documents are read and written by: field name -> its _spec row.
@@ -185,9 +189,11 @@ RUN_FIELDS = {row.name: row for row in dataclasses.fields(RunConfig)}
 
 _HEIGHTS = _bounded(lambda v: isinstance(v, list) and v != [] and all(_is_int(h) and h >= 1 for h in v),
                     "a non-empty list of integers >= 1")
-# ratio reads the simulate document plus heights; it sets the tree height itself and computes no bound.
+# ratio reads the simulate document plus heights; it sets the tree height itself and computes no bound. Its
+# ratios divide final regrets, so it needs at least one round.
 _RATIO_FIELDS = {
     **RUN_FIELDS,
+    "horizon": _spec(500, _int_at_least(1)),
     "height": _spec(None, _bounded(lambda v: False, "left out: heights sets the tree height"), "tree.h"),
     "delta": _spec(None, _bounded(lambda v: False, "left out: ratio computes no bound")),
     "heights": _spec(None, _HEIGHTS, required=True),

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, PriorSpec, build_hierarchy
-from .linear import _argmax_score, _context
+from .linear import _argmax_score
+from .posterior import _context
 
 __all__ = [
     "DatasetError",

@@ -249,10 +249,7 @@ def complexity_term(
     A G(n) that overflows raises ConfigError: c grows with the ratio of prior
     variance to noise variance, and its power with the tree height.
     """
-    if not prior.is_scalar:
-        raise HierarchyError("complexity_term requires a scalar prior")
-    if n < 1:
-        raise ValueError(f"horizon must be at least 1, got {n}")
+    _check_bound_inputs("complexity_term", prior, n)
     noise_sq = prior.noise_std**2
     variances = prior.variances(hierarchy)
     if c is None:
@@ -290,8 +287,17 @@ def complexity_term(
     )
 
 
+def _check_bound_inputs(name: str, prior: PriorSpec, n: int) -> None:
+    """HierarchyError unless the prior is scalar; ValueError unless the horizon n is at least 1."""
+    if not prior.is_scalar:
+        raise HierarchyError(f"{name} requires a scalar prior")
+    if n < 1:
+        raise ValueError(f"horizon must be at least 1, got {n}")
+
+
 def ts_complexity_term(hierarchy: Hierarchy, prior: PriorSpec, n: int) -> float:
     """G(n) of the independent-arm agent: leaf weights at marginal variances."""
+    _check_bound_inputs("ts_complexity_term", prior, n)
     noise_sq = prior.noise_std**2
     marginal = marginal_prior_variances(hierarchy, prior)
     total = 0.0

@@ -145,11 +145,9 @@ class Hierarchy:
             the level's span in a root-first, level-by-level run of
             num_nodes values (the root takes position 0).
         leaf_index: action_nodes as a slice when contiguous, else the array.
-        sample_order: the ids in that root-first, level-by-level run (the
-            root, then level_index's levels in turn): slice(1, num_nodes + 1)
-            when that is 1..num_nodes, else the id array.
-        sample_nodes, sample_parents: that run's non-root ids as a tuple
-            of ints, and their parents' ids, for walks on Python floats.
+        sample_nodes, sample_parents: the non-root ids of that run
+            (level_index's levels in turn) as a tuple of ints, and their
+            parents' ids, for walks on Python floats.
         action_index: position of each leaf in action_nodes, -1 for the
             other ids, as a tuple (it is read once per round, and a tuple
             indexes faster than an array); action_position is its checked
@@ -170,7 +168,6 @@ class Hierarchy:
     action_nodes: np.ndarray
     level_index: tuple[tuple[slice | np.ndarray, np.ndarray, int, int], ...] = field(repr=False)
     leaf_index: slice | np.ndarray = field(repr=False)
-    sample_order: slice | np.ndarray = field(repr=False)
     sample_nodes: tuple[int, ...] = field(repr=False)
     sample_parents: tuple[int, ...] = field(repr=False)
     action_index: tuple[int, ...] = field(repr=False)
@@ -310,7 +307,6 @@ def build_hierarchy(parent_map: dict[int, int]) -> Hierarchy:
         action_nodes=leaves,
         level_index=level_index,
         leaf_index=_as_index(leaves),
-        sample_order=_as_index(order),
         sample_nodes=tuple(order[1:].tolist()),
         sample_parents=tuple(order_parents[1:].tolist()),
         action_index=tuple(action_index.tolist()),

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec, _as_index
-from .posterior import _UpwardPass
+from .posterior import _context, _UpwardPass
 
 __all__ = ["ConditioningError", "LinearPosteriorState"]
 
@@ -75,18 +75,6 @@ def _conditional(pair: np.ndarray, what: str) -> np.ndarray:
     return li
 
 
-def _context(context, dim: int | None) -> np.ndarray | None:
-    """The context as a float vector, or None for the k-armed model (dim None); ValueError unless it fits."""
-    if dim is None:
-        if context is not None:
-            raise ValueError(f"context must be None for the k-armed model, got shape {np.shape(context)}")
-        return None
-    x = np.asarray(context, float)
-    if context is None or x.shape != (dim,):
-        raise ValueError(f"context must have shape ({dim},), got {None if context is None else x.shape}")
-    return x
-
-
 def _add_observation(prec: np.ndarray, wmean: np.ndarray, context, reward: float, noise_prec: float) -> None:
     """Add one pair's x x^T / noise_var to prec and x y / noise_var to wmean, in place; ValueError, before any
     change, unless the context has shape (d,) and it and the reward are finite."""
@@ -120,7 +108,7 @@ class LinearPosteriorState(_UpwardPass):
     Besides the message caches this keeps, per node, the conditional
     posterior in sampled-ancestor form: slope matrix, intercept, covariance and
     post_factor, an upper triangular F with F F^T = covariance, plus the root's posterior mean root_mean. The
-    sampling pass then only needs batched matrix-vector products per tree
+    sampling pass (draw) then only needs batched matrix-vector products per tree
     level. update_path refreshes the caches of the acted leaf's root path
     only.
     """
@@ -154,11 +142,28 @@ class LinearPosteriorState(_UpwardPass):
         for node in range(1, n + 1):
             self._fold(node)
 
-    def update_path(self, action: int, context: np.ndarray, reward: float) -> None:
-        """Record one (context, reward) pair and refresh the leaf's root path."""
+    def update_path(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
+        """Record one (context, reward) pair and refresh the leaf's root path; the context is required."""
         self.hierarchy.action_position(action)  # HierarchyError unless a leaf
         _add_observation(self.ev_prec[action], self.ev_wmean[action], context, reward, self.noise_prec)
         self._walk(action)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Node parameter vectors from the exact joint posterior, root downward: shape (num_nodes + 1, d), row 0
+        nan. One standard-normal draw of num_nodes * d values, consumed root first, then level by level; each
+        level computes slope @ parent + post_factor @ z + intercept with stacked matmuls."""
+        hier, d = self.hierarchy, self.dim
+        slope, intercept, factor = self.slope, self.intercept, self.post_factor
+        z = rng.standard_normal(hier.num_nodes * d)
+        theta = np.empty((hier.num_nodes + 1, d, 1))
+        theta[0] = np.nan
+        theta[ROOT] = self.root_mean[:, None] + factor[ROOT] @ z[:d].reshape(d, 1)
+        for nodes, parents, start, stop in hier.level_index:
+            mean = slope[nodes] @ theta[parents]
+            mean += factor[nodes] @ z[d * start : d * stop].reshape(-1, d, 1)
+            mean += intercept[nodes, :, None]
+            theta[nodes] = mean
+        return theta[..., 0]
 
     def _pool(self, node: int) -> None:
         ch = self._children[node]

@@ -32,7 +32,7 @@ __all__ = ["PosteriorState"]
 SHORT_SUM_MAX = 7
 
 
-# A scalar draw without a size walks its top levels on Python floats while each has at most this many nodes,
+# A scalar draw walks its top levels on Python floats while each has at most this many nodes,
 # and the levels below in numpy's level loop; _draw_route prices a numpy level, and a switch between routes,
 # at this many float nodes. Every route gives the same bits, so this only moves time (timings in the README).
 # PosteriorState reads it once, when it is built.
@@ -40,9 +40,9 @@ FLOAT_DRAW_NODES_PER_LEVEL = 16
 
 
 def _draw_route(hier: Hierarchy, r: int) -> tuple[int, int, slice | np.ndarray | None, tuple]:
-    """A scalar draw's route without a size at FLOAT_DRAW_NODES_PER_LEVEL = r: (k, top, order, levels), the k
-    draw positions it takes on floats (Hierarchy.sample_order, root first), the highest id among them, the
-    sample order of the draw positions after them and the levels its level loop runs. No level has fewer nodes
+    """A scalar draw's route at FLOAT_DRAW_NODES_PER_LEVEL = r: (k, top, order, levels), the k draw positions it
+    takes on floats (the root, then Hierarchy.sample_nodes), the highest id among them, the ids of the draw
+    positions after them (a slice when consecutive) and the levels its level loop runs. No level has fewer nodes
     than the one above it, so the narrow levels are the top ones and the last is the widest."""
     levels, n, h, j = hier.level_index, hier.num_nodes, len(hier.level_index), 0
     while j < h and levels[j][3] - levels[j][2] <= r:
@@ -51,11 +51,22 @@ def _draw_route(hier: Hierarchy, r: int) -> tuple[int, int, slice | np.ndarray |
     on_levels, split = r * h, k + r * (h - j + 1)
     if j == h or n < on_levels and n < split:
         return n, n, None, ()
-    order = hier.sample_order
     if split >= on_levels:
-        return 0, 0, order, levels
-    rest = slice(order.start + k, order.stop) if type(order) is slice else order[k:]
-    return k, max(hier.sample_nodes[: k - 1]), rest, levels[j:]
+        k, j = 0, 0
+    order = _as_index(np.array(((ROOT,) + hier.sample_nodes)[k:]))
+    return k, max(hier.sample_nodes[: k - 1]) if k else 0, order, levels[j:]
+
+
+def _context(context, dim: int | None) -> np.ndarray | None:
+    """The context as a float vector, or None for the k-armed model (dim None); ValueError unless it fits."""
+    if dim is None:
+        if context is not None:
+            raise ValueError(f"context must be None for the k-armed model, got shape {np.shape(context)}")
+        return None
+    x = np.asarray(context, float)
+    if context is None or x.shape != (dim,):
+        raise ValueError(f"context must have shape ({dim},), got {None if context is None else x.shape}")
+    return x
 
 
 class _UpwardPass:
@@ -103,10 +114,9 @@ class PosteriorState(_UpwardPass):
     identical to a full bottom-up rebuild because the per-node reductions see
     the same operands in the same order.
 
-    draw_route is hierts_sample's route for a draw without a size, (k, top,
-    order, levels) from _draw_route. It depends only on the tree and
-    FLOAT_DRAW_NODES_PER_LEVEL, so it is chosen once, here, and fixed for
-    the state's life.
+    draw_route is draw's route, (k, top, order, levels) from _draw_route. It
+    depends only on the tree and FLOAT_DRAW_NODES_PER_LEVEL, so it is chosen
+    once, here, and fixed for the state's life.
 
     The lists are the one truth. A numpy copy is written through, by _fold
     and _fold_root, only where numpy reads it in a round:
@@ -121,8 +131,8 @@ class PosteriorState(_UpwardPass):
       gathered copy otherwise.
     A shorter child list is summed left to right from 0.0, which is the order
     numpy's sum takes for at most SHORT_SUM_MAX elements. Every other reader
-    (marginal_action_moments, posterior_precisions, a sized draw, the
-    checks) works on the floats or on arrays built from them on request.
+    (marginal_action_moments, posterior_precisions, the checks) works on the
+    floats or on arrays built from them on request.
 
     Single-writer: update_path mutates in place, reads are safe between
     updates but not during one.
@@ -165,8 +175,9 @@ class PosteriorState(_UpwardPass):
         """Conditional posterior precision of every node, shape (num_nodes + 1,); slot 0 is nan."""
         return np.array(self.lamhat)
 
-    def update_path(self, action: int, reward: float) -> None:
-        """Record one reward and refresh messages along the leaf's root path."""
+    def update_path(self, action: int, reward: float, context: None = None) -> None:
+        """Record one reward and refresh messages along the leaf's root path; the k-armed model takes no context."""
+        _context(context, None)
         self.hierarchy.action_position(action)  # HierarchyError unless a leaf
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
@@ -175,6 +186,50 @@ class PosteriorState(_UpwardPass):
         self.ev_prec[action] = count * self.noise_prec
         self.ev_wmean[action] = total * self.noise_prec
         self._walk(action)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Node parameters from the exact joint posterior, root downward, indexed by node id (slot 0 nan).
+
+        One standard-normal draw of num_nodes values, consumed root first, then level by level. The draw
+        follows draw_route: its first k draw positions on the float lists, node by node (_float_walk), the
+        rest in numpy's level loop on level_copies. Both apply the per-level formula's operations to the
+        same operands, so the bits do not depend on the route (the README has the route rule and its timings).
+        """
+        k, top, order, levels = self.draw_route  # the level loop's levels, after k draw positions on floats
+        n = self.hierarchy.num_nodes
+        if k == n:
+            return np.array(self._float_walk(rng.standard_normal(n).tolist(), n))
+        lam0, wmean, lamhat, sqrt_lamhat = self.level_copies
+        z = rng.standard_normal(n)
+        if k:
+            floats = self._float_walk(z[:k].tolist(), top)
+            z = z[k:]
+        z /= sqrt_lamhat[order]
+        theta = np.empty(n + 1)
+        if not k:
+            theta[0] = np.nan
+            theta[ROOT] = self.root_mean + z[0]
+        else:  # the ids up to top that the prefix did not draw are nan here and the level loop's to write
+            theta[: top + 1] = floats
+        for nodes, parents, start, stop in levels:
+            mean = theta[parents]
+            mean *= lam0[nodes]
+            mean += wmean[nodes]
+            mean /= lamhat[nodes]
+            mean += z[start - k : stop - k]
+            theta[nodes] = mean
+        return theta
+
+    def _float_walk(self, z: list, top: int) -> list:
+        """The draw of the first len(z) draw positions on the float lists, node by node, in a list indexed by
+        node id up to top (nan where not drawn)."""
+        lam0, wmean, lamhat, sqrt_lamhat = self.lam0, self.ev_wmean, self.lamhat, self.sqrt_lamhat
+        z = iter(z)
+        theta = [math.nan] * (top + 1)
+        theta[ROOT] = self.root_mean + next(z) / sqrt_lamhat[ROOT]
+        for v, p, zv in zip(self.hierarchy.sample_nodes, self.hierarchy.sample_parents, z):
+            theta[v] = (theta[p] * lam0[v] + wmean[v]) / lamhat[v] + zv / sqrt_lamhat[v]
+        return theta
 
     def _pool(self, node: int) -> None:
         ch = self._children[node]
@@ -222,7 +277,7 @@ class PosteriorState(_UpwardPass):
     def marginal_action_moments(self, action: int) -> tuple[float, float]:
         """Marginal posterior (mean, variance) of a leaf's parameter.
 
-        Composes the cached conditionals that hierts_sample reads (root_mean,
+        Composes the cached conditionals that draw reads (root_mean,
         lamhat, lam0 and ev_wmean) down the root path: the marginal variance
         accumulates each node's conditional variance scaled by the squared
         slopes below it, and the mean chains slope * mean + intercept.

@@ -22,6 +22,7 @@ from hierts import (
 from hierts import agents, posterior
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import ROOT, HierarchyError
+from hierts.posterior import _draw_route
 
 
 def _linear_prior(tree, dim, noise_std=1.0, seed=2):
@@ -55,10 +56,12 @@ def test_hierts_sample_linear_shapes(b2h2, linear_prior):
 
 
 def _per_level_sample(state, rng, size=None):
-    """Reference sampler: one normal draw per level, conditionals recomputed on every call."""
+    """Reference sampler: one normal draw per level, conditionals recomputed on every call; a sized draw is
+    size of those in a row, stacked."""
+    if size is not None:
+        return np.stack([_per_level_sample(state, rng) for _ in range(size)])
     hier = state.hierarchy
-    n = hier.num_nodes
-    m = 1 if size is None else int(size)
+    n, m = hier.num_nodes, 1
     if isinstance(state, PosteriorState):
         lam0, ev_prec, ev_wmean = (np.array(getattr(state, name)) for name in ("lam0", "ev_prec", "ev_wmean"))
         lamhat = lam0 + ev_prec
@@ -79,7 +82,7 @@ def _per_level_sample(state, rng, size=None):
             z = rng.standard_normal((m, stop - start, d, 1))
             mean = state.slope[nodes] @ theta[:, parents, :, None] + state.post_factor[nodes] @ z
             theta[:, nodes] = mean[..., 0] + state.intercept[nodes]
-    return theta[0] if size is None else theta
+    return theta[0]
 
 
 def _widths(tree):
@@ -107,7 +110,8 @@ def _route(tree):
 
 @pytest.mark.parametrize("size", [None, 1, 2, 5])
 def test_hierts_sample_keeps_per_level_draw_order(size):
-    """One draw per call yields exactly the per-level sampler's values and stream position.
+    """One draw per call yields exactly the per-level sampler's values and stream position; a sized call, that
+    many of them in a row.
 
     The trees include the 257-node flat tree of b=2 h=8 (a 256-child root), b=2 h=8, b=16 h=2, and
     random trees with mixed-depth leaves, whose levels and sample order are not id runs.
@@ -121,7 +125,7 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
     trees = [b2h3, balanced_tree(16, 2)] + [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
     trees += [b2h8] + [random_tree(rng) for _ in range(4)]
     assert any(not isinstance(idx, slice) for t in trees for idx, _, _, _ in t.level_index)
-    assert any(not isinstance(t.sample_order, slice) for t in trees)
+    assert any(not isinstance(_draw_route(t, 0)[2], slice) for t in trees)  # a root-first order that is no id run
     assert [_route(t) for t in trees] == ["floats", "levels", "floats", "levels", "split"] + ["floats"] * 4
     for tree in trees:
         for dim in (None, 1, 3):
@@ -131,15 +135,40 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
                 state = LinearPosteriorState(tree, random_linear_prior(rng, tree, dim))
             for _ in range(30):
                 leaf = int(rng.choice(tree.action_nodes))
-                if dim is None:
-                    state.update_path(leaf, float(rng.normal(0.0, 2.0)))
-                else:
-                    state.update_path(leaf, rng.standard_normal(dim), float(rng.normal(0.0, 2.0)))
+                context = None if dim is None else rng.standard_normal(dim)
+                state.update_path(leaf, float(rng.normal(0.0, 2.0)), context)
             for seed in range(3):
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = hierts_sample(state, got_rng, size)
                 want = _per_level_sample(state, want_rng, size)
                 assert np.array_equal(got, want, equal_nan=True)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_sized_draw_is_that_many_draws_in_a_row():
+    """hierts_sample(state, rng, m) stacks m draws without a size from rng, for both models and on every scalar
+    route: floats throughout (b=2 h=3), the split (b=2 h=8), the level loop from the root (b=16 h=2) and a random
+    tree with leaves at mixed depths; the generator ends where the m draws leave it."""
+    rng = np.random.default_rng(31)
+    mixed = random_tree(rng, max_levels=4, max_nodes=20)
+    assert len({mixed.path_to_root(a).size for a in mixed.action_nodes.tolist()}) > 1
+    trees = [balanced_tree(2, 3), balanced_tree(2, 8), balanced_tree(16, 2), mixed]
+    assert [_route(t) for t in trees] == ["floats", "split", "levels", "floats"]
+    for tree in trees:
+        for dim in (None, 3):
+            if dim is None:
+                state = PosteriorState(tree, random_scalar_prior(rng, tree))
+            else:
+                state = LinearPosteriorState(tree, random_linear_prior(rng, tree, dim))
+            for _ in range(20):
+                context = None if dim is None else rng.standard_normal(dim)
+                state.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)), context)
+            for m in (1, 4):
+                got_rng, want_rng = np.random.default_rng(m), np.random.default_rng(m)
+                got = hierts_sample(state, got_rng, m)
+                want = [hierts_sample(state, want_rng) for _ in range(m)]
+                assert got.shape == (m, *want[0].shape)
+                assert [row.tobytes() for row in got] == [w.tobytes() for w in want]
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

@@ -22,8 +22,9 @@ def _observe(state, rng, updates):
     for _ in range(updates):
         leaf = int(rng.choice(state.hierarchy.action_nodes))
         context = () if state.prior.is_scalar else (rng.standard_normal(state.prior.dim),)
-        observations.append((leaf, *context, float(rng.normal(0.0, 2.0))))
-        state.update_path(*observations[-1])
+        reward = float(rng.normal(0.0, 2.0))
+        state.update_path(leaf, reward, *context)
+        observations.append((leaf, *context, reward))
     return observations
 
 

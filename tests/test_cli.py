@@ -139,6 +139,28 @@ def test_ratio_command(tmp_path):
     assert all(len(v) == 2 for v in summary["ratio"].values())
 
 
+@pytest.mark.parametrize("horizon, delta, bound", [(0, None, False), (1, None, False), (2, None, True),
+                                                   (0, 0.1, False), (1, 0.1, True)])
+def test_simulate_bounds_only_where_a_delta_applies(tmp_path, horizon, delta, bound):
+    """Without a delta, the default 1/horizon lies in (0, 1) only from horizon 2 on; below it simulate runs
+    without a bound, as it does at horizon 0 whatever the delta."""
+    cfg = _write_config(tmp_path / "cfg.json", horizon=horizon, delta=delta)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert ("bound" in summary) == bound
+    if bound:
+        assert summary["bound"]["delta"] == (1.0 / horizon if delta is None else delta)
+
+
+def test_bound_at_horizon_1_with_a_delta(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", horizon=1, delta=0.1)
+    out = tmp_path / "run"
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n"] == 1 and summary["delta"] == 0.1 and summary["bound"] > 0.0
+
+
 def test_ratio_requires_heights(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     code = cli.main(["ratio", "--config", str(cfg), "--out", str(tmp_path / "run")])
@@ -263,6 +285,9 @@ HUGE_C = '{"tree": {"b": 2, "h": 3}, "prior": {"scheme": "constant", "value": 1e
         ("bound", HUGE_C % "1.3e-18", "the regret bound is not finite"),
         ("simulate", '{"tree": {"b": 2, "h": 1}, "prior": {"scheme": "explicit", "node_variance": '
                      '{"1": 1e17, "2": 1.0, "3": 1.0}}}', "the root variance cancels leaf 2's flat variance"),
+        ("ratio", '{"heights": [1], "tree": {"b": 2}, "horizon": 0}', "horizon must be at least 1"),
+        ("bound", '{"tree": {"b": 2, "h": 1}, "horizon": 1}', "no default delta at horizon 1"),
+        ("bound", '{"tree": {"b": 2, "h": 1}, "horizon": 0}', "no default delta at horizon 0"),
     ],
     ids=["syntax", "ratio-tree", "prior-value", "agents", "horizon", "verify-seed", "verify-cases",
          "horizon-bool", "heights-bool", "verify-cases-bool", "delta-str", "noise-str", "hyper-mean-str",
@@ -270,7 +295,7 @@ HUGE_C = '{"tree": {"b": 2, "h": 3}, "prior": {"scheme": "constant", "value": 1e
          "sentinel-true", "sentinel-false", "ratio-tree-h", "ratio-delta", "dim-k-armed", "value-doubling",
          "node-variance-doubling", "branching-twice", "delta-linear", "verify-seed-negative",
          "verify-seed-flag-negative", "simulate-g-overflow", "bound-g-overflow", "bound-g-infinite",
-         "bound-infinite", "flat-variance-cancels"],
+         "bound-infinite", "flat-variance-cancels", "ratio-horizon-0", "bound-horizon-1", "bound-horizon-0"],
 )
 def test_malformed_config_exits_input(tmp_path, capsys, command, text, field):
     cfg = tmp_path / "cfg.json"

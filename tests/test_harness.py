@@ -10,6 +10,7 @@ import pytest
 from hierts import (
     BoundReport,
     ConfigError,
+    HierarchyError,
     PriorSpec,
     RunConfig,
     balanced_tree,
@@ -205,7 +206,10 @@ def test_resolve_linear_prior_matrices():
 def test_resolved_delta_default():
     assert _cfg(horizon=500).resolved_delta() == pytest.approx(1 / 500)
     assert _cfg(delta=0.05).resolved_delta() == 0.05
-    assert _cfg(horizon=0).resolved_delta() == 1.0
+    assert _cfg(horizon=2).resolved_delta() == 0.5
+    for horizon in (0, 1):  # 1 / horizon would leave (0, 1): no default, and no bound without a delta
+        assert _cfg(horizon=horizon).resolved_delta() is None
+        assert _cfg(horizon=horizon, delta=0.05).resolved_delta() == 0.05
 
 
 def test_zero_horizon_empty_curve():
@@ -373,6 +377,16 @@ def test_complexity_term_respects_explicit_c():
     assert report.c == pytest.approx(1.0 + 4.0 / 16.0)
     forced = complexity_term(tree, prior, 100, c=2.0)
     assert forced.total > report.total  # larger discount at the root levels
+
+
+@pytest.mark.parametrize("term", [complexity_term, ts_complexity_term])
+def test_complexity_terms_check_their_inputs(term, b2h2, linear_prior):
+    """Both G(n) forms take a scalar prior and a horizon of at least 1, and say so in one message each."""
+    with pytest.raises(HierarchyError, match=f"^{term.__name__} requires a scalar prior$"):
+        term(b2h2, linear_prior, 10)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"^horizon must be at least 1, got {n}$"):
+            term(b2h2, constant_prior(b2h2, 1.0), n)
 
 
 def test_ts_vs_hier_complexity_ratio_trend():

@@ -20,6 +20,7 @@ from hierts import (
 )
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import MAX_BALANCED_NODES, ConfigError, _as_index, _balanced_size, tree_to_dict
+from hierts.posterior import _draw_route
 
 
 def test_build_basic_shape(two_leaf):
@@ -63,7 +64,7 @@ def test_heights_and_levels(b2h2):
         (slice(4, 8), [2, 2, 3, 3], 3, 7),
     ]
     assert b2h2.leaf_index == slice(4, 8)
-    assert b2h2.sample_order == slice(1, 8)
+    assert b2h2.sample_nodes == (2, 3, 4, 5, 6, 7)
 
 
 def test_as_index_takes_a_slice_only_for_a_strict_run():
@@ -74,9 +75,10 @@ def test_as_index_takes_a_slice_only_for_a_strict_run():
             assert np.array_equal(got, ids)
         else:
             assert got == want
-    # leaves at depths 1, 2 and 3: the root-first order is 1, 3, 4, 5, 2, 6, ...
+    # leaves at depths 1, 2 and 3: the root-first order of the level loop from the root is 1, 3, 4, 5, 2, 6, ...
     tree = build_hierarchy({2: 1, 3: 1, 4: 1, 5: 3, 6: 3, 7: 5, 8: 5, 9: 4, 10: 4})
-    assert list(tree.sample_order) == [1, 3, 4, 5, 2, 6, 7, 8, 9, 10]
+    assert tree.sample_nodes == (3, 4, 5, 2, 6, 7, 8, 9, 10)
+    assert list(_draw_route(tree, 0)[2]) == [1, 3, 4, 5, 2, 6, 7, 8, 9, 10]
 
 
 CYCLE = {2: 3, 3: 2, 4: 2, 5: 3, 6: 1, 7: 1, 8: 4, 9: 4}  # 2 and 3 parent each other; 4, 5, 8, 9 hang below
@@ -405,7 +407,7 @@ def test_structure_invariants(parents):
         start = hi
     assert start == n
     assert np.array_equal(ids[tree.leaf_index], tree.action_nodes)
-    assert np.array_equal(ids[tree.sample_order], np.concatenate([[1], flat]))
+    assert list(tree.sample_nodes) == flat.tolist()
     # the accessors against plain scans of the parent map
     kids = {v: [c for c in range(2, n + 1) if parents[c] == v] for v in range(1, n + 1)}
     paths = {}

@@ -41,7 +41,7 @@ def test_d1_reduces_to_scalar():
         leaf = int(rng.choice(tree.action_nodes))
         y = float(rng.standard_normal())
         scalar.update_path(leaf, y)
-        linear.update_path(leaf, one, y)
+        linear.update_path(leaf, y, one)
     for leaf in tree.action_nodes:
         ms, vs = scalar.marginal_action_moments(int(leaf))
         mv, cv = linear.marginal_action_moments(int(leaf))
@@ -108,7 +108,7 @@ def test_shrink_handles_singular_evidence():
     tree = balanced_tree(2, 1)
     state = LinearPosteriorState(tree, _matrix_prior(tree, 1.0, dim=3))
     x = np.array([1.0, 2.0, 0.0])
-    state.update_path(2, x, 0.7)
+    state.update_path(2, 0.7, x)
     assert np.array_equal(state.ev_prec[2], np.outer(x, x))
     msg_prec = state.msg_prec[2]
     assert np.isfinite(msg_prec).all()
@@ -119,7 +119,7 @@ def test_shrink_handles_singular_evidence():
 
 def test_zero_evidence_sends_zero_messages(b2h2):
     state = LinearPosteriorState(b2h2, _matrix_prior(b2h2, 2.0, dim=2))
-    state.update_path(4, np.array([1.0, -0.5]), 0.3)
+    state.update_path(4, 0.3, np.array([1.0, -0.5]))
     fresh = state.rebuild()  # recomputes every message, the data-free ones too
     for node in (3, 6, 7):  # internal node 3 and its unobserved leaves
         assert np.allclose(fresh.msg_prec[node], 0.0) and np.allclose(fresh.msg_wmean[node], 0.0)
@@ -150,7 +150,7 @@ def test_update_path_matches_rebuild(b2h2, linear_prior):
         for _ in range(updates):
             leaf = int(rng.choice(tree.action_nodes))
             x = rng.standard_normal(prior.dim)
-            state.update_path(leaf, x, float(rng.standard_normal()))
+            state.update_path(leaf, float(rng.standard_normal()), x)
         fresh = state.rebuild()
         # the walk folds each path node with the same operands as the rebuild: bit-identical
         for name in ("ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
@@ -161,13 +161,15 @@ def test_update_path_matches_rebuild(b2h2, linear_prior):
 def test_update_path_validates_inputs(b2h2, linear_prior):
     state = LinearPosteriorState(b2h2, linear_prior)
     with pytest.raises(HierarchyError):
-        state.update_path(2, np.zeros(3), 1.0)
+        state.update_path(2, 1.0, np.zeros(3))
+    with pytest.raises(ValueError, match=r"context must have shape \(3,\), got None"):
+        state.update_path(4, 1.0)
     with pytest.raises(ValueError):
-        state.update_path(4, np.zeros(2), 1.0)
+        state.update_path(4, 1.0, np.zeros(2))
     with pytest.raises(ValueError):
-        state.update_path(4, np.array([np.inf, 0, 0]), 1.0)
+        state.update_path(4, 1.0, np.array([np.inf, 0, 0]))
     with pytest.raises(ValueError):
-        state.update_path(4, np.zeros(3), float("nan"))
+        state.update_path(4, float("nan"), np.zeros(3))
 
 
 def test_scalar_prior_rejected(b2h2, b2h2_prior):
@@ -184,7 +186,7 @@ def test_marginals_match_dense_oracle(b2h2, linear_prior):
         leaf = int(rng.choice(b2h2.action_nodes))
         x = rng.standard_normal(3)
         y = float(rng.standard_normal())
-        state.update_path(leaf, x, y)
+        state.update_path(leaf, y, x)
         joint = condition(joint, [(leaf, x, y)], sigma_sq)
     marg = action_marginals(joint)
     for leaf in b2h2.action_nodes:
@@ -201,7 +203,7 @@ def test_posterior_caches_stay_spd(b2h2, linear_prior):
     x = np.array([1.0, -1.0, 0.5])
     for k in range(20):
         leaf = int(b2h2.action_nodes[k % 4])
-        state.update_path(leaf, x if k % 3 else rng.standard_normal(3), 0.3)
+        state.update_path(leaf, 0.3, x if k % 3 else rng.standard_normal(3))
         for node in range(1, b2h2.num_nodes + 1):
             assert np.linalg.eigvalsh(state.post_cov[node]).min() > 0
             assert np.linalg.eigvalsh(state.msg_prec[node]).min() >= -1e-12
@@ -323,7 +325,7 @@ def test_long_horizon_collinear_matches_information_form_oracle(b2h2, linear_pri
         leaf = int(rng.choice(b2h2.action_nodes))
         x = v + 1e-4 * rng.standard_normal(3)
         y = float(x @ theta[leaf] + prior.noise_std * rng.standard_normal())
-        state.update_path(leaf, x, y)  # raises ConditioningError if the check trips
+        state.update_path(leaf, y, x)  # raises ConditioningError if the check trips
         gram[leaf] += np.outer(x, x) / sigma_sq
         xy[leaf] += x * y / sigma_sq
     _assert_matches_information_form(state, gram, xy)
@@ -350,7 +352,7 @@ def test_fitted_d10_long_horizon_matches_information_form_oracle():
         leaf = int(rng.choice(tree.action_nodes))
         x = contexts[rng.integers(contexts.shape[0])]
         y = float(x @ theta[leaf] + prior.noise_std * rng.standard_normal())
-        state.update_path(leaf, x, y)
+        state.update_path(leaf, y, x)
         gram[leaf] += np.outer(x, x) / sigma_sq
         xy[leaf] += x * y / sigma_sq
     leaves = tree.action_nodes
@@ -373,7 +375,8 @@ def test_marginal_covariance_psd_and_shrinking(seed, n_obs, dim):
     prev = {int(a): state.marginal_action_moments(int(a))[1] for a in tree.action_nodes}
     for _ in range(n_obs):
         leaf = int(rng.choice(tree.action_nodes))
-        state.update_path(leaf, rng.standard_normal(dim), float(rng.standard_normal()))
+        x = rng.standard_normal(dim)
+        state.update_path(leaf, float(rng.standard_normal()), x)
         for a in tree.action_nodes:
             cov = state.marginal_action_moments(int(a))[1]
             assert np.linalg.eigvalsh(cov).min() > -1e-12

@@ -185,6 +185,9 @@ def test_update_path_input_checks(b2h2, b2h2_prior):
         state.update_path(2, 1.0)  # internal node
     with pytest.raises(ValueError):
         state.update_path(4, float("nan"))
+    with pytest.raises(ValueError, match=r"context must be None for the k-armed model, got shape \(2,\)"):
+        state.update_path(4, 1.0, np.zeros(2))
+    assert state.counts == [0.0] * 8  # a rejected update records nothing
 
 
 def test_posterior_precisions_structure(b2h2, b2h2_prior):
