@@ -30,8 +30,12 @@ itself and stops unless its bytes equal both forced routes': b=2 h=3 and the
 random tree take floats throughout, b=16 h=2 takes the level loop from the
 root, and b=2 h=5 (levels of 2 to 32
 nodes) splits between floats for the narrow top levels and the level loop
-below. Run outputs average draws away, and these show a change in a draw's
-last bit. At d=10, the
+below. On each tree it also stops unless every column of a 3-column
+posterior.LockstepDraw (the draw of the harness's lockstep cells, whose
+route at 3 columns is the level loop from the root on b=2 h=3, b=16 h=2 and
+b=2 h=5, and floats throughout on the random tree) equals the bytes of that
+state's own draw; it writes no file for this. Run outputs average draws
+away, and these show a change in a draw's last bit. At d=10, the
 dimension of the benchmark's classify workload, it saves the same on the
 fitted 5x5 cluster tree after 200 updates (draws/fitted-d10/): the linear
 draws without and with a size, the fold caches of a LinearPosteriorState
@@ -102,6 +106,28 @@ def sized_draw(state, seed: int, size: int = 3) -> np.ndarray:
     return theta
 
 
+def lockstep_draw(tree, prior, updates: list) -> None:
+    """SystemExit unless every column of a 3-column LockstepDraw equals the bytes of the draw that its state
+    would make alone. State j takes every third of updates from the j-th, half before the cell is built and half
+    after, through its write-through; its twin takes the same updates alone."""
+    shares = [updates[j::3] for j in range(3)]
+    states, twins = [PosteriorState(tree, prior) for _ in range(3)], [PosteriorState(tree, prior) for _ in range(3)]
+    for state, twin, share in zip(states, twins, shares):
+        for leaf, y in share[: len(share) // 2]:
+            state.update_path(leaf, y)
+    cell = posterior.LockstepDraw(states)
+    for state, twin, share in zip(states, twins, shares):
+        for leaf, y in share[len(share) // 2 :]:
+            state.update_path(leaf, y)
+        for leaf, y in share:
+            twin.update_path(leaf, y)
+    z = np.stack([np.random.default_rng(20 + j).standard_normal(tree.num_nodes) for j in range(3)], axis=1)
+    theta = cell.draw(z)
+    for j, twin in enumerate(twins):
+        if theta[:, j].tobytes() != hierts_sample(twin, np.random.default_rng(20 + j)).tobytes():
+            raise SystemExit(f"column {j} of a lockstep draw differs from its state's own draw")
+
+
 def write_draws(root: Path) -> None:
     """Raw hierts_sample draws, one file per tree and route, after 60 updates from fixed seeds.
 
@@ -133,6 +159,7 @@ def write_draws(root: Path) -> None:
         if not split.tobytes() == routes["scalar-float"].tobytes() == routes["scalar-levels"].tobytes():
             raise SystemExit(f"{name}: the scalar draw differs between routes")
         routes["scalar-size3"] = sized_draw(scalar, 2)
+        lockstep_draw(tree, scalar.prior, updates)
         routes["linear"] = hierts_sample(linear, np.random.default_rng(3))
         routes["linear-size3"] = sized_draw(linear, 4)
         (root / name).mkdir(parents=True)

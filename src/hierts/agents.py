@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .hierarchy import (
     marginal_prior_variances,
 )
 from .linear import LinearPosteriorState, _add_observation, _argmax_score, _conditional, _sym
-from .posterior import PosteriorState, _context
+from .posterior import LockstepDraw, PosteriorState, _context
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
 
@@ -87,6 +88,19 @@ class HierTSAgent:
     def marginal_action_moments(self, action: int):
         return self.state.marginal_action_moments(self._leaves[self.hierarchy.action_position(action)])
 
+    @staticmethod
+    def lockstep(agents: list) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+        """The draws of M k-armed agents of one kind, tree and prior, made together: (width, draw).
+
+        draw takes a round's normals node-major, shape (width, M), column j the width normals that agent j's
+        act would draw from its rng, and returns (K, M) values in action order, whose first maximum in column j
+        is the action agent j's act would pick from those normals. From here on each agent's update writes
+        through to its column. Draws made this way are not counted in sample_ops.
+        """
+        cell = LockstepDraw([agent.state for agent in agents])
+        tree = cell.states[0].hierarchy
+        return tree.num_nodes, lambda z: cell.draw(z)[tree.leaf_index]
+
 
 class FlatTSAgent(HierTSAgent):
     """HierTS on the two-level collapse of the tree (flatten_hierarchy).
@@ -145,6 +159,22 @@ class TSAgent:
         else:
             draws = self.mean + (self.factor @ self.rng.standard_normal((leaves.size, self.dim, 1)))[..., 0]
         return int(leaves[_argmax_score(draws, context)])
+
+    @staticmethod
+    def lockstep(agents: list) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+        """As HierTSAgent.lockstep: each agent's mean and sd become column j of (K, M) arrays."""
+        if not all(agent._scalar for agent in agents):
+            raise ValueError("a lockstep draw takes k-armed agents")
+        mean, sd = (np.array([getattr(agent, name) for agent in agents]).T.copy() for name in ("mean", "sd"))
+        for j, agent in enumerate(agents):
+            agent.mean, agent.sd = mean[:, j], sd[:, j]
+
+        def draw(z: np.ndarray) -> np.ndarray:
+            z /= sd
+            z += mean
+            return z
+
+        return mean.shape[0], draw
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
         j = self.hierarchy.action_position(action)

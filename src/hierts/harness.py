@@ -9,6 +9,7 @@ reward-noise streams.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -43,6 +44,13 @@ _STREAM_INSTANCE = 0
 _STREAM_CONTEXT = 1
 _STREAM_AGENT = 10  # + agent position in AGENT_KINDS
 _STREAM_NOISE = 20  # + agent position in AGENT_KINDS
+
+# Lockstep cells (_simulate_cell): the smallest block that runs in lockstep, and the caps on a block's instances
+# and on a normal block's values that bound its memory. Either path gives the same bits; the README has the
+# measured crossover behind the threshold and the memory bound.
+LOCKSTEP_MIN_INSTANCES = 3
+LOCKSTEP_MAX_INSTANCES = 16
+NORMAL_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +121,77 @@ def _simulate_run(
     return out
 
 
+def _normal_blocks(rngs: list[np.random.Generator], width: int, rounds: int):
+    """Each round's normals node-major, (width, M): column j the next width standard normals of rngs[j].
+
+    Each stream draws up to NORMAL_BLOCK_VALUES // (width * M) rounds ahead into one row, since
+    standard_normal(b * width) equals b draws of width in a row, and one transposing copy per block makes
+    the rounds node-major.
+    """
+    m = len(rngs)
+    ahead = max(1, min(rounds, NORMAL_BLOCK_VALUES // (width * m)))
+    rows = np.empty((m, ahead * width))
+    while rounds > 0:
+        size = min(ahead, rounds) * width
+        for rng, row in zip(rngs, rows):
+            rng.standard_normal(size, out=row[:size])
+        yield from rows[:, :size].reshape(m, -1, width).transpose(1, 2, 0).copy()
+        rounds -= ahead
+
+
+def _lockstep_runs(tasks: list[tuple]) -> list[dict[str, np.ndarray]]:
+    """_simulate_run(*task) of each k-armed task of one cell, with the cell's M instances in lockstep.
+
+    Each kind's M agents come from make_agent on their own streams, as in _simulate_run. A round draws all M
+    agents at once through the kind's lockstep (HierTSAgent.lockstep, TSAgent.lockstep) from normal blocks
+    drawn ahead per stream (_normal_blocks), picks each column's first maximum, and updates each agent through
+    agent.update. Every element sees the operations of its agent's own act, so the bits are _simulate_run's.
+    """
+    _, seed, hierarchy, prior, horizon, kinds = tasks[0][:6]
+    runs = [task[0] for task in tasks]
+    means = [task[6].tolist() for task in tasks]
+    best = [max(row) for row in means]
+    actions = hierarchy.action_nodes.tolist()
+    out: list[dict[str, np.ndarray]] = [{} for _ in tasks]
+    for kind in kinds:
+        pos = AGENT_KINDS.index(kind)
+        agents = [make_agent(kind, hierarchy, prior, _instance_rng(seed, run, _STREAM_AGENT + pos)) for run in runs]
+        width, draw = type(agents[0]).lockstep(agents)
+        noise = [(_instance_rng(seed, run, _STREAM_NOISE + pos).standard_normal(horizon) * prior.noise_std).tolist()
+                 for run in runs]
+        regret = [[0.0] * horizon for _ in runs]
+        cols = list(zip(agents, means, noise, regret, best))
+        for t, z in enumerate(_normal_blocks([agent.rng for agent in agents], width, horizon)):
+            for (agent, mean, noise_j, regret_j, best_j), i in zip(cols, draw(z).argmax(axis=0).tolist()):
+                mean_a = mean[i]
+                agent.update(actions[i], mean_a + noise_j[t])
+                regret_j[t] = best_j - mean_a
+        for run, res, regret_j in zip(runs, out, regret):
+            if horizon and min(regret_j) < -1e-12:
+                raise AssertionError(f"negative per-round regret for {kind} on instance {run}")
+            res[kind] = np.cumsum(regret_j)
+        del agents, draw, cols  # one kind's agents at a time
+    return out
+
+
+def _simulate_cell(tasks: Iterable[tuple], runs: int, hierarchy: Hierarchy, prior: PriorSpec) -> list[dict]:
+    """_simulate_run(*task) of each of the runs tasks of one cell, in order.
+
+    A k-armed cell of at least LOCKSTEP_MIN_INSTANCES runs splits into blocks, as even as they come, of at
+    most LOCKSTEP_MAX_INSTANCES and NORMAL_BLOCK_VALUES // num_nodes instances; a block of at least
+    LOCKSTEP_MIN_INSTANCES runs in lockstep, and smaller blocks and other cells run per agent. tasks is read
+    one block at a time.
+    """
+    if not prior.is_scalar or runs < LOCKSTEP_MIN_INSTANCES:
+        return [_simulate_run(*task) for task in tasks]
+    cap = max(1, min(LOCKSTEP_MAX_INSTANCES, NORMAL_BLOCK_VALUES // hierarchy.num_nodes))
+    blocks, tasks, out = -(-runs // cap), iter(tasks), []
+    for b in range(blocks):
+        block = list(itertools.islice(tasks, runs // blocks + (b < runs % blocks)))
+        out += _lockstep_runs(block) if len(block) >= LOCKSTEP_MIN_INSTANCES else [_simulate_run(*t) for t in block]
+    return out
+
+
 def _regret_curve(
     envs: Iterable[tuple[np.ndarray, np.ndarray | None]],
     runs: int,
@@ -127,9 +206,10 @@ def _regret_curve(
     """Run _simulate_run on each (leaf_means, contexts) of envs and average.
 
     jobs > 1 spreads runs over min(jobs, runs) worker processes, one
-    chunk per worker: a chunk is pickled whole, so its runs share one tree and
-    prior and thus the agents' per-cell setup. Results are gathered in run
-    order, so the curve does not depend on the worker count.
+    contiguous block of runs per worker, which runs as one cell
+    (_simulate_cell): a block is pickled whole, so its runs share one tree
+    and prior and thus the agents' per-cell setup. Results are gathered in
+    run order, so the curve does not depend on the worker count.
     """
     tasks = (
         (run, seed, hierarchy, prior, horizon, kinds, means, contexts)
@@ -139,10 +219,14 @@ def _regret_curve(
         import concurrent.futures  # only a multi-process run needs the pool machinery
 
         workers = min(jobs, runs)  # the pool starts every worker at the first submit
+        size = math.ceil(runs / workers)
+        blocks = [list(itertools.islice(tasks, size)) for _ in range(math.ceil(runs / size))]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_run, *zip(*tasks), chunksize=math.ceil(runs / workers)))
+            cells = pool.map(_simulate_cell, blocks, map(len, blocks), itertools.repeat(hierarchy),
+                             itertools.repeat(prior))
+            results = [res for cell in cells for res in cell]
     else:
-        results = [_simulate_run(*task) for task in tasks]
+        results = _simulate_cell(tasks, runs, hierarchy, prior)
     mean: dict[str, np.ndarray] = {}
     se: dict[str, np.ndarray] = {}
     for kind in kinds:
@@ -338,7 +422,8 @@ def ratio_experiment(config: RunConfig, heights: tuple[int, ...], jobs: int = 1)
 
     The ratio at height h is TS final regret / agent final regret; its SE
     propagates the two standard errors to first order. config must include
-    the TS agent and at least one other.
+    the TS agent and at least one other. A final mean regret of 0, which
+    leaves a ratio undefined, raises ConfigError naming the height and agent.
     """
     if "TS" not in config.agents:
         raise ConfigError("ratio_experiment requires the TS agent in config.agents")
@@ -360,9 +445,10 @@ def ratio_experiment(config: RunConfig, heights: tuple[int, ...], jobs: int = 1)
         for kind in others:
             a_mean, a_se = curve.final(kind)
             if a_mean <= 0 or ts_mean <= 0:
-                ratio[kind].append(float("nan"))
-                se[kind].append(float("nan"))
-                continue
+                raise ConfigError(
+                    f"ratio at height {cfg.height}: {'TS' if ts_mean <= 0 else kind} has zero final regret over "
+                    f"{cfg.instances} instance(s), so TS / {kind} is undefined; raise horizon or instances"
+                )
             r = ts_mean / a_mean
             ratio[kind].append(r)
             se[kind].append(r * math.hypot(ts_se / ts_mean, a_se / a_mean))

@@ -57,6 +57,33 @@ def _draw_route(hier: Hierarchy, r: int) -> tuple[int, int, slice | np.ndarray |
     return k, max(hier.sample_nodes[: k - 1]) if k else 0, order, levels[j:]
 
 
+def _level_loop(route: tuple, copies: tuple, z: np.ndarray, head) -> np.ndarray:
+    """The level loop of a scalar draw on route, (k, top, order, levels) from _draw_route, over copies, which are
+    (lam0, ev_wmean, lamhat, sqrt_lamhat) indexed by node id: one draw's (num_nodes + 1,) arrays, or for M draws
+    in lockstep node-major (num_nodes + 1, M) arrays, column j draw j's (lam0 too: a broadcast costs more).
+    z holds the normals of the draw positions from k on, a row per position, and is divided in place; head is
+    the root's posterior mean (a float, or one per column) when k is 0, and else the values of the ids up to top
+    that the float prefix drew, nan at the ids it left to the loop. Every element sees the same IEEE operations
+    in the same order whatever the number of columns, so a column equals its own draw bit for bit."""
+    k, top, order, levels = route
+    lam0, wmean, lamhat, sqrt_lamhat = copies
+    z /= sqrt_lamhat[order]
+    theta = np.empty(wmean.shape)
+    if k:
+        theta[: top + 1] = head
+    else:
+        theta[0] = np.nan
+        theta[ROOT] = head + z[0]
+    for nodes, parents, start, stop in levels:
+        mean = theta[parents]
+        mean *= lam0[nodes]
+        mean += wmean[nodes]
+        mean /= lamhat[nodes]
+        mean += z[start - k : stop - k]
+        theta[nodes] = mean
+    return theta
+
+
 def _context(context, dim: int | None) -> np.ndarray | None:
     """The context as a float vector, or None for the k-armed model (dim None); ValueError unless it fits."""
     if dim is None:
@@ -124,7 +151,9 @@ class PosteriorState(_UpwardPass):
       loop reads, those at draw positions k and after (the float prefix
       above them reads the lists). level_copies holds (lam0, ev_wmean,
       lamhat, sqrt_lamhat) as arrays built here from the floats, or None
-      when the route takes floats throughout;
+      when the route takes floats throughout; a LockstepDraw replaces them
+      with columns of its own arrays, written through for the nodes that
+      its route reads as well;
     - msg_prec and msg_wmean of the children of a parent with more than
       SHORT_SUM_MAX children, which _pool sums with numpy's pairwise sum,
       over a slice view when the child ids are consecutive and over a
@@ -159,10 +188,10 @@ class PosteriorState(_UpwardPass):
                           for a, b in zip(start, start[1:])]
         self.draw_route = _draw_route(hierarchy, FLOAT_DRAW_NODES_PER_LEVEL)
         k = self.draw_route[0]
-        self.level_copies = None if k == n else (lam0, *map(np.array, (self.ev_wmean, self.lamhat, self.sqrt_lamhat)))
+        self.level_copies = None
         self._level_copies = [None] * (n + 1)  # per node, the copies _fold writes it to: the level loop's nodes
-        for v in ((ROOT,) + hierarchy.sample_nodes)[k:]:
-            self._level_copies[v] = self.level_copies
+        if k < n:
+            self._write_levels_to((lam0, *map(np.array, (self.ev_wmean, self.lamhat, self.sqrt_lamhat))), k)
         # per node, the (msg_prec, msg_wmean) copies _fold writes its message to; a wide parent's children only
         self._msg_copies = [None] * (n + 1)
         if hierarchy.branching_factor > SHORT_SUM_MAX:
@@ -195,30 +224,21 @@ class PosteriorState(_UpwardPass):
         rest in numpy's level loop on level_copies. Both apply the per-level formula's operations to the
         same operands, so the bits do not depend on the route (the README has the route rule and its timings).
         """
-        k, top, order, levels = self.draw_route  # the level loop's levels, after k draw positions on floats
+        k, top = self.draw_route[:2]  # k draw positions on floats, the highest id among them
         n = self.hierarchy.num_nodes
         if k == n:
             return np.array(self._float_walk(rng.standard_normal(n).tolist(), n))
-        lam0, wmean, lamhat, sqrt_lamhat = self.level_copies
         z = rng.standard_normal(n)
-        if k:
-            floats = self._float_walk(z[:k].tolist(), top)
-            z = z[k:]
-        z /= sqrt_lamhat[order]
-        theta = np.empty(n + 1)
-        if not k:
-            theta[0] = np.nan
-            theta[ROOT] = self.root_mean + z[0]
-        else:  # the ids up to top that the prefix did not draw are nan here and the level loop's to write
-            theta[: top + 1] = floats
-        for nodes, parents, start, stop in levels:
-            mean = theta[parents]
-            mean *= lam0[nodes]
-            mean += wmean[nodes]
-            mean /= lamhat[nodes]
-            mean += z[start - k : stop - k]
-            theta[nodes] = mean
-        return theta
+        head = self._float_walk(z[:k].tolist(), top) if k else self.root_mean
+        return _level_loop(self.draw_route, self.level_copies, z[k:], head)
+
+    def _write_levels_to(self, copies: tuple, first: int) -> None:
+        """Make copies, (lam0, ev_wmean, lamhat, sqrt_lamhat) as arrays indexed by node id that hold this
+        state's values, its level_copies, and write them through at the draw positions from first on; first is at
+        most draw_route's k, so that draw reads them too."""
+        self.level_copies = copies
+        for v in ((ROOT,) + self.hierarchy.sample_nodes)[first:]:
+            self._level_copies[v] = copies
 
     def _float_walk(self, z: list, top: int) -> list:
         """The draw of the first len(z) draw positions on the float lists, node by node, in a list indexed by
@@ -292,3 +312,38 @@ class PosteriorState(_UpwardPass):
             mean = slope * mean + self.ev_wmean[node] / lamhat
             var = slope * slope * var + 1.0 / lamhat
         return float(mean), float(var)
+
+
+class LockstepDraw:
+    """The scalar draws of M PosteriorStates of one tree and prior, made together in one level loop.
+
+    The states' level copies become the columns of node-major (num_nodes + 1, M) arrays of lam0, ev_wmean,
+    lamhat and sqrt_lamhat, column j state j's, which each state's write-through keeps current from here on. The
+    route is _draw_route's at FLOAT_DRAW_NODES_PER_LEVEL // M, since one numpy level now serves M draws while
+    the float prefix still walks each state's lists. Column j of draw(z) equals state j's own draw from the
+    same normals bit for bit (_level_loop); the state's own draw keeps working on its column.
+    """
+
+    def __init__(self, states: list[PosteriorState]):
+        hier, prior = states[0].hierarchy, states[0].prior
+        if any(type(s) is not PosteriorState or s.hierarchy is not hier or s.prior is not prior for s in states):
+            raise ValueError("a lockstep draw takes scalar posterior states of one tree and prior")
+        self.states = states
+        self.route = _draw_route(hier, FLOAT_DRAW_NODES_PER_LEVEL // len(states))
+        first = min(self.route[0], states[0].draw_route[0])  # the level copies that either route reads
+        self.copies = None
+        if first < hier.num_nodes:
+            cols = [np.array([getattr(s, name) for s in states]).T.copy()
+                    for name in ("lam0", "ev_wmean", "lamhat", "sqrt_lamhat")]
+            self.copies = tuple(cols)
+            for j, state in enumerate(states):
+                state._write_levels_to(tuple(c[:, j] for c in cols), first)
+
+    def draw(self, z: np.ndarray) -> np.ndarray:
+        """Node parameters of every state, (num_nodes + 1, M), column j state j's, from the round's normals z:
+        node-major (num_nodes, M), column j the normals of state j's own draw. z is divided in place."""
+        k, top = self.route[:2]
+        if not k:
+            return _level_loop(self.route, self.copies, z, np.array([s.root_mean for s in self.states]))
+        floats = np.array([s._float_walk(col, top) for s, col in zip(self.states, z[:k].T.tolist())]).T
+        return floats if k == len(z) else _level_loop(self.route, self.copies, z[k:], floats)

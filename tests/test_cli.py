@@ -161,6 +161,18 @@ def test_bound_at_horizon_1_with_a_delta(tmp_path):
     assert summary["n"] == 1 and summary["delta"] == 0.1 and summary["bound"] > 0.0
 
 
+def test_ratio_with_a_zero_regret_cell_exits_input(tmp_path, capsys):
+    """Every agent plays the best of two arms in all 5 rounds at seed 0, so no ratio is defined: exit 2 with a
+    message naming the height, the agent and the instance count, and nothing written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tree": {"b": 2}, "heights": [1], "horizon": 5, "instances": 1}))
+    out = tmp_path / "run"
+    assert cli.main(["ratio", "--config", str(cfg), "--out", str(out), "--seed", "0"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "ratio at height 1: TS has zero final regret over 1 instance(s), so TS / HierTS is undefined" in err
+    assert not out.exists()
+
+
 def test_ratio_requires_heights(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     code = cli.main(["ratio", "--config", str(cfg), "--out", str(tmp_path / "run")])
@@ -382,6 +394,11 @@ def test_config_fuzz_runs_or_names_the_field(tmp_path_factory, case, value, misp
         assert name == "tree_file" and isinstance(value, str), err.getvalue()
         return
     assert code in ((cli.EXIT_INPUT,) if misplace else (cli.EXIT_OK, cli.EXIT_INPUT)), err.getvalue()
+    if code == cli.EXIT_INPUT and not misplace and command == "ratio" and "has zero final regret" in err.getvalue():
+        # A valid value can leave a ratio undefined: at a hyper_mean of 6e15 the float spacing is 1, leaf means
+        # fall on whole numbers and often tie, and 3 rounds passed without regret. That is ratio's own error,
+        # which names the height and agent, not a field.
+        return
     if code == cli.EXIT_INPUT:
         assert spelling in err.getvalue() or name in err.getvalue(), err.getvalue()
 

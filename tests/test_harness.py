@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hierts import (
     BoundReport,
@@ -31,6 +32,9 @@ from hierts import (
     write_regret_csv,
 )
 from hierts import agents, harness
+from hierts.checks import random_tree
+from hierts.hierarchy import build_hierarchy
+from hierts.posterior import SHORT_SUM_MAX
 
 
 def _cfg(**kw):
@@ -291,17 +295,18 @@ def test_worker_chunks_share_the_cell_setup(monkeypatch):
 
 
 def test_worker_pool_is_capped_at_the_run_count(monkeypatch):
-    """jobs above the run count starts one worker per run, with the chunk size and the curve of jobs=1."""
+    """jobs above the run count starts one worker per run, each worker maps one contiguous block of runs, and
+    the curve is that of jobs=1."""
     import concurrent.futures
 
     pools = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size and chunk sizes and maps in this process."""
+        """Stands in for ProcessPoolExecutor: records its size and the block sizes and maps in this process."""
 
         def __init__(self, max_workers):
             self.max_workers = max_workers
-            self.chunksizes = []
+            self.blocks = []
             pools.append(self)
 
         def __enter__(self):
@@ -310,9 +315,9 @@ def test_worker_pool_is_capped_at_the_run_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            self.chunksizes.append(chunksize)
-            return map(fn, *iterables)
+        def map(self, fn, blocks, *iterables):
+            self.blocks.append([len(block) for block in blocks])
+            return map(fn, blocks, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = _cfg(instances=2)
@@ -323,7 +328,58 @@ def test_worker_pool_is_capped_at_the_run_count(monkeypatch):
         assert np.array_equal(serial.se[kind], capped.se[kind])
     ratio_experiment(cfg, (1, 2), jobs=64)  # one pool per height
     run_bayes_regret(_cfg(instances=7), jobs=3)  # fewer jobs than runs: the pool keeps jobs workers
-    assert [(p.max_workers, p.chunksizes) for p in pools] == [(2, [1]), (2, [1]), (2, [1]), (3, [3])]
+    assert [(p.max_workers, p.blocks) for p in pools] == [(2, [[1, 1]]), (2, [[1, 1]]), (2, [[1, 1]]), (3, [[3, 3, 1]])]
+
+
+# a root with SHORT_SUM_MAX + 2 children, two of them parents: leaves at depths 1 and 2, and a pooled numpy sum
+WIDE_TREE = build_hierarchy({**{c: 1 for c in range(2, SHORT_SUM_MAX + 4)}, SHORT_SUM_MAX + 4: 2,
+                             SHORT_SUM_MAX + 5: 2, SHORT_SUM_MAX + 6: 3, SHORT_SUM_MAX + 7: 3})
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), instances=st.integers(1, 5), wide=st.booleans(), doubling=st.booleans())
+def test_lockstep_cell_matches_per_agent_runs(seed, instances, wide, doubling):
+    """Each instance's cumulative regret for every kind is _simulate_run's bit for bit, and each agent ends in the
+    state of its per-agent replay: the same float lists, TS arms and written-through copies. Random trees of up
+    to 80 nodes on 6 levels take each of the cell's routes (floats, split, level loop from the root) at some M."""
+    rng = np.random.default_rng(seed)
+    tree = WIDE_TREE if wide else random_tree(rng, max_levels=6, max_nodes=80)
+    prior = doubling_prior(tree) if doubling else constant_prior(tree, float(rng.uniform(0.2, 3.0)))
+    tasks = [(run, seed, tree, prior, 30, agents.AGENT_KINDS,
+              harness.sample_instance(tree, prior, harness._instance_rng(seed, run, harness._STREAM_INSTANCE)).leaf_parameters(),
+              None)
+             for run in range(instances)]
+    made = []
+
+    def recording_make_agent(*args):
+        made.append(agents.make_agent(*args))
+        return made[-1]
+
+    saved, harness.make_agent = harness.make_agent, recording_make_agent
+    try:
+        replay = [harness._simulate_run(*task) for task in tasks]
+        replayed, made = made, []
+        cell = harness._lockstep_runs(tasks)
+    finally:
+        harness.make_agent = saved
+    for res, ref in zip(cell, replay):
+        for kind in agents.AGENT_KINDS:
+            assert np.array_equal(res[kind], ref[kind]), kind
+    assert len(made) == len(replayed) == 3 * instances
+    for agent, ref in zip(made, sorted(replayed, key=lambda a: agents.AGENT_KINDS.index(a.kind))):
+        assert agent.kind == ref.kind
+        if agent.kind == "TS":
+            for name in ("prec", "wmean", "mean", "sd"):
+                assert getattr(agent, name).tobytes() == getattr(ref, name).tobytes(), name
+            continue
+        state = agent.state
+        for name in ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "lamhat",
+                     "sqrt_lamhat", "root_mean"):  # slot 0 holds nan, so compare bytes
+            assert np.array(getattr(state, name)).tobytes() == np.array(getattr(ref.state, name)).tobytes(), name
+        if state.level_copies is not None:  # the lockstep columns hold the floats at every node written through
+            covered = [v for v, copies in enumerate(state._level_copies) if copies is not None]
+            for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies):
+                assert array[covered].tobytes() == np.array(getattr(state, name))[covered].tobytes(), name
 
 
 def test_simulated_rounds_hand_agents_python_floats(monkeypatch):

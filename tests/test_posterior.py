@@ -481,3 +481,21 @@ def test_numpy_short_sum_is_a_left_fold(n):
             f"numpy no longer sums {n} float64 values left to right from 0.0; "
             "lower posterior.SHORT_SUM_MAX below this size"
         )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_numpy_normal_draws_concatenate(seed):
+    """The lockstep cell draws each stream's normals blocks ahead (harness._normal_blocks).
+
+    That gives each round's draw bit for bit only while standard_normal(a + b) equals standard_normal(a)
+    followed by standard_normal(b), and a draw into out= equals the draw it would return.
+    """
+    sizes = np.random.default_rng(1000 + seed).integers(0, 600, size=(50, 2))
+    for a, b in sizes.tolist():
+        whole = np.random.default_rng(seed).standard_normal(a + b)
+        rng = np.random.default_rng(seed)
+        parts = np.concatenate([rng.standard_normal(a), rng.standard_normal(b)])
+        assert whole.tobytes() == parts.tobytes(), (a, b)
+        buf = np.full(a + b + 7, np.nan)  # a leading slice of a longer row, as the blocks draw into
+        np.random.default_rng(seed).standard_normal(a + b, out=buf[: a + b])
+        assert buf[: a + b].tobytes() == whole.tobytes(), a + b
