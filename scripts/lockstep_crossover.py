@@ -2,10 +2,10 @@
 """Time a k-armed cell's simulation loop per agent and in lockstep, to place LOCKSTEP_MIN_INSTANCES.
 
 For each tree (b=2 at the given heights, doubling prior) and each instance count M, it builds one cell's
-tasks as run_bayes_regret does, then times `harness._simulate_run` on each task against
-`harness._lockstep_runs` on all of them (the three agent kinds, one block, no instance cap), interleaved,
-and prints the median time of each and their ratio (per agent / lockstep; above 1 means lockstep is faster).
-It stops unless both give the same regret bits. Run from the repository root:
+tasks as run_bayes_regret does, then times `harness._cell_runs` on all of them (the three agent kinds, one
+block, no instance cap) with `harness.LOCKSTEP_MIN_INSTANCES` patched to M + 1 (the per-agent loop) and to 1
+(lockstep), interleaved, and prints the median time of each and their ratio (per agent / lockstep; above 1
+means lockstep is faster). It stops unless both give the same regret bits. Run from the repository root:
 
     PYTHONPATH=src python3 scripts/lockstep_crossover.py [--heights 1 2 3 8] [--instances 2 3 4 16 100]
 """
@@ -39,18 +39,16 @@ def main() -> None:
     for h in args.heights:
         for m in args.instances:
             tasks = cell_tasks(h, m, args.horizon)
-            per_agent, lockstep = [], []
+            times, runs = ([], []), [None, None]  # per agent, lockstep
             for rep in range(args.repeats):
                 for loop in (0, 1) if rep % 2 else (1, 0):  # alternate which loop runs first
+                    harness.LOCKSTEP_MIN_INSTANCES = 1 if loop else m + 1
                     t0 = time.perf_counter()
-                    if loop:
-                        got = harness._lockstep_runs(tasks)
-                    else:
-                        ref = [harness._simulate_run(*task) for task in tasks]
-                    (lockstep if loop else per_agent).append(time.perf_counter() - t0)
-                if not all(np.array_equal(a[k], b[k]) for a, b in zip(ref, got) for k in AGENT_KINDS):
+                    runs[loop] = harness._cell_runs(tasks)
+                    times[loop].append(time.perf_counter() - t0)
+                if not all(np.array_equal(a[k], b[k]) for a, b in zip(*runs) for k in AGENT_KINDS):
                     raise SystemExit(f"h={h} M={m}: lockstep regret differs from the per-agent loop")
-            a, b = statistics.median(per_agent), statistics.median(lockstep)
+            a, b = map(statistics.median, times)
             print(f"{h},{m},{a:.4f},{b:.4f},{a / b:.3f}", flush=True)
 
 

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, PriorSpec, build_hierarchy
-from .linear import _argmax_score
 from .posterior import _context
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "Instance",
     "sample_parameter_draws",
     "sample_instance",
-    "reward_mean",
-    "best_action",
     "step",
     "sample_contexts",
     "FeatureDataset",
@@ -95,29 +92,24 @@ def sample_instance(hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Gener
     return Instance(hierarchy=hierarchy, prior=prior, theta=sample_parameter_draws(hierarchy, prior, rng, 1)[0])
 
 
-def reward_mean(instance: Instance, action: int, context: np.ndarray | None = None) -> float:
-    """The action's mean reward; ValueError unless the context fits the model, as in best_action."""
+def step(
+    instance: Instance, action: int, rng: np.random.Generator, context: np.ndarray | None = None
+) -> float:
+    """Pull an arm: mean reward plus N(0, noise_std^2) noise.
+
+    HierarchyError unless action is a leaf; ValueError unless the context fits the model (shape (d,) for the
+    linear model, None for the k-armed one) and gives a finite mean.
+    """
     instance.hierarchy.action_position(action)  # HierarchyError unless a leaf
     theta = instance.theta[action]
     x = _context(context, theta.shape[0] if theta.ndim else None)
     if x is None:
-        return float(theta)
-    value = float(theta @ x)
-    if not math.isfinite(value):
-        raise ValueError(f"context must be finite, got {context}")
-    return value
-
-
-def best_action(instance: Instance, context: np.ndarray | None = None) -> int:
-    """The optimal leaf for this instance (and context, in the linear model)."""
-    return int(instance.hierarchy.action_nodes[_argmax_score(instance.leaf_parameters(), context)])
-
-
-def step(
-    instance: Instance, action: int, rng: np.random.Generator, context: np.ndarray | None = None
-) -> float:
-    """Pull an arm: mean reward plus N(0, noise_std^2) noise."""
-    return reward_mean(instance, action, context) + instance.prior.noise_std * rng.standard_normal()
+        value = float(theta)
+    else:
+        value = float(theta @ x)
+        if not math.isfinite(value):
+            raise ValueError(f"context must be finite, got {context}")
+    return value + instance.prior.noise_std * rng.standard_normal()
 
 
 def sample_contexts(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

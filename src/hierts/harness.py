@@ -45,9 +45,9 @@ _STREAM_CONTEXT = 1
 _STREAM_AGENT = 10  # + agent position in AGENT_KINDS
 _STREAM_NOISE = 20  # + agent position in AGENT_KINDS
 
-# Lockstep cells (_simulate_cell): the smallest block that runs in lockstep, and the caps on a block's instances
-# and on a normal block's values that bound its memory. Either path gives the same bits; the README has the
-# measured crossover behind the threshold and the memory bound.
+# Lockstep cells (_cell_runs, _simulate_cell): the smallest block that runs in lockstep, and the caps on a block's
+# instances and on a normal block's values that bound its memory. Either loop gives the same bits; the README has
+# the measured crossover behind the threshold and the memory bound.
 LOCKSTEP_MIN_INSTANCES = 3
 LOCKSTEP_MAX_INSTANCES = 16
 NORMAL_BLOCK_VALUES = 2**14
@@ -74,53 +74,6 @@ def _instance_rng(seed: int, run: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, stream)))
 
 
-def _simulate_run(
-    run: int,
-    seed: int,
-    hierarchy: Hierarchy,
-    prior: PriorSpec,
-    horizon: int,
-    kinds: tuple[str, ...],
-    leaf_means: np.ndarray,
-    contexts: np.ndarray | None,
-) -> dict[str, np.ndarray]:
-    """Cumulative per-round regret of each agent kind on one environment.
-
-    leaf_means holds the leaf parameters in action order: shape (K,) for the
-    k-armed model (contexts None) or (K, d) for the linear model, with one
-    context row per round. All agents face the same means and contexts.
-    """
-    # Per-round lookups go through Python lists, which index faster than
-    # numpy arrays do for single elements, and hand the agents Python floats.
-    if contexts is None:
-        means = leaf_means.tolist()
-        mean_rows = [means] * horizon  # every round shares one row
-        best = [max(means)] * horizon
-        xs = [None] * horizon
-    else:
-        table = contexts @ leaf_means.T  # (horizon, K)
-        mean_rows = table.tolist()
-        best = table.max(axis=1).tolist()
-        xs = contexts
-    index = hierarchy.action_index
-    out: dict[str, np.ndarray] = {}
-    for kind in kinds:
-        pos = AGENT_KINDS.index(kind)
-        agent = make_agent(kind, hierarchy, prior, _instance_rng(seed, run, _STREAM_AGENT + pos))
-        noise = (_instance_rng(seed, run, _STREAM_NOISE + pos).standard_normal(horizon) * prior.noise_std).tolist()
-        regret = [0.0] * horizon
-        for t in range(horizon):
-            x = xs[t]
-            action = agent.act(x)
-            mean_a = mean_rows[t][index[action]]
-            agent.update(action, mean_a + noise[t], x)
-            regret[t] = best[t] - mean_a
-        if horizon and min(regret) < -1e-12:
-            raise AssertionError(f"negative per-round regret for {kind} on instance {run}")
-        out[kind] = np.cumsum(regret)
-    return out
-
-
 def _normal_blocks(rngs: list[np.random.Generator], width: int, rounds: int):
     """Each round's normals node-major, (width, M): column j the next width standard normals of rngs[j].
 
@@ -139,56 +92,81 @@ def _normal_blocks(rngs: list[np.random.Generator], width: int, rounds: int):
         rounds -= ahead
 
 
-def _lockstep_runs(tasks: list[tuple]) -> list[dict[str, np.ndarray]]:
-    """_simulate_run(*task) of each k-armed task of one cell, with the cell's M instances in lockstep.
+def _cell_runs(tasks: list[tuple]) -> list[dict[str, np.ndarray]]:
+    """Cumulative per-round regret of each agent kind on each task of one block of a cell, in order.
 
-    Each kind's M agents come from make_agent on their own streams, as in _simulate_run. A round draws all M
-    agents at once through the kind's lockstep (HierTSAgent.lockstep, TSAgent.lockstep) from normal blocks
-    drawn ahead per stream (_normal_blocks), picks each column's first maximum, and updates each agent through
-    agent.update. Every element sees the operations of its agent's own act, so the bits are _simulate_run's.
+    A task is (run, seed, hierarchy, prior, horizon, kinds, leaf_means, contexts). leaf_means holds the leaf
+    parameters in action order: shape (K,) for the k-armed model (contexts None) or (K, d) for the linear
+    model, with one context row per round. All agents of a run face the same means and contexts; each kind's
+    agents come from make_agent on their own streams, and each reward goes through agent.update.
+
+    A k-armed block of at least LOCKSTEP_MIN_INSTANCES runs plays its M instances in lockstep: a round draws
+    all M agents at once through the kind's lockstep (HierTSAgent.lockstep, TSAgent.lockstep) from normal
+    blocks drawn ahead per stream (_normal_blocks) and takes each column's first maximum. Other blocks run
+    per agent: each agent acts and updates through every round in turn. Every element of a lockstep draw sees
+    the operations of its agent's own act, so both loops give the same bits.
     """
     _, seed, hierarchy, prior, horizon, kinds = tasks[0][:6]
     runs = [task[0] for task in tasks]
-    means = [task[6].tolist() for task in tasks]
-    best = [max(row) for row in means]
+    lockstep = prior.is_scalar and len(tasks) >= LOCKSTEP_MIN_INSTANCES
+    # Per-round lookups go through Python lists, which index faster than numpy arrays do for single elements,
+    # and hand the agents Python floats. Each run's (mean rows, best values, contexts), by round; a k-armed
+    # run's rounds share one row, which the lockstep loop reads with its best value directly.
+    envs = []
+    for *_, leaf_means, contexts in tasks:
+        if contexts is not None:
+            table = contexts @ leaf_means.T  # (horizon, K)
+            envs.append((table.tolist(), table.max(axis=1).tolist(), contexts))
+        elif lockstep:
+            means = leaf_means.tolist()
+            envs.append((means, max(means), None))
+        else:
+            means = leaf_means.tolist()
+            envs.append(([means] * horizon, [max(means)] * horizon, [None] * horizon))
+    index = hierarchy.action_index
     actions = hierarchy.action_nodes.tolist()
     out: list[dict[str, np.ndarray]] = [{} for _ in tasks]
     for kind in kinds:
         pos = AGENT_KINDS.index(kind)
         agents = [make_agent(kind, hierarchy, prior, _instance_rng(seed, run, _STREAM_AGENT + pos)) for run in runs]
-        width, draw = type(agents[0]).lockstep(agents)
         noise = [(_instance_rng(seed, run, _STREAM_NOISE + pos).standard_normal(horizon) * prior.noise_std).tolist()
                  for run in runs]
         regret = [[0.0] * horizon for _ in runs]
-        cols = list(zip(agents, means, noise, regret, best))
-        for t, z in enumerate(_normal_blocks([agent.rng for agent in agents], width, horizon)):
-            for (agent, mean, noise_j, regret_j, best_j), i in zip(cols, draw(z).argmax(axis=0).tolist()):
-                mean_a = mean[i]
-                agent.update(actions[i], mean_a + noise_j[t])
-                regret_j[t] = best_j - mean_a
+        cols = list(zip(agents, envs, noise, regret))
+        if lockstep:
+            width, draw = type(agents[0]).lockstep(agents)
+            for t, z in enumerate(_normal_blocks([agent.rng for agent in agents], width, horizon)):
+                for (agent, (means, best, _), noise_j, regret_j), i in zip(cols, draw(z).argmax(axis=0).tolist()):
+                    mean_a = means[i]
+                    agent.update(actions[i], mean_a + noise_j[t])
+                    regret_j[t] = best - mean_a
+            del draw
+        else:
+            for agent, (mean_rows, best, xs), noise_j, regret_j in cols:
+                for t in range(horizon):
+                    x = xs[t]
+                    action = agent.act(x)
+                    mean_a = mean_rows[t][index[action]]
+                    agent.update(action, mean_a + noise_j[t], x)
+                    regret_j[t] = best[t] - mean_a
         for run, res, regret_j in zip(runs, out, regret):
             if horizon and min(regret_j) < -1e-12:
                 raise AssertionError(f"negative per-round regret for {kind} on instance {run}")
             res[kind] = np.cumsum(regret_j)
-        del agents, draw, cols  # one kind's agents at a time
+        del agents, cols  # one kind's agents at a time
     return out
 
 
 def _simulate_cell(tasks: Iterable[tuple], runs: int, hierarchy: Hierarchy, prior: PriorSpec) -> list[dict]:
-    """_simulate_run(*task) of each of the runs tasks of one cell, in order.
+    """_cell_runs on the runs tasks of one cell, in order, in blocks whose sizes are as even as they come.
 
-    A k-armed cell of at least LOCKSTEP_MIN_INSTANCES runs splits into blocks, as even as they come, of at
-    most LOCKSTEP_MAX_INSTANCES and NORMAL_BLOCK_VALUES // num_nodes instances; a block of at least
-    LOCKSTEP_MIN_INSTANCES runs in lockstep, and smaller blocks and other cells run per agent. tasks is read
-    one block at a time.
+    A k-armed block holds at most LOCKSTEP_MAX_INSTANCES and NORMAL_BLOCK_VALUES // num_nodes instances, and
+    a linear block one, so a block bounds how many states are alive at once. tasks is read one block at a time.
     """
-    if not prior.is_scalar or runs < LOCKSTEP_MIN_INSTANCES:
-        return [_simulate_run(*task) for task in tasks]
-    cap = max(1, min(LOCKSTEP_MAX_INSTANCES, NORMAL_BLOCK_VALUES // hierarchy.num_nodes))
+    cap = max(1, min(LOCKSTEP_MAX_INSTANCES, NORMAL_BLOCK_VALUES // hierarchy.num_nodes)) if prior.is_scalar else 1
     blocks, tasks, out = -(-runs // cap), iter(tasks), []
     for b in range(blocks):
-        block = list(itertools.islice(tasks, runs // blocks + (b < runs % blocks)))
-        out += _lockstep_runs(block) if len(block) >= LOCKSTEP_MIN_INSTANCES else [_simulate_run(*t) for t in block]
+        out += _cell_runs(list(itertools.islice(tasks, runs // blocks + (b < runs % blocks))))
     return out
 
 
@@ -203,13 +181,13 @@ def _regret_curve(
     kinds: tuple[str, ...],
     jobs: int,
 ) -> RegretCurve:
-    """Run _simulate_run on each (leaf_means, contexts) of envs and average.
+    """Simulate each (leaf_means, contexts) of envs as one run of a cell and average.
 
-    jobs > 1 spreads runs over min(jobs, runs) worker processes, one
-    contiguous block of runs per worker, which runs as one cell
-    (_simulate_cell): a block is pickled whole, so its runs share one tree
-    and prior and thus the agents' per-cell setup. Results are gathered in
-    run order, so the curve does not depend on the worker count.
+    The cell runs in _simulate_cell's blocks, each through _cell_runs. jobs > 1
+    spreads runs over min(jobs, runs) worker processes, one contiguous block of
+    runs per worker, which runs as one cell: a block is pickled whole, so its
+    runs share one tree and prior and thus the agents' per-cell setup. Results
+    are gathered in run order, so the curve does not depend on the worker count.
     """
     tasks = (
         (run, seed, hierarchy, prior, horizon, kinds, means, contexts)

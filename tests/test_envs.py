@@ -10,7 +10,6 @@ from hierts import (
     Instance,
     PriorSpec,
     balanced_tree,
-    best_action,
     build_hierarchy,
     constant_prior,
     dataset_instance,
@@ -19,7 +18,6 @@ from hierts import (
     load_feature_dataset,
     make_cluster_dataset,
     marginal_prior_variances,
-    reward_mean,
     sample_contexts,
     sample_instance,
     sample_parameter_draws,
@@ -51,13 +49,13 @@ def test_sample_parameter_draws_linear(b2h2, linear_prior):
 
 
 def test_instance_reward_and_best_action(b2h2, b2h2_prior):
+    """step pulls the best leaf's mean plus noise, and rejects a node that is not a leaf."""
     theta = np.zeros(8)
     theta[b2h2.action_nodes] = [0.1, 0.9, 0.3, 0.2]
     inst = Instance(hierarchy=b2h2, prior=b2h2_prior, theta=theta)
-    assert best_action(inst) == 5
-    assert reward_mean(inst, 5) == pytest.approx(0.9)
+    assert step(inst, 5, np.random.default_rng(0)) == 0.9 + np.random.default_rng(0).standard_normal()
     with pytest.raises(HierarchyError):
-        reward_mean(inst, 2)
+        step(inst, 2, np.random.default_rng(0))
     rng = np.random.default_rng(0)
     pulls = np.array([step(inst, 5, rng) for _ in range(4000)])
     assert abs(pulls.mean() - 0.9) < 0.07
@@ -65,39 +63,34 @@ def test_instance_reward_and_best_action(b2h2, b2h2_prior):
 
 
 def test_linear_instance_contextual_best(b2h2, linear_prior):
+    """step on a linear instance pulls x . theta_a plus noise, and rejects a context that is not finite."""
     inst = sample_instance(b2h2, linear_prior, np.random.default_rng(3))
     ctx = np.array([1.0, 0.0, 0.0])
-    a = best_action(inst, ctx)
     values = inst.leaf_parameters() @ ctx
-    assert reward_mean(inst, a, ctx) == pytest.approx(values.max())
+    a = int(b2h2.action_nodes[np.argmax(values)])
+    noise = linear_prior.noise_std * np.random.default_rng(0).standard_normal()
+    assert step(inst, a, np.random.default_rng(0), ctx) == values.max() + noise
     for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
         with pytest.raises(ValueError, match="context must be finite"):
-            best_action(inst, np.array(bad))
-        with pytest.raises(ValueError, match="context must be finite"):
-            reward_mean(inst, a, np.array(bad))
+            step(inst, a, np.random.default_rng(0), np.array(bad))
 
 
 @pytest.mark.parametrize("context", [np.zeros((2, 1)), np.zeros((2, 2)), None, np.zeros(3)],
                          ids=["column", "matrix", "missing", "length-3"])
 def test_reward_mean_and_step_check_the_linear_context(context):
-    """reward_mean and step reject a context that does not fit a d=2 linear instance as best_action does."""
+    """step rejects a context that does not fit a d=2 linear instance."""
     tree = balanced_tree(2, 1)
     prior = PriorSpec(np.zeros(2), {n: np.eye(2) for n in (1, 2, 3)}, noise_std=1.0)
     inst = sample_instance(tree, prior, np.random.default_rng(0))
     shape = None if context is None else context.shape
-    for call in (lambda: reward_mean(inst, 2, context), lambda: step(inst, 2, np.random.default_rng(1), context),
-                 lambda: best_action(inst, context)):
-        with pytest.raises(ValueError, match=re.escape(f"context must have shape (2,), got {shape}")):
-            call()
+    with pytest.raises(ValueError, match=re.escape(f"context must have shape (2,), got {shape}")):
+        step(inst, 2, np.random.default_rng(1), context)
 
 
 def test_reward_mean_and_step_reject_a_context_on_a_k_armed_instance(b2h2, b2h2_prior):
     inst = sample_instance(b2h2, b2h2_prior, np.random.default_rng(0))
-    ctx = np.zeros(2)
-    for call in (lambda: reward_mean(inst, 4, ctx), lambda: step(inst, 4, np.random.default_rng(1), ctx),
-                 lambda: best_action(inst, ctx)):
-        with pytest.raises(ValueError, match=re.escape("context must be None for the k-armed model, got shape (2,)")):
-            call()
+    with pytest.raises(ValueError, match=re.escape("context must be None for the k-armed model, got shape (2,)")):
+        step(inst, 4, np.random.default_rng(1), np.zeros(2))
 
 
 def test_sample_contexts_unit_norm():
@@ -266,7 +259,7 @@ def test_cluster_dataset_fit_runs_end_to_end():
     assert report.floored_nodes == ()
     inst = dataset_instance(tree, prior, theta_star)
     ctx = dataset.features[~dataset.is_train][0]
-    assert np.isfinite(reward_mean(inst, best_action(inst, ctx), ctx))
+    assert np.isfinite(step(inst, int(tree.action_nodes[0]), np.random.default_rng(0), ctx))
 
 
 def test_degenerate_prior_instance_has_identical_arms(b2h2):

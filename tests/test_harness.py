@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -339,9 +342,10 @@ WIDE_TREE = build_hierarchy({**{c: 1 for c in range(2, SHORT_SUM_MAX + 4)}, SHOR
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), instances=st.integers(1, 5), wide=st.booleans(), doubling=st.booleans())
 def test_lockstep_cell_matches_per_agent_runs(seed, instances, wide, doubling):
-    """Each instance's cumulative regret for every kind is _simulate_run's bit for bit, and each agent ends in the
-    state of its per-agent replay: the same float lists, TS arms and written-through copies. Random trees of up
-    to 80 nodes on 6 levels take each of the cell's routes (floats, split, level loop from the root) at some M."""
+    """_cell_runs in lockstep gives each instance's cumulative regret for every kind of its per-agent loop bit for
+    bit, and each agent ends in the state of its per-agent replay: the same float lists, TS arms and written-through
+    copies. The threshold is patched to force each loop. Random trees of up to 80 nodes on 6 levels take each of
+    the cell's routes (floats, split, level loop from the root) at some M."""
     rng = np.random.default_rng(seed)
     tree = WIDE_TREE if wide else random_tree(rng, max_levels=6, max_nodes=80)
     prior = doubling_prior(tree) if doubling else constant_prior(tree, float(rng.uniform(0.2, 3.0)))
@@ -355,18 +359,20 @@ def test_lockstep_cell_matches_per_agent_runs(seed, instances, wide, doubling):
         made.append(agents.make_agent(*args))
         return made[-1]
 
-    saved, harness.make_agent = harness.make_agent, recording_make_agent
-    try:
-        replay = [harness._simulate_run(*task) for task in tasks]
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body, so no function-scoped fixture
+        mp.setattr(harness, "make_agent", recording_make_agent)
+        mp.setattr(harness, "LOCKSTEP_MIN_INSTANCES", instances + 1)
+        replay = harness._cell_runs(tasks)
         replayed, made = made, []
-        cell = harness._lockstep_runs(tasks)
-    finally:
-        harness.make_agent = saved
+        mp.setattr(harness, "LOCKSTEP_MIN_INSTANCES", 1)
+        cell = harness._cell_runs(tasks)
     for res, ref in zip(cell, replay):
         for kind in agents.AGENT_KINDS:
             assert np.array_equal(res[kind], ref[kind]), kind
     assert len(made) == len(replayed) == 3 * instances
-    for agent, ref in zip(made, sorted(replayed, key=lambda a: agents.AGENT_KINDS.index(a.kind))):
+    # each loop was taken: a lockstep draw is not counted in sample_ops
+    assert all(a.sample_ops == 0 and r.sample_ops > 0 for a, r in zip(made, replayed) if a.kind != "TS")
+    for agent, ref in zip(made, replayed):
         assert agent.kind == ref.kind
         if agent.kind == "TS":
             for name in ("prec", "wmean", "mean", "sd"):
@@ -380,6 +386,32 @@ def test_lockstep_cell_matches_per_agent_runs(seed, instances, wide, doubling):
             covered = [v for v, copies in enumerate(state._level_copies) if copies is not None]
             for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies):
                 assert array[covered].tobytes() == np.array(getattr(state, name))[covered].tobytes(), name
+
+
+@pytest.mark.parametrize("model", ["k-armed", "linear"])
+def test_block_rule_never_changes_a_curve(monkeypatch, model):
+    """Uneven blocks, blocks of 1 and 2 in lockstep, a tail block below the threshold and a cell that runs per
+    agent all give the default curve's bits, as does any block rule on a linear cell."""
+    cfg = _cfg(horizon=40, instances=11, **({"model": "linear", "dim": 2} if model == "linear" else {}))
+    default = run_bayes_regret(cfg)
+    for low, high in ((1, 2), (3, 4), (4, 5), (12, 16), (1, 16)):
+        monkeypatch.setattr(harness, "LOCKSTEP_MIN_INSTANCES", low)
+        monkeypatch.setattr(harness, "LOCKSTEP_MAX_INSTANCES", high)
+        curve = run_bayes_regret(cfg)
+        for kind in cfg.agents:
+            assert np.array_equal(curve.mean[kind], default.mean[kind]), (low, high, kind)
+            assert np.array_equal(curve.se[kind], default.se[kind]), (low, high, kind)
+
+
+def test_lockstep_crossover_script_runs():
+    """scripts/lockstep_crossover.py drives _cell_runs both ways and stops unless both give the same bits."""
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(repo / "scripts" / "lockstep_crossover.py"), "--heights", "1",
+                           "--instances", "2", "3", "--horizon", "5", "--repeats", "1"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "h,M,per_agent_s,lockstep_s,ratio"
 
 
 def test_simulated_rounds_hand_agents_python_floats(monkeypatch):
