@@ -6,10 +6,9 @@ The set covers each output-writing command:
   constant_b2_h2_linear.json, mixed_depth_tree.json (leaves at depths 1,
   2 and 3, so a level and the root-first sample order that are not runs of
   consecutive ids, and a 9-child parent) and doubling_b2_h7.json (255 nodes and
-  a 129-node flat tree, which hierts_sample draws with its numpy level loop
-  from the root, as it does doubling_b5_h2's 26-node flat tree; the 255-node
-  tree splits, floats for its levels of at most 16 nodes and the level loop
-  below; the other scalar trees take floats throughout), and on two tree
+  a 129-node flat tree, both of which hierts_sample draws with its numpy level
+  loop from the root, as it does doubling_b5_h2's 26-node flat tree; the other
+  scalar trees take floats throughout), and on two tree
   files with a prior section (`"prior": {"scheme": "file"}`), one scalar
   and one linear, that the script writes with save_tree_json;
 - `ratio` on configs/ratio_constant_b2.json;
@@ -26,15 +25,12 @@ FLOAT_DRAW_NODES_PER_LEVEL, which fixes its route, replays the same updates),
 a sized scalar draw, and a linear (d=3) draw without and with a size; it stops
 unless each sized draw equals that many draws without a size in a row. It also
 draws each tree's scalar draw without a size on the route the tree takes by
-itself and stops unless its bytes equal both forced routes': b=2 h=3 and the
-random tree take floats throughout, b=16 h=2 takes the level loop from the
-root, and b=2 h=5 (levels of 2 to 32
-nodes) splits between floats for the narrow top levels and the level loop
-below. On each tree it also stops unless every column of a 3-column
-posterior.LockstepDraw (the draw of the harness's lockstep cells, whose
-route at 3 columns is the level loop from the root on b=2 h=3, b=16 h=2 and
-b=2 h=5, and floats throughout on the random tree) equals the bytes of that
-state's own draw; it writes no file for this. Run outputs average draws
+itself and stops unless its bytes equal both forced routes': b=2 h=3, the
+random tree and b=2 h=5 (63 nodes, fewer than 16 per level) take floats
+throughout, and b=16 h=2 takes the level loop from the root. On each tree it
+also stops unless every column of a 3-column posterior.LockstepDraw (the draw
+of the harness's lockstep cells, which always runs the level loop from the
+root) equals the bytes of that state's own draw; it writes no file for this. Run outputs average draws
 away, and these show a change in a draw's last bit. At d=10, the
 dimension of the benchmark's classify workload, it saves the same on the
 fitted 5x5 cluster tree after 200 updates (draws/fitted-d10/): the linear
@@ -155,8 +151,8 @@ def write_draws(root: Path) -> None:
             for leaf, y in updates:
                 forced.update_path(leaf, y)
             routes[route] = hierts_sample(forced, np.random.default_rng(1))
-        split = hierts_sample(scalar, np.random.default_rng(1))  # the route the tree takes by itself
-        if not split.tobytes() == routes["scalar-float"].tobytes() == routes["scalar-levels"].tobytes():
+        chosen = hierts_sample(scalar, np.random.default_rng(1))  # the route the tree takes by itself
+        if not chosen.tobytes() == routes["scalar-float"].tobytes() == routes["scalar-levels"].tobytes():
             raise SystemExit(f"{name}: the scalar draw differs between routes")
         routes["scalar-size3"] = sized_draw(scalar, 2)
         lockstep_draw(tree, scalar.prior, updates)

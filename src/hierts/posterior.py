@@ -32,54 +32,41 @@ __all__ = ["PosteriorState"]
 SHORT_SUM_MAX = 7
 
 
-# A scalar draw walks its top levels on Python floats while each has at most this many nodes,
-# and the levels below in numpy's level loop; _draw_route prices a numpy level, and a switch between routes,
-# at this many float nodes. Every route gives the same bits, so this only moves time (timings in the README).
-# PosteriorState reads it once, when it is built.
+# A scalar draw walks the tree node by node on Python floats where every level has at most this many nodes, or
+# where the tree has fewer than this many nodes per level, and else runs numpy's level loop from the root: a numpy
+# level costs about as much as this many float nodes. Both routes give the same bits, so this only moves time
+# (timings in the README). PosteriorState reads it once, when it is built.
 FLOAT_DRAW_NODES_PER_LEVEL = 16
 
 
-def _draw_route(hier: Hierarchy, r: int) -> tuple[int, int, slice | np.ndarray | None, tuple]:
-    """A scalar draw's route at FLOAT_DRAW_NODES_PER_LEVEL = r: (k, top, order, levels), the k draw positions it
-    takes on floats (the root, then Hierarchy.sample_nodes), the highest id among them, the ids of the draw
-    positions after them (a slice when consecutive) and the levels its level loop runs. No level has fewer nodes
-    than the one above it, so the narrow levels are the top ones and the last is the widest."""
-    levels, n, h, j = hier.level_index, hier.num_nodes, len(hier.level_index), 0
-    while j < h and levels[j][3] - levels[j][2] <= r:
-        j += 1
-    k = levels[j - 1][3] if j else 1  # the draw positions of the root and the j narrow levels
-    on_levels, split = r * h, k + r * (h - j + 1)
-    if j == h or n < on_levels and n < split:
-        return n, n, None, ()
-    if split >= on_levels:
-        k, j = 0, 0
-    order = _as_index(np.array(((ROOT,) + hier.sample_nodes)[k:]))
-    return k, max(hier.sample_nodes[: k - 1]) if k else 0, order, levels[j:]
+def _level_order(hier: Hierarchy, r: int) -> slice | np.ndarray | None:
+    """A scalar draw's route at FLOAT_DRAW_NODES_PER_LEVEL = r: None for floats throughout, else the ids of the level
+    loop's draw positions, the root first and then Hierarchy.sample_nodes (a slice when consecutive). No level has
+    fewer nodes than the one above it, so the last level is the widest."""
+    levels = hier.level_index
+    if levels[-1][3] - levels[-1][2] <= r or hier.num_nodes < r * len(levels):
+        return None
+    return _as_index(np.array((ROOT,) + hier.sample_nodes))
 
 
-def _level_loop(route: tuple, copies: tuple, z: np.ndarray, head) -> np.ndarray:
-    """The level loop of a scalar draw on route, (k, top, order, levels) from _draw_route, over copies, which are
-    (lam0, ev_wmean, lamhat, sqrt_lamhat) indexed by node id: one draw's (num_nodes + 1,) arrays, or for M draws
-    in lockstep node-major (num_nodes + 1, M) arrays, column j draw j's (lam0 too: a broadcast costs more).
-    z holds the normals of the draw positions from k on, a row per position, and is divided in place; head is
-    the root's posterior mean (a float, or one per column) when k is 0, and else the values of the ids up to top
-    that the float prefix drew, nan at the ids it left to the loop. Every element sees the same IEEE operations
-    in the same order whatever the number of columns, so a column equals its own draw bit for bit."""
-    k, top, order, levels = route
+def _level_loop(hier: Hierarchy, order, copies: tuple, z: np.ndarray, root_mean) -> np.ndarray:
+    """The level loop of a scalar draw over copies, which are (lam0, ev_wmean, lamhat, sqrt_lamhat) indexed by node
+    id: one draw's (num_nodes + 1,) arrays, or for M draws in lockstep node-major (num_nodes + 1, M) arrays, column j
+    draw j's (lam0 too: a broadcast costs more). order is _level_order's; z holds the normals of the draw positions,
+    a row per position, and is divided in place; root_mean is the root's posterior mean (a float, or one per column).
+    Every element sees the same IEEE operations in the same order whatever the number of columns, so a column equals
+    its own draw bit for bit."""
     lam0, wmean, lamhat, sqrt_lamhat = copies
     z /= sqrt_lamhat[order]
     theta = np.empty(wmean.shape)
-    if k:
-        theta[: top + 1] = head
-    else:
-        theta[0] = np.nan
-        theta[ROOT] = head + z[0]
-    for nodes, parents, start, stop in levels:
+    theta[0] = np.nan
+    theta[ROOT] = root_mean + z[0]
+    for nodes, parents, start, stop in hier.level_index:
         mean = theta[parents]
         mean *= lam0[nodes]
         mean += wmean[nodes]
         mean /= lamhat[nodes]
-        mean += z[start - k : stop - k]
+        mean += z[start:stop]
         theta[nodes] = mean
     return theta
 
@@ -141,19 +128,17 @@ class PosteriorState(_UpwardPass):
     identical to a full bottom-up rebuild because the per-node reductions see
     the same operands in the same order.
 
-    draw_route is draw's route, (k, top, order, levels) from _draw_route. It
-    depends only on the tree and FLOAT_DRAW_NODES_PER_LEVEL, so it is chosen
-    once, here, and fixed for the state's life.
+    level_order is draw's route from _level_order: None for floats
+    throughout, else the level loop's order of draw positions. It depends
+    only on the tree and FLOAT_DRAW_NODES_PER_LEVEL, so it is chosen here.
 
     The lists are the one truth. A numpy copy is written through, by _fold
     and _fold_root, only where numpy reads it in a round:
-    - ev_wmean, lamhat and sqrt_lamhat of the nodes that the route's level
-      loop reads, those at draw positions k and after (the float prefix
-      above them reads the lists). level_copies holds (lam0, ev_wmean,
-      lamhat, sqrt_lamhat) as arrays built here from the floats, or None
-      when the route takes floats throughout; a LockstepDraw replaces them
-      with columns of its own arrays, written through for the nodes that
-      its route reads as well;
+    - level_copies, (lam0, ev_wmean, lamhat, sqrt_lamhat) of every node as
+      arrays built here from the floats when the route is the level loop,
+      else None. A LockstepDraw replaces them with columns of its own
+      arrays, and sets level_order, whatever the route was: from then on
+      the state's own draw runs the level loop on its column;
     - msg_prec and msg_wmean of the children of a parent with more than
       SHORT_SUM_MAX children, which _pool sums with numpy's pairwise sum,
       over a slice view when the child ids are consecutive and over a
@@ -186,12 +171,10 @@ class PosteriorState(_UpwardPass):
         ids, start = hierarchy.child_ids.tolist(), hierarchy.child_start.tolist()
         self._children = [ids[a:b] if b - a <= SHORT_SUM_MAX else _as_index(hierarchy.child_ids[a:b])
                           for a, b in zip(start, start[1:])]
-        self.draw_route = _draw_route(hierarchy, FLOAT_DRAW_NODES_PER_LEVEL)
-        k = self.draw_route[0]
+        self.level_order = _level_order(hierarchy, FLOAT_DRAW_NODES_PER_LEVEL)
         self.level_copies = None
-        self._level_copies = [None] * (n + 1)  # per node, the copies _fold writes it to: the level loop's nodes
-        if k < n:
-            self._write_levels_to((lam0, *map(np.array, (self.ev_wmean, self.lamhat, self.sqrt_lamhat))), k)
+        if self.level_order is not None:
+            self.level_copies = (lam0, *map(np.array, (self.ev_wmean, self.lamhat, self.sqrt_lamhat)))
         # per node, the (msg_prec, msg_wmean) copies _fold writes its message to; a wide parent's children only
         self._msg_copies = [None] * (n + 1)
         if hierarchy.branching_factor > SHORT_SUM_MAX:
@@ -219,37 +202,22 @@ class PosteriorState(_UpwardPass):
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Node parameters from the exact joint posterior, root downward, indexed by node id (slot 0 nan).
 
-        One standard-normal draw of num_nodes values, consumed root first, then level by level. The draw
-        follows draw_route: its first k draw positions on the float lists, node by node (_float_walk), the
-        rest in numpy's level loop on level_copies. Both apply the per-level formula's operations to the
-        same operands, so the bits do not depend on the route (the README has the route rule and its timings).
+        One standard-normal draw of num_nodes values, consumed root first, then level by level. Without
+        level_copies the draw walks Hierarchy.sample_nodes on the float lists, node by node; with them it runs
+        numpy's level loop. Both apply the per-level formula's operations to the same operands, so the bits do
+        not depend on the route (the README has the route rule and its timings).
         """
-        k, top = self.draw_route[:2]  # k draw positions on floats, the highest id among them
-        n = self.hierarchy.num_nodes
-        if k == n:
-            return np.array(self._float_walk(rng.standard_normal(n).tolist(), n))
-        z = rng.standard_normal(n)
-        head = self._float_walk(z[:k].tolist(), top) if k else self.root_mean
-        return _level_loop(self.draw_route, self.level_copies, z[k:], head)
-
-    def _write_levels_to(self, copies: tuple, first: int) -> None:
-        """Make copies, (lam0, ev_wmean, lamhat, sqrt_lamhat) as arrays indexed by node id that hold this
-        state's values, its level_copies, and write them through at the draw positions from first on; first is at
-        most draw_route's k, so that draw reads them too."""
-        self.level_copies = copies
-        for v in ((ROOT,) + self.hierarchy.sample_nodes)[first:]:
-            self._level_copies[v] = copies
-
-    def _float_walk(self, z: list, top: int) -> list:
-        """The draw of the first len(z) draw positions on the float lists, node by node, in a list indexed by
-        node id up to top (nan where not drawn)."""
+        hier = self.hierarchy
+        z = rng.standard_normal(hier.num_nodes)
+        if self.level_copies is not None:
+            return _level_loop(hier, self.level_order, self.level_copies, z, self.root_mean)
         lam0, wmean, lamhat, sqrt_lamhat = self.lam0, self.ev_wmean, self.lamhat, self.sqrt_lamhat
-        z = iter(z)
-        theta = [math.nan] * (top + 1)
+        z = iter(z.tolist())
+        theta = [math.nan] * len(lam0)
         theta[ROOT] = self.root_mean + next(z) / sqrt_lamhat[ROOT]
-        for v, p, zv in zip(self.hierarchy.sample_nodes, self.hierarchy.sample_parents, z):
+        for v, p, zv in zip(hier.sample_nodes, hier.sample_parents, z):
             theta[v] = (theta[p] * lam0[v] + wmean[v]) / lamhat[v] + zv / sqrt_lamhat[v]
-        return theta
+        return np.array(theta)
 
     def _pool(self, node: int) -> None:
         ch = self._children[node]
@@ -271,7 +239,7 @@ class PosteriorState(_UpwardPass):
         sqrt_lamhat = self.sqrt_lamhat[node] = math.sqrt(lamhat)
         msg_prec = self.msg_prec[node] = prec * lam0 / lamhat
         msg_wmean = self.msg_wmean[node] = lam0 / lamhat * wmean
-        levels = self._level_copies[node]
+        levels = self.level_copies
         if levels is not None:
             levels[1][node], levels[2][node], levels[3][node] = wmean, lamhat, sqrt_lamhat
         msg_copies = self._msg_copies[node]
@@ -283,7 +251,7 @@ class PosteriorState(_UpwardPass):
         lamhat = self.lamhat[ROOT] = lam0 + self.ev_prec[ROOT]
         sqrt_lamhat = self.sqrt_lamhat[ROOT] = math.sqrt(lamhat)
         self.root_mean = (lam0 * self.hyper_mean + wmean) / lamhat
-        levels = self._level_copies[ROOT]
+        levels = self.level_copies
         if levels is not None:
             levels[1][ROOT], levels[2][ROOT], levels[3][ROOT] = wmean, lamhat, sqrt_lamhat
 
@@ -319,9 +287,9 @@ class LockstepDraw:
 
     The states' level copies become the columns of node-major (num_nodes + 1, M) arrays of lam0, ev_wmean,
     lamhat and sqrt_lamhat, column j state j's, which each state's write-through keeps current from here on. The
-    route is _draw_route's at FLOAT_DRAW_NODES_PER_LEVEL // M, since one numpy level now serves M draws while
-    the float prefix still walks each state's lists. Column j of draw(z) equals state j's own draw from the
-    same normals bit for bit (_level_loop); the state's own draw keeps working on its column.
+    route is always the level loop from the root, since one numpy level serves M draws. Column j of draw(z) equals
+    state j's own draw from the same normals bit for bit (_level_loop); the state's own draw runs the level loop on
+    its column from here on, whichever route it took before.
     """
 
     def __init__(self, states: list[PosteriorState]):
@@ -329,21 +297,14 @@ class LockstepDraw:
         if any(type(s) is not PosteriorState or s.hierarchy is not hier or s.prior is not prior for s in states):
             raise ValueError("a lockstep draw takes scalar posterior states of one tree and prior")
         self.states = states
-        self.route = _draw_route(hier, FLOAT_DRAW_NODES_PER_LEVEL // len(states))
-        first = min(self.route[0], states[0].draw_route[0])  # the level copies that either route reads
-        self.copies = None
-        if first < hier.num_nodes:
-            cols = [np.array([getattr(s, name) for s in states]).T.copy()
-                    for name in ("lam0", "ev_wmean", "lamhat", "sqrt_lamhat")]
-            self.copies = tuple(cols)
-            for j, state in enumerate(states):
-                state._write_levels_to(tuple(c[:, j] for c in cols), first)
+        self.order = _level_order(hier, 0)
+        self.copies = tuple(np.array([getattr(s, name) for s in states]).T.copy()
+                            for name in ("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"))
+        for j, state in enumerate(states):
+            state.level_order, state.level_copies = self.order, tuple(c[:, j] for c in self.copies)
 
     def draw(self, z: np.ndarray) -> np.ndarray:
         """Node parameters of every state, (num_nodes + 1, M), column j state j's, from the round's normals z:
         node-major (num_nodes, M), column j the normals of state j's own draw. z is divided in place."""
-        k, top = self.route[:2]
-        if not k:
-            return _level_loop(self.route, self.copies, z, np.array([s.root_mean for s in self.states]))
-        floats = np.array([s._float_walk(col, top) for s, col in zip(self.states, z[:k].T.tolist())]).T
-        return floats if k == len(z) else _level_loop(self.route, self.copies, z[k:], floats)
+        root_mean = np.array([s.root_mean for s in self.states])
+        return _level_loop(self.states[0].hierarchy, self.order, self.copies, z, root_mean)

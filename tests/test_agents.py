@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hierts import (
     AGENT_KINDS,
@@ -22,7 +23,7 @@ from hierts import (
 from hierts import agents, posterior
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import ROOT, HierarchyError
-from hierts.posterior import _draw_route
+from hierts.posterior import _level_order
 
 
 def _linear_prior(tree, dim, noise_std=1.0, seed=2):
@@ -89,23 +90,26 @@ def _widths(tree):
     return [stop - start for _, _, start, stop in tree.level_index]
 
 
-def _float_positions(tree, nodes_per_level):
-    """How many draw positions (root first) a scalar draw without a size takes on floats: all of them when
-    every level has at most nodes_per_level (r) nodes, else the cheapest route counted in float nodes, with
-    a numpy level and the switch between routes at r each: floats throughout (num_nodes), the level loop
-    (none; r per level) or the split (the root and the levels of at most r nodes; r per level below, plus r)."""
-    widths, r, n = _widths(tree), nodes_per_level, tree.num_nodes
-    if widths[-1] <= r:
-        return n
-    narrow = sum(w <= r for w in widths)
-    prefix = 1 + sum(widths[:narrow])
-    on_levels, split = r * len(widths), prefix + r * (len(widths) - narrow + 1)
-    return n if n < min(on_levels, split) else prefix if split < on_levels else 0
-
-
 def _route(tree):
-    k = _float_positions(tree, posterior.FLOAT_DRAW_NODES_PER_LEVEL)
-    return "floats" if k == tree.num_nodes else "split" if k else "levels"
+    """The route a scalar state on tree draws by: "floats" throughout or the "levels" loop from the root."""
+    return "floats" if PosteriorState(tree, constant_prior(tree)).level_copies is None else "levels"
+
+
+def _flat(leaves):
+    return build_hierarchy({v: 1 for v in range(2, leaves + 2)})
+
+
+@pytest.mark.parametrize("tree, route", [
+    *[((2, h), "floats") for h in range(1, 6)], ((3, 3), "floats"), ((16, 1), "floats"),
+    *[((2, h), "levels") for h in range(6, 9)], ((3, 4), "levels"), ((16, 2), "levels"),
+    (24, "levels"), (256, "levels"),
+], ids=str)
+def test_draw_route_per_tree(tree, route):
+    """Floats throughout where every level has at most FLOAT_DRAW_NODES_PER_LEVEL (16) nodes or the tree has fewer
+    than 16 nodes per level, else the level loop from the root; (b, h) is a balanced tree and a single number the
+    flat tree of that many leaves. The state keeps numpy copies of its floats only on the level loop."""
+    tree = balanced_tree(*tree) if isinstance(tree, tuple) else _flat(tree)
+    assert _route(tree) == route
 
 
 @pytest.mark.parametrize("size", [None, 1, 2, 5])
@@ -115,18 +119,16 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
 
     The trees include the 257-node flat tree of b=2 h=8 (a 256-child root), b=2 h=8, b=16 h=2, and
     random trees with mixed-depth leaves, whose levels and sample order are not id runs.
-    Without a size, b=2 h=3, its flat tree and the random trees take floats throughout, b=2 h=8 splits
-    (floats for the root and the levels of at most 16 nodes, numpy's level loop below), and b=16 h=2 (whose
-    one narrow level saves less than the switch costs) and the flat tree of b=2 h=8 run the level loop from
-    the root.
+    Without a size, b=2 h=3, its flat tree and the random trees take floats throughout, and b=2 h=8, b=16 h=2
+    and the flat tree of b=2 h=8 run the level loop from the root.
     """
     rng = np.random.default_rng(21)
     b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
     trees = [b2h3, balanced_tree(16, 2)] + [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
     trees += [b2h8] + [random_tree(rng) for _ in range(4)]
     assert any(not isinstance(idx, slice) for t in trees for idx, _, _, _ in t.level_index)
-    assert any(not isinstance(_draw_route(t, 0)[2], slice) for t in trees)  # a root-first order that is no id run
-    assert [_route(t) for t in trees] == ["floats", "levels", "floats", "levels", "split"] + ["floats"] * 4
+    assert any(not isinstance(_level_order(t, 0), slice) for t in trees)  # a root-first order that is no id run
+    assert [_route(t) for t in trees] == ["floats", "levels", "floats", "levels", "levels"] + ["floats"] * 4
     for tree in trees:
         for dim in (None, 1, 3):
             if dim is None:
@@ -147,13 +149,13 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
 
 def test_sized_draw_is_that_many_draws_in_a_row():
     """hierts_sample(state, rng, m) stacks m draws without a size from rng, for both models and on every scalar
-    route: floats throughout (b=2 h=3), the split (b=2 h=8), the level loop from the root (b=16 h=2) and a random
-    tree with leaves at mixed depths; the generator ends where the m draws leave it."""
+    route: floats throughout (b=2 h=3), the level loop from the root (b=2 h=8 and b=16 h=2) and a random tree with
+    leaves at mixed depths; the generator ends where the m draws leave it."""
     rng = np.random.default_rng(31)
     mixed = random_tree(rng, max_levels=4, max_nodes=20)
     assert len({mixed.path_to_root(a).size for a in mixed.action_nodes.tolist()}) > 1
     trees = [balanced_tree(2, 3), balanced_tree(2, 8), balanced_tree(16, 2), mixed]
-    assert [_route(t) for t in trees] == ["floats", "split", "levels", "floats"]
+    assert [_route(t) for t in trees] == ["floats", "levels", "levels", "floats"]
     for tree in trees:
         for dim in (None, 3):
             if dim is None:
@@ -173,11 +175,12 @@ def test_sized_draw_is_that_many_draws_in_a_row():
 
 
 def _replayed_state(monkeypatch, tree, prior, nodes_per_level, updates):
-    """A scalar state built with FLOAT_DRAW_NODES_PER_LEVEL = nodes_per_level, which fixes its route, and
-    each update replayed in turn; yields the state after each chunk of updates."""
+    """A scalar state built with FLOAT_DRAW_NODES_PER_LEVEL = nodes_per_level, 0 (the level loop) or 10**9
+    (floats throughout), which fixes its route, and each update replayed in turn; yields the state after each
+    chunk of updates."""
     monkeypatch.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
     state = PosteriorState(tree, prior)
-    assert state.draw_route[0] == _float_positions(tree, nodes_per_level)
+    assert (state.level_copies is None) == (nodes_per_level == 10**9)
     for chunk in updates:
         for leaf, reward in chunk:
             state.update_path(leaf, reward)
@@ -189,21 +192,22 @@ def _updates(rng, tree, chunks, per_chunk):
             for _ in range(chunks)]
 
 
-def test_every_split_point_draws_the_per_level_bytes(monkeypatch):
-    """Wherever the float prefix ends, a scalar draw gives the per-level sampler's bytes and stream position.
+def test_forced_routes_draw_the_same_bytes(monkeypatch):
+    """Which arrays a state keeps never changes a draw: each route, forced on its own state, gives the same bytes.
 
-    Split settings: every value from 0 (the level loop from the root) through the widest level (floats
-    throughout) and 10**9; every prefix the rule splits at is among them. Each setting builds its own state,
-    which keeps the route chosen then, and replays the same updates, drawing between them.
-    Trees: b=2 h=8 (which splits after 15, 31, 63, 127 and 255 draw positions), b=16 h=2, both flat trees,
-    random trees with mixed leaf depths, and a tree whose one-node levels put ids 1, 3 and 5 on floats, which
-    leaves ids 2 and 4 of the float prefix's span to the level loop. A tree with a wide level above a narrow one
+    Each tree builds one state per forced route and replays the same updates on each, drawing after every
+    20: floats throughout (10**9) and the level loop from the root (0). Both routes' draws equal the per-level
+    sampler's bytes and stream position, and each other's.
+    Trees: b=2 h=3, b=2 h=5, b=2 h=8, b=16 h=2 and the flat trees of b=2 h=3 and b=2 h=8 (a 256-child root, whose
+    state keeps message copies too), random trees with mixed leaf depths, and a tree whose one-node levels put
+    ids 3 and 5 first, so that its draw positions are no run of ids. A tree with a wide level above a narrow one
     cannot be built: a node of height h >= 1 has a child of height h - 1, so each level has at least as many
-    nodes as the one above it (asserted).
+    nodes as the one above it (asserted), and the last level is the widest, which _level_order reads.
     """
-    rng = np.random.default_rng(12)
+    rng = np.random.default_rng(5)
     b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
-    trees = [b2h8, balanced_tree(16, 2)] + [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
+    trees = [b2h3, balanced_tree(2, 5), b2h8, random_tree(rng), balanced_tree(16, 2)]
+    trees += [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
     trees += [random_tree(rng, max_levels=5, max_nodes=60) for _ in range(4)]
     gapped = build_hierarchy({2: 1, 3: 1, 4: 3, 5: 3, **{v: 5 for v in range(6, 46)}})
     assert [idx for idx, _, _, _ in gapped.level_index][:2] == [slice(3, 4), slice(5, 6)]
@@ -212,46 +216,50 @@ def test_every_split_point_draws_the_per_level_bytes(monkeypatch):
     for tree in trees:
         widths = _widths(tree)
         assert widths == sorted(widths)
-        splits = [*range(widths[-1] + 1), 10**9]
-        positions = {_float_positions(tree, s) for s in splits}
-        assert {0, tree.num_nodes} <= positions
-        if tree is b2h8 or tree is gapped:
-            assert positions == ({0, 15, 31, 63, 127, 255, 511} if tree is b2h8 else {0, 3, 45})
-        prior, updates = random_scalar_prior(rng, tree), _updates(rng, tree, 3, 2)
-        for nodes_per_level in splits:
-            for phase, state in enumerate(_replayed_state(monkeypatch, tree, prior, nodes_per_level, updates)):
-                got_rng, want_rng = np.random.default_rng(phase), np.random.default_rng(phase)
-                got = hierts_sample(state, got_rng)
-                assert got.tobytes() == _per_level_sample(state, want_rng).tobytes()
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
-def test_forced_routes_draw_the_same_bytes(monkeypatch):
-    """Which arrays a state keeps never changes a draw: each route, forced on its own state, gives the same bytes.
-
-    Each tree builds one state per forced route and replays the same updates on each, drawing after every
-    20: floats throughout (10**9), the level loop from the root (0) and, on b=2 h=5 and b=2 h=8, a split after
-    the tree's first narrow levels. Every route's draws equal the per-level sampler's and each other's.
-    b=2 h=3, b=2 h=5 and a random tree keep no numpy copies unless the forced route runs the level loop;
-    b=16 h=2 and the flat tree of b=2 h=8 (a 256-child root) keep message copies too.
-    """
-    rng = np.random.default_rng(5)
-    b2h8 = balanced_tree(2, 8)
-    trees = [balanced_tree(2, 3), balanced_tree(2, 5), b2h8, random_tree(rng), balanced_tree(16, 2)]
-    trees.append(flatten_hierarchy(b2h8, constant_prior(b2h8))[0])
-    for tree in trees:
         prior, updates = random_scalar_prior(rng, tree), _updates(rng, tree, 4, 20)
-        settings = [10**9, 0]
-        splits = [r for r in range(_widths(tree)[-1]) if 0 < _float_positions(tree, r) < tree.num_nodes]
-        assert bool(splits) == any(tree is t for t in trees[1:3])  # b=2 h=5 and b=2 h=8
-        settings += splits[:1]
         draws = []
-        for nodes_per_level in settings:
+        for nodes_per_level in (10**9, 0):
             draws.append([])
             for phase, state in enumerate(_replayed_state(monkeypatch, tree, prior, nodes_per_level, updates)):
-                draws[-1].append(hierts_sample(state, np.random.default_rng(phase)).tobytes())
-                assert draws[-1][-1] == _per_level_sample(state, np.random.default_rng(phase)).tobytes()
-        assert all(d == draws[0] for d in draws)
+                got_rng, want_rng = np.random.default_rng(phase), np.random.default_rng(phase)
+                draws[-1].append(hierts_sample(state, got_rng).tobytes())
+                assert draws[-1][-1] == _per_level_sample(state, want_rng).tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert draws[0] == draws[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 5), nodes_per_level=st.sampled_from([0, 10**9]))
+def test_lockstep_columns_equal_each_state_own_draw(seed, columns, nodes_per_level):
+    """A LockstepDraw hands column copies to its states whichever route they were built on, the level loop (0) or
+    floats throughout (10**9). Each column of its draw equals the bytes of the draw its state would make alone (a
+    twin built on the same route, fed the same updates, never in the cell), before and after more updates through
+    the write-through; each state's own draw, now the level loop on its column, equals the per-level sampler in
+    bytes and stream position. Random trees have leaves at mixed depths."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    prior = random_scalar_prior(rng, tree)
+    before, after = _updates(rng, tree, columns, 10), _updates(rng, tree, columns, 10)
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body, so no function-scoped fixture
+        mp.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
+        states, twins = ([PosteriorState(tree, prior) for _ in range(columns)] for _ in range(2))
+    assert all((s.level_copies is None) == (nodes_per_level == 10**9) for s in states + twins)
+    for phase, updates in enumerate((before, after)):
+        for state, twin, chunk in zip(states, twins, updates):
+            for leaf, reward in chunk:
+                state.update_path(leaf, reward)
+                twin.update_path(leaf, reward)
+        if not phase:
+            cell = posterior.LockstepDraw(states)
+        seeds = [10 * phase + j for j in range(columns)]
+        theta = cell.draw(np.stack([np.random.default_rng(s).standard_normal(tree.num_nodes) for s in seeds], axis=1))
+        for j, (state, twin) in enumerate(zip(states, twins)):
+            assert state.level_copies is not None and state.level_copies[0].base is cell.copies[0]
+            alone = hierts_sample(twin, np.random.default_rng(seeds[j])).tobytes()
+            assert theta[:, j].tobytes() == alone
+            got_rng, want_rng = np.random.default_rng(seeds[j]), np.random.default_rng(seeds[j])
+            assert hierts_sample(state, got_rng).tobytes() == _per_level_sample(state, want_rng).tobytes() == alone
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_scalar_ts_act_reads_cached_arm_moments(monkeypatch):

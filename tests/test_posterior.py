@@ -19,7 +19,7 @@ from hierts import (
 )
 from hierts import posterior
 from hierts.checks import random_scalar_prior, random_tree
-from hierts.hierarchy import ROOT, HierarchyError
+from hierts.hierarchy import HierarchyError
 from hierts.posterior import SHORT_SUM_MAX
 
 STATE_ARRAYS = ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
@@ -35,14 +35,11 @@ def _assert_floats_and_copies(state):
         floats = getattr(state, name)
         assert type(floats) is list and all(type(x) is float for x in floats), name
     assert type(state.root_mean) is float
-    k, n = state.draw_route[0], state.hierarchy.num_nodes
-    covered = [v for v, copies in enumerate(state._level_copies) if copies is not None]
-    assert covered == sorted(((ROOT,) + state.hierarchy.sample_nodes)[k:])  # the route's level-loop nodes
-    assert (state.level_copies is None) == (k == n)
-    if k < n:
-        assert all(copies is state.level_copies for copies in state._level_copies if copies is not None)
+    n = state.hierarchy.num_nodes
+    assert (state.level_copies is None) == (state.level_order is None)  # copies iff the route is the level loop
+    if state.level_copies is not None:  # every node's floats
         for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies):
-            assert array[covered].tobytes() == np.array(getattr(state, name))[covered].tobytes(), name
+            assert array.shape == (n + 1,) and array.tobytes() == np.array(getattr(state, name)).tobytes(), name
     wide = [ch for ch in map(state.hierarchy.children, range(1, n + 1)) if ch.size > SHORT_SUM_MAX]
     if wide:
         kids = np.concatenate(wide)
@@ -394,24 +391,25 @@ def test_written_through_copies_equal_their_floats():
 
 
 def test_level_copies_cover_only_what_the_level_loop_reads(monkeypatch):
-    """A split route's copies cover the nodes below the float prefix, and only those get written through.
-    Route and coverage are fixed when the state is built: a later FLOAT_DRAW_NODES_PER_LEVEL, or a draw, or a
+    """The level loop reads every node, so its copies cover every node, and a floats-throughout state keeps none.
+    Route and copies are fixed when the state is built: a later FLOAT_DRAW_NODES_PER_LEVEL, or a draw, or a
     sized draw (which builds its own arrays) changes neither."""
     rng = np.random.default_rng(9)
-    tree = balanced_tree(2, 8)
-    state = PosteriorState(tree, random_scalar_prior(rng, tree))
-    route, levels = state.draw_route, state.level_copies
-    assert route[:2] == (31, 31)  # floats for ids 1..31, numpy from the level of 32 nodes on: ids 32..511
-    assert [v for v, copies in enumerate(state._level_copies) if copies is not None] == list(range(32, 512))
-    monkeypatch.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", 0)
+    deep, shallow = balanced_tree(2, 8), balanced_tree(2, 5)
+    state = PosteriorState(deep, random_scalar_prior(rng, deep))
+    floats = PosteriorState(shallow, random_scalar_prior(rng, shallow))
+    order, levels = state.level_order, state.level_copies
+    assert order == slice(1, 512) and floats.level_order is None and floats.level_copies is None
+    monkeypatch.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", 10**9)
     for _ in range(100):
-        state.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
-        hierts_sample(state, rng)
+        for s, tree in ((state, deep), (floats, shallow)):
+            s.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
+            hierts_sample(s, rng)
     hierts_sample(state, rng, 3)
-    assert state.draw_route is route and state.level_copies is levels
+    assert state.level_order is order and state.level_copies is levels
+    assert floats.level_copies is None
     _assert_floats_and_copies(state)
-    assert levels[2][1:32].tolist() == state.lam0[1:32]  # the prefix's copies were never written
-    assert levels[2][32:].tolist() == state.lamhat[32:]
+    _assert_floats_and_copies(floats)
 
 
 def test_numpy_rewards_stay_out_of_the_float_lists():

@@ -1,0 +1,80 @@
+"""Smoke tests for the scripts under scripts/: each runs on small inputs and prints or writes what it says."""
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from hierts import cli
+
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = REPO / "scripts"
+
+
+def _run(script, *args, cwd=None):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *map(str, args)], capture_output=True, text=True,
+                          timeout=120, cwd=cwd, env=env)
+
+
+def _module(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SNIPPET = '''"""Module docstring,
+over two lines."""
+import os  # a comment after code
+
+
+# a comment line
+def f(x):
+    """Function docstring."""
+    return x + 1
+
+
+class C:
+    """Class
+    docstring."""
+
+    y = """a string value,
+    not a docstring"""
+'''
+
+
+def test_src_lines_counts_code_without_blanks_comments_or_docstrings():
+    """count() gives all 17 lines and 6 code lines: the import, def, return, class and the two lines of a string
+    value; the CLI prints the sums of count() over the package source."""
+    src_lines = _module("src_lines")
+    assert src_lines.count(SNIPPET) == (17, 6)
+    proc = _run("src_lines.py", cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    got = re.fullmatch(r"src: (\d+) lines, (\d+) code lines", proc.stdout.strip())
+    assert got, proc.stdout
+    sums = [sum(col) for col in zip(*(src_lines.count(p.read_text()) for p in (REPO / "src").rglob("*.py")))]
+    assert [int(got[1]), int(got[2])] == sums
+
+
+def test_cluster_dataset_script_feeds_classify_bandit(tmp_path):
+    """make_cluster_dataset.py writes a data.csv and tree.json that classify-bandit runs on to exit 0."""
+    proc = _run("make_cluster_dataset.py", "--out", tmp_path / "data", "--groups", 2, "--classes-per-group", 2,
+                "--dim", 3)
+    assert proc.returncode == 0, proc.stderr
+    data = tmp_path / "data"
+    assert cli.main(["classify-bandit", "--dataset", str(data / "data.csv"), "--hierarchy", str(data / "tree.json"),
+                     "--horizon", "20", "--runs", "1", "--jobs", "1", "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert (tmp_path / "run" / "regret.csv").is_file()
+
+
+def test_draw_routes_script_runs():
+    """draw_routes.py times every route of the README's trees and stops unless all give the same bytes."""
+    proc = _run("draw_routes.py", "--repeats", 1, "--number", 1)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "tree,nodes,route,floats_us,levels_us,chosen_us,lockstep4_us"
+    routes = {line.split(",")[0]: line.split(",")[2] for line in lines[1:]}
+    assert len(routes) == 15
+    assert routes["b=2 h=5"] == "floats" and routes["b=2 h=6"] == "levels"
