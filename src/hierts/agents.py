@@ -67,6 +67,7 @@ class HierTSAgent:
         tree, tree_prior = self._sampled_tree(hierarchy, prior)
         self.state = (PosteriorState if tree_prior.is_scalar else LinearPosteriorState)(tree, tree_prior)
         self._leaves = tree.action_nodes.tolist()
+        self._actions = hierarchy.action_nodes.tolist()
         self.sample_ops = 0
 
     @staticmethod
@@ -80,7 +81,7 @@ class HierTSAgent:
 
     def act(self, context: np.ndarray | None = None) -> int:
         theta = self.sample_model()[self.state.hierarchy.leaf_index]
-        return int(self.hierarchy.action_nodes[_argmax_score(theta, context)])
+        return self._actions[_argmax_score(theta, context)]
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
         self.state.update_path(self._leaves[self.hierarchy.action_position(action)], reward, context)
@@ -125,7 +126,9 @@ class TSAgent:
     which update refreshes for the acted arm: mean, and sd = sqrt(prec) for a
     scalar prior or cov and a sampling factor (factor @ factor.T = cov) for a
     matrix prior. A matrix prior keeps each arm's prec beside its cov in one
-    (K, 2, d, d) array, the pair the conditional kernel reads and writes.
+    (K, 2, d, d) array, the pair the conditional kernel reads and writes. A
+    scalar prior's update reads and writes its four (K,) arrays through
+    memoryviews, bound where the arrays are made or re-homed (_bind_arms).
     """
 
     kind = "TS"
@@ -135,9 +138,11 @@ class TSAgent:
         self.rng = rng
         self.noise_prec = 1.0 / prior.noise_std**2
         self._scalar = prior.is_scalar
+        self._actions = hierarchy.action_nodes.tolist()
         arrays = [a.copy() for a in _ts_prior(hierarchy, prior)]
         if self._scalar:
             self.prec, self.wmean, self.mean, self.sd = arrays
+            self._bind_arms()
         else:
             self.dim = prior.dim
             self._prec_cov, self.wmean, self.factor, self.mean = arrays
@@ -150,15 +155,18 @@ class TSAgent:
             return float(self.mean[j]), float(1.0 / self.prec[j])
         return self.mean[j].copy(), self.cov[j].copy()
 
+    def _bind_arms(self) -> None:
+        self._arms = tuple(map(memoryview, (self.prec, self.wmean, self.mean, self.sd)))
+
     def act(self, context: np.ndarray | None = None) -> int:
-        leaves = self.hierarchy.action_nodes
+        k = len(self._actions)
         if self._scalar:
-            draws = self.rng.standard_normal(leaves.size)
+            draws = self.rng.standard_normal(k)
             draws /= self.sd
             draws += self.mean
         else:
-            draws = self.mean + (self.factor @ self.rng.standard_normal((leaves.size, self.dim, 1)))[..., 0]
-        return int(leaves[_argmax_score(draws, context)])
+            draws = self.mean + (self.factor @ self.rng.standard_normal((k, self.dim, 1)))[..., 0]
+        return self._actions[_argmax_score(draws, context)]
 
     @staticmethod
     def lockstep(agents: list) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
@@ -168,6 +176,7 @@ class TSAgent:
         mean, sd = (np.array([getattr(agent, name) for agent in agents]).T.copy() for name in ("mean", "sd"))
         for j, agent in enumerate(agents):
             agent.mean, agent.sd = mean[:, j], sd[:, j]
+            agent._bind_arms()
 
         def draw(z: np.ndarray) -> np.ndarray:
             z /= sd
@@ -182,9 +191,10 @@ class TSAgent:
             _context(context, None)
             if not math.isfinite(reward):
                 raise ValueError(f"reward must be finite, got {reward}")
-            prec = self.prec[j] = self.prec.item(j) + self.noise_prec
-            wmean = self.wmean[j] = self.wmean.item(j) + reward * self.noise_prec
-            self.mean[j], self.sd[j] = wmean / prec, math.sqrt(prec)
+            prec_arms, wmean_arms, mean_arms, sd_arms = self._arms
+            prec = prec_arms[j] = prec_arms[j] + self.noise_prec
+            wmean = wmean_arms[j] = wmean_arms[j] + float(reward) * self.noise_prec  # float32 would stay float32
+            mean_arms[j], sd_arms[j] = wmean / prec, math.sqrt(prec)
         else:
             _add_observation(self.prec[j], self.wmean[j], context, reward, self.noise_prec)
             _arm_posterior(self._prec_cov[j], self.wmean[j], self.factor[j], self.mean[j], j)

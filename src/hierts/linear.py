@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .hierarchy import ROOT, Hierarchy, HierarchyError, PriorSpec, _as_index
-from .posterior import _context, _UpwardPass
+from .posterior import _context, _root_paths, _UpwardPass
 
 __all__ = ["ConditioningError", "LinearPosteriorState"]
 
@@ -84,7 +84,7 @@ def _add_observation(prec: np.ndarray, wmean: np.ndarray, context, reward: float
     outer = np.multiply.outer(x, x)
     outer *= noise_prec
     prec += outer
-    wmean += x * (reward * noise_prec)
+    wmean += x * (float(reward) * noise_prec)  # a numpy float32 reward would round the product to float32
 
 
 def _argmax_score(values: np.ndarray, context) -> int:
@@ -122,6 +122,7 @@ class LinearPosteriorState(_UpwardPass):
         self.noise_prec = 1.0 / prior.noise_std**2
         self.hyper_mean = np.asarray(prior.hyper_mean, float)
         self.lam0 = _sym(np.linalg.inv(prior.variances(hierarchy)))
+        self._paths = _root_paths(hierarchy)
         self._lam0_trace = self.lam0.trace(axis1=1, axis2=2).tolist()
         start = hierarchy.child_start.tolist()  # each parent's child ids, a slice when consecutive: _pool sums views
         self._children = [_as_index(hierarchy.child_ids[a:b]) if b > a else None for a, b in zip(start, start[1:])]
@@ -146,7 +147,7 @@ class LinearPosteriorState(_UpwardPass):
         """Record one (context, reward) pair and refresh the leaf's root path; the context is required."""
         self.hierarchy.action_position(action)  # HierarchyError unless a leaf
         _add_observation(self.ev_prec[action], self.ev_wmean[action], context, reward, self.noise_prec)
-        self._walk(action)
+        self._refresh(self._paths[action])
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Node parameter vectors from the exact joint posterior, root downward: shape (num_nodes + 1, d), row 0
@@ -164,6 +165,12 @@ class LinearPosteriorState(_UpwardPass):
             mean += intercept[nodes, :, None]
             theta[nodes] = mean
         return theta[..., 0]
+
+    def _refresh(self, nodes) -> None:
+        for node in nodes:
+            if self._children[node] is not None:
+                self._pool(node)
+            self._fold(node)
 
     def _pool(self, node: int) -> None:
         ch = self._children[node]
@@ -188,9 +195,6 @@ class LinearPosteriorState(_UpwardPass):
         msg_prec = np.matmul(h.T, h, out=self.msg_prec[node])
         np.subtract(small, msg_prec, out=msg_prec)
         np.matmul(lam0, intercept, out=self.msg_wmean[node])
-
-    def _fold_root(self) -> None:
-        self._fold(ROOT)
 
     def _copy_tallies(self, out: "LinearPosteriorState") -> None:
         leaves = self.hierarchy.action_nodes

@@ -54,15 +54,16 @@ def linear_prior(b2h2):
 
 @pytest.fixture
 def fault_root_mean(monkeypatch):
-    """inject(cls, offset) makes cls._fold_root leave root_mean off by offset: a fault in what hierts_sample reads."""
+    """inject(cls, offset) makes cls._refresh, which ends at the root, leave root_mean off by offset: a fault in
+    what hierts_sample reads."""
 
     def inject(cls, offset=1e-3):
-        fold_root = cls._fold_root
+        refresh = cls._refresh
 
-        def faulty(self):
-            fold_root(self)
+        def faulty(self, nodes):
+            refresh(self, nodes)
             self.root_mean = self.root_mean + offset
 
-        monkeypatch.setattr(cls, "_fold_root", faulty)
+        monkeypatch.setattr(cls, "_refresh", faulty)
 
     return inject

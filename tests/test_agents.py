@@ -554,3 +554,72 @@ def test_near_degenerate_prior_keeps_agents_running():
         for _ in range(5):
             a = agent.act()
             agent.update(a, 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, int])
+def test_narrow_rewards_sum_like_their_floats(dtype):
+    """A reward given as a numpy float32 or float16, or as an int, enters every running sum as float(reward):
+    under NEP 50 a Python float plus a float32 is a float32, so summing the reward itself would round each tally
+    to float32. The scalar posterior and TS arms, and the linear posterior and TS arms, each end with the tallies of
+    a twin fed float(reward), byte for byte; 2,000 rewards of one value on one leaf make the rounding show."""
+    rng = np.random.default_rng(12)
+    tree = balanced_tree(2, 3)
+    scalar, linear = random_scalar_prior(rng, tree), random_linear_prior(rng, tree, 2)
+    leaves = [int(a) for a in rng.choice(tree.action_nodes, 300)] + [int(tree.action_nodes[0])] * 2000
+    values = [dtype(v) for v in rng.normal(0.0, 3.0, 300).round(0 if dtype is int else 6)] + [dtype(1) / 10] * 2000
+    contexts = rng.standard_normal((len(values), 2))
+    for model in ("scalar", "linear"):
+        pairs = ((PosteriorState(tree, scalar), PosteriorState(tree, scalar)),
+                 (TSAgent(tree, scalar, None), TSAgent(tree, scalar, None))) if model == "scalar" else \
+                ((LinearPosteriorState(tree, linear), LinearPosteriorState(tree, linear)),
+                 (TSAgent(tree, linear, None), TSAgent(tree, linear, None)))
+        for narrow, wide in pairs:
+            update = "update" if isinstance(narrow, TSAgent) else "update_path"
+            for leaf, value, x in zip(leaves, values, contexts):
+                x = None if model == "scalar" else x
+                getattr(narrow, update)(leaf, value, x)
+                getattr(wide, update)(leaf, float(value), x)
+            names = ("prec", "wmean", "mean") if isinstance(narrow, TSAgent) else ("ev_prec", "ev_wmean", "root_mean")
+            names += ("reward_sums",) if isinstance(narrow, PosteriorState) else ()
+            for name in names:
+                got, want = getattr(narrow, name), getattr(wide, name)
+                assert np.asarray(got).dtype == np.float64 and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            if isinstance(narrow, PosteriorState):
+                assert all(type(x) is float for x in narrow.reward_sums)
+
+
+def test_write_through_follows_rehomed_arrays():
+    """A PosteriorState that joins a LockstepDraw, and a scalar TSAgent after TSAgent.lockstep, write through to
+    their new columns only: over 100 updates each column equals its floats (the arm moments wmean / prec and
+    sqrt(prec) for TS) byte for byte, and the arrays held before joining stop changing. A memoryview left bound to
+    an old array fails this on the first update."""
+    rng = np.random.default_rng(17)
+    for tree in (balanced_tree(2, 8), balanced_tree(16, 2)):  # the level loop from the start; b=16 also a wide pool
+        prior = random_scalar_prior(rng, tree)
+        states = [PosteriorState(tree, prior) for _ in range(3)]
+        arms = [TSAgent(tree, prior, np.random.default_rng(j)) for j in range(3)]
+        for _ in range(20):
+            for state, arm in zip(states, arms):
+                leaf, reward = int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0))
+                state.update_path(leaf, reward)
+                arm.update(leaf, reward)
+        held = [state.level_copies for state in states] + [(arm.mean, arm.sd) for arm in arms]
+        assert all(copies is not None for copies in held)
+        frozen = [[a.tobytes() for a in copies] for copies in held]
+        cell = posterior.LockstepDraw(states)
+        TSAgent.lockstep(arms)
+        for _ in range(100):
+            for state, arm in zip(states, arms):
+                leaf, reward = int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0))
+                state.update_path(leaf, reward)
+                arm.update(leaf, reward)
+        assert [[a.tobytes() for a in copies] for copies in held] == frozen
+        for j, state in enumerate(states):
+            for name, array, column in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies,
+                                           cell.copies):
+                assert array.base is column and array.tobytes() == column[:, j].tobytes()
+                assert array.tobytes() == np.array(getattr(state, name)).tobytes(), name
+        for arm in arms:
+            assert arm.mean.base is not None and arm.sd.base is not None
+            assert arm.mean.tobytes() == (arm.wmean / arm.prec).tobytes()
+            assert arm.sd.tobytes() == np.sqrt(arm.prec).tobytes()

@@ -153,7 +153,7 @@ def test_update_path_matches_rebuild_exactly(b2h2, b2h2_prior):
     for _ in range(6):
         tree = random_tree(rng)
         cases.append((tree, random_scalar_prior(rng, tree)))
-    # deep (8,191 nodes) and wide (64 children per parent: numpy's sum in _pool) trees
+    # deep (8,191 nodes) and wide (64 children per parent: numpy's sum in _refresh) trees
     wide_rng = np.random.default_rng(1)
     for tree in (balanced_tree(2, 12), balanced_tree(64, 2)):
         cases.append((tree, random_scalar_prior(wide_rng, tree)))
@@ -432,7 +432,7 @@ def test_wide_pool_sums_like_numpy_over_view_or_gather(width):
     """A wide parent's pooled evidence is msg_*[children].sum(), bit for bit.
 
     Node 4's children are the width ids after the root's r extra leaves, so
-    _pool sums them as a slice view starting at id 5 + r; nodes 2 and 3 take
+    _refresh sums them as a slice view starting at id 5 + r; nodes 2 and 3 take
     turns over the 2 * width ids after those, so their children are gathered.
     """
     rng = np.random.default_rng(width)
@@ -454,7 +454,7 @@ def test_wide_pool_sums_like_numpy_over_view_or_gather(width):
                 getattr(state, f"msg_{name}")[:] = msg.tolist()
                 array[:] = msg
             for node in (2, 3, 4):
-                state._pool(node)
+                state._refresh((node, 1))  # pools node's children; a refresh ends at the root
                 ch = tree.children(node)
                 for name, msg in msgs.items():
                     got = getattr(state, f"ev_{name}")[node]
@@ -463,7 +463,7 @@ def test_wide_pool_sums_like_numpy_over_view_or_gather(width):
 
 @pytest.mark.parametrize("n", range(1, SHORT_SUM_MAX + 1))
 def test_numpy_short_sum_is_a_left_fold(n):
-    """PosteriorState._pool sums up to SHORT_SUM_MAX child messages in Python, left to right from 0.0.
+    """PosteriorState._refresh sums up to SHORT_SUM_MAX child messages in Python, left to right from 0.0.
 
     That is bit-identical to the numpy sum it replaces only while numpy sums
     that few float64 values in the same order.
