@@ -6,9 +6,7 @@ The set covers each output-writing command:
   constant_b2_h2_linear.json, mixed_depth_tree.json (leaves at depths 1,
   2 and 3, so a level and the root-first sample order that are not runs of
   consecutive ids, and a 9-child parent) and doubling_b2_h7.json (255 nodes and
-  a 129-node flat tree, both of which hierts_sample draws with its numpy level
-  loop from the root, as it does doubling_b5_h2's 26-node flat tree; the other
-  scalar trees take floats throughout), and on two tree
+  a 129-node flat tree), and on two tree
   files with a prior section (`"prior": {"scheme": "file"}`), one scalar
   and one linear, that the script writes with save_tree_json;
 - `ratio` on configs/ratio_constant_b2.json;
@@ -17,21 +15,19 @@ The set covers each output-writing command:
 each at --jobs 1 and --jobs 2, plus `bound` on doubling_b5_h2.json and
 explicit_tree.json, plus the printed report of `verify-oracle --seed 0` and
 `--seed 5` (saved as runs/verify-oracle-seed{0,5}/stdout.txt). It also saves
-raw `hierts_sample` draws (draws/<tree>/<route>.bin, the array's bytes) on
+raw scalar and linear draws (draws/<tree>/<route>.bin, the array's bytes) on
 b=2 h=3, b=16 h=2, a random tree with leaves at mixed depths and b=2 h=5,
-after 60 updates each: the scalar draw without a size on Python floats and on
-the numpy level loop (both forced: a state built under each
-FLOAT_DRAW_NODES_PER_LEVEL, which fixes its route, replays the same updates),
-a sized scalar draw, and a linear (d=3) draw without and with a size; it stops
-unless each sized draw equals that many draws without a size in a row. It also
-draws each tree's scalar draw without a size on the route the tree takes by
-itself and stops unless its bytes equal both forced routes': b=2 h=3, the
-random tree and b=2 h=5 (63 nodes, fewer than 16 per level) take floats
-throughout, and b=16 h=2 takes the level loop from the root. On each tree it
-also stops unless every column of a 3-column posterior.LockstepDraw (the draw
-of the harness's lockstep cells, which always runs the level loop from the
-root) equals the bytes of that state's own draw; it writes no file for this. Run outputs average draws
-away, and these show a change in a draw's last bit. At d=10, the
+after 60 updates each: the scalar draw without a size, which walks the
+state's Python floats (scalar-float), the same draw as the one column of a
+posterior.LockstepDraw fed the same normals, whose state joined it before the
+updates and wrote them through (scalar-levels: the numpy level loop of the
+harness's lockstep cells), a sized scalar draw, and a linear (d=3) draw
+without and with a size. It stops unless the two scalar draws without a size
+give the same bytes, and unless each sized draw equals that many draws
+without a size in a row. On each tree it also stops unless every column of a
+3-column LockstepDraw equals the bytes of that state's own draw; it writes no
+file for this. Run outputs average draws away, and these show a change in a
+draw's last bit. At d=10, the
 dimension of the benchmark's classify workload, it saves the same on the
 fitted 5x5 cluster tree after 200 updates (draws/fitted-d10/): the linear
 draws without and with a size, the fold caches of a LinearPosteriorState
@@ -125,10 +121,8 @@ def lockstep_draw(tree, prior, updates: list) -> None:
 
 
 def write_draws(root: Path) -> None:
-    """Raw hierts_sample draws, one file per tree and route, after 60 updates from fixed seeds.
-
-    A state fixes its route when it is built, so each forced route is a state built under that
-    FLOAT_DRAW_NODES_PER_LEVEL, with the recorded updates replayed on it."""
+    """Raw draws, one file per tree and route, after 60 updates from fixed seeds. The level loop's draw is
+    the one column of a LockstepDraw whose state joins it before the recorded updates are replayed on it."""
     rng = np.random.default_rng(11)
     trees = {"b2h3": balanced_tree(2, 3), "b16h2": balanced_tree(16, 2), "random": random_tree(rng),
              "b2h5": balanced_tree(2, 5)}
@@ -141,19 +135,13 @@ def write_draws(root: Path) -> None:
             scalar.update_path(leaf, y)
             linear.update_path(leaf, y, x)
             updates.append((leaf, y))
-        routes = {}
-        for route, nodes_per_level in (("scalar-float", tree.num_nodes), ("scalar-levels", 0)):
-            saved, posterior.FLOAT_DRAW_NODES_PER_LEVEL = posterior.FLOAT_DRAW_NODES_PER_LEVEL, nodes_per_level
-            try:
-                forced = PosteriorState(tree, scalar.prior)
-            finally:
-                posterior.FLOAT_DRAW_NODES_PER_LEVEL = saved
-            for leaf, y in updates:
-                forced.update_path(leaf, y)
-            routes[route] = hierts_sample(forced, np.random.default_rng(1))
-        chosen = hierts_sample(scalar, np.random.default_rng(1))  # the route the tree takes by itself
-        if not chosen.tobytes() == routes["scalar-float"].tobytes() == routes["scalar-levels"].tobytes():
-            raise SystemExit(f"{name}: the scalar draw differs between routes")
+        cell = posterior.LockstepDraw([PosteriorState(tree, scalar.prior)])
+        for leaf, y in updates:
+            cell.states[0].update_path(leaf, y)
+        routes = {"scalar-float": hierts_sample(scalar, np.random.default_rng(1)),
+                  "scalar-levels": cell.draw(np.random.default_rng(1).standard_normal((tree.num_nodes, 1)))[:, 0]}
+        if routes["scalar-float"].tobytes() != routes["scalar-levels"].tobytes():
+            raise SystemExit(f"{name}: a one-column lockstep draw differs from the float draw")
         routes["scalar-size3"] = sized_draw(scalar, 2)
         lockstep_draw(tree, scalar.prior, updates)
         routes["linear"] = hierts_sample(linear, np.random.default_rng(3))

@@ -40,7 +40,9 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     axis when size is given. A size that is not a positive integer, a bool
     among them, raises ValueError before any draw. A sized draw is size
     draws in a row from rng, stacked: it equals that many calls without a
-    size, and leaves rng where they would.
+    size, and leaves rng where they would. A scalar state draws on its
+    Python floats, node by node; the k-armed agents of a lockstep cell draw
+    through posterior.LockstepDraw instead, whose columns give the same bits.
     """
     if not isinstance(state, (PosteriorState, LinearPosteriorState)):
         raise TypeError(f"unsupported posterior state {type(state).__name__}")
@@ -128,7 +130,8 @@ class TSAgent:
     matrix prior. A matrix prior keeps each arm's prec beside its cov in one
     (K, 2, d, d) array, the pair the conditional kernel reads and writes. A
     scalar prior's update reads and writes its four (K,) arrays through
-    memoryviews, bound where the arrays are made or re-homed (_bind_arms).
+    memoryviews, bound where the arrays are made or re-homed (_bind_arms);
+    a pickled or copied agent leaves them out and binds them when loaded.
     """
 
     kind = "TS"
@@ -157,6 +160,15 @@ class TSAgent:
 
     def _bind_arms(self) -> None:
         self._arms = tuple(map(memoryview, (self.prec, self.wmean, self.mean, self.sd)))
+
+    def __getstate__(self) -> dict:
+        """The agent without its memoryviews, which do not pickle; __setstate__ binds them again."""
+        return {k: v for k, v in self.__dict__.items() if k != "_arms"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._scalar:
+            self._bind_arms()
 
     def act(self, context: np.ndarray | None = None) -> int:
         k = len(self._actions)

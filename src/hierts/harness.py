@@ -372,8 +372,8 @@ def ts_complexity_term(hierarchy: Hierarchy, prior: PriorSpec, n: int) -> float:
 def regret_bound(report: BoundReport, delta: float) -> float:
     """Analytic Bayes-regret bound: sqrt(2 n G log(1/delta)) plus the
     sqrt(2/pi) sigma_max K n delta tail term."""
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not (0 < delta < 1 and math.isfinite(1.0 / delta)):  # a subnormal delta's reciprocal overflows to inf
+        raise ValueError(f"delta must lie in (0, 1) with a finite 1 / delta, got {delta}")
     head = math.sqrt(2.0 * report.n * report.total * math.log(1.0 / delta))
     tail = math.sqrt(2.0 / math.pi) * report.sigma_max * report.num_actions * report.n * delta
     if not math.isfinite(head + tail):

@@ -33,40 +33,15 @@ __all__ = ["PosteriorState"]
 SHORT_SUM_MAX = 7
 
 
-# A scalar draw walks the tree node by node on Python floats where every level has at most this many nodes, or
-# where the tree has fewer than this many nodes per level, and else runs numpy's level loop from the root: a numpy
-# level costs about as much as this many float nodes. Both routes give the same bits, so this only moves time
-# (timings in the README). PosteriorState reads it once, when it is built.
-FLOAT_DRAW_NODES_PER_LEVEL = 16
-
-
-def _level_order(hier: Hierarchy, r: int) -> slice | np.ndarray | None:
-    """A scalar draw's route at FLOAT_DRAW_NODES_PER_LEVEL = r: None for floats throughout, else the ids of the level
-    loop's draw positions, the root first and then Hierarchy.sample_nodes (a slice when consecutive). No level has
-    fewer nodes than the one above it, so the last level is the widest."""
-    levels = hier.level_index
-    if levels[-1][3] - levels[-1][2] <= r or hier.num_nodes < r * len(levels):
-        return None
-    return _as_index(np.array((ROOT,) + hier.sample_nodes))
-
-
-def _level_rows(hier: Hierarchy, copies: tuple) -> list:
-    """Per level of hier.level_index, the level's (lam0, ev_wmean, lamhat) rows of copies as views when its ids are
-    a slice, else None: a fancy index gives a copy, which would go stale, so _level_loop indexes those on each draw."""
-    lam0, wmean, lamhat, _ = copies
-    return [(lam0[nodes], wmean[nodes], lamhat[nodes]) if type(nodes) is slice else None
-            for nodes, _, _, _ in hier.level_index]
-
-
-def _level_loop(hier: Hierarchy, order, copies: tuple, rows: list, z: np.ndarray, root_mean) -> np.ndarray:
-    """The level loop of a scalar draw over copies, which are (lam0, ev_wmean, lamhat, sqrt_lamhat) indexed by node
-    id: one draw's (num_nodes + 1,) arrays, or for M draws in lockstep node-major (num_nodes + 1, M) arrays, column j
-    draw j's (lam0 too: a broadcast costs more). order is _level_order's and rows _level_rows' of copies; z holds the
-    normals of the draw positions, a row per position, and is divided in place; root_mean is the root's posterior
-    mean (a float, or one per column). A level gathers its parents' values with a fancy index on one column and
-    with take on node-major arrays, the faster on each shape; a level with bound rows computes straight into
-    theta's rows, and any other writes its values back. Every element sees the same IEEE operations in the same
-    order whatever the number of columns, so a column equals its own draw bit for bit."""
+def _level_loop(hier: Hierarchy, order, copies: tuple, rows: list, z: np.ndarray, root_mean: np.ndarray) -> np.ndarray:
+    """The level loop of M scalar draws in lockstep (LockstepDraw.draw). copies are node-major (num_nodes + 1, M)
+    arrays of lam0, ev_wmean, lamhat and sqrt_lamhat, column j draw j's (lam0 too: a broadcast costs more); order
+    lists the draw positions and rows holds each level's bound rows or None (LockstepDraw); z holds the normals of
+    the draw positions, a row per position, and is divided in place; root_mean holds each column's root mean.
+    A level gathers its parents with take; a level with bound rows computes straight into theta's rows, and any
+    other indexes the copies on each draw (a fancy index is a copy, which would go stale) and writes its values
+    back. Each element sees the operations of PosteriorState.draw in the same order, so a column equals its
+    state's own draw bit for bit."""
     lam0, wmean, lamhat, sqrt_lamhat = copies
     z /= sqrt_lamhat[order]
     theta = np.empty(wmean.shape)
@@ -74,7 +49,7 @@ def _level_loop(hier: Hierarchy, order, copies: tuple, rows: list, z: np.ndarray
     theta[ROOT] = root_mean + z[0]
     for (nodes, parents, start, stop), bound in zip(hier.level_index, rows):
         lam0_rows, wmean_rows, lamhat_rows = bound or (lam0[nodes], wmean[nodes], lamhat[nodes])
-        parent_mean = theta[parents] if theta.ndim == 1 else theta.take(parents, axis=0)
+        parent_mean = theta.take(parents, axis=0)
         mean = np.multiply(parent_mean, lam0_rows, out=parent_mean if bound is None else theta[nodes])
         mean += wmean_rows
         mean /= lamhat_rows
@@ -137,22 +112,16 @@ class PosteriorState(_UpwardPass):
     path node's evidence from its children's cached messages; the result is
     identical to a full bottom-up rebuild because the per-node reductions see
     the same operands in the same order. Both run the one refresh loop,
-    _refresh, on local names and without a call per node.
-
-    level_order is draw's route from _level_order: None for floats
-    throughout, else the level loop's order of draw positions. It depends
-    only on the tree and FLOAT_DRAW_NODES_PER_LEVEL, so it is chosen here.
+    _refresh, on local names and without a call per node. draw walks the
+    same floats.
 
     The lists are the one truth. _refresh writes a numpy copy through, by a
     memoryview bound where the copy is made or re-homed (a memoryview store
     costs less than a numpy scalar store), only where numpy reads it in a
     round:
     - level_copies, (lam0, ev_wmean, lamhat, sqrt_lamhat) of every node as
-      arrays built here from the floats when the route is the level loop,
-      else None. A LockstepDraw replaces them with columns of its own
-      arrays, and sets level_order, whatever the route was: from then on
-      the state's own draw runs the level loop on its column (_hold_levels
-      binds the views in both places);
+      the state's columns of a LockstepDraw's arrays, which _hold_levels
+      sets when the state joins that draw; None before;
     - msg_prec and msg_wmean of the children of a parent with more than
       SHORT_SUM_MAX children, which _refresh sums with numpy's pairwise sum,
       over a slice view when the child ids are consecutive and over a
@@ -163,7 +132,8 @@ class PosteriorState(_UpwardPass):
     floats or on arrays built from them on request.
 
     Single-writer: update_path mutates in place, reads are safe between
-    updates but not during one.
+    updates but not during one. A pickled or copied state leaves its
+    memoryviews out and binds them to its own arrays when it is loaded.
     """
 
     def __init__(self, hierarchy: Hierarchy, prior: PriorSpec):
@@ -186,20 +156,26 @@ class PosteriorState(_UpwardPass):
         ids, start = hierarchy.child_ids.tolist(), hierarchy.child_start.tolist()
         self._children = [None if a == b else ids[a:b] if b - a <= SHORT_SUM_MAX
                           else _as_index(hierarchy.child_ids[a:b]) for a, b in zip(start, start[1:])]
-        order = _level_order(hierarchy, FLOAT_DRAW_NODES_PER_LEVEL)
-        self._hold_levels(order, None if order is None else
-                          (lam0, *map(np.array, (self.ev_wmean, self.lamhat, self.sqrt_lamhat))))
+        self._hold_levels(None)
         # _refresh writes the message of each node whose parent is wide (_wide_child) through to _msg_arrays
         self._msg_arrays = np.zeros(n + 1), np.zeros(n + 1)
         self._msg_views = tuple(map(memoryview, self._msg_arrays))
         self._wide_child = (np.diff(hierarchy.child_start) > SHORT_SUM_MAX)[hierarchy.parent].tolist()
         self._refresh((ROOT,))
 
-    def _hold_levels(self, order, copies: tuple | None) -> None:
-        """Draw on route order over copies from here on, writing through to them by the views bound here."""
-        self.level_order, self.level_copies = order, copies
+    def _hold_levels(self, copies: tuple | None) -> None:
+        """Write through to copies (level_copies; None for none) from here on, by the views bound here."""
+        self.level_copies = copies
         self._level_views = None if copies is None else tuple(map(memoryview, copies[1:]))
-        self._level_rows = None if copies is None else _level_rows(self.hierarchy, copies)
+
+    def __getstate__(self) -> dict:
+        """The state without its memoryviews, which do not pickle; __setstate__ binds them again."""
+        return {k: v for k, v in self.__dict__.items() if k not in ("_level_views", "_msg_views")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._hold_levels(self.level_copies)
+        self._msg_views = tuple(map(memoryview, self._msg_arrays))
 
     def posterior_precisions(self) -> np.ndarray:
         """Conditional posterior precision of every node, shape (num_nodes + 1,); slot 0 is nan."""
@@ -220,17 +196,13 @@ class PosteriorState(_UpwardPass):
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Node parameters from the exact joint posterior, root downward, indexed by node id (slot 0 nan).
 
-        One standard-normal draw of num_nodes values, consumed root first, then level by level. Without
-        level_copies the draw walks Hierarchy.sample_nodes on the float lists, node by node; with them it runs
-        numpy's level loop. Both apply the per-level formula's operations to the same operands, so the bits do
-        not depend on the route (the README has the route rule and its timings).
+        One standard-normal draw of num_nodes values, consumed root first, then level by level, walking
+        Hierarchy.sample_nodes on the float lists node by node. A LockstepDraw's column applies the same
+        operations to the same operands, so it equals this draw bit for bit.
         """
         hier = self.hierarchy
-        z = rng.standard_normal(hier.num_nodes)
-        if self.level_copies is not None:
-            return _level_loop(hier, self.level_order, self.level_copies, self._level_rows, z, self.root_mean)
         lam0, wmean, lamhat, sqrt_lamhat = self.lam0, self.ev_wmean, self.lamhat, self.sqrt_lamhat
-        z = iter(z.tolist())
+        z = iter(rng.standard_normal(hier.num_nodes).tolist())
         theta = [math.nan] * len(lam0)
         theta[ROOT] = self.root_mean + next(z) / sqrt_lamhat[ROOT]
         for v, p, zv in zip(hier.sample_nodes, hier.sample_parents, z):
@@ -299,14 +271,14 @@ class PosteriorState(_UpwardPass):
 
 
 class LockstepDraw:
-    """The scalar draws of M PosteriorStates of one tree and prior, made together in one level loop.
+    """The scalar draws of M PosteriorStates of one tree and prior, made together in one level loop (_level_loop).
 
-    The states' level copies become the columns of node-major (num_nodes + 1, M) arrays of lam0, ev_wmean,
-    lamhat and sqrt_lamhat, column j state j's, which each state's write-through keeps current from here on: each
-    state rebinds its views to its column (_hold_levels). The route is always the level loop from the root, since
-    one numpy level serves M draws; rows holds the views of the levels whose ids are a slice, bound once here
-    (_level_rows). Column j of draw(z) equals state j's own draw from the same normals bit for bit (_level_loop);
-    the state's own draw runs the level loop on its column from here on, whichever route it took before.
+    The states' floats of lam0, ev_wmean, lamhat and sqrt_lamhat become the columns of node-major
+    (num_nodes + 1, M) arrays, column j state j's, which each state's write-through keeps current from here on
+    (_hold_levels binds its views to its column). order lists the draw positions, the root first and then
+    Hierarchy.sample_nodes (a slice when consecutive); rows holds the views of the levels whose ids are a slice,
+    bound once here. One numpy level serves M draws, and column j of draw(z) equals state j's own draw, on floats,
+    from the same normals bit for bit. M = 1 is allowed.
     """
 
     def __init__(self, states: list[PosteriorState]):
@@ -314,12 +286,13 @@ class LockstepDraw:
         if any(type(s) is not PosteriorState or s.hierarchy is not hier or s.prior is not prior for s in states):
             raise ValueError("a lockstep draw takes scalar posterior states of one tree and prior")
         self.states = states
-        self.order = _level_order(hier, 0)
-        self.copies = tuple(np.array([getattr(s, name) for s in states]).T.copy()
-                            for name in ("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"))
+        self.order = _as_index(np.array((ROOT,) + hier.sample_nodes))
+        self.copies = lam0, wmean, lamhat, _ = tuple(np.array([getattr(s, name) for s in states]).T.copy()
+                                                     for name in ("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"))
         for j, state in enumerate(states):
-            state._hold_levels(self.order, tuple(c[:, j] for c in self.copies))
-        self.rows = _level_rows(hier, self.copies)
+            state._hold_levels(tuple(c[:, j] for c in self.copies))
+        self.rows = [(lam0[nodes], wmean[nodes], lamhat[nodes]) if type(nodes) is slice else None
+                     for nodes, _, _, _ in hier.level_index]
 
     def draw(self, z: np.ndarray) -> np.ndarray:
         """Node parameters of every state, (num_nodes + 1, M), column j state j's, from the round's normals z:

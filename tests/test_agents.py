@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from hierts import (
 from hierts import agents, posterior
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import ROOT, HierarchyError
-from hierts.posterior import _level_order
 
 
 def _linear_prior(tree, dim, noise_std=1.0, seed=2):
@@ -90,28 +90,6 @@ def _widths(tree):
     return [stop - start for _, _, start, stop in tree.level_index]
 
 
-def _route(tree):
-    """The route a scalar state on tree draws by: "floats" throughout or the "levels" loop from the root."""
-    return "floats" if PosteriorState(tree, constant_prior(tree)).level_copies is None else "levels"
-
-
-def _flat(leaves):
-    return build_hierarchy({v: 1 for v in range(2, leaves + 2)})
-
-
-@pytest.mark.parametrize("tree, route", [
-    *[((2, h), "floats") for h in range(1, 6)], ((3, 3), "floats"), ((16, 1), "floats"),
-    *[((2, h), "levels") for h in range(6, 9)], ((3, 4), "levels"), ((16, 2), "levels"),
-    (24, "levels"), (256, "levels"),
-], ids=str)
-def test_draw_route_per_tree(tree, route):
-    """Floats throughout where every level has at most FLOAT_DRAW_NODES_PER_LEVEL (16) nodes or the tree has fewer
-    than 16 nodes per level, else the level loop from the root; (b, h) is a balanced tree and a single number the
-    flat tree of that many leaves. The state keeps numpy copies of its floats only on the level loop."""
-    tree = balanced_tree(*tree) if isinstance(tree, tuple) else _flat(tree)
-    assert _route(tree) == route
-
-
 @pytest.mark.parametrize("size", [None, 1, 2, 5])
 def test_hierts_sample_keeps_per_level_draw_order(size):
     """One draw per call yields exactly the per-level sampler's values and stream position; a sized call, that
@@ -119,16 +97,13 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
 
     The trees include the 257-node flat tree of b=2 h=8 (a 256-child root), b=2 h=8, b=16 h=2, and
     random trees with mixed-depth leaves, whose levels and sample order are not id runs.
-    Without a size, b=2 h=3, its flat tree and the random trees take floats throughout, and b=2 h=8, b=16 h=2
-    and the flat tree of b=2 h=8 run the level loop from the root.
     """
     rng = np.random.default_rng(21)
     b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
     trees = [b2h3, balanced_tree(16, 2)] + [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
     trees += [b2h8] + [random_tree(rng) for _ in range(4)]
     assert any(not isinstance(idx, slice) for t in trees for idx, _, _, _ in t.level_index)
-    assert any(not isinstance(_level_order(t, 0), slice) for t in trees)  # a root-first order that is no id run
-    assert [_route(t) for t in trees] == ["floats", "levels", "floats", "levels", "levels"] + ["floats"] * 4
+    assert any(t.sample_nodes != tuple(range(2, t.num_nodes + 1)) for t in trees)  # a sample order that is no id run
     for tree in trees:
         for dim in (None, 1, 3):
             if dim is None:
@@ -148,14 +123,12 @@ def test_hierts_sample_keeps_per_level_draw_order(size):
 
 
 def test_sized_draw_is_that_many_draws_in_a_row():
-    """hierts_sample(state, rng, m) stacks m draws without a size from rng, for both models and on every scalar
-    route: floats throughout (b=2 h=3), the level loop from the root (b=2 h=8 and b=16 h=2) and a random tree with
-    leaves at mixed depths; the generator ends where the m draws leave it."""
+    """hierts_sample(state, rng, m) stacks m draws without a size from rng, for both models, on b=2 h=3, b=2 h=8,
+    b=16 h=2 and a random tree with leaves at mixed depths; the generator ends where the m draws leave it."""
     rng = np.random.default_rng(31)
     mixed = random_tree(rng, max_levels=4, max_nodes=20)
     assert len({mixed.path_to_root(a).size for a in mixed.action_nodes.tolist()}) > 1
     trees = [balanced_tree(2, 3), balanced_tree(2, 8), balanced_tree(16, 2), mixed]
-    assert [_route(t) for t in trees] == ["floats", "levels", "levels", "floats"]
     for tree in trees:
         for dim in (None, 3):
             if dim is None:
@@ -174,35 +147,23 @@ def test_sized_draw_is_that_many_draws_in_a_row():
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def _replayed_state(monkeypatch, tree, prior, nodes_per_level, updates):
-    """A scalar state built with FLOAT_DRAW_NODES_PER_LEVEL = nodes_per_level, 0 (the level loop) or 10**9
-    (floats throughout), which fixes its route, and each update replayed in turn; yields the state after each
-    chunk of updates."""
-    monkeypatch.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
-    state = PosteriorState(tree, prior)
-    assert (state.level_copies is None) == (nodes_per_level == 10**9)
-    for chunk in updates:
-        for leaf, reward in chunk:
-            state.update_path(leaf, reward)
-        yield state
-
-
 def _updates(rng, tree, chunks, per_chunk):
     return [[(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0))) for _ in range(per_chunk)]
             for _ in range(chunks)]
 
 
-def test_forced_routes_draw_the_same_bytes(monkeypatch):
-    """Which arrays a state keeps never changes a draw: each route, forced on its own state, gives the same bytes.
+def test_forced_routes_draw_the_same_bytes():
+    """Both draw routes give the same bytes: a state's own draw on floats, and the level loop of a one-column
+    LockstepDraw over a twin.
 
-    Each tree builds one state per forced route and replays the same updates on each, drawing after every
-    20: floats throughout (10**9) and the level loop from the root (0). Both routes' draws equal the per-level
-    sampler's bytes and stream position, and each other's.
+    Each tree builds a state and a twin that joins a one-column LockstepDraw, replays the same updates on each
+    (the twin's through its write-through) and draws after every 20. The state's draw equals the per-level
+    sampler's bytes and stream position, and the twin's column from the same normals equals both.
     Trees: b=2 h=3, b=2 h=5, b=2 h=8, b=16 h=2 and the flat trees of b=2 h=3 and b=2 h=8 (a 256-child root, whose
     state keeps message copies too), random trees with mixed leaf depths, and a tree whose one-node levels put
     ids 3 and 5 first, so that its draw positions are no run of ids. A tree with a wide level above a narrow one
     cannot be built: a node of height h >= 1 has a child of height h - 1, so each level has at least as many
-    nodes as the one above it (asserted), and the last level is the widest, which _level_order reads.
+    nodes as the one above it (asserted), and the last level is the widest.
     """
     rng = np.random.default_rng(5)
     b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
@@ -217,33 +178,31 @@ def test_forced_routes_draw_the_same_bytes(monkeypatch):
         widths = _widths(tree)
         assert widths == sorted(widths)
         prior, updates = random_scalar_prior(rng, tree), _updates(rng, tree, 4, 20)
-        draws = []
-        for nodes_per_level in (10**9, 0):
-            draws.append([])
-            for phase, state in enumerate(_replayed_state(monkeypatch, tree, prior, nodes_per_level, updates)):
-                got_rng, want_rng = np.random.default_rng(phase), np.random.default_rng(phase)
-                draws[-1].append(hierts_sample(state, got_rng).tobytes())
-                assert draws[-1][-1] == _per_level_sample(state, want_rng).tobytes()
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        assert draws[0] == draws[1]
+        state, cell = PosteriorState(tree, prior), posterior.LockstepDraw([PosteriorState(tree, prior)])
+        for phase, chunk in enumerate(updates):
+            for leaf, reward in chunk:
+                state.update_path(leaf, reward)
+                cell.states[0].update_path(leaf, reward)
+            got_rng, want_rng, cell_rng = (np.random.default_rng(phase) for _ in range(3))
+            got = hierts_sample(state, got_rng).tobytes()
+            assert got == _per_level_sample(state, want_rng).tobytes()
+            assert got == cell.draw(cell_rng.standard_normal((tree.num_nodes, 1)))[:, 0].tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state == cell_rng.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 5), nodes_per_level=st.sampled_from([0, 10**9]))
-def test_lockstep_columns_equal_each_state_own_draw(seed, columns, nodes_per_level):
-    """A LockstepDraw hands column copies to its states whichever route they were built on, the level loop (0) or
-    floats throughout (10**9). Each column of its draw equals the bytes of the draw its state would make alone (a
-    twin built on the same route, fed the same updates, never in the cell), before and after more updates through
-    the write-through; each state's own draw, now the level loop on its column, equals the per-level sampler in
-    bytes and stream position. Random trees have leaves at mixed depths."""
+@given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 5))
+def test_lockstep_columns_equal_each_state_own_draw(seed, columns):
+    """A LockstepDraw hands column copies to its states, which keep none before. Each column of its draw equals the
+    bytes of the draw its state would make alone (a twin fed the same updates, never in the cell), before and
+    after more updates through the write-through; each state's own draw, still on its floats, equals the
+    per-level sampler in bytes and stream position. Random trees have leaves at mixed depths."""
     rng = np.random.default_rng(seed)
     tree = random_tree(rng)
     prior = random_scalar_prior(rng, tree)
     before, after = _updates(rng, tree, columns, 10), _updates(rng, tree, columns, 10)
-    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body, so no function-scoped fixture
-        mp.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
-        states, twins = ([PosteriorState(tree, prior) for _ in range(columns)] for _ in range(2))
-    assert all((s.level_copies is None) == (nodes_per_level == 10**9) for s in states + twins)
+    states, twins = ([PosteriorState(tree, prior) for _ in range(columns)] for _ in range(2))
+    assert all(s.level_copies is None for s in states + twins)
     for phase, updates in enumerate((before, after)):
         for state, twin, chunk in zip(states, twins, updates):
             for leaf, reward in chunk:
@@ -589,14 +548,15 @@ def test_narrow_rewards_sum_like_their_floats(dtype):
 
 
 def test_write_through_follows_rehomed_arrays():
-    """A PosteriorState that joins a LockstepDraw, and a scalar TSAgent after TSAgent.lockstep, write through to
-    their new columns only: over 100 updates each column equals its floats (the arm moments wmean / prec and
-    sqrt(prec) for TS) byte for byte, and the arrays held before joining stop changing. A memoryview left bound to
-    an old array fails this on the first update."""
+    """PosteriorStates that move from one LockstepDraw to another, and a scalar TSAgent after TSAgent.lockstep,
+    write through to their new columns only: over 100 updates each column equals its floats (the arm moments
+    wmean / prec and sqrt(prec) for TS) byte for byte, and the arrays held before stop changing. A memoryview left
+    bound to an old array fails this on the first update."""
     rng = np.random.default_rng(17)
-    for tree in (balanced_tree(2, 8), balanced_tree(16, 2)):  # the level loop from the start; b=16 also a wide pool
+    for tree in (balanced_tree(2, 8), balanced_tree(16, 2)):  # b=16 also a wide pool
         prior = random_scalar_prior(rng, tree)
         states = [PosteriorState(tree, prior) for _ in range(3)]
+        posterior.LockstepDraw(states)
         arms = [TSAgent(tree, prior, np.random.default_rng(j)) for j in range(3)]
         for _ in range(20):
             for state, arm in zip(states, arms):
@@ -623,3 +583,43 @@ def test_write_through_follows_rehomed_arrays():
             assert arm.mean.base is not None and arm.sd.base is not None
             assert arm.mean.tobytes() == (arm.wmean / arm.prec).tobytes()
             assert arm.sd.tobytes() == np.sqrt(arm.prec).tobytes()
+
+
+def _agent_bytes(agent):
+    """Every array and float list an agent's draws read or its updates write, as bytes."""
+    if agent.kind == "TS":
+        return [getattr(agent, name).tobytes() for name in ("prec", "wmean", "mean", "sd")]
+    state = agent.state
+    names = ("counts", "reward_sums", "lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "lamhat", "sqrt_lamhat")
+    out = [np.array(getattr(state, name)).tobytes() for name in names] + [a.tobytes() for a in state._msg_arrays]
+    return out + [repr(state.root_mean)] + [a.tobytes() for a in state.level_copies or ()]
+
+
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+@pytest.mark.parametrize("lockstep", [False, True], ids=["fresh", "lockstep"])
+def test_agents_pickle_and_copy(kind, lockstep):
+    """pickle and deepcopy give an agent that binds its write-through views to its own arrays: fed the same
+    updates as the original, its draws, float lists and arrays stay the original's bytes. b=16 h=2 has a wide
+    root, whose children's messages a state writes through; a lockstep agent writes through to its column."""
+    rng = np.random.default_rng(23)
+    tree = balanced_tree(16, 2)
+    prior = random_scalar_prior(rng, tree)
+    agents_ = [make_agent(kind, tree, prior, np.random.default_rng(j)) for j in range(3)]
+    if lockstep:
+        type(agents_[0]).lockstep(agents_)
+    agent = agents_[0]
+    for _ in range(30):
+        agent.update(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
+    for twin_of in (lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy):
+        twin = twin_of(agent)
+        assert _agent_bytes(twin) == _agent_bytes(agent)
+        for _ in range(30):
+            leaf, reward = int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0))
+            agent.update(leaf, reward)
+            twin.update(leaf, reward)
+        assert _agent_bytes(twin) == _agent_bytes(agent)
+        assert twin.act() == agent.act() and twin.rng.bit_generator.state == agent.rng.bit_generator.state
+        if kind != "TS":
+            copies = zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), twin.state.level_copies or ())
+            assert all(a.tobytes() == np.array(getattr(twin.state, name)).tobytes() for name, a in copies)
+            assert twin.sample_model().tobytes() == agent.sample_model().tobytes()

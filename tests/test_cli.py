@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import ODD_VALUES
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hierts import FeatureDataset, PosteriorState, checks, cli, config, harness, posterior
+from hierts import FeatureDataset, PosteriorState, checks, cli, config, harness
 from hierts.envs import make_cluster_dataset, write_dataset_csv
 from hierts.config import RUN_FIELDS
 from hierts.hierarchy import PriorSpec, balanced_tree, save_tree_json
@@ -70,18 +70,18 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("config", ["mixed_depth_tree", "doubling_b2_h3"])
 def test_float_draw_rule_never_changes_an_output(tmp_path, monkeypatch, config):
-    """The tree-size rule picks how hierts_sample computes a draw, never its value: regret.csv is
-    byte-identical with every draw on numpy's level loop (0) and every draw on Python floats. Each run
-    builds its states under the setting, which fixes their routes."""
+    """The loop a cell takes picks how its draws are computed, never their values: regret.csv is byte-identical
+    with every block in lockstep (LOCKSTEP_MIN_INSTANCES 1: numpy's level loop) and every block per agent (above
+    the largest block: each state's own draw on Python floats)."""
     if config == "mixed_depth_tree":
         cfg = CONFIGS / "mixed_depth_tree.json"
     else:
         cfg = _write_config(tmp_path / "cfg.json", tree={"b": 2, "h": 3}, prior={"scheme": "doubling"},
                             horizon=200, instances=10)
     csv = []
-    for nodes_per_level in (0, 10**9):
-        monkeypatch.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", nodes_per_level)
-        out = tmp_path / f"run-{nodes_per_level}"
+    for threshold in (1, harness.LOCKSTEP_MAX_INSTANCES + 1):
+        monkeypatch.setattr(harness, "LOCKSTEP_MIN_INSTANCES", threshold)
+        out = tmp_path / f"run-{threshold}"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == cli.EXIT_OK
         csv.append((out / "regret.csv").read_bytes())
     assert csv[0] == csv[1]
@@ -371,6 +371,7 @@ def _fuzz_document(command, name, spelling, value, misplace, tree_file):
 
 
 @given(case=st.sampled_from(FUZZ_CASES), value=ODD_VALUES, misplace=st.booleans())
+@example(case=("simulate", "delta", "delta"), value=2.225073858507203e-309, misplace=False)  # 1 / delta overflows
 @settings(max_examples=300, deadline=None)
 def test_config_fuzz_runs_or_names_the_field(tmp_path_factory, case, value, misplace):
     """Every field of every config document, under each spelling, set to an odd value or set where it does

@@ -344,8 +344,8 @@ WIDE_TREE = build_hierarchy({**{c: 1 for c in range(2, SHORT_SUM_MAX + 4)}, SHOR
 def test_lockstep_cell_matches_per_agent_runs(seed, instances, wide, doubling):
     """_cell_runs in lockstep gives each instance's cumulative regret for every kind of its per-agent loop bit for
     bit, and each agent ends in the state of its per-agent replay: the same float lists, TS arms and written-through
-    copies. The threshold is patched to force each loop. Random trees of up to 80 nodes on 6 levels take both of a
-    single state's routes (floats throughout and the level loop from the root); a lockstep cell always runs the loop."""
+    copies. The threshold is patched to force each loop. Random trees of up to 80 nodes on 6 levels; a per-agent
+    state draws on its floats, and a lockstep cell runs the level loop."""
     rng = np.random.default_rng(seed)
     tree = WIDE_TREE if wide else random_tree(rng, max_levels=6, max_nodes=80)
     prior = doubling_prior(tree) if doubling else constant_prior(tree, float(rng.uniform(0.2, 3.0)))
@@ -382,9 +382,8 @@ def test_lockstep_cell_matches_per_agent_runs(seed, instances, wide, doubling):
         for name in ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "lamhat",
                      "sqrt_lamhat", "root_mean"):  # slot 0 holds nan, so compare bytes
             assert np.array(getattr(state, name)).tobytes() == np.array(getattr(ref.state, name)).tobytes(), name
-        # the lockstep columns hold every node's floats; the replayed state keeps copies iff its route is the loop
-        assert state.level_copies is not None and state.level_order is not None
-        assert (ref.state.level_copies is None) == (ref.state.level_order is None)
+        # the lockstep columns hold every node's floats; the replayed state never joined a cell, so keeps none
+        assert state.level_copies is not None and ref.state.level_copies is None
         for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies):
             assert array.tobytes() == np.array(getattr(state, name)).tobytes(), name
 

@@ -20,7 +20,7 @@ from hierts import (
 )
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import MAX_BALANCED_NODES, ConfigError, _as_index, _balanced_size, tree_to_dict
-from hierts.posterior import _level_order
+from hierts.posterior import LockstepDraw, PosteriorState
 
 
 def test_build_basic_shape(two_leaf):
@@ -75,10 +75,10 @@ def test_as_index_takes_a_slice_only_for_a_strict_run():
             assert np.array_equal(got, ids)
         else:
             assert got == want
-    # leaves at depths 1, 2 and 3: the root-first order of the level loop from the root is 1, 3, 4, 5, 2, 6, ...
+    # leaves at depths 1, 2 and 3: the root-first order of the lockstep level loop is 1, 3, 4, 5, 2, 6, ...
     tree = build_hierarchy({2: 1, 3: 1, 4: 1, 5: 3, 6: 3, 7: 5, 8: 5, 9: 4, 10: 4})
     assert tree.sample_nodes == (3, 4, 5, 2, 6, 7, 8, 9, 10)
-    assert list(_level_order(tree, 0)) == [1, 3, 4, 5, 2, 6, 7, 8, 9, 10]
+    assert list(LockstepDraw([PosteriorState(tree, constant_prior(tree))]).order) == [1, 3, 4, 5, 2, 6, 7, 8, 9, 10]
 
 
 CYCLE = {2: 3, 3: 2, 4: 2, 5: 3, 6: 1, 7: 1, 8: 4, 9: 4}  # 2 and 3 parent each other; 4, 5, 8, 9 hang below

@@ -36,8 +36,7 @@ def _assert_floats_and_copies(state):
         assert type(floats) is list and all(type(x) is float for x in floats), name
     assert type(state.root_mean) is float
     n = state.hierarchy.num_nodes
-    assert (state.level_copies is None) == (state.level_order is None)  # copies iff the route is the level loop
-    if state.level_copies is not None:  # every node's floats
+    if state.level_copies is not None:  # a LockstepDraw's column: every node's floats
         for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies):
             assert array.shape == (n + 1,) and array.tobytes() == np.array(getattr(state, name)).tobytes(), name
     wide = [ch for ch in map(state.hierarchy.children, range(1, n + 1)) if ch.size > SHORT_SUM_MAX]
@@ -363,10 +362,11 @@ def test_float_path_matches_numpy_reference():
 
 
 def test_written_through_copies_equal_their_floats():
-    """On trees that hierts_sample draws with its level loop, each numpy copy is the floats' bits after every update.
+    """From the moment a state joins a LockstepDraw, each numpy copy is the floats' bits after every update.
 
-    b=2 h=8 keeps only the level loop's copies; its 257-node flat tree and b=16 h=2 also keep the
-    messages of a wide parent's children. A rebuilt state builds its own copies from its floats.
+    On b=2 h=8 the state writes through only the level loop's copies; its 257-node flat tree and b=16 h=2 also
+    keep the messages of a wide parent's children. A rebuilt state keeps no level copies until it joins a
+    LockstepDraw of its own, whose copies, built from its floats, equal the written-through ones.
     """
     rng = np.random.default_rng(8)
     deep = balanced_tree(2, 8)
@@ -375,6 +375,8 @@ def test_written_through_copies_equal_their_floats():
     cases = [(deep, random_scalar_prior(rng, deep)), (flat, flat_prior), (wide, random_scalar_prior(rng, wide))]
     for tree, prior in cases:
         state = PosteriorState(tree, prior)
+        assert state.level_copies is None
+        posterior.LockstepDraw([state])
         levels = state.level_copies
         assert levels is not None
         _assert_floats_and_copies(state)
@@ -385,28 +387,33 @@ def test_written_through_copies_equal_their_floats():
         assert state.level_copies is levels  # built once, then written through
         _assert_floats_and_copies(state)
         fresh = state.rebuild()
-        assert fresh.level_copies is not levels
+        assert fresh.level_copies is None
         _assert_floats_and_copies(fresh)
-        assert fresh.level_copies[2].tobytes() == levels[2].tobytes()
+        posterior.LockstepDraw([fresh])
+        _assert_floats_and_copies(fresh)
+        assert [a.tobytes() for a in fresh.level_copies] == [a.tobytes() for a in levels]
 
 
-def test_level_copies_cover_only_what_the_level_loop_reads(monkeypatch):
-    """The level loop reads every node, so its copies cover every node, and a floats-throughout state keeps none.
-    Route and copies are fixed when the state is built: a later FLOAT_DRAW_NODES_PER_LEVEL, or a draw, or a
-    sized draw (which builds its own arrays) changes neither."""
+def test_level_copies_cover_only_what_the_level_loop_reads():
+    """A state keeps no level copies until it joins a LockstepDraw: updates, draws and sized draws (which build
+    their own arrays) add none. The level loop reads every node from the root, so the copies a state gets on
+    joining cover every node, and its later updates, draws and sized draws keep the same copies."""
     rng = np.random.default_rng(9)
     deep, shallow = balanced_tree(2, 8), balanced_tree(2, 5)
     state = PosteriorState(deep, random_scalar_prior(rng, deep))
     floats = PosteriorState(shallow, random_scalar_prior(rng, shallow))
-    order, levels = state.level_order, state.level_copies
-    assert order == slice(1, 512) and floats.level_order is None and floats.level_copies is None
-    monkeypatch.setattr(posterior, "FLOAT_DRAW_NODES_PER_LEVEL", 10**9)
-    for _ in range(100):
-        for s, tree in ((state, deep), (floats, shallow)):
-            s.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
-            hierts_sample(s, rng)
-    hierts_sample(state, rng, 3)
-    assert state.level_order is order and state.level_copies is levels
+    for phase in range(2):
+        for _ in range(100):
+            for s, tree in ((state, deep), (floats, shallow)):
+                s.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
+                hierts_sample(s, rng)
+        hierts_sample(state, rng, 3)
+        if phase == 0:
+            assert state.level_copies is None
+            cell = posterior.LockstepDraw([state])
+            levels = state.level_copies
+            assert cell.order == slice(1, 512) and all(a.shape == (512,) for a in levels)
+    assert state.level_copies is levels
     assert floats.level_copies is None
     _assert_floats_and_copies(state)
     _assert_floats_and_copies(floats)

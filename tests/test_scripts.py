@@ -68,13 +68,3 @@ def test_cluster_dataset_script_feeds_classify_bandit(tmp_path):
                      "--horizon", "20", "--runs", "1", "--jobs", "1", "--out", str(tmp_path / "run")]) == cli.EXIT_OK
     assert (tmp_path / "run" / "regret.csv").is_file()
 
-
-def test_draw_routes_script_runs():
-    """draw_routes.py times every route of the README's trees and stops unless all give the same bytes."""
-    proc = _run("draw_routes.py", "--repeats", 1, "--number", 1)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "tree,nodes,route,floats_us,levels_us,chosen_us,lockstep4_us"
-    routes = {line.split(",")[0]: line.split(",")[2] for line in lines[1:]}
-    assert len(routes) == 15
-    assert routes["b=2 h=5"] == "floats" and routes["b=2 h=6"] == "levels"
