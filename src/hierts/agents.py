@@ -250,7 +250,7 @@ def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
 
 def _arm_posterior(prec_cov: np.ndarray, wmean: np.ndarray, factor: np.ndarray, mean: np.ndarray, j: int) -> None:
     """One arm's covariance (into prec_cov[1]), its sampling factor and mean, from its precision form."""
-    li = _conditional(prec_cov, f"arm {j} covariance")
+    li = _conditional(prec_cov, "arm {} covariance", j)
     factor[...] = li.T
     np.matmul(prec_cov[1], wmean, out=mean)
 

@@ -42,7 +42,7 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="experiment config JSON")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    sim.add_argument("--jobs", type=int, default=None, help="worker processes (default: all usable cores)")
 
     rat = sub.add_parser("ratio", help="regret ratios against TS across tree heights")
     rat.add_argument("--config", required=True, help="config JSON with a 'heights' list")

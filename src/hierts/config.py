@@ -218,5 +218,9 @@ def read(command: str, path: str | Path | None, flags: dict) -> dict:
 
 
 def jobs(value: int | None) -> int:
-    """The worker processes that --jobs asks for: every core where it is unset."""
-    return (os.cpu_count() or 1) if value is None else _int_at_least(1)("--jobs", value)
+    """The worker processes that --jobs asks for: every usable core (the affinity mask's) where it is unset."""
+    if value is not None:
+        return _int_at_least(1)("--jobs", value)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

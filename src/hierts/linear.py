@@ -27,6 +27,8 @@ from .posterior import _context, _root_paths, _UpwardPass
 __all__ = ["ConditioningError", "LinearPosteriorState"]
 
 COND_LIMIT = 1e12
+# d^2 ||S||_F^2 ||S^-1||_F^2 at most this leaves cond_1(S) below COND_LIMIT; the margin covers the rounding of both
+_CERTIFIED = COND_LIMIT**2 * (1 - 1e-6)
 
 
 class ConditioningError(ArithmeticError):
@@ -57,21 +59,28 @@ def _bind_inverse_factor():
 _inverse_factor = _bind_inverse_factor()
 
 
-def _conditional(pair: np.ndarray, what: str) -> np.ndarray:
+def _conditional(pair: np.ndarray, what: str, *args) -> np.ndarray:
     """Inverse Cholesky factor L^-1 of a Gaussian with precision S = L L^T, given pair = [S, out] of shape (2, d, d).
 
     Writes the covariance S^-1 = L^-T L^-1 to pair[1] as that one product, so it is exactly symmetric, and L^-T
-    samples it. Raises ConditioningError naming what if S is singular or indefinite (the factorization fails) or
-    if cond_1(S) exceeds COND_LIMIT. S is symmetric, so cond_1(S) bounds cond_2(S) from above.
+    samples it. Raises ConditioningError, named by what.format(*args), if S is singular or indefinite (the
+    factorization fails) or if cond_1(S) exceeds COND_LIMIT. S is symmetric, so cond_1(S) bounds cond_2(S) from
+    above. Since ||A||_1 <= sqrt(d) ||A||_F, cond_1(S) <= d ||S||_F ||S^-1||_F: when one stacked product's two
+    squared Frobenius norms keep that under _CERTIFIED, the exact 1-norms are skipped. A NaN, an inf or an
+    overflowed square (numpy warns of it) fails that test and leaves the decision to the 1-norms.
     """
     try:
         li = _inverse_factor(pair[0])
     except (FloatingPointError, np.linalg.LinAlgError):
-        raise ConditioningError(f"{what}: precision is singular or not positive definite") from None
+        raise ConditioningError(f"{what.format(*args)}: precision is singular or not positive definite") from None
     np.matmul(li.T, li, out=pair[1])
+    dd = li.size
+    s_sq, cov_sq = (pair.reshape(2, 1, dd) @ pair.reshape(2, dd, 1)).ravel().tolist()
+    if dd * s_sq * cov_sq <= _CERTIFIED:
+        return li
     bound = math.prod(np.maximum.reduce(np.add.reduce(np.abs(pair), axis=1), axis=1).tolist())  # both 1-norms
     if not bound <= COND_LIMIT:
-        raise ConditioningError(f"{what}: condition number bound {bound:.3e} exceeds {COND_LIMIT:.0e}")
+        raise ConditioningError(f"{what.format(*args)}: condition number bound {bound:.3e} exceeds {COND_LIMIT:.0e}")
     return li
 
 
@@ -160,7 +169,7 @@ class LinearPosteriorState(_UpwardPass):
         theta[0] = np.nan
         theta[ROOT] = self.root_mean[:, None] + factor[ROOT] @ z[:d].reshape(d, 1)
         for nodes, parents, start, stop in hier.level_index:
-            mean = slope[nodes] @ theta[parents]
+            mean = slope[nodes] @ theta.take(parents, axis=0)
             mean += factor[nodes] @ z[d * start : d * stop].reshape(-1, d, 1)
             mean += intercept[nodes, :, None]
             theta[nodes] = mean
@@ -182,7 +191,7 @@ class LinearPosteriorState(_UpwardPass):
         lam0, prec, wmean = self.lam0[node], self.ev_prec[node], self.ev_wmean[node]
         s_cov = self._s_cov[node]
         np.add(prec, lam0, out=s_cov[0])
-        li = _conditional(s_cov, f"posterior at node {node}")
+        li = _conditional(s_cov, "posterior at node {}", node)
         cov = s_cov[1]
         self.post_factor[node] = li.T
         slope = np.matmul(cov, lam0, out=self.slope[node])

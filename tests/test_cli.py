@@ -466,6 +466,16 @@ def test_bad_jobs_exits_input(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_default_jobs_counts_usable_cores(monkeypatch):
+    """Unset, --jobs is the size of the affinity mask, not the machine's core count."""
+    monkeypatch.setattr(config.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(config.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert config.jobs(None) == 1
+    monkeypatch.delattr(config.os, "sched_getaffinity")  # a platform without affinity masks
+    assert config.jobs(None) == 8
+    assert config.jobs(3) == 3
+
+
 def test_unknown_command_raises_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -1,4 +1,5 @@
 """Linear-model posterior: scalar reduction, Woodbury identities, oracle agreement."""
+import math
 import sys
 
 import numpy as np
@@ -303,6 +304,82 @@ def test_conditional_matches_numpy_linalg_bytes(kernel_binding):
         with pytest.raises(ConditioningError) as err:
             _kernel(s)
         assert str(err.value) == message
+
+
+def _exact_rule(s):
+    """The kernel without its Frobenius certificate, the exact cond_1 bound on every call: (covariance, inverse
+    factor), or the ConditioningError it raises."""
+    pair = np.stack([s, np.empty_like(s)])
+    try:
+        li = linear._inverse_factor(pair[0])
+    except (FloatingPointError, np.linalg.LinAlgError):
+        return ConditioningError("test: precision is singular or not positive definite")
+    np.matmul(li.T, li, out=pair[1])
+    bound = math.prod(np.maximum.reduce(np.add.reduce(np.abs(pair), axis=1), axis=1).tolist())
+    if not bound <= COND_LIMIT:
+        return ConditioningError(f"test: condition number bound {bound:.3e} exceeds {COND_LIMIT:.0e}")
+    return pair[1], li
+
+
+def _certificate(s, cov):
+    """d ||S||_F ||S^-1||_F, which bounds cond_1(S) = ||S||_1 ||S^-1||_1 from above."""
+    return s.shape[0] * np.linalg.norm(s) * np.linalg.norm(cov)
+
+
+def _assert_kernel_keeps_exact_rule(s):
+    want = _exact_rule(s)
+    if isinstance(want, ConditioningError):
+        with pytest.raises(ConditioningError) as err:
+            _kernel(s)
+        assert str(err.value) == str(want)
+        return "raised"
+    cov, li = _kernel(s)
+    assert li.tobytes() == want[1].tobytes()
+    assert cov.tobytes() == want[0].tobytes()
+    return "certified" if _certificate(s, cov) <= COND_LIMIT else "exact"
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_keeps_the_exact_rule(kernel_binding):
+    """A random SPD S of d = 1..12 with eigenvalues geomspace(1, cond) up to cond 1e14: the kernel raises exactly
+    when the exact cond_1 rule raises, with its message, and otherwise writes its bytes."""
+    rng = np.random.default_rng(47)
+    seen = {"raised": 0, "certified": 0, "exact": 0}
+    for _ in range(1000):
+        d = int(rng.integers(1, 13))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        s = (q * np.geomspace(1.0, 10.0 ** rng.uniform(0, 14), d)) @ q.T
+        seen[_assert_kernel_keeps_exact_rule(0.5 * (s + s.T))] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _spread_norms(lam, d=12):
+    """SPD S = v v^T + 1e-2 (I - u u^T - v v^T) + lam u u^T, u and v unit, orthogonal and each with one large and
+    d - 2 or more equal entries, so that cond_1(S) exceeds sqrt(d) ||S||_F ||S^-1||_F: at lam = 4e-12 they are
+    1.1e12 and 8.7e11, while the certificate d ||S||_F ||S^-1||_F is 3.0e12."""
+    th = 0.5 * math.atan2(math.sqrt(d - 1), 1.0)
+    u = np.r_[math.cos(th), np.full(d - 1, math.sin(th) / math.sqrt(d - 1))]
+    v = np.r_[0.0, math.cos(th), np.full(d - 2, math.sin(th) / math.sqrt(d - 2))]
+    v -= (v @ u) * u
+    v /= np.linalg.norm(v)
+    s = np.outer(v, v) + 1e-2 * (np.eye(d) - np.outer(u, u) - np.outer(v, v)) + lam * np.outer(u, u)
+    return 0.5 * (s + s.T)
+
+
+@pytest.mark.filterwarnings("error")
+def test_inconclusive_certificate_takes_the_exact_bound():
+    """Matrices whose certificate d ||S||_F ||S^-1||_F exceeds COND_LIMIT take the exact bound: diag(1, .., 2e11)
+    (certificate 6.0e12) passes on its cond_1 of 2e11, diag(1, .., 2e12) fails on 2e12, and a matrix whose
+    cond_1 sits above the limit but below sqrt(d) ||S||_F ||S^-1||_F fails on it."""
+    s = np.diag([1.0] * 9 + [2e11])
+    assert _assert_kernel_keeps_exact_rule(s) == "exact"
+    assert _certificate(s, _kernel(s)[0]) == pytest.approx(6.0e12)
+    with pytest.raises(ConditioningError) as err:
+        _kernel(np.diag([1.0] * 9 + [2e12]))
+    assert str(err.value) == "test: condition number bound 2.000e+12 exceeds 1e+12"
+    s = _spread_norms(4e-12)
+    assert _assert_kernel_keeps_exact_rule(s) == "raised"
+    assert math.sqrt(12) * np.linalg.norm(s) * np.linalg.norm(np.linalg.inv(s)) < COND_LIMIT
 
 
 @pytest.mark.parametrize("floored", [False, True], ids=["plain", "floored-leaf"])

@@ -1,10 +1,10 @@
 """Outputs stay byte-identical: a fast subset of scripts/output_digests.py's runs against checked-in digests.
 
 tests/data/output_digests.txt holds the sha256 of every file the subset writes: scalar `simulate` runs at
---jobs 1 and 2, `bound`, one small `ratio` and raw scalar `hierts_sample` draws on each route, with
-summary.json and replay.json hashed whole. Linear outputs are left out, since their bits depend on the
-BLAS build. A change that is meant to move outputs regenerates the file and names the moved files in
-CHANGES.md:
+--jobs 1 and 2, `bound`, one small `ratio` and raw scalar draws per tree (`hierts_sample` on floats, sized,
+and the one column of a `LockstepDraw` fed the same normals), with summary.json and replay.json hashed
+whole. Linear outputs are left out, since their bits depend on the BLAS build. A change that is meant to
+move outputs regenerates the file and names the moved files in CHANGES.md:
 
     PYTHONPATH=src python tests/test_output_digests.py
 """
