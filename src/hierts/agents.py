@@ -22,7 +22,7 @@ from .hierarchy import (
     flatten_hierarchy,
     marginal_prior_variances,
 )
-from .linear import LinearPosteriorState, _add_observation, _argmax_score, _conditional, _sym
+from .linear import LinearPosteriorState, _add_observation, _argmax_score, _conditional, _pair_rows, _sym
 from .posterior import LockstepDraw, PosteriorState, _context
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
@@ -130,8 +130,10 @@ class TSAgent:
     matrix prior. A matrix prior keeps each arm's prec beside its cov in one
     (K, 2, d, d) array, the pair the conditional kernel reads and writes. A
     scalar prior's update reads and writes its four (K,) arrays through
-    memoryviews, bound where the arrays are made or re-homed (_bind_arms);
-    a pickled or copied agent leaves them out and binds them when loaded.
+    memoryviews, and a matrix prior's through each arm's rows, all bound where
+    the arrays are made or re-homed (_bind_arms); a pickled or copied agent
+    leaves them out (a matrix prior's prec and cov views too) and binds them
+    again to its own arrays when loaded.
     """
 
     kind = "TS"
@@ -145,11 +147,10 @@ class TSAgent:
         arrays = [a.copy() for a in _ts_prior(hierarchy, prior)]
         if self._scalar:
             self.prec, self.wmean, self.mean, self.sd = arrays
-            self._bind_arms()
         else:
             self.dim = prior.dim
             self._prec_cov, self.wmean, self.factor, self.mean = arrays
-            self.prec, self.cov = self._prec_cov[:, 0], self._prec_cov[:, 1]
+        self._bind_arms()
 
     def marginal_action_moments(self, action: int):
         """Posterior (mean, variance or covariance) of one arm."""
@@ -159,16 +160,24 @@ class TSAgent:
         return self.mean[j].copy(), self.cov[j].copy()
 
     def _bind_arms(self) -> None:
-        self._arms = tuple(map(memoryview, (self.prec, self.wmean, self.mean, self.sd)))
+        """_arms: a scalar prior's four memoryviews, or a matrix prior's (prec, wmean, pair, flat, factor, mean)
+        views of each arm; the matrix prior's prec and cov are views of _prec_cov."""
+        if self._scalar:
+            self._arms = tuple(map(memoryview, (self.prec, self.wmean, self.mean, self.sd)))
+            return
+        self.prec, self.cov = self._prec_cov[:, 0], self._prec_cov[:, 1]
+        self._arms = [(prec, wmean, pair, flat, factor, mean) for prec, wmean, (_, _, pair, flat), factor, mean
+                      in zip(self.prec, self.wmean, _pair_rows(self._prec_cov), self.factor, self.mean)]
 
     def __getstate__(self) -> dict:
-        """The agent without its memoryviews, which do not pickle; __setstate__ binds them again."""
-        return {k: v for k, v in self.__dict__.items() if k != "_arms"}
+        """The agent without its bound views: memoryviews do not pickle and array views would load as detached
+        copies. __setstate__ binds them again."""
+        views = ("_arms",) if self._scalar else ("_arms", "prec", "cov")
+        return {k: v for k, v in self.__dict__.items() if k not in views}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if self._scalar:
-            self._bind_arms()
+        self._bind_arms()
 
     def act(self, context: np.ndarray | None = None) -> int:
         k = len(self._actions)
@@ -208,8 +217,9 @@ class TSAgent:
             wmean = wmean_arms[j] = wmean_arms[j] + float(reward) * self.noise_prec  # float32 would stay float32
             mean_arms[j], sd_arms[j] = wmean / prec, math.sqrt(prec)
         else:
-            _add_observation(self.prec[j], self.wmean[j], context, reward, self.noise_prec)
-            _arm_posterior(self._prec_cov[j], self.wmean[j], self.factor[j], self.mean[j], j)
+            prec, wmean, pair, flat, factor, mean = self._arms[j]
+            _add_observation(prec, wmean, context, reward, self.noise_prec)
+            _arm_posterior(pair, wmean, factor, mean, j, flat)
 
 
 # Each agent of a cell's instances starts from the same tree and prior, so
@@ -240,17 +250,19 @@ def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
         wmean = prec @ np.asarray(prior.hyper_mean, float)
         prec_cov = np.stack([prec, np.empty_like(prec)], axis=1)
         factor, mean = np.empty_like(prec), np.empty_like(wmean)
-        for j in range(leaves.size):
-            _arm_posterior(prec_cov[j], wmean[j], factor[j], mean[j], j)
+        for j, (_, _, pair, flat) in enumerate(_pair_rows(prec_cov)):
+            _arm_posterior(pair, wmean[j], factor[j], mean[j], j, flat)
         arrays = (prec_cov, wmean, factor, mean)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _arm_posterior(prec_cov: np.ndarray, wmean: np.ndarray, factor: np.ndarray, mean: np.ndarray, j: int) -> None:
-    """One arm's covariance (into prec_cov[1]), its sampling factor and mean, from its precision form."""
-    li = _conditional(prec_cov, "arm {} covariance", j)
+def _arm_posterior(prec_cov: np.ndarray, wmean: np.ndarray, factor: np.ndarray, mean: np.ndarray, j: int,
+                   flat: tuple) -> None:
+    """One arm's covariance (into prec_cov[1]), its sampling factor and mean, from its precision form; flat is
+    prec_cov's reshapes as _pair_rows binds them."""
+    li = _conditional(prec_cov, "arm {} covariance", j, flat=flat)
     factor[...] = li.T
     np.matmul(prec_cov[1], wmean, out=mean)
 

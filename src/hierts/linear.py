@@ -59,7 +59,7 @@ def _bind_inverse_factor():
 _inverse_factor = _bind_inverse_factor()
 
 
-def _conditional(pair: np.ndarray, what: str, *args) -> np.ndarray:
+def _conditional(pair: np.ndarray, what: str, *args, flat: tuple | None = None) -> np.ndarray:
     """Inverse Cholesky factor L^-1 of a Gaussian with precision S = L L^T, given pair = [S, out] of shape (2, d, d).
 
     Writes the covariance S^-1 = L^-T L^-1 to pair[1] as that one product, so it is exactly symmetric, and L^-T
@@ -67,21 +67,35 @@ def _conditional(pair: np.ndarray, what: str, *args) -> np.ndarray:
     factorization fails) or if cond_1(S) exceeds COND_LIMIT. S is symmetric, so cond_1(S) bounds cond_2(S) from
     above. Since ||A||_1 <= sqrt(d) ||A||_F, cond_1(S) <= d ||S||_F ||S^-1||_F: when one stacked product's two
     squared Frobenius norms keep that under _CERTIFIED, the exact 1-norms are skipped. A NaN, an inf or an
-    overflowed square (numpy warns of it) fails that test and leaves the decision to the 1-norms.
+    overflowed square (numpy warns of it) fails that test and leaves the decision to the 1-norms. flat is the
+    pair's two reshapes that product multiplies, (2, 1, d*d) and (2, d*d, 1), as _pair_rows binds them; None
+    makes them here.
     """
     try:
         li = _inverse_factor(pair[0])
     except (FloatingPointError, np.linalg.LinAlgError):
         raise ConditioningError(f"{what.format(*args)}: precision is singular or not positive definite") from None
     np.matmul(li.T, li, out=pair[1])
-    dd = li.size
-    s_sq, cov_sq = (pair.reshape(2, 1, dd) @ pair.reshape(2, dd, 1)).ravel().tolist()
-    if dd * s_sq * cov_sq <= _CERTIFIED:
+    rows, cols = flat or _flat(pair)
+    s_sq, cov_sq = (rows @ cols).ravel().tolist()
+    if li.size * s_sq * cov_sq <= _CERTIFIED:
         return li
     bound = math.prod(np.maximum.reduce(np.add.reduce(np.abs(pair), axis=1), axis=1).tolist())  # both 1-norms
     if not bound <= COND_LIMIT:
         raise ConditioningError(f"{what.format(*args)}: condition number bound {bound:.3e} exceeds {COND_LIMIT:.0e}")
     return li
+
+
+def _flat(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two reshapes of a (2, d, d) pair whose product gives both squared Frobenius norms."""
+    dd = pair[0].size
+    return pair.reshape(2, 1, dd), pair.reshape(2, dd, 1)
+
+
+def _pair_rows(pairs: np.ndarray) -> list[tuple]:
+    """(S, cov, pair, flat) of each (2, d, d) pair of a C-contiguous stack, all views bound once: S = pair[0],
+    cov = pair[1] and flat as _conditional takes it (a reshape of a contiguous pair is a view)."""
+    return [(pair[0], pair[1], pair, _flat(pair)) for pair in pairs]
 
 
 def _add_observation(prec: np.ndarray, wmean: np.ndarray, context, reward: float, noise_prec: float) -> None:
@@ -119,7 +133,15 @@ class LinearPosteriorState(_UpwardPass):
     post_factor, an upper triangular F with F F^T = covariance, plus the root's posterior mean root_mean. The
     sampling pass (draw) then only needs batched matrix-vector products per tree
     level. update_path refreshes the caches of the acted leaf's root path
-    only.
+    only, and rebuild every node; both run the one refresh loop, _refresh, on local names and without a call per
+    node but the kernel's.
+
+    The arrays are the one truth. Each node's rows of them (lam0, ev_prec, ev_wmean, S and the covariance beside
+    it, post_factor, slope, intercept, msg_prec, msg_wmean, ev_prec's diagonal and lam0's trace) are bound once as
+    views, in _rows, and so are the slope, post_factor and intercept rows of each draw level whose ids are a
+    slice, in _level_rows; a level whose ids are an array indexes on each draw, since a fancy index is a copy
+    that would go stale. Write into the arrays, never rebind them. A pickled or copied state leaves every view
+    out (post_cov too) and binds them again to its own arrays when it is loaded.
     """
 
     def __init__(self, hierarchy: Hierarchy, prior: PriorSpec):
@@ -132,8 +154,7 @@ class LinearPosteriorState(_UpwardPass):
         self.hyper_mean = np.asarray(prior.hyper_mean, float)
         self.lam0 = _sym(np.linalg.inv(prior.variances(hierarchy)))
         self._paths = _root_paths(hierarchy)
-        self._lam0_trace = self.lam0.trace(axis1=1, axis2=2).tolist()
-        start = hierarchy.child_start.tolist()  # each parent's child ids, a slice when consecutive: _pool sums views
+        start = hierarchy.child_start.tolist()  # each parent's child ids, a slice when consecutive: a pool sums views
         self._children = [_as_index(hierarchy.child_ids[a:b]) if b > a else None for a, b in zip(start, start[1:])]
         n, d = hierarchy.num_nodes, self.dim
         self.ev_prec = np.zeros((n + 1, d, d))
@@ -142,15 +163,35 @@ class LinearPosteriorState(_UpwardPass):
         self.msg_wmean = np.zeros((n + 1, d))
         # per node, S = P + Lam0 beside the covariance S^-1: the cond_1 bound reads both without a copy
         self._s_cov = np.empty((n + 1, 2, d, d))
-        self.post_cov = self._s_cov[:, 1]
         self.post_factor = np.empty((n + 1, d, d))
         self.slope = np.empty((n + 1, d, d))
         self.intercept = np.zeros((n + 1, d))
         self._s_cov[0] = np.eye(d)
         self.post_factor[0] = np.eye(d)
         self.slope[0] = np.eye(d)
-        for node in range(1, n + 1):
-            self._fold(node)
+        self._bind_rows()
+        self._refresh(hierarchy.sample_nodes[::-1] + (ROOT,))  # as rebuild: the root, which sends no message, last
+
+    def _bind_rows(self) -> None:
+        """post_cov, _rows and _level_rows: views of this state's own arrays."""
+        self.post_cov = self._s_cov[:, 1]
+        traces = self.lam0.trace(axis1=1, axis2=2).tolist()
+        self._rows = [None] + [
+            (lam0, prec, wmean, *s_cov, factor, slope, intercept, msg_prec, msg_wmean, prec.diagonal(), trace)
+            for lam0, prec, wmean, s_cov, factor, slope, intercept, msg_prec, msg_wmean, trace in zip(
+                self.lam0[1:], self.ev_prec[1:], self.ev_wmean[1:], _pair_rows(self._s_cov[1:]),
+                self.post_factor[1:], self.slope[1:], self.intercept[1:], self.msg_prec[1:], self.msg_wmean[1:],
+                traces[1:])]
+        self._level_rows = [(self.slope[nodes], self.post_factor[nodes], self.intercept[nodes, :, None])
+                            if type(nodes) is slice else None for nodes, _, _, _ in self.hierarchy.level_index]
+
+    def __getstate__(self) -> dict:
+        """The state without its bound views, which would load as detached copies; __setstate__ binds them again."""
+        return {k: v for k, v in self.__dict__.items() if k not in ("post_cov", "_rows", "_level_rows")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_rows()
 
     def update_path(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
         """Record one (context, reward) pair and refresh the leaf's root path; the context is required."""
@@ -161,49 +202,48 @@ class LinearPosteriorState(_UpwardPass):
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Node parameter vectors from the exact joint posterior, root downward: shape (num_nodes + 1, d), row 0
         nan. One standard-normal draw of num_nodes * d values, consumed root first, then level by level; each
-        level computes slope @ parent + post_factor @ z + intercept with stacked matmuls."""
+        level computes slope @ parent + post_factor @ z + intercept with stacked matmuls, on the rows bound in
+        _level_rows where its ids are a slice."""
         hier, d = self.hierarchy, self.dim
         slope, intercept, factor = self.slope, self.intercept, self.post_factor
         z = rng.standard_normal(hier.num_nodes * d)
         theta = np.empty((hier.num_nodes + 1, d, 1))
         theta[0] = np.nan
         theta[ROOT] = self.root_mean[:, None] + factor[ROOT] @ z[:d].reshape(d, 1)
-        for nodes, parents, start, stop in hier.level_index:
-            mean = slope[nodes] @ theta.take(parents, axis=0)
-            mean += factor[nodes] @ z[d * start : d * stop].reshape(-1, d, 1)
-            mean += intercept[nodes, :, None]
+        for (nodes, parents, start, stop), bound in zip(hier.level_index, self._level_rows):
+            slope_rows, factor_rows, intercept_rows = bound or (slope[nodes], factor[nodes], intercept[nodes, :, None])
+            mean = slope_rows @ theta.take(parents, axis=0)
+            mean += factor_rows @ z[d * start : d * stop].reshape(-1, d, 1)
+            mean += intercept_rows
             theta[nodes] = mean
         return theta[..., 0]
 
     def _refresh(self, nodes) -> None:
+        """_UpwardPass's refresh as one loop on local names over each node's bound rows. A parent pools its
+        children's messages; then one factor of S = P + Lam0 gives the node's conditional and its message, or
+        at the root, which sends none, root_mean."""
+        rows, children, msg_prec, msg_wmean = self._rows, self._children, self.msg_prec, self.msg_wmean
+        add, matmul, subtract, add_reduce = np.add, np.matmul, np.subtract, np.add.reduce
         for node in nodes:
-            if self._children[node] is not None:
-                self._pool(node)
-            self._fold(node)
-
-    def _pool(self, node: int) -> None:
-        ch = self._children[node]
-        np.add.reduce(self.msg_prec[ch], axis=0, out=self.ev_prec[node])
-        np.add.reduce(self.msg_wmean[ch], axis=0, out=self.ev_wmean[node])
-
-    def _fold(self, node: int) -> None:
-        """Message and conditional of one node from one factor of S = P + Lam0; the root sends no message."""
-        lam0, prec, wmean = self.lam0[node], self.ev_prec[node], self.ev_wmean[node]
-        s_cov = self._s_cov[node]
-        np.add(prec, lam0, out=s_cov[0])
-        li = _conditional(s_cov, "posterior at node {}", node)
-        cov = s_cov[1]
-        self.post_factor[node] = li.T
-        slope = np.matmul(cov, lam0, out=self.slope[node])
-        intercept = np.matmul(cov, wmean, out=self.intercept[node])
-        if node == ROOT:
-            self.root_mean = slope @ self.hyper_mean + intercept
-            return
-        small = prec if prec.trace() <= self._lam0_trace[node] else lam0
-        h = li @ small
-        msg_prec = np.matmul(h.T, h, out=self.msg_prec[node])
-        np.subtract(small, msg_prec, out=msg_prec)
-        np.matmul(lam0, intercept, out=self.msg_wmean[node])
+            (lam0, prec, wmean, s, cov, pair, flat, factor, slope, intercept, m_prec, m_wmean,
+             diagonal, lam0_trace) = rows[node]
+            ch = children[node]
+            if ch is not None:
+                add_reduce(msg_prec[ch], axis=0, out=prec)
+                add_reduce(msg_wmean[ch], axis=0, out=wmean)
+            add(prec, lam0, out=s)
+            li = _conditional(pair, "posterior at node {}", node, flat=flat)
+            factor[...] = li.T
+            matmul(cov, lam0, out=slope)
+            matmul(cov, wmean, out=intercept)
+            if node == ROOT:
+                self.root_mean = slope @ self.hyper_mean + intercept
+                break
+            small = prec if add_reduce(diagonal) <= lam0_trace else lam0
+            h = li @ small
+            matmul(h.T, h, out=m_prec)
+            subtract(small, m_prec, out=m_prec)
+            matmul(lam0, intercept, out=m_wmean)
 
     def _copy_tallies(self, out: "LinearPosteriorState") -> None:
         leaves = self.hierarchy.action_nodes

@@ -89,8 +89,10 @@ class _UpwardPass:
     Subclasses supply _refresh(nodes), which visits nodes in the order given, each node after its children and
     the root last: a parent's evidence pools its children's messages, and each node's evidence folds into its
     message (the root sends none) and the conditional it caches; and _copy_tallies(out), which gives a fresh state
-    this one's leaf tallies and evidence (one and the same in the linear model). update_path refreshes the acted
-    leaf's root path (_root_paths), and rebuild every node.
+    this one's leaf tallies and evidence (one and the same in the linear model). Both states write _refresh as one
+    loop on local names with no call per node, over their own per-node values: the scalar state's float lists,
+    the linear state's array rows bound once as views. update_path refreshes the acted leaf's root path
+    (_root_paths), and rebuild every node; the root ends both walks, and a state's build.
     """
 
     def rebuild(self):

@@ -586,40 +586,61 @@ def test_write_through_follows_rehomed_arrays():
 
 
 def _agent_bytes(agent):
-    """Every array and float list an agent's draws read or its updates write, as bytes."""
-    if agent.kind == "TS":
+    """Every array and float list an agent's draws read or its updates write, as bytes; for the linear model
+    also every action's marginal_action_moments."""
+    if agent.kind == "TS" and agent._scalar:
         return [getattr(agent, name).tobytes() for name in ("prec", "wmean", "mean", "sd")]
-    state = agent.state
-    names = ("counts", "reward_sums", "lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "lamhat", "sqrt_lamhat")
-    out = [np.array(getattr(state, name)).tobytes() for name in names] + [a.tobytes() for a in state._msg_arrays]
-    return out + [repr(state.root_mean)] + [a.tobytes() for a in state.level_copies or ()]
+    if agent.kind == "TS":
+        out = [getattr(agent, name).tobytes() for name in ("prec", "cov", "_prec_cov", "wmean", "factor", "mean")]
+    elif isinstance(agent.state, LinearPosteriorState):
+        names = ("lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "_s_cov", "post_cov", "post_factor",
+                 "slope", "intercept", "root_mean")
+        out = [getattr(agent.state, name).tobytes() for name in names]
+    else:
+        state = agent.state
+        names = ("counts", "reward_sums", "lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "lamhat",
+                 "sqrt_lamhat")
+        out = [np.array(getattr(state, name)).tobytes() for name in names] + [a.tobytes() for a in state._msg_arrays]
+        return out + [repr(state.root_mean)] + [a.tobytes() for a in state.level_copies or ()]
+    return out + [a.tobytes() for action in agent.hierarchy.action_nodes.tolist()
+                  for a in agent.marginal_action_moments(action)]
 
 
 @pytest.mark.parametrize("kind", AGENT_KINDS)
-@pytest.mark.parametrize("lockstep", [False, True], ids=["fresh", "lockstep"])
-def test_agents_pickle_and_copy(kind, lockstep):
+@pytest.mark.parametrize("mode", ["fresh", "lockstep", "linear"])
+def test_agents_pickle_and_copy(kind, mode):
     """pickle and deepcopy give an agent that binds its write-through views to its own arrays: fed the same
     updates as the original, its draws, float lists and arrays stay the original's bytes. b=16 h=2 has a wide
-    root, whose children's messages a state writes through; a lockstep agent writes through to its column."""
+    root, whose children's messages a state writes through; a lockstep agent writes through to its column. A
+    linear agent (d = 3) reads and writes through the row views its state or TS arms bind, and post_cov and TS's
+    prec and cov are views too; its twin keeps every array and every marginal_action_moments in bytes."""
     rng = np.random.default_rng(23)
     tree = balanced_tree(16, 2)
-    prior = random_scalar_prior(rng, tree)
+    dim = 3 if mode == "linear" else None
+    prior = random_scalar_prior(rng, tree) if dim is None else random_linear_prior(rng, tree, dim)
     agents_ = [make_agent(kind, tree, prior, np.random.default_rng(j)) for j in range(3)]
-    if lockstep:
+    if mode == "lockstep":
         type(agents_[0]).lockstep(agents_)
     agent = agents_[0]
+
+    def feed(*targets):
+        leaf, reward = int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0))
+        context = None if dim is None else rng.standard_normal(dim)
+        for target in targets:
+            target.update(leaf, reward, context)
+
     for _ in range(30):
-        agent.update(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
+        feed(agent)
     for twin_of in (lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy):
         twin = twin_of(agent)
         assert _agent_bytes(twin) == _agent_bytes(agent)
         for _ in range(30):
-            leaf, reward = int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0))
-            agent.update(leaf, reward)
-            twin.update(leaf, reward)
+            feed(agent, twin)
         assert _agent_bytes(twin) == _agent_bytes(agent)
-        assert twin.act() == agent.act() and twin.rng.bit_generator.state == agent.rng.bit_generator.state
+        context = None if dim is None else rng.standard_normal(dim)
+        assert twin.act(context) == agent.act(context)
+        assert twin.rng.bit_generator.state == agent.rng.bit_generator.state
         if kind != "TS":
-            copies = zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), twin.state.level_copies or ())
+            copies = zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), getattr(twin.state, "level_copies", None) or ())
             assert all(a.tobytes() == np.array(getattr(twin.state, name)).tobytes() for name, a in copies)
             assert twin.sample_model().tobytes() == agent.sample_model().tobytes()

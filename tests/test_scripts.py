@@ -68,3 +68,14 @@ def test_cluster_dataset_script_feeds_classify_bandit(tmp_path):
                      "--horizon", "20", "--runs", "1", "--jobs", "1", "--out", str(tmp_path / "run")]) == cli.EXIT_OK
     assert (tmp_path / "run" / "regret.csv").is_file()
 
+
+
+def test_linear_layers_script_times_each_layer():
+    """linear_layers.py at a tiny size prints one positive time per layer: update_path, draw and the TS update."""
+    proc = _run("linear_layers.py", "--updates", 5, "--repeats", 1)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.strip().splitlines()
+    assert header == "layer,us_per_call"
+    times = dict(line.split(",") for line in lines)
+    assert list(times) == ["update_path", "draw", "ts_update"]
+    assert all(float(value) > 0 for value in times.values())
