@@ -9,8 +9,9 @@ Bayes-regret bound.
 `import hierts` loads none of the package's modules: each public name below,
 and each module that defines one, is imported the first time it is used
 (PEP 562), so a caller pays only for the modules it reaches. `from hierts
-import RunConfig, make_agent` loads config, agents, hierarchy, posterior and
-linear, not the oracle, the checks, the harness or the CLI. `hierts.cli`
+import RunConfig, make_agent` loads config, agents, hierarchy and posterior,
+not the linear model, the oracle, the checks, the harness or the CLI; agents
+imports linear the first time a matrix prior reaches it. `hierts.cli`
 keeps its own module-level names for the harness, loader and chart functions
 it calls, which a caller can patch there.
 """

@@ -6,6 +6,10 @@ HierTS samples the full tree top-down (one Gaussian draw per node, so a
 round costs a number of scalar draws linear in the node count), FlatTS runs
 HierTS on a two-level collapse of the tree, and TS drops all correlations
 and tracks each arm independently.
+
+This module holds no linear-model math: a matrix prior's posterior state
+and TS arms live in linear.py, which _linear() imports the first time a
+matrix prior reaches an agent, so a k-armed run never loads it.
 """
 from __future__ import annotations
 
@@ -22,21 +26,31 @@ from .hierarchy import (
     flatten_hierarchy,
     marginal_prior_variances,
 )
-from .linear import LinearPosteriorState, _add_observation, _argmax_score, _conditional, _pair_rows, _sym
-from .posterior import LockstepDraw, PosteriorState, _context
+from .posterior import LockstepDraw, PosteriorState, _argmax_score, _context, _UpwardPass
 
 __all__ = ["AGENT_KINDS", "hierts_sample", "HierTSAgent", "FlatTSAgent", "TSAgent", "make_agent"]
 
 AGENT_KINDS = ("HierTS", "FlatTS", "TS")
 
 
+@functools.cache
+def _linear():
+    """hierts.linear, imported the first time a matrix prior reaches an agent, so a k-armed run never loads the
+    linear model; cached, so a linear TS update, which calls into it, runs no import statement."""
+    from . import linear
+
+    return linear
+
+
 def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw node parameters from the exact joint posterior, root downward: state.draw(rng).
 
     The root is drawn from its posterior given the hyper-prior, then each
-    level conditions on the already-sampled parents. Works for both scalar
-    and linear states; returns an array indexed by node id (slot 0 unused),
-    of shape (num_nodes + 1,) or (num_nodes + 1, d), with a leading size
+    level conditions on the already-sampled parents. state is a scalar or a
+    linear posterior state, any posterior._UpwardPass (a TypeError
+    otherwise), so checking it loads no linear model; returns an array
+    indexed by node id (slot 0 unused), of shape (num_nodes + 1,) or
+    (num_nodes + 1, d), with a leading size
     axis when size is given. A size that is not a positive integer, a bool
     among them, raises ValueError before any draw. A sized draw is size
     draws in a row from rng, stacked: it equals that many calls without a
@@ -44,7 +58,7 @@ def hierts_sample(state, rng: np.random.Generator, size: int | None = None) -> n
     Python floats, node by node; the k-armed agents of a lockstep cell draw
     through posterior.LockstepDraw instead, whose columns give the same bits.
     """
-    if not isinstance(state, (PosteriorState, LinearPosteriorState)):
+    if not isinstance(state, _UpwardPass):
         raise TypeError(f"unsupported posterior state {type(state).__name__}")
     if size is None:
         return state.draw(rng)
@@ -67,7 +81,7 @@ class HierTSAgent:
         self.hierarchy = hierarchy
         self.rng = rng
         tree, tree_prior = self._sampled_tree(hierarchy, prior)
-        self.state = (PosteriorState if tree_prior.is_scalar else LinearPosteriorState)(tree, tree_prior)
+        self.state = (PosteriorState if tree_prior.is_scalar else _linear().LinearPosteriorState)(tree, tree_prior)
         self._leaves = tree.action_nodes.tolist()
         self._actions = hierarchy.action_nodes.tolist()
         self.sample_ops = 0
@@ -130,8 +144,9 @@ class TSAgent:
     matrix prior. A matrix prior keeps each arm's prec beside its cov in one
     (K, 2, d, d) array, the pair the conditional kernel reads and writes. A
     scalar prior's update reads and writes its four (K,) arrays through
-    memoryviews, and a matrix prior's through each arm's rows, all bound where
-    the arrays are made or re-homed (_bind_arms); a pickled or copied agent
+    memoryviews, and a matrix prior's through each arm's rows
+    (linear._arm_rows, which linear._arm_update reads and writes), all bound
+    where the arrays are made or re-homed (_bind_arms); a pickled or copied agent
     leaves them out (a matrix prior's prec and cov views too) and binds them
     again to its own arrays when loaded.
     """
@@ -161,13 +176,12 @@ class TSAgent:
 
     def _bind_arms(self) -> None:
         """_arms: a scalar prior's four memoryviews, or a matrix prior's (prec, wmean, pair, flat, factor, mean)
-        views of each arm; the matrix prior's prec and cov are views of _prec_cov."""
+        views of each arm (linear._arm_rows); the matrix prior's prec and cov are views of _prec_cov."""
         if self._scalar:
             self._arms = tuple(map(memoryview, (self.prec, self.wmean, self.mean, self.sd)))
             return
         self.prec, self.cov = self._prec_cov[:, 0], self._prec_cov[:, 1]
-        self._arms = [(prec, wmean, pair, flat, factor, mean) for prec, wmean, (_, _, pair, flat), factor, mean
-                      in zip(self.prec, self.wmean, _pair_rows(self._prec_cov), self.factor, self.mean)]
+        self._arms = _linear()._arm_rows(self._prec_cov, self.wmean, self.factor, self.mean)
 
     def __getstate__(self) -> dict:
         """The agent without its bound views: memoryviews do not pickle and array views would load as detached
@@ -217,9 +231,7 @@ class TSAgent:
             wmean = wmean_arms[j] = wmean_arms[j] + float(reward) * self.noise_prec  # float32 would stay float32
             mean_arms[j], sd_arms[j] = wmean / prec, math.sqrt(prec)
         else:
-            prec, wmean, pair, flat, factor, mean = self._arms[j]
-            _add_observation(prec, wmean, context, reward, self.noise_prec)
-            _arm_posterior(pair, wmean, factor, mean, j, flat)
+            _linear()._arm_update(self._arms[j], j, context, reward, self.noise_prec)
 
 
 # Each agent of a cell's instances starts from the same tree and prior, so
@@ -246,25 +258,10 @@ def _ts_prior(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[np.ndarray, ...]:
         wmean = prec * float(prior.hyper_mean)
         arrays = (prec, wmean, wmean / prec, np.sqrt(prec))
     else:
-        prec = _sym(np.linalg.inv(marginal[leaves]))
-        wmean = prec @ np.asarray(prior.hyper_mean, float)
-        prec_cov = np.stack([prec, np.empty_like(prec)], axis=1)
-        factor, mean = np.empty_like(prec), np.empty_like(wmean)
-        for j, (_, _, pair, flat) in enumerate(_pair_rows(prec_cov)):
-            _arm_posterior(pair, wmean[j], factor[j], mean[j], j, flat)
-        arrays = (prec_cov, wmean, factor, mean)
+        arrays = _linear()._arm_priors(marginal[leaves], prior.hyper_mean)
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def _arm_posterior(prec_cov: np.ndarray, wmean: np.ndarray, factor: np.ndarray, mean: np.ndarray, j: int,
-                   flat: tuple) -> None:
-    """One arm's covariance (into prec_cov[1]), its sampling factor and mean, from its precision form; flat is
-    prec_cov's reshapes as _pair_rows binds them."""
-    li = _conditional(prec_cov, "arm {} covariance", j, flat=flat)
-    factor[...] = li.T
-    np.matmul(prec_cov[1], wmean, out=mean)
 
 
 def make_agent(kind: str, hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator):

@@ -13,7 +13,6 @@ to the training split.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,8 +37,6 @@ __all__ = [
     "make_cluster_dataset",
     "write_dataset_csv",
 ]
-
-logger = logging.getLogger(__name__)
 
 COVARIANCE_FLOOR = 1e-6
 # make_cluster_dataset's spreads of group centers, class centers and points
@@ -262,7 +259,9 @@ def fit_priors_from_data(
         theta_star[int(leaf)] = rows.mean(axis=0)
 
     if floored:
-        logger.warning(
+        import logging  # only a floored fit warns; a run that floors nothing never loads logging
+
+        logging.getLogger(__name__).warning(
             "floored %d covariance(s) at %g during prior fitting: nodes %s",
             len(floored),
             COVARIANCE_FLOOR,

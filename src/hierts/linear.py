@@ -14,6 +14,9 @@ which stays well defined when P is singular (few or degenerate contexts),
 unlike the textbook form (Sigma0 + P^-1)^-1. The first form cancels when P >> Lam0 and the second
 when P << Lam0, so a node subtracts from the one of smaller trace. One Cholesky factor S = L L^T gives
 the rest: covariance S^-1 = L^-T L^-1, slope S^-1 Lam0, intercept S^-1 W, P S^-1 P = H^T H with H = L^-1 P.
+
+TSAgent's independent arms under a matrix prior (_arm_priors, _arm_rows, _arm_update) share that one kernel. Only
+a matrix prior loads this module: agents imports it on the first one.
 """
 from __future__ import annotations
 
@@ -110,19 +113,39 @@ def _add_observation(prec: np.ndarray, wmean: np.ndarray, context, reward: float
     wmean += x * (float(reward) * noise_prec)  # a numpy float32 reward would round the product to float32
 
 
-def _argmax_score(values: np.ndarray, context) -> int:
-    """Position of the largest value of a k-armed model's (K,) values, whose context must be None, or of
-    the scores values @ context of a linear model's (K, d) values, whose context must have shape (d,).
-    ValueError otherwise, or unless that score is finite, since np.argmax picks the first NaN that a NaN or
-    inf in the context makes."""
-    if values.ndim == 1:
-        _context(context, None)
-        return int(values.argmax())
-    scores = values @ _context(context, values.shape[1])
-    j = int(scores.argmax())
-    if not math.isfinite(scores[j]):
-        raise ValueError(f"context must be finite, got {context}")
-    return j
+def _arm_posterior(prec_cov: np.ndarray, wmean: np.ndarray, factor: np.ndarray, mean: np.ndarray, j: int,
+                   flat: tuple) -> None:
+    """One TS arm's covariance (into prec_cov[1]), its sampling factor and mean, from its precision form; flat is
+    prec_cov's reshapes as _pair_rows binds them."""
+    li = _conditional(prec_cov, "arm {} covariance", j, flat=flat)
+    factor[...] = li.T
+    np.matmul(prec_cov[1], wmean, out=mean)
+
+
+def _arm_priors(marginal: np.ndarray, hyper_mean) -> tuple[np.ndarray, ...]:
+    """TSAgent's per-arm prior arrays under a matrix prior, from the arms' (K, d, d) marginal covariances:
+    (prec_cov, wmean, factor, mean), with each arm's prec and cov stacked in prec_cov."""
+    prec = _sym(np.linalg.inv(marginal))
+    wmean = prec @ np.asarray(hyper_mean, float)
+    prec_cov = np.stack([prec, np.empty_like(prec)], axis=1)
+    factor, mean = np.empty_like(prec), np.empty_like(wmean)
+    for j, (_, _, pair, flat) in enumerate(_pair_rows(prec_cov)):
+        _arm_posterior(pair, wmean[j], factor[j], mean[j], j, flat)
+    return prec_cov, wmean, factor, mean
+
+
+def _arm_rows(prec_cov: np.ndarray, wmean: np.ndarray, factor: np.ndarray, mean: np.ndarray) -> list[tuple]:
+    """Each TS arm's (prec, wmean, pair, flat, factor, mean) views, which _arm_update reads and writes."""
+    return [(prec, wmean, pair, flat, factor, mean) for (prec, _, pair, flat), wmean, factor, mean
+            in zip(_pair_rows(prec_cov), wmean, factor, mean)]
+
+
+def _arm_update(arm: tuple, j: int, context, reward: float, noise_prec: float) -> None:
+    """One (context, reward) pair added to TS arm j's precision form, then its moments refreshed; arm is its
+    _arm_rows entry."""
+    prec, wmean, pair, flat, factor, mean = arm
+    _add_observation(prec, wmean, context, reward, noise_prec)
+    _arm_posterior(pair, wmean, factor, mean, j, flat)
 
 
 class LinearPosteriorState(_UpwardPass):

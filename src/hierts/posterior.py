@@ -71,6 +71,21 @@ def _context(context, dim: int | None) -> np.ndarray | None:
     return x
 
 
+def _argmax_score(values: np.ndarray, context) -> int:
+    """Position of the largest value of a k-armed model's (K,) values, whose context must be None, or of
+    the scores values @ context of a linear model's (K, d) values, whose context must have shape (d,).
+    ValueError otherwise, or unless that score is finite, since np.argmax picks the first NaN that a NaN or
+    inf in the context makes."""
+    if values.ndim == 1:
+        _context(context, None)
+        return int(values.argmax())
+    scores = values @ _context(context, values.shape[1])
+    j = int(scores.argmax())
+    if not math.isfinite(scores[j]):
+        raise ValueError(f"context must be finite, got {context}")
+    return j
+
+
 @functools.lru_cache(maxsize=2)
 def _root_paths(hier: Hierarchy) -> list:
     """Each leaf's path up to the root, leaf first, as a list of ids in a list indexed by leaf id (None for the
@@ -125,9 +140,10 @@ class PosteriorState(_UpwardPass):
       the state's columns of a LockstepDraw's arrays, which _hold_levels
       sets when the state joins that draw; None before;
     - msg_prec and msg_wmean of the children of a parent with more than
-      SHORT_SUM_MAX children, which _refresh sums with numpy's pairwise sum,
-      over a slice view when the child ids are consecutive and over a
-      gathered copy otherwise.
+      SHORT_SUM_MAX children, as the two rows of one (2, num_nodes + 1)
+      array (_msg_pair; _msg_arrays holds its rows), which _refresh sums
+      with one numpy reduction, each row's pairwise sum, over a slice view
+      when the child ids are consecutive and over a gathered copy otherwise.
     A shorter child list is summed left to right from 0.0, which is the order
     numpy's sum takes for at most SHORT_SUM_MAX elements. Every other reader
     (marginal_action_moments, posterior_precisions, the checks) works on the
@@ -159,9 +175,10 @@ class PosteriorState(_UpwardPass):
         self._children = [None if a == b else ids[a:b] if b - a <= SHORT_SUM_MAX
                           else _as_index(hierarchy.child_ids[a:b]) for a, b in zip(start, start[1:])]
         self._hold_levels(None)
-        # _refresh writes the message of each node whose parent is wide (_wide_child) through to _msg_arrays
-        self._msg_arrays = np.zeros(n + 1), np.zeros(n + 1)
-        self._msg_views = tuple(map(memoryview, self._msg_arrays))
+        # _refresh writes the message of each node whose parent is wide (_wide_child) through to _msg_pair, the
+        # rows (msg_prec, msg_wmean) that one reduction sums
+        self._msg_pair = np.zeros((2, n + 1))
+        self._bind_msg_views()
         self._wide_child = (np.diff(hierarchy.child_start) > SHORT_SUM_MAX)[hierarchy.parent].tolist()
         self._refresh((ROOT,))
 
@@ -170,14 +187,20 @@ class PosteriorState(_UpwardPass):
         self.level_copies = copies
         self._level_views = None if copies is None else tuple(map(memoryview, copies[1:]))
 
+    def _bind_msg_views(self) -> None:
+        """_msg_arrays, the two rows of _msg_pair, and the memoryviews _refresh writes them through."""
+        self._msg_arrays = tuple(self._msg_pair)
+        self._msg_views = tuple(map(memoryview, self._msg_arrays))
+
     def __getstate__(self) -> dict:
-        """The state without its memoryviews, which do not pickle; __setstate__ binds them again."""
-        return {k: v for k, v in self.__dict__.items() if k not in ("_level_views", "_msg_views")}
+        """The state without its memoryviews, which do not pickle, and _msg_pair's rows, which would load as
+        detached copies; __setstate__ binds them again."""
+        return {k: v for k, v in self.__dict__.items() if k not in ("_level_views", "_msg_arrays", "_msg_views")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._hold_levels(self.level_copies)
-        self._msg_views = tuple(map(memoryview, self._msg_arrays))
+        self._bind_msg_views()
 
     def posterior_precisions(self) -> np.ndarray:
         """Conditional posterior precision of every node, shape (num_nodes + 1,); slot 0 is nan."""
@@ -218,7 +241,7 @@ class PosteriorState(_UpwardPass):
         levels, sqrt, add_reduce = self._level_views, math.sqrt, np.add.reduce
         if levels is not None:
             level_wmean, level_lamhat, level_sqrt = levels
-        (wide_prec, wide_wmean), (view_prec, view_wmean) = self._msg_arrays, self._msg_views
+        msg_pair, (view_prec, view_wmean) = self._msg_pair, self._msg_views
         for node in nodes:
             ch = children[node]
             if ch is None:  # a leaf: its evidence comes from its tallies
@@ -229,8 +252,10 @@ class PosteriorState(_UpwardPass):
                     for c in ch:
                         prec += msg_prec[c]
                         wmean += msg_wmean[c]
-                else:
-                    prec, wmean = float(add_reduce(wide_prec[ch])), float(add_reduce(wide_wmean[ch]))
+                else:  # one reduction, each row's own pairwise sum; a fancy index here would give a column-major
+                    # copy, whose rows numpy sums in another order, so gathered ids go through take
+                    pool = msg_pair[:, ch] if type(ch) is slice else msg_pair.take(ch, axis=1)
+                    prec, wmean = add_reduce(pool, axis=1).tolist()
                 ev_prec[node], ev_wmean[node] = prec, wmean
             lam0 = lam0s[node]
             lamhat = lamhats[node] = lam0 + prec
@@ -238,12 +263,12 @@ class PosteriorState(_UpwardPass):
             if levels is not None:
                 level_wmean[node], level_lamhat[node], level_sqrt[node] = wmean, lamhat, sqrt_lamhat
             if node == ROOT:
+                self.root_mean = (lam0 * self.hyper_mean + wmean) / lamhat
                 break
             msg_p = msg_prec[node] = prec * lam0 / lamhat
             msg_w = msg_wmean[node] = lam0 / lamhat * wmean
             if wide_child[node]:
                 view_prec[node], view_wmean[node] = msg_p, msg_w
-        self.root_mean = (lam0 * self.hyper_mean + wmean) / lamhat
 
     def _copy_tallies(self, out: "PosteriorState") -> None:
         out.counts[:] = self.counts

@@ -36,9 +36,10 @@ PUBLIC = {
 
 
 def _loaded_after(statement: str) -> set[str]:
-    """The hierts submodules (and concurrent.futures) that a fresh interpreter holds after statement."""
+    """The hierts submodules (and concurrent.futures and logging) that a fresh interpreter holds after statement."""
     probe = (f"import sys\n{statement}\nimport json\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hierts.') or m == 'concurrent.futures')))")
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.startswith('hierts.') or m in ('concurrent.futures', 'logging'))))")
     src = str(Path(hierts.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
@@ -46,13 +47,30 @@ def _loaded_after(statement: str) -> set[str]:
     return {m.removeprefix("hierts.") for m in json.loads(proc.stdout.splitlines()[-1])}
 
 
+# every agent kind made, acted and updated on one prior, then a short run of the harness, whose 4 instances make a
+# lockstep cell; a matrix prior's agents take contexts
+AGENTS_ON = ("import numpy as np\n"
+             "from hierts import AGENT_KINDS, RunConfig, balanced_tree, make_agent, run_bayes_regret\n"
+             "tree = balanced_tree(2, 2)\n"
+             "x = None if prior.is_scalar else np.ones(prior.dim)\n"
+             "for kind in AGENT_KINDS:\n"
+             "    agent = make_agent(kind, tree, prior, np.random.default_rng(0))\n"
+             "    agent.update(agent.act(x), 1.0, x)\n"
+             "run_bayes_regret(RunConfig(branching=2, height=2, horizon=20, instances=4, seed=0))")
+K_ARMED_RUN = ("from hierts import balanced_tree, constant_prior\n"
+               "prior = constant_prior(balanced_tree(2, 2), 1.0)\n" + AGENTS_ON)
+MATRIX_PRIOR = ("import numpy as np\nfrom hierts import PriorSpec\n"
+                "prior = PriorSpec(np.zeros(2), {n: np.eye(2) for n in range(1, 8)}, noise_std=1.0)\n" + AGENTS_ON)
+
+
 @pytest.mark.parametrize("statement, absent", [
     ("import hierts", None),
     ("from hierts import RunConfig, make_agent, balanced_tree, constant_prior",
-     {"checks", "oracle", "harness", "envs", "svgchart", "cli"}),
-    ("import hierts.cli", {"checks", "oracle", "concurrent.futures"}),
+     {"checks", "oracle", "harness", "envs", "svgchart", "cli", "linear"}),
+    ("import hierts.cli", {"checks", "oracle", "concurrent.futures", "linear", "logging"}),
     ("import hierts; hierts.hierarchy.balanced_tree", {"agents", "config", "envs", "oracle", "posterior"}),
-], ids=["package", "setup-names", "cli", "submodule"])
+    (K_ARMED_RUN, {"linear", "checks", "oracle"}),
+], ids=["package", "setup-names", "cli", "submodule", "k-armed-run"])
 def test_import_loads_only_the_modules_used(statement, absent):
     """None stands for every module: `import hierts` alone loads no submodule."""
     loaded = _loaded_after(statement)
@@ -60,6 +78,11 @@ def test_import_loads_only_the_modules_used(statement, absent):
         assert loaded == set()
     else:
         assert not loaded & absent, sorted(loaded & absent)
+
+
+def test_a_matrix_prior_loads_the_linear_model():
+    """The linear model is imported the first time a matrix prior reaches an agent."""
+    assert "linear" in _loaded_after(MATRIX_PRIOR)
 
 
 def test_public_names_are_the_defining_modules_objects():

@@ -488,6 +488,34 @@ def test_numpy_short_sum_is_a_left_fold(n):
         )
 
 
+def test_numpy_pair_reduction_sums_each_row_alone():
+    """PosteriorState._refresh sums a wide parent's two message rows with one reduction over a (2, m) pool: a
+    slice view of _msg_pair when the child ids are consecutive, a take of them otherwise. Each row's sum must keep
+    the bits of that row's own 1-D sum, on 3,000 random widths from 9 to 4,097 (past SHORT_SUM_MAX, where numpy
+    sums pairwise). A fancy index on axis 1 gives a column-major copy instead, whose row sums take another order."""
+    rng = np.random.default_rng(31)
+    for _ in range(3000):
+        m = int(rng.integers(SHORT_SUM_MAX + 2, 4098))
+        pair = rng.standard_normal((2, m + 40)) * 10.0 ** rng.uniform(-8, 8, (2, m + 40))
+        start = int(rng.integers(0, 41))
+        ids = rng.permutation(m + 40)[:m]
+        for pool, index in ((pair[:, start:start + m], slice(start, start + m)), (pair.take(ids, axis=1), ids)):
+            got = np.add.reduce(pool, axis=1).tolist()
+            assert got == [float(np.add.reduce(row[index])) for row in pair], (m, type(index).__name__)
+
+
+def test_refresh_off_the_root_keeps_the_root_mean():
+    """A refresh over nodes that does not reach the root leaves root_mean as it was: b=2 h=2 with hyper-mean 0.5
+    reads a root mean of 0.875 (to rounding) after one reward of 2.0 on leaf 4, and refreshing leaf 4 alone keeps it."""
+    tree = balanced_tree(2, 2)
+    state = PosteriorState(tree, constant_prior(tree, 1.0, hyper_mean=0.5))
+    state.update_path(4, 2.0)
+    root_mean = state.root_mean
+    assert root_mean == pytest.approx(0.875)
+    state._refresh((4,))
+    assert state.root_mean == root_mean
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_numpy_normal_draws_concatenate(seed):
     """The lockstep cell draws each stream's normals blocks ahead (harness._normal_blocks).

@@ -79,3 +79,18 @@ def test_linear_layers_script_times_each_layer():
     times = dict(line.split(",") for line in lines)
     assert list(times) == ["update_path", "draw", "ts_update"]
     assert all(float(value) > 0 for value in times.values())
+
+
+def test_import_times_script_lists_the_modules_a_statement_loads():
+    """import_times.py prints a row per hierts module the statement loads, with the stdlib modules they pull in
+    under them, and a total of the self times: `import hierts.cli` loads config and envs but not the linear model,
+    and the total is the sum of the rows."""
+    proc = _run("import_times.py", "--repeat", 1, "import hierts.cli")
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.strip().splitlines()
+    assert header == "module,under,self_us,cumulative_us"
+    rows = {name: (under, float(self_us)) for name, under, self_us, _ in (line.split(",") for line in lines)}
+    assert {"hierts", "hierts.config", "hierts.envs", "hierts.cli", "csv"} <= set(rows)
+    assert "hierts.linear" not in rows and rows["csv"][0] == "hierts.envs"
+    total = rows.pop("total")[1]
+    assert all(self_us >= 0 for _, self_us in rows.values()) and total == sum(s for _, s in rows.values())
