@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from reference import engine_bytes
 
 from hierts import (
     AGENT_KINDS,
@@ -14,7 +14,6 @@ from hierts import (
     PriorSpec,
     TSAgent,
     balanced_tree,
-    build_hierarchy,
     constant_prior,
     doubling_prior,
     flatten_hierarchy,
@@ -23,7 +22,7 @@ from hierts import (
 )
 from hierts import agents, posterior
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
-from hierts.hierarchy import ROOT, HierarchyError
+from hierts.hierarchy import HierarchyError
 
 
 def _linear_prior(tree, dim, noise_std=1.0, seed=2):
@@ -56,72 +55,6 @@ def test_hierts_sample_linear_shapes(b2h2, linear_prior):
         hierts_sample(object(), np.random.default_rng(0))
 
 
-def _per_level_sample(state, rng, size=None):
-    """Reference sampler: one normal draw per level, conditionals recomputed on every call; a sized draw is
-    size of those in a row, stacked."""
-    if size is not None:
-        return np.stack([_per_level_sample(state, rng) for _ in range(size)])
-    hier = state.hierarchy
-    n, m = hier.num_nodes, 1
-    if isinstance(state, PosteriorState):
-        lam0, ev_prec, ev_wmean = (np.array(getattr(state, name)) for name in ("lam0", "ev_prec", "ev_wmean"))
-        lamhat = lam0 + ev_prec
-        mean_root = (lam0[ROOT] * state.hyper_mean + ev_wmean[ROOT]) / lamhat[ROOT]
-        theta = np.empty((m, n + 1))
-        theta[:, 0] = np.nan
-        theta[:, ROOT] = mean_root + rng.standard_normal(m) / np.sqrt(lamhat[ROOT])
-        for nodes, parents, start, stop in hier.level_index:
-            mean = (lam0[nodes] * theta[:, parents] + ev_wmean[nodes]) / lamhat[nodes]
-            theta[:, nodes] = mean + rng.standard_normal((m, stop - start)) / np.sqrt(lamhat[nodes])
-    else:
-        d = state.dim
-        theta = np.empty((m, n + 1, d))
-        theta[:, 0] = np.nan
-        z = rng.standard_normal((m, d, 1))
-        theta[:, ROOT] = state.slope[ROOT] @ state.hyper_mean + state.intercept[ROOT] + (state.post_factor[ROOT] @ z)[..., 0]
-        for nodes, parents, start, stop in hier.level_index:
-            z = rng.standard_normal((m, stop - start, d, 1))
-            mean = state.slope[nodes] @ theta[:, parents, :, None] + state.post_factor[nodes] @ z
-            theta[:, nodes] = mean[..., 0] + state.intercept[nodes]
-    return theta[0]
-
-
-def _widths(tree):
-    return [stop - start for _, _, start, stop in tree.level_index]
-
-
-@pytest.mark.parametrize("size", [None, 1, 2, 5])
-def test_hierts_sample_keeps_per_level_draw_order(size):
-    """One draw per call yields exactly the per-level sampler's values and stream position; a sized call, that
-    many of them in a row.
-
-    The trees include the 257-node flat tree of b=2 h=8 (a 256-child root), b=2 h=8, b=16 h=2, and
-    random trees with mixed-depth leaves, whose levels and sample order are not id runs.
-    """
-    rng = np.random.default_rng(21)
-    b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
-    trees = [b2h3, balanced_tree(16, 2)] + [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
-    trees += [b2h8] + [random_tree(rng) for _ in range(4)]
-    assert any(not isinstance(idx, slice) for t in trees for idx, _, _, _ in t.level_index)
-    assert any(t.sample_nodes != tuple(range(2, t.num_nodes + 1)) for t in trees)  # a sample order that is no id run
-    for tree in trees:
-        for dim in (None, 1, 3):
-            if dim is None:
-                state = PosteriorState(tree, random_scalar_prior(rng, tree))
-            else:
-                state = LinearPosteriorState(tree, random_linear_prior(rng, tree, dim))
-            for _ in range(30):
-                leaf = int(rng.choice(tree.action_nodes))
-                context = None if dim is None else rng.standard_normal(dim)
-                state.update_path(leaf, float(rng.normal(0.0, 2.0)), context)
-            for seed in range(3):
-                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = hierts_sample(state, got_rng, size)
-                want = _per_level_sample(state, want_rng, size)
-                assert np.array_equal(got, want, equal_nan=True)
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
 def test_sized_draw_is_that_many_draws_in_a_row():
     """hierts_sample(state, rng, m) stacks m draws without a size from rng, for both models, on b=2 h=3, b=2 h=8,
     b=16 h=2 and a random tree with leaves at mixed depths; the generator ends where the m draws leave it."""
@@ -145,80 +78,6 @@ def test_sized_draw_is_that_many_draws_in_a_row():
                 assert got.shape == (m, *want[0].shape)
                 assert [row.tobytes() for row in got] == [w.tobytes() for w in want]
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
-def _updates(rng, tree, chunks, per_chunk):
-    return [[(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0))) for _ in range(per_chunk)]
-            for _ in range(chunks)]
-
-
-def test_forced_routes_draw_the_same_bytes():
-    """Both draw routes give the same bytes: a state's own draw on floats, and the level loop of a one-column
-    LockstepDraw over a twin.
-
-    Each tree builds a state and a twin that joins a one-column LockstepDraw, replays the same updates on each
-    (the twin's through its write-through) and draws after every 20. The state's draw equals the per-level
-    sampler's bytes and stream position, and the twin's column from the same normals equals both.
-    Trees: b=2 h=3, b=2 h=5, b=2 h=8, b=16 h=2 and the flat trees of b=2 h=3 and b=2 h=8 (a 256-child root, whose
-    state keeps message copies too), random trees with mixed leaf depths, and a tree whose one-node levels put
-    ids 3 and 5 first, so that its draw positions are no run of ids. A tree with a wide level above a narrow one
-    cannot be built: a node of height h >= 1 has a child of height h - 1, so each level has at least as many
-    nodes as the one above it (asserted), and the last level is the widest.
-    """
-    rng = np.random.default_rng(5)
-    b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
-    trees = [b2h3, balanced_tree(2, 5), b2h8, random_tree(rng), balanced_tree(16, 2)]
-    trees += [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
-    trees += [random_tree(rng, max_levels=5, max_nodes=60) for _ in range(4)]
-    gapped = build_hierarchy({2: 1, 3: 1, 4: 3, 5: 3, **{v: 5 for v in range(6, 46)}})
-    assert [idx for idx, _, _, _ in gapped.level_index][:2] == [slice(3, 4), slice(5, 6)]
-    trees.append(gapped)
-    assert any(len({t.path_to_root(a).size for a in t.action_nodes.tolist()}) > 1 for t in trees)  # mixed leaf depths
-    for tree in trees:
-        widths = _widths(tree)
-        assert widths == sorted(widths)
-        prior, updates = random_scalar_prior(rng, tree), _updates(rng, tree, 4, 20)
-        state, cell = PosteriorState(tree, prior), posterior.LockstepDraw([PosteriorState(tree, prior)])
-        for phase, chunk in enumerate(updates):
-            for leaf, reward in chunk:
-                state.update_path(leaf, reward)
-                cell.states[0].update_path(leaf, reward)
-            got_rng, want_rng, cell_rng = (np.random.default_rng(phase) for _ in range(3))
-            got = hierts_sample(state, got_rng).tobytes()
-            assert got == _per_level_sample(state, want_rng).tobytes()
-            assert got == cell.draw(cell_rng.standard_normal((tree.num_nodes, 1)))[:, 0].tobytes()
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state == cell_rng.bit_generator.state
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 5))
-def test_lockstep_columns_equal_each_state_own_draw(seed, columns):
-    """A LockstepDraw hands column copies to its states, which keep none before. Each column of its draw equals the
-    bytes of the draw its state would make alone (a twin fed the same updates, never in the cell), before and
-    after more updates through the write-through; each state's own draw, still on its floats, equals the
-    per-level sampler in bytes and stream position. Random trees have leaves at mixed depths."""
-    rng = np.random.default_rng(seed)
-    tree = random_tree(rng)
-    prior = random_scalar_prior(rng, tree)
-    before, after = _updates(rng, tree, columns, 10), _updates(rng, tree, columns, 10)
-    states, twins = ([PosteriorState(tree, prior) for _ in range(columns)] for _ in range(2))
-    assert all(s.level_copies is None for s in states + twins)
-    for phase, updates in enumerate((before, after)):
-        for state, twin, chunk in zip(states, twins, updates):
-            for leaf, reward in chunk:
-                state.update_path(leaf, reward)
-                twin.update_path(leaf, reward)
-        if not phase:
-            cell = posterior.LockstepDraw(states)
-        seeds = [10 * phase + j for j in range(columns)]
-        theta = cell.draw(np.stack([np.random.default_rng(s).standard_normal(tree.num_nodes) for s in seeds], axis=1))
-        for j, (state, twin) in enumerate(zip(states, twins)):
-            assert state.level_copies is not None and state.level_copies[0].base is cell.copies[0]
-            alone = hierts_sample(twin, np.random.default_rng(seeds[j])).tobytes()
-            assert theta[:, j].tobytes() == alone
-            got_rng, want_rng = np.random.default_rng(seeds[j]), np.random.default_rng(seeds[j])
-            assert hierts_sample(state, got_rng).tobytes() == _per_level_sample(state, want_rng).tobytes() == alone
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_scalar_ts_act_reads_cached_arm_moments(monkeypatch):
@@ -492,10 +351,8 @@ def test_agents_of_one_cell_share_their_setup(b2h2, b2h2_prior, monkeypatch, dim
     a.update(4, 1.0, x)
     agents._ts_prior.cache_clear()
     fresh = TSAgent(b2h2, prior, np.random.default_rng(0))
-    names = ("prec", "wmean", "mean", "sd") if dim is None else ("prec", "wmean", "cov", "factor", "mean")
-    for name in names:
-        assert np.array_equal(getattr(b, name), getattr(fresh, name)), name
-        assert getattr(b, name).flags.writeable
+    assert engine_bytes(b) == engine_bytes(fresh)
+    assert all(getattr(b, name).flags.writeable for name in engine_bytes(b))
     assert not np.array_equal(a.prec, b.prec)
 
 
@@ -538,13 +395,7 @@ def test_narrow_rewards_sum_like_their_floats(dtype):
                 x = None if model == "scalar" else x
                 getattr(narrow, update)(leaf, value, x)
                 getattr(wide, update)(leaf, float(value), x)
-            names = ("prec", "wmean", "mean") if isinstance(narrow, TSAgent) else ("ev_prec", "ev_wmean", "root_mean")
-            names += ("reward_sums",) if isinstance(narrow, PosteriorState) else ()
-            for name in names:
-                got, want = getattr(narrow, name), getattr(wide, name)
-                assert np.asarray(got).dtype == np.float64 and np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            if isinstance(narrow, PosteriorState):
-                assert all(type(x) is float for x in narrow.reward_sums)
+            assert engine_bytes(narrow) == engine_bytes(wide)
 
 
 def test_write_through_follows_rehomed_arrays():
@@ -575,35 +426,13 @@ def test_write_through_follows_rehomed_arrays():
                 arm.update(leaf, reward)
         assert [[a.tobytes() for a in copies] for copies in held] == frozen
         for j, state in enumerate(states):
-            for name, array, column in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies,
-                                           cell.copies):
+            engine_bytes(state)  # its level copies hold its floats
+            for array, column in zip(state.level_copies, cell.copies):
                 assert array.base is column and array.tobytes() == column[:, j].tobytes()
-                assert array.tobytes() == np.array(getattr(state, name)).tobytes(), name
         for arm in arms:
             assert arm.mean.base is not None and arm.sd.base is not None
             assert arm.mean.tobytes() == (arm.wmean / arm.prec).tobytes()
             assert arm.sd.tobytes() == np.sqrt(arm.prec).tobytes()
-
-
-def _agent_bytes(agent):
-    """Every array and float list an agent's draws read or its updates write, as bytes; for the linear model
-    also every action's marginal_action_moments."""
-    if agent.kind == "TS" and agent._scalar:
-        return [getattr(agent, name).tobytes() for name in ("prec", "wmean", "mean", "sd")]
-    if agent.kind == "TS":
-        out = [getattr(agent, name).tobytes() for name in ("prec", "cov", "_prec_cov", "wmean", "factor", "mean")]
-    elif isinstance(agent.state, LinearPosteriorState):
-        names = ("lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "_s_cov", "post_cov", "post_factor",
-                 "slope", "intercept", "root_mean")
-        out = [getattr(agent.state, name).tobytes() for name in names]
-    else:
-        state = agent.state
-        names = ("counts", "reward_sums", "lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "lamhat",
-                 "sqrt_lamhat")
-        out = [np.array(getattr(state, name)).tobytes() for name in names] + [a.tobytes() for a in state._msg_arrays]
-        return out + [repr(state.root_mean)] + [a.tobytes() for a in state.level_copies or ()]
-    return out + [a.tobytes() for action in agent.hierarchy.action_nodes.tolist()
-                  for a in agent.marginal_action_moments(action)]
 
 
 @pytest.mark.parametrize("kind", AGENT_KINDS)
@@ -613,7 +442,7 @@ def test_agents_pickle_and_copy(kind, mode):
     updates as the original, its draws, float lists and arrays stay the original's bytes. b=16 h=2 has a wide
     root, whose children's messages a state writes through; a lockstep agent writes through to its column. A
     linear agent (d = 3) reads and writes through the row views its state or TS arms bind, and post_cov and TS's
-    prec and cov are views too; its twin keeps every array and every marginal_action_moments in bytes."""
+    prec and cov are views too; its twin keeps every array in bytes."""
     rng = np.random.default_rng(23)
     tree = balanced_tree(16, 2)
     dim = 3 if mode == "linear" else None
@@ -633,14 +462,12 @@ def test_agents_pickle_and_copy(kind, mode):
         feed(agent)
     for twin_of in (lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy):
         twin = twin_of(agent)
-        assert _agent_bytes(twin) == _agent_bytes(agent)
+        assert engine_bytes(twin) == engine_bytes(agent)
         for _ in range(30):
             feed(agent, twin)
-        assert _agent_bytes(twin) == _agent_bytes(agent)
+        assert engine_bytes(twin) == engine_bytes(agent)
         context = None if dim is None else rng.standard_normal(dim)
         assert twin.act(context) == agent.act(context)
         assert twin.rng.bit_generator.state == agent.rng.bit_generator.state
         if kind != "TS":
-            copies = zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), getattr(twin.state, "level_copies", None) or ())
-            assert all(a.tobytes() == np.array(getattr(twin.state, name)).tobytes() for name, a in copies)
             assert twin.sample_model().tobytes() == agent.sample_model().tobytes()

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import engine_bytes
 
 from hierts import (
     BoundReport,
@@ -374,18 +375,9 @@ def test_lockstep_cell_matches_per_agent_runs(seed, instances, wide, doubling):
     assert all(a.sample_ops == 0 and r.sample_ops > 0 for a, r in zip(made, replayed) if a.kind != "TS")
     for agent, ref in zip(made, replayed):
         assert agent.kind == ref.kind
-        if agent.kind == "TS":
-            for name in ("prec", "wmean", "mean", "sd"):
-                assert getattr(agent, name).tobytes() == getattr(ref, name).tobytes(), name
-            continue
-        state = agent.state
-        for name in ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "lamhat",
-                     "sqrt_lamhat", "root_mean"):  # slot 0 holds nan, so compare bytes
-            assert np.array(getattr(state, name)).tobytes() == np.array(getattr(ref.state, name)).tobytes(), name
-        # the lockstep columns hold every node's floats; the replayed state never joined a cell, so keeps none
-        assert state.level_copies is not None and ref.state.level_copies is None
-        for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies):
-            assert array.tobytes() == np.array(getattr(state, name)).tobytes(), name
+        assert engine_bytes(agent) == engine_bytes(ref)  # and the lockstep columns hold every node's floats
+        if agent.kind != "TS":  # the replayed state never joined a cell, so keeps no columns
+            assert agent.state.level_copies is not None and ref.state.level_copies is None
 
 
 @pytest.mark.parametrize("model", ["k-armed", "linear"])
@@ -437,9 +429,7 @@ def test_simulated_rounds_hand_agents_python_floats(monkeypatch):
     states = [agent.state for agent in made if agent.kind != "TS"]
     assert len(states) == 4
     for state in states:
-        for name in ("counts", "reward_sums", "lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
-                     "lamhat", "sqrt_lamhat"):
-            assert all(type(x) is float for x in getattr(state, name)), name
+        engine_bytes(state)  # every per-node value a Python float
 
 
 def test_complexity_term_worked_values():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from conftest import ODD_VALUES
+from reference import suite_trees
 from hypothesis import given, settings, strategies as st
 
 from hierts import (
@@ -20,7 +21,7 @@ from hierts import (
 )
 from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import MAX_BALANCED_NODES, ConfigError, _as_index, _balanced_size, tree_to_dict
-from hierts.posterior import LockstepDraw, PosteriorState
+from hierts.posterior import SHORT_SUM_MAX, LockstepDraw, PosteriorState
 
 
 def test_build_basic_shape(two_leaf):
@@ -399,6 +400,8 @@ def test_structure_invariants(parents):
     assert sorted(flat.tolist()) == list(range(2, n + 1))
     heights = [tree.height[level].max() for level in levels]
     assert heights == sorted(heights, reverse=True)
+    # a node of height h >= 1 has a child of height h - 1, so each level is at least as wide as the one above it
+    assert [level.size for level in levels] == sorted(level.size for level in levels)
     start = 1
     for level, (_, level_parents, lo, hi) in zip(levels, tree.level_index):
         assert np.array_equal(level, np.sort(level))
@@ -432,3 +435,24 @@ def test_structure_invariants(parents):
     assert tree.branching_factor == max(len(k) for k in kids.values())
     assert tree.tree_height == max(len(p) for p in paths.values()) - 1
     assert n <= 2 * tree.num_actions  # no single-child chains
+
+
+def test_reference_suite_trees():
+    """tests/test_reference.py's fixed trees have the layouts it runs every engine on. The gapped tree's one-node
+    levels put ids 3 and 5 first. Each wide mixed tree has leaves at mixed depths, levels of both index kinds,
+    and wide parents whose child ids are a slice and an id array. The boundary tree pools SHORT_SUM_MAX and
+    SHORT_SUM_MAX + 1 children, and b=2 h=8's flat tree 256 at the root."""
+    trees = suite_trees()
+    assert [idx for idx, _, _, _ in trees["gapped"].level_index][:2] == [slice(3, 4), slice(5, 6)]
+    for name in ("wide-mixed-0", "wide-mixed-1", "wide-mixed-2"):
+        tree = trees[name]
+        assert len({tree.path_to_root(leaf).size for leaf in tree.action_nodes.tolist()}) > 1
+        assert {type(nodes) for nodes, _, _, _ in tree.level_index} == {slice, np.ndarray}
+        wide = [tree.children(v) for v in range(1, tree.num_nodes + 1) if tree.children(v).size > SHORT_SUM_MAX]
+        assert {type(_as_index(ids)) for ids in wide} == {slice, np.ndarray}
+    widths = {trees["boundary"].children(v).size for v in range(1, trees["boundary"].num_nodes + 1)}
+    assert widths == {0, SHORT_SUM_MAX, SHORT_SUM_MAX + 1}
+    assert trees["flat-b2h8"].children(1).size == 256
+    for tree in trees.values():
+        sizes = [stop - start for _, _, start, stop in tree.level_index]
+        assert sizes == sorted(sizes)

@@ -1,10 +1,12 @@
 """Linear-model posterior: scalar reduction, Woodbury identities, oracle agreement."""
+import functools
 import math
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import engine_bytes, suite_trees
 
 from hierts import (
     ConditioningError,
@@ -14,15 +16,14 @@ from hierts import (
     TSAgent,
     action_marginals,
     balanced_tree,
-    build_hierarchy,
     condition,
     constant_prior,
     joint_prior,
 )
 from hierts import linear
-from hierts.checks import ORACLE_RTOL, random_linear_prior, random_tree
+from hierts.checks import ORACLE_RTOL, random_linear_prior
 from hierts.envs import _floor_covariance, fit_priors_from_data, make_cluster_dataset
-from hierts.hierarchy import ROOT, HierarchyError
+from hierts.hierarchy import HierarchyError
 from hierts.linear import COND_LIMIT, _conditional
 from hierts.oracle import information_form_marginals
 from hierts.posterior import SHORT_SUM_MAX
@@ -144,127 +145,40 @@ def test_fresh_state_conditionals_are_prior(b2h2):
         assert np.allclose(state.intercept[node], 0.0)
 
 
-def test_update_path_matches_rebuild(b2h2, linear_prior):
-    wide = balanced_tree(64, 2)  # 4,161 nodes; every parent pools 64 child messages
-    cases = [(b2h2, linear_prior, 40), (wide, random_linear_prior(np.random.default_rng(3), wide, 2), 300)]
-    rng = np.random.default_rng(9)
-    for tree, prior, updates in cases:
-        state = LinearPosteriorState(tree, prior)
-        for _ in range(updates):
-            leaf = int(rng.choice(tree.action_nodes))
-            x = rng.standard_normal(prior.dim)
-            state.update_path(leaf, float(rng.standard_normal()), x)
-        fresh = state.rebuild()
-        # the walk folds each path node with the same operands as the rebuild: bit-identical
-        for name in ("ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
-                     "post_cov", "post_factor", "slope", "intercept", "root_mean"):
-            assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
-
-
-# every array a LinearPosteriorState's refresh writes or its draw reads
-STATE_ARRAYS = ("lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean", "_s_cov", "post_cov", "post_factor", "slope",
-                "intercept", "root_mean")
-
-
-def _assert_same_arrays(state, other, node=None):
-    """Every STATE_ARRAYS array of state equals other's in bytes (node's rows only, given a node)."""
-    for name in STATE_ARRAYS if node is None else STATE_ARRAYS[:-1]:
-        got, want = getattr(state, name), getattr(other, name)
-        assert (got if node is None else got[node]).tobytes() == (want if node is None else want[node]).tobytes(), name
-
-
-def _wide_mixed_trees():
-    """checks.random_tree trees grown under three leaves: SHORT_SUM_MAX + 2 children with consecutive ids under
-    one (pooled from a slice view) and as many under each of two more with interleaved ids (pooled from a
-    gathered copy). Leaves sit at mixed depths, so some draw levels have id arrays."""
-    rng = np.random.default_rng(41)
-    width, trees = SHORT_SUM_MAX + 2, []
-    while len(trees) < 3:
-        base = random_tree(rng, max_levels=4, max_nodes=24)
-        if base.action_nodes.size < 3:
-            continue
-        parents = {v: int(base.parent[v]) for v in range(2, base.num_nodes + 1)}
-        a, b, c = rng.choice(base.action_nodes, 3, replace=False).tolist()
-        n = base.num_nodes
-        parents.update({n + 1 + i: a for i in range(width)})
-        parents.update({n + width + 1 + i: (b, c)[i % 2] for i in range(2 * width)})
-        trees.append(build_hierarchy(parents))
-    for tree in trees:
-        assert len({tree.path_to_root(leaf).size for leaf in tree.action_nodes.tolist()}) > 1
-        assert any(type(nodes) is not slice for nodes, _, _, _ in tree.level_index)
-        assert any(type(nodes) is slice for nodes, _, _, _ in tree.level_index)
-    return trees
-
-
-def _feed(rng, states, count):
-    for _ in range(count):
-        leaf, reward = int(rng.choice(states[0].hierarchy.action_nodes)), float(rng.normal(0.0, 2.0))
-        x = rng.standard_normal(states[0].dim)
-        for state in states:
-            state.update_path(leaf, reward, x)
-
-
-def _level_reference_draw(state, rng):
-    """The draw recomputed level by level from arrays indexed anew on every level (ids as an array), from one
-    normal draw of num_nodes * d values, consumed root first."""
-    hier, d = state.hierarchy, state.dim
-    z = rng.standard_normal(hier.num_nodes * d)
-    theta = np.full((hier.num_nodes + 1, d, 1), np.nan)
-    theta[ROOT] = state.root_mean[:, None] + state.post_factor[ROOT] @ z[:d].reshape(d, 1)
-    for nodes, parents, start, stop in hier.level_index:
-        ids = np.arange(hier.num_nodes + 1)[nodes]
-        mean = state.slope[ids] @ theta[parents]
-        mean += state.post_factor[ids] @ z[d * start : d * stop].reshape(-1, d, 1)
-        mean += state.intercept[ids][..., None]
-        theta[ids] = mean
-    return theta[..., 0]
-
-
-def test_bound_rows_update_path_matches_rebuild():
-    """On trees with mixed leaf depths and wide parents, update_path through the bound rows leaves every array
-    byte-equal to rebuild()'s."""
-    rng = np.random.default_rng(43)
-    for tree in _wide_mixed_trees():
-        state = LinearPosteriorState(tree, random_linear_prior(rng, tree, 3))
-        _feed(rng, [state], 150)
-        _assert_same_arrays(state, state.rebuild())
-
-
-def test_bound_rows_draw_the_per_level_bytes():
-    """The draw, on rows bound once for slice levels and indexed per draw for id-array levels, equals the
-    per-level reference in bytes and leaves the generator where it does, after each round of updates."""
-    rng = np.random.default_rng(47)
-    for tree in _wide_mixed_trees():
-        state = LinearPosteriorState(tree, random_linear_prior(rng, tree, 3))
-        for phase in range(4):
-            got_rng, want_rng = np.random.default_rng(phase), np.random.default_rng(phase)
-            assert state.draw(got_rng).tobytes() == _level_reference_draw(state, want_rng).tobytes()
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
-            _feed(rng, [state], 40)
-
-
 def test_bound_rows_stay_live():
-    """A rebuilt state's rows are its own: fed the same updates as the original, it keeps every array and its
-    draws in bytes. A leaf's evidence written into ev_prec and ev_wmean is what _refresh((leaf,)) folds: the
-    leaf's rows then equal those of a rebuild from that evidence, and so does every array once the rest of its
-    root path is refreshed."""
+    """A leaf's evidence written into ev_prec and ev_wmean is what _refresh folds, through rows bound as views of
+    those arrays: once the leaf's root path is refreshed, every array equals a rebuild's from that evidence."""
     rng = np.random.default_rng(53)
-    for tree in _wide_mixed_trees()[:2]:
+    for tree in (suite_trees()[f"wide-mixed-{i}"] for i in range(2)):
         state = LinearPosteriorState(tree, random_linear_prior(rng, tree, 3))
-        _feed(rng, [state], 60)
-        fresh = state.rebuild()
-        _feed(rng, [state, fresh], 60)
-        _assert_same_arrays(fresh, state)
-        assert fresh.draw(np.random.default_rng(1)).tobytes() == state.draw(np.random.default_rng(1)).tobytes()
         for leaf in rng.choice(tree.action_nodes, 3, replace=False).tolist():
             a = rng.standard_normal((3, 5))
             state.ev_prec[leaf] = a @ a.T
             state.ev_wmean[leaf] = rng.standard_normal(3)
-            state._refresh((leaf,))
-            want = state.rebuild()
-            _assert_same_arrays(state, want, leaf)
-            state._refresh(state._paths[leaf][1:])  # the leaf's ancestors, the root last
-            _assert_same_arrays(state, want)
+            state._refresh(state._paths[leaf])
+            assert engine_bytes(state) == engine_bytes(state.rebuild())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_numpy_stack_sum_order(d):
+    """LinearPosteriorState pools a parent's child messages with np.add.reduce over their (k, d, d) stack, and
+    tests/reference.py pools with that call too, so the reference suite's bits rest on the order numpy takes. For
+    d >= 2 it sums the stack left to right, one matrix after another. For d = 1 it sums the k values pairwise, as a
+    1-D sum does (tests/test_posterior.py::test_numpy_short_sum_is_a_left_fold): a left fold gives the same bits
+    up to SHORT_SUM_MAX values and differs on most stacks past that. A numpy that changes either order fails here."""
+    rng = np.random.default_rng(d)
+    differ = 0
+    for k in range(2, 300):
+        stack = rng.standard_normal((k, d, d)) * 10.0 ** rng.uniform(-8, 8, (k, d, d))
+        got = np.add.reduce(stack, axis=0).tobytes()
+        fold = functools.reduce(np.add, stack).tobytes()
+        if d == 1:
+            assert got == np.add.reduce(stack.ravel()).tobytes(), k
+            assert got == fold or k > SHORT_SUM_MAX, k
+            differ += got != fold
+        else:
+            assert got == fold, k
+    assert d > 1 or differ > (300 - SHORT_SUM_MAX) // 2, differ
 
 
 def test_update_path_validates_inputs(b2h2, linear_prior):

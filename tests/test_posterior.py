@@ -1,9 +1,8 @@
 """Scalar recursive posterior: worked examples, invariants, oracle agreement."""
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import engine_bytes
 
 from hierts import (
     PosteriorState,
@@ -21,29 +20,6 @@ from hierts import posterior
 from hierts.checks import random_scalar_prior, random_tree
 from hierts.hierarchy import HierarchyError
 from hierts.posterior import SHORT_SUM_MAX
-
-STATE_ARRAYS = ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
-                "lamhat", "sqrt_lamhat", "root_mean")
-# PosteriorState's per-node float lists, its only per-node state
-PER_NODE = ("counts", "reward_sums", "lam0", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean",
-            "lamhat", "sqrt_lamhat")
-
-
-def _assert_floats_and_copies(state):
-    """Every per-node value is exactly a float, and every numpy copy written through equals its floats bit for bit."""
-    for name in PER_NODE:
-        floats = getattr(state, name)
-        assert type(floats) is list and all(type(x) is float for x in floats), name
-    assert type(state.root_mean) is float
-    n = state.hierarchy.num_nodes
-    if state.level_copies is not None:  # a LockstepDraw's column: every node's floats
-        for name, array in zip(("lam0", "ev_wmean", "lamhat", "sqrt_lamhat"), state.level_copies):
-            assert array.shape == (n + 1,) and array.tobytes() == np.array(getattr(state, name)).tobytes(), name
-    wide = [ch for ch in map(state.hierarchy.children, range(1, n + 1)) if ch.size > SHORT_SUM_MAX]
-    if wide:
-        kids = np.concatenate(wide)
-        for name, array in zip(("msg_prec", "msg_wmean"), state._msg_arrays):
-            assert array[kids].tobytes() == np.array(getattr(state, name))[kids].tobytes(), name
 
 
 def test_unobserved_leaf_sends_zero_message(two_leaf):
@@ -161,18 +137,8 @@ def test_update_path_matches_rebuild_exactly(b2h2, b2h2_prior):
         for _ in range(60 if tree.num_nodes < 100 else 400):
             leaf = int(rng.choice(tree.action_nodes))
             state.update_path(leaf, float(rng.standard_normal()))
-        fresh = state.rebuild()
         # same reductions in the same order: bit-identical, not just close
-        for name in STATE_ARRAYS:
-            assert np.array_equal(getattr(state, name), getattr(fresh, name), equal_nan=True), name
-        _assert_floats_and_copies(state)
-        _assert_floats_and_copies(fresh)
-        # and the caches hold what they stand for
-        lamhat = np.array(state.lam0) + np.array(state.ev_prec)
-        assert np.array_equal(state.lamhat, lamhat, equal_nan=True)
-        assert np.array_equal(state.sqrt_lamhat, np.sqrt(lamhat), equal_nan=True)
-        lam0 = state.lam0[1]
-        assert state.root_mean == (lam0 * prior.hyper_mean + state.ev_wmean[1]) / state.lamhat[1]
+        assert engine_bytes(state.rebuild()) == engine_bytes(state)
 
 
 def test_update_path_input_checks(b2h2, b2h2_prior):
@@ -266,101 +232,6 @@ def test_single_observation_closed_form(sigma0, noise, y):
     assert mean == pytest.approx(expect_var * y / noise**2, rel=1e-10, abs=1e-12)
 
 
-class _NumpyPathState:
-    """The scalar path update on its own numpy arrays, walking on numpy scalars and pooling with numpy's sum.
-
-    A self-contained reference that the float path must match bit for bit.
-    """
-
-    def __init__(self, hierarchy, prior):
-        self.hierarchy, self.prior = hierarchy, prior
-        self.noise_prec = 1.0 / prior.noise_std**2
-        self.hyper_mean = float(prior.hyper_mean)
-        self.lam0 = 1.0 / prior.variances(hierarchy)
-        for name in ("counts", "reward_sums", "ev_prec", "ev_wmean", "msg_prec", "msg_wmean"):
-            setattr(self, name, np.zeros(hierarchy.num_nodes + 1))
-        self.lamhat = self.lam0 + self.ev_prec
-        self.sqrt_lamhat = np.sqrt(self.lamhat)
-        self._fold_root()
-
-    def update_path(self, action, reward):
-        self.counts[action] += 1.0
-        self.reward_sums[action] += reward
-        self.ev_prec[action] = self.counts[action] * self.noise_prec
-        self.ev_wmean[action] = self.reward_sums[action] * self.noise_prec
-        node = action
-        while node != 1:
-            self._fold(node)
-            node = int(self.hierarchy.parent[node])
-            self._pool(node)
-        self._fold_root()
-
-    def rebuild(self):
-        hier = self.hierarchy
-        out = _NumpyPathState(hier, self.prior)
-        out.counts[:], out.reward_sums[:] = self.counts, self.reward_sums
-        leaves = hier.action_nodes
-        out.ev_prec[leaves] = out.counts[leaves] * out.noise_prec
-        out.ev_wmean[leaves] = out.reward_sums[leaves] * out.noise_prec
-        for node in sorted(range(2, hier.num_nodes + 1), key=lambda i: int(hier.height[i])):
-            if hier.children(node).size:
-                out._pool(node)
-            out._fold(node)
-        out._pool(1)
-        out._fold_root()
-        return out
-
-    def _pool(self, node):
-        ch = self.hierarchy.children(node)
-        self.ev_prec[node] = self.msg_prec[ch].sum(axis=0)
-        self.ev_wmean[node] = self.msg_wmean[ch].sum(axis=0)
-
-    def _fold(self, node):
-        lam0, prec = self.lam0[node], self.ev_prec[node]
-        lamhat = lam0 + prec
-        self.lamhat[node] = lamhat
-        self.sqrt_lamhat[node] = math.sqrt(lamhat)
-        self.msg_prec[node] = prec * lam0 / lamhat
-        self.msg_wmean[node] = lam0 / lamhat * self.ev_wmean[node]
-
-    def _fold_root(self):
-        lam0 = self.lam0[1]
-        lamhat = lam0 + self.ev_prec[1]
-        self.lamhat[1] = lamhat
-        self.sqrt_lamhat[1] = math.sqrt(lamhat)
-        self.root_mean = (lam0 * self.hyper_mean + self.ev_wmean[1]) / lamhat
-
-
-def test_float_path_matches_numpy_reference():
-    """Parents with 2, 3, 7, 8, 12 and 256 children take the short and the wide pooling branch."""
-    rng = np.random.default_rng(21)
-    trees = [balanced_tree(7, 2), balanced_tree(8, 2), balanced_tree(12, 2)]
-    trees += [random_tree(rng) for _ in range(4)]
-    cases = [(tree, random_scalar_prior(rng, tree)) for tree in trees]
-    deep = balanced_tree(2, 8)
-    flat, flat_prior, _ = flatten_hierarchy(deep, doubling_prior(deep, noise_std=0.8, hyper_mean=0.4))
-    cases.append((flat, flat_prior))
-    widths = {tree.children(v).size for tree, _ in cases for v in range(1, tree.num_nodes + 1)} - {0}
-    assert {2, 3, 7, 8, 12, 256} <= widths
-    assert min(widths) <= SHORT_SUM_MAX < max(widths)
-    for tree, prior in cases:
-        state, ref = PosteriorState(tree, prior), _NumpyPathState(tree, prior)
-        for phase in range(2):
-            for _ in range(300):
-                leaf = int(rng.choice(tree.action_nodes))
-                reward = float(rng.standard_normal() * 3.0)
-                state.update_path(leaf, reward)
-                ref.update_path(leaf, reward)
-            for name in STATE_ARRAYS:
-                assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
-            _assert_floats_and_copies(state)
-            if phase == 0:  # more updates on rebuilt states
-                state, ref = state.rebuild(), ref.rebuild()
-                for name in STATE_ARRAYS:
-                    assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
-                _assert_floats_and_copies(state)
-
-
 def test_written_through_copies_equal_their_floats():
     """From the moment a state joins a LockstepDraw, each numpy copy is the floats' bits after every update.
 
@@ -379,18 +250,18 @@ def test_written_through_copies_equal_their_floats():
         posterior.LockstepDraw([state])
         levels = state.level_copies
         assert levels is not None
-        _assert_floats_and_copies(state)
+        engine_bytes(state)
         for step in range(400):
             state.update_path(int(rng.choice(tree.action_nodes)), float(rng.standard_normal() * 3.0))
             if step % 40 == 0:
-                _assert_floats_and_copies(state)
+                engine_bytes(state)
         assert state.level_copies is levels  # built once, then written through
-        _assert_floats_and_copies(state)
+        engine_bytes(state)
         fresh = state.rebuild()
         assert fresh.level_copies is None
-        _assert_floats_and_copies(fresh)
+        engine_bytes(fresh)
         posterior.LockstepDraw([fresh])
-        _assert_floats_and_copies(fresh)
+        engine_bytes(fresh)
         assert [a.tobytes() for a in fresh.level_copies] == [a.tobytes() for a in levels]
 
 
@@ -415,8 +286,8 @@ def test_level_copies_cover_only_what_the_level_loop_reads():
             assert cell.order == slice(1, 512) and all(a.shape == (512,) for a in levels)
     assert state.level_copies is levels
     assert floats.level_copies is None
-    _assert_floats_and_copies(state)
-    _assert_floats_and_copies(floats)
+    engine_bytes(state)
+    engine_bytes(floats)
 
 
 def test_numpy_rewards_stay_out_of_the_float_lists():
@@ -429,9 +300,7 @@ def test_numpy_rewards_stay_out_of_the_float_lists():
             leaf, reward = int(rng.choice(tree.action_nodes)), np.float64(rng.standard_normal())
             state.update_path(leaf, reward)
             ref.update_path(leaf, float(reward))
-        _assert_floats_and_copies(state)
-        for name in STATE_ARRAYS:
-            assert np.array_equal(getattr(state, name), getattr(ref, name), equal_nan=True), name
+        assert engine_bytes(state) == engine_bytes(ref)
 
 
 @pytest.mark.parametrize("width", [8, 9, 16, 17, 31, 128, 129, 300])
