@@ -3,7 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
-from reference import engine_bytes
+from hypothesis import given, settings, strategies as st
+from reference import LinearReference, ScalarReference, engine_bytes
 
 from hierts import (
     AGENT_KINDS,
@@ -55,6 +56,49 @@ def test_hierts_sample_linear_shapes(b2h2, linear_prior):
         hierts_sample(object(), np.random.default_rng(0))
 
 
+def _updates(rng, tree, chunks, per_chunk):
+    return [[(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0))) for _ in range(per_chunk)]
+            for _ in range(chunks)]
+
+
+@pytest.mark.parametrize("size", [None, 1, 2, 5])
+def test_hierts_sample_keeps_per_level_draw_order(size):
+    """One draw per call yields exactly the reference model's draw from the same normals (root first, then in
+    sample order, d per node), in bytes and stream position; a sized call, that many of them in a row.
+
+    The trees include the 257-node flat tree of b=2 h=8 (a 256-child root), b=2 h=8, b=16 h=2, and
+    random trees with mixed-depth leaves, whose levels and sample order are not id runs.
+    """
+    rng = np.random.default_rng(21)
+    b2h3, b2h8 = balanced_tree(2, 3), balanced_tree(2, 8)
+    trees = [b2h3, balanced_tree(16, 2)] + [flatten_hierarchy(t, constant_prior(t))[0] for t in (b2h3, b2h8)]
+    trees += [b2h8] + [random_tree(rng) for _ in range(4)]
+    assert any(not isinstance(idx, slice) for t in trees for idx, _, _, _ in t.level_index)
+    assert any(t.sample_nodes != tuple(range(2, t.num_nodes + 1)) for t in trees)  # a sample order that is no id run
+    for tree in trees:
+        for dim in (None, 1, 3):
+            if dim is None:
+                prior = random_scalar_prior(rng, tree)
+                state, ref = PosteriorState(tree, prior), ScalarReference(tree, prior)
+            else:
+                prior = random_linear_prior(rng, tree, dim)
+                state, ref = LinearPosteriorState(tree, prior), LinearReference(tree, prior)
+            for _ in range(30):
+                leaf = int(rng.choice(tree.action_nodes))
+                context = None if dim is None else rng.standard_normal(dim)
+                reward = float(rng.normal(0.0, 2.0))
+                state.update_path(leaf, reward, context)
+                ref.update_path(leaf, reward, context)
+            width = tree.num_nodes * (dim or 1)
+            for seed in range(3):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = hierts_sample(state, got_rng, size)
+                want = [ref.draw(want_rng.standard_normal(width)) for _ in range(size or 1)]
+                want = want[0] if size is None else np.stack(want)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_sized_draw_is_that_many_draws_in_a_row():
     """hierts_sample(state, rng, m) stacks m draws without a size from rng, for both models, on b=2 h=3, b=2 h=8,
     b=16 h=2 and a random tree with leaves at mixed depths; the generator ends where the m draws leave it."""
@@ -78,6 +122,41 @@ def test_sized_draw_is_that_many_draws_in_a_row():
                 assert got.shape == (m, *want[0].shape)
                 assert [row.tobytes() for row in got] == [w.tobytes() for w in want]
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 5))
+def test_lockstep_columns_equal_each_state_own_draw(seed, columns):
+    """A LockstepDraw hands column copies to its states, which keep none before. Each column of its draw equals the
+    bytes of the draw its state would make alone (a twin fed the same updates, never in the cell), before and
+    after more updates through the write-through; each state's own draw, still on its floats, equals the
+    reference model's draw from the same normals in bytes and stream position. Random trees have leaves at mixed
+    depths."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    prior = random_scalar_prior(rng, tree)
+    before, after = _updates(rng, tree, columns, 10), _updates(rng, tree, columns, 10)
+    states, twins = ([PosteriorState(tree, prior) for _ in range(columns)] for _ in range(2))
+    refs = [ScalarReference(tree, prior) for _ in range(columns)]
+    assert all(s.level_copies is None for s in states + twins)
+    for phase, updates in enumerate((before, after)):
+        for state, twin, ref, chunk in zip(states, twins, refs, updates):
+            for leaf, reward in chunk:
+                state.update_path(leaf, reward)
+                twin.update_path(leaf, reward)
+                ref.update_path(leaf, reward)
+        if not phase:
+            cell = posterior.LockstepDraw(states)
+        seeds = [10 * phase + j for j in range(columns)]
+        theta = cell.draw(np.stack([np.random.default_rng(s).standard_normal(tree.num_nodes) for s in seeds], axis=1))
+        for j, (state, twin, ref) in enumerate(zip(states, twins, refs)):
+            assert state.level_copies is not None and state.level_copies[0].base is cell.copies[0]
+            alone = hierts_sample(twin, np.random.default_rng(seeds[j])).tobytes()
+            assert theta[:, j].tobytes() == alone
+            got_rng, want_rng = np.random.default_rng(seeds[j]), np.random.default_rng(seeds[j])
+            want = ref.draw(want_rng.standard_normal(tree.num_nodes)).tobytes()
+            assert hierts_sample(state, got_rng).tobytes() == want == alone
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_scalar_ts_act_reads_cached_arm_moments(monkeypatch):
