@@ -5,7 +5,7 @@ Code lines leave out blank lines, comment-only lines and the lines of
 module, class and function docstrings (found with ast); every other line
 that holds a token counts once. Run from the repository root:
 
-    python3 scripts/src_lines.py [DIR]    # DIR defaults to src
+    python3 scripts/src_lines.py [PATH]    # a directory (default src) or one .py file
 """
 import argparse
 import ast
@@ -35,10 +35,10 @@ def count(text: str) -> tuple[int, int]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("dir", nargs="?", default="src")
-    root = Path(ap.parse_args().dir)
+    ap.add_argument("path", nargs="?", default="src")
+    root = Path(ap.parse_args().path)
     total = code = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
         lines, code_lines = count(path.read_text())
         total += lines
         code += code_lines

@@ -161,10 +161,9 @@ class LinearPosteriorState(_UpwardPass):
 
     The arrays are the one truth. Each node's rows of them (lam0, ev_prec, ev_wmean, S and the covariance beside
     it, post_factor, slope, intercept, msg_prec, msg_wmean, ev_prec's diagonal and lam0's trace) are bound once as
-    views, in _rows, and so are the slope, post_factor and intercept rows of each draw level whose ids are a
-    slice, in _level_rows; a level whose ids are an array indexes on each draw, since a fancy index is a copy
-    that would go stale. Write into the arrays, never rebind them. A pickled or copied state leaves every view
-    out (post_cov too) and binds them again to its own arrays when it is loaded.
+    views, in _rows; post_cov is a view too. Write into the arrays, never rebind them. A pickled or copied state
+    is rebuilt from the tallies, the leaves' ev_prec and ev_wmean (_UpwardPass._from_tallies), and binds its views
+    to its own arrays.
     """
 
     def __init__(self, hierarchy: Hierarchy, prior: PriorSpec):
@@ -192,11 +191,6 @@ class LinearPosteriorState(_UpwardPass):
         self._s_cov[0] = np.eye(d)
         self.post_factor[0] = np.eye(d)
         self.slope[0] = np.eye(d)
-        self._bind_rows()
-        self._refresh(hierarchy.sample_nodes[::-1] + (ROOT,))  # as rebuild: the root, which sends no message, last
-
-    def _bind_rows(self) -> None:
-        """post_cov, _rows and _level_rows: views of this state's own arrays."""
         self.post_cov = self._s_cov[:, 1]
         traces = self.lam0.trace(axis1=1, axis2=2).tolist()
         self._rows = [None] + [
@@ -205,16 +199,7 @@ class LinearPosteriorState(_UpwardPass):
                 self.lam0[1:], self.ev_prec[1:], self.ev_wmean[1:], _pair_rows(self._s_cov[1:]),
                 self.post_factor[1:], self.slope[1:], self.intercept[1:], self.msg_prec[1:], self.msg_wmean[1:],
                 traces[1:])]
-        self._level_rows = [(self.slope[nodes], self.post_factor[nodes], self.intercept[nodes, :, None])
-                            if type(nodes) is slice else None for nodes, _, _, _ in self.hierarchy.level_index]
-
-    def __getstate__(self) -> dict:
-        """The state without its bound views, which would load as detached copies; __setstate__ binds them again."""
-        return {k: v for k, v in self.__dict__.items() if k not in ("post_cov", "_rows", "_level_rows")}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._bind_rows()
+        self._refresh(hierarchy.sample_nodes[::-1] + (ROOT,))  # as rebuild: the root, which sends no message, last
 
     def update_path(self, action: int, reward: float, context: np.ndarray | None = None) -> None:
         """Record one (context, reward) pair and refresh the leaf's root path; the context is required."""
@@ -225,19 +210,17 @@ class LinearPosteriorState(_UpwardPass):
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Node parameter vectors from the exact joint posterior, root downward: shape (num_nodes + 1, d), row 0
         nan. One standard-normal draw of num_nodes * d values, consumed root first, then level by level; each
-        level computes slope @ parent + post_factor @ z + intercept with stacked matmuls, on the rows bound in
-        _level_rows where its ids are a slice."""
+        level computes slope @ parent + post_factor @ z + intercept with stacked matmuls on its rows."""
         hier, d = self.hierarchy, self.dim
         slope, intercept, factor = self.slope, self.intercept, self.post_factor
         z = rng.standard_normal(hier.num_nodes * d)
         theta = np.empty((hier.num_nodes + 1, d, 1))
         theta[0] = np.nan
         theta[ROOT] = self.root_mean[:, None] + factor[ROOT] @ z[:d].reshape(d, 1)
-        for (nodes, parents, start, stop), bound in zip(hier.level_index, self._level_rows):
-            slope_rows, factor_rows, intercept_rows = bound or (slope[nodes], factor[nodes], intercept[nodes, :, None])
-            mean = slope_rows @ theta.take(parents, axis=0)
-            mean += factor_rows @ z[d * start : d * stop].reshape(-1, d, 1)
-            mean += intercept_rows
+        for nodes, parents, start, stop in hier.level_index:
+            mean = slope[nodes] @ theta.take(parents, axis=0)
+            mean += factor[nodes] @ z[d * start : d * stop].reshape(-1, d, 1)
+            mean += intercept[nodes, :, None]
             theta[nodes] = mean
         return theta[..., 0]
 
@@ -268,10 +251,13 @@ class LinearPosteriorState(_UpwardPass):
             subtract(small, m_prec, out=m_prec)
             matmul(lam0, intercept, out=m_wmean)
 
-    def _copy_tallies(self, out: "LinearPosteriorState") -> None:
+    def _tallies(self) -> tuple[np.ndarray, np.ndarray]:
         leaves = self.hierarchy.action_nodes
-        out.ev_prec[leaves] = self.ev_prec[leaves]
-        out.ev_wmean[leaves] = self.ev_wmean[leaves]
+        return self.ev_prec[leaves], self.ev_wmean[leaves]
+
+    def _set_tallies(self, tallies: tuple[np.ndarray, np.ndarray]) -> None:
+        leaves = self.hierarchy.action_nodes
+        self.ev_prec[leaves], self.ev_wmean[leaves] = tallies
 
     def marginal_action_moments(self, action: int) -> tuple[np.ndarray, np.ndarray]:
         """Marginal posterior (mean, covariance) of a leaf's parameter vector."""

@@ -33,32 +33,6 @@ __all__ = ["PosteriorState"]
 SHORT_SUM_MAX = 7
 
 
-def _level_loop(hier: Hierarchy, order, copies: tuple, rows: list, z: np.ndarray, root_mean: np.ndarray) -> np.ndarray:
-    """The level loop of M scalar draws in lockstep (LockstepDraw.draw). copies are node-major (num_nodes + 1, M)
-    arrays of lam0, ev_wmean, lamhat and sqrt_lamhat, column j draw j's (lam0 too: a broadcast costs more); order
-    lists the draw positions and rows holds each level's bound rows or None (LockstepDraw); z holds the normals of
-    the draw positions, a row per position, and is divided in place; root_mean holds each column's root mean.
-    A level gathers its parents with take; a level with bound rows computes straight into theta's rows, and any
-    other indexes the copies on each draw (a fancy index is a copy, which would go stale) and writes its values
-    back. Each element sees the operations of PosteriorState.draw in the same order, so a column equals its
-    state's own draw bit for bit."""
-    lam0, wmean, lamhat, sqrt_lamhat = copies
-    z /= sqrt_lamhat[order]
-    theta = np.empty(wmean.shape)
-    theta[0] = np.nan
-    theta[ROOT] = root_mean + z[0]
-    for (nodes, parents, start, stop), bound in zip(hier.level_index, rows):
-        lam0_rows, wmean_rows, lamhat_rows = bound or (lam0[nodes], wmean[nodes], lamhat[nodes])
-        parent_mean = theta.take(parents, axis=0)
-        mean = np.multiply(parent_mean, lam0_rows, out=parent_mean if bound is None else theta[nodes])
-        mean += wmean_rows
-        mean /= lamhat_rows
-        mean += z[start:stop]
-        if bound is None:
-            theta[nodes] = mean
-    return theta
-
-
 def _context(context, dim: int | None) -> np.ndarray | None:
     """The context as a float vector, or None for the k-armed model (dim None); ValueError unless it fits."""
     if dim is None:
@@ -103,19 +77,33 @@ class _UpwardPass:
 
     Subclasses supply _refresh(nodes), which visits nodes in the order given, each node after its children and
     the root last: a parent's evidence pools its children's messages, and each node's evidence folds into its
-    message (the root sends none) and the conditional it caches; and _copy_tallies(out), which gives a fresh state
-    this one's leaf tallies and evidence (one and the same in the linear model). Both states write _refresh as one
-    loop on local names with no call per node, over their own per-node values: the scalar state's float lists,
-    the linear state's array rows bound once as views. update_path refreshes the acted leaf's root path
-    (_root_paths), and rebuild every node; the root ends both walks, and a state's build.
+    message (the root sends none) and the conditional it caches; _tallies(), the leaf tallies every cache follows
+    from; and _set_tallies(tallies), which gives a fresh state those tallies and its leaves' evidence from them (one
+    and the same in the linear model). Both states write _refresh as one loop on local names with no call per
+    node, over their own per-node values: the scalar state's float lists, the linear state's array rows bound once
+    as views. update_path refreshes the acted leaf's root path (_root_paths), and _from_tallies every node; the
+    root ends both walks, and a state's build.
+
+    A state has one way to be copied, _from_tallies: rebuild, pickle, copy.copy and copy.deepcopy (__reduce__) all
+    build a fresh state from the tallies, so a twin holds the original's bytes in arrays and views of its own, and
+    no LockstepDraw column.
     """
+
+    @classmethod
+    def _from_tallies(cls, hierarchy: Hierarchy, prior: PriorSpec, tallies):
+        """A fresh state given tallies, every node refreshed bottom-up."""
+        out = cls(hierarchy, prior)
+        out._set_tallies(tallies)
+        out._refresh(hierarchy.sample_nodes[::-1] + (ROOT,))  # heights ascend; one height's nodes are independent
+        return out
 
     def rebuild(self):
         """Fresh state recomputed bottom-up from the leaf tallies."""
-        out = type(self)(self.hierarchy, self.prior)
-        self._copy_tallies(out)
-        out._refresh(self.hierarchy.sample_nodes[::-1] + (ROOT,))  # heights ascend; one height's nodes are independent
-        return out
+        return self._from_tallies(self.hierarchy, self.prior, self._tallies())
+
+    def __reduce__(self):
+        """Pickle and copy as _from_tallies of this state's tallies, so no view or LockstepDraw column carries over."""
+        return self._from_tallies, (self.hierarchy, self.prior, self._tallies())
 
 
 class PosteriorState(_UpwardPass):
@@ -141,17 +129,17 @@ class PosteriorState(_UpwardPass):
       sets when the state joins that draw; None before;
     - msg_prec and msg_wmean of the children of a parent with more than
       SHORT_SUM_MAX children, as the two rows of one (2, num_nodes + 1)
-      array (_msg_pair; _msg_arrays holds its rows), which _refresh sums
-      with one numpy reduction, each row's pairwise sum, over a slice view
-      when the child ids are consecutive and over a gathered copy otherwise.
+      array (_msg_pair), which _refresh sums with one numpy reduction, each
+      row's pairwise sum, over a slice view when the child ids are
+      consecutive and over a gathered copy otherwise.
     A shorter child list is summed left to right from 0.0, which is the order
     numpy's sum takes for at most SHORT_SUM_MAX elements. Every other reader
     (marginal_action_moments, posterior_precisions, the checks) works on the
     floats or on arrays built from them on request.
 
     Single-writer: update_path mutates in place, reads are safe between
-    updates but not during one. A pickled or copied state leaves its
-    memoryviews out and binds them to its own arrays when it is loaded.
+    updates but not during one. A pickled or copied state is rebuilt from
+    the tallies counts and reward_sums (_UpwardPass._from_tallies).
     """
 
     def __init__(self, hierarchy: Hierarchy, prior: PriorSpec):
@@ -178,7 +166,7 @@ class PosteriorState(_UpwardPass):
         # _refresh writes the message of each node whose parent is wide (_wide_child) through to _msg_pair, the
         # rows (msg_prec, msg_wmean) that one reduction sums
         self._msg_pair = np.zeros((2, n + 1))
-        self._bind_msg_views()
+        self._msg_views = tuple(map(memoryview, self._msg_pair))
         self._wide_child = (np.diff(hierarchy.child_start) > SHORT_SUM_MAX)[hierarchy.parent].tolist()
         self._refresh((ROOT,))
 
@@ -186,21 +174,6 @@ class PosteriorState(_UpwardPass):
         """Write through to copies (level_copies; None for none) from here on, by the views bound here."""
         self.level_copies = copies
         self._level_views = None if copies is None else tuple(map(memoryview, copies[1:]))
-
-    def _bind_msg_views(self) -> None:
-        """_msg_arrays, the two rows of _msg_pair, and the memoryviews _refresh writes them through."""
-        self._msg_arrays = tuple(self._msg_pair)
-        self._msg_views = tuple(map(memoryview, self._msg_arrays))
-
-    def __getstate__(self) -> dict:
-        """The state without its memoryviews, which do not pickle, and _msg_pair's rows, which would load as
-        detached copies; __setstate__ binds them again."""
-        return {k: v for k, v in self.__dict__.items() if k not in ("_level_views", "_msg_arrays", "_msg_views")}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._hold_levels(self.level_copies)
-        self._bind_msg_views()
 
     def posterior_precisions(self) -> np.ndarray:
         """Conditional posterior precision of every node, shape (num_nodes + 1,); slot 0 is nan."""
@@ -270,12 +243,14 @@ class PosteriorState(_UpwardPass):
             if wide_child[node]:
                 view_prec[node], view_wmean[node] = msg_p, msg_w
 
-    def _copy_tallies(self, out: "PosteriorState") -> None:
-        out.counts[:] = self.counts
-        out.reward_sums[:] = self.reward_sums
+    def _tallies(self) -> tuple[list, list]:
+        return self.counts, self.reward_sums
+
+    def _set_tallies(self, tallies: tuple[list, list]) -> None:
+        self.counts[:], self.reward_sums[:] = tallies
         for leaf in self.hierarchy.action_nodes.tolist():
-            out.ev_prec[leaf] = out.counts[leaf] * out.noise_prec
-            out.ev_wmean[leaf] = out.reward_sums[leaf] * out.noise_prec
+            self.ev_prec[leaf] = self.counts[leaf] * self.noise_prec
+            self.ev_wmean[leaf] = self.reward_sums[leaf] * self.noise_prec
 
     def marginal_action_moments(self, action: int) -> tuple[float, float]:
         """Marginal posterior (mean, variance) of a leaf's parameter.
@@ -298,11 +273,11 @@ class PosteriorState(_UpwardPass):
 
 
 class LockstepDraw:
-    """The scalar draws of M PosteriorStates of one tree and prior, made together in one level loop (_level_loop).
+    """The scalar draws of M PosteriorStates of one tree and prior, made together in one level loop (draw).
 
     The states' floats of lam0, ev_wmean, lamhat and sqrt_lamhat become the columns of node-major
-    (num_nodes + 1, M) arrays, column j state j's, which each state's write-through keeps current from here on
-    (_hold_levels binds its views to its column). order lists the draw positions, the root first and then
+    (num_nodes + 1, M) arrays, copies, column j state j's, which each state's write-through keeps current from here
+    on (_hold_levels binds its views to its column). order lists the draw positions, the root first and then
     Hierarchy.sample_nodes (a slice when consecutive); rows holds the views of the levels whose ids are a slice,
     bound once here. One numpy level serves M draws, and column j of draw(z) equals state j's own draw, on floats,
     from the same normals bit for bit. M = 1 is allowed.
@@ -323,6 +298,25 @@ class LockstepDraw:
 
     def draw(self, z: np.ndarray) -> np.ndarray:
         """Node parameters of every state, (num_nodes + 1, M), column j state j's, from the round's normals z:
-        node-major (num_nodes, M), column j the normals of state j's own draw. z is divided in place."""
+        node-major (num_nodes, M), column j the normals of state j's own draw, a row per draw position. z is
+        divided in place.
+
+        A level gathers its parents with take; a level with bound rows computes straight into theta's rows, and
+        any other indexes the copies on each draw (a fancy index is a copy, which would go stale) and writes its
+        values back. Each element sees the operations of PosteriorState.draw in the same order."""
+        lam0, wmean, lamhat, sqrt_lamhat = self.copies
         root_mean = np.array([s.root_mean for s in self.states])
-        return _level_loop(self.states[0].hierarchy, self.order, self.copies, self.rows, z, root_mean)
+        z /= sqrt_lamhat[self.order]
+        theta = np.empty(wmean.shape)
+        theta[0] = np.nan
+        theta[ROOT] = root_mean + z[0]
+        for (nodes, parents, start, stop), bound in zip(self.states[0].hierarchy.level_index, self.rows):
+            lam0_rows, wmean_rows, lamhat_rows = bound or (lam0[nodes], wmean[nodes], lamhat[nodes])
+            parent_mean = theta.take(parents, axis=0)
+            mean = np.multiply(parent_mean, lam0_rows, out=parent_mean if bound is None else theta[nodes])
+            mean += wmean_rows
+            mean /= lamhat_rows
+            mean += z[start:stop]
+            if bound is None:
+                theta[nodes] = mean
+        return theta

@@ -59,9 +59,9 @@ def engine_bytes(obj) -> dict[str, bytes]:
         assert type(obj.root_mean) is float
         for name, copy in zip(LEVEL_COPIES, getattr(obj, "level_copies", None) or ()):
             assert copy.tobytes() == out[name], name
-        if hasattr(obj, "_msg_arrays"):
+        if hasattr(obj, "_msg_pair"):
             kids = np.flatnonzero(obj._wide_child)
-            for name, array in zip(("msg_prec", "msg_wmean"), obj._msg_arrays):
+            for name, array in zip(("msg_prec", "msg_wmean"), obj._msg_pair):
                 assert array[kids].tobytes() == np.array(getattr(obj, name))[kids].tobytes(), name
     return out
 

@@ -69,7 +69,7 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("config", ["mixed_depth_tree", "doubling_b2_h3"])
-def test_float_draw_rule_never_changes_an_output(tmp_path, monkeypatch, config):
+def test_cell_loop_never_changes_an_output(tmp_path, monkeypatch, config):
     """The loop a cell takes picks how its draws are computed, never their values: regret.csv is byte-identical
     with every block in lockstep (LOCKSTEP_MIN_INSTANCES 1: numpy's level loop) and every block per agent (above
     the largest block: each state's own draw on Python floats)."""

@@ -1,10 +1,14 @@
 """Scalar recursive posterior: worked examples, invariants, oracle agreement."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import engine_bytes
 
 from hierts import (
+    LinearPosteriorState,
     PosteriorState,
     action_marginals,
     balanced_tree,
@@ -17,7 +21,7 @@ from hierts import (
     joint_prior,
 )
 from hierts import posterior
-from hierts.checks import random_scalar_prior, random_tree
+from hierts.checks import random_linear_prior, random_scalar_prior, random_tree
 from hierts.hierarchy import HierarchyError
 from hierts.posterior import SHORT_SUM_MAX
 
@@ -139,6 +143,49 @@ def test_update_path_matches_rebuild_exactly(b2h2, b2h2_prior):
             state.update_path(leaf, float(rng.standard_normal()))
         # same reductions in the same order: bit-identical, not just close
         assert engine_bytes(state.rebuild()) == engine_bytes(state)
+
+
+@pytest.mark.parametrize("dim", [None, 3])
+def test_shallow_copy_leaves_the_original_intact(dim):
+    """copy.copy gives a state with arrays of its own: updating the copy leaves the original's bytes, its root mean
+    among them, as they were. b=16 h=2 has a wide root, whose children's messages a scalar state writes through."""
+    rng = np.random.default_rng(41)
+    for tree in (balanced_tree(2, 2), balanced_tree(16, 2)):
+        if dim is None:
+            state = PosteriorState(tree, random_scalar_prior(rng, tree))
+        else:
+            state = LinearPosteriorState(tree, random_linear_prior(rng, tree, dim))
+
+        def feed(target):
+            for _ in range(20):
+                context = None if dim is None else rng.standard_normal(dim)
+                target.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)), context)
+
+        feed(state)
+        before = engine_bytes(state)
+        feed(copy.copy(state))
+        assert engine_bytes(state) == before
+
+
+def test_copies_of_a_lockstep_state_hold_no_column():
+    """The pickled, deep- and shallow-copied twins of a state that joined a LockstepDraw are rebuilt from its
+    tallies: each holds the state's bytes and no column of the draw, so its updates leave the draw's arrays as
+    they were."""
+    rng = np.random.default_rng(42)
+    tree = balanced_tree(16, 2)
+    states = [PosteriorState(tree, random_scalar_prior(rng, tree))]
+    states += [PosteriorState(tree, states[0].prior) for _ in range(2)]
+    cell = posterior.LockstepDraw(states)
+    for _ in range(30):
+        states[0].update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
+    for twin_of in (lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy):
+        twin = twin_of(states[0])
+        assert twin.level_copies is None
+        assert engine_bytes(twin) == engine_bytes(states[0])
+        columns = [c.tobytes() for c in cell.copies]
+        for _ in range(30):
+            twin.update_path(int(rng.choice(tree.action_nodes)), float(rng.normal(0.0, 2.0)))
+        assert [c.tobytes() for c in cell.copies] == columns
 
 
 def test_update_path_input_checks(b2h2, b2h2_prior):
@@ -326,7 +373,7 @@ def test_wide_pool_sums_like_numpy_over_view_or_gather(width):
             msgs = {"prec": np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-8, 8, n),
                     "wmean": rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)}
             # every message here is a wide parent's child's: set the floats and their numpy copies
-            for (name, msg), array in zip(msgs.items(), state._msg_arrays):
+            for (name, msg), array in zip(msgs.items(), state._msg_pair):
                 getattr(state, f"msg_{name}")[:] = msg.tolist()
                 array[:] = msg
             for node in (2, 3, 4):

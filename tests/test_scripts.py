@@ -47,7 +47,7 @@ class C:
 
 def test_src_lines_counts_code_without_blanks_comments_or_docstrings():
     """count() gives all 17 lines and 6 code lines: the import, def, return, class and the two lines of a string
-    value; the CLI prints the sums of count() over the package source."""
+    value; the CLI prints the sums of count() over the package source, and count() of one .py file it is given."""
     src_lines = _module("src_lines")
     assert src_lines.count(SNIPPET) == (17, 6)
     proc = _run("src_lines.py", cwd=REPO)
@@ -56,6 +56,11 @@ def test_src_lines_counts_code_without_blanks_comments_or_docstrings():
     assert got, proc.stdout
     sums = [sum(col) for col in zip(*(src_lines.count(p.read_text()) for p in (REPO / "src").rglob("*.py")))]
     assert [int(got[1]), int(got[2])] == sums
+    module = Path("src/hierts/posterior.py")
+    proc = _run("src_lines.py", module, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    lines, code = src_lines.count((REPO / module).read_text())
+    assert proc.stdout.strip() == f"{module}: {lines} lines, {code} code lines"
 
 
 def test_cluster_dataset_script_feeds_classify_bandit(tmp_path):
