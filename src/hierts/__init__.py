@@ -23,7 +23,7 @@ _EXPORTS = {
     "agents": ("AGENT_KINDS", "FlatTSAgent", "HierTSAgent", "TSAgent", "hierts_sample", "make_agent"),
     "checks": ("lemma_suite", "linear_oracle_suite", "run_default_suites", "scalar_oracle_suite"),
     "config": ("RunConfig",),
-    "envs": ("DatasetError", "FeatureDataset", "FitReport", "Instance", "dataset_instance", "fit_priors_from_data",
+    "envs": ("DatasetError", "FeatureDataset", "Instance", "dataset_instance", "fit_priors_from_data",
              "load_feature_dataset", "make_cluster_dataset", "sample_contexts", "sample_instance",
              "sample_parameter_draws", "step", "write_dataset_csv"),
     "harness": ("BoundReport", "RatioResult", "RegretCurve", "complexity_term", "dataset_bandit_curve",

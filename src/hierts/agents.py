@@ -90,13 +90,10 @@ class HierTSAgent:
     def _sampled_tree(hierarchy: Hierarchy, prior: PriorSpec) -> tuple[Hierarchy, PriorSpec]:
         return hierarchy, prior
 
-    def sample_model(self, size: int | None = None) -> np.ndarray:
-        theta = hierts_sample(self.state, self.rng, size)
-        self.sample_ops += self.state.hierarchy.num_nodes * (1 if size is None else int(size))
-        return theta
-
     def act(self, context: np.ndarray | None = None) -> int:
-        theta = self.sample_model()[self.state.hierarchy.leaf_index]
+        tree = self.state.hierarchy
+        theta = hierts_sample(self.state, self.rng)[tree.leaf_index]
+        self.sample_ops += tree.num_nodes
         return self._actions[_argmax_score(theta, context)]
 
     def update(self, action: int, reward: float, context: np.ndarray | None = None) -> None:

@@ -192,8 +192,8 @@ def _cmd_classify(args) -> int:
     if not label_map:
         raise ConfigError(f"{args.hierarchy}: classify-bandit needs a label_map section")
     dataset = load_feature_dataset(args.dataset, hierarchy, label_map)
-    prior, theta_star, fit = fit_priors_from_data(dataset, hierarchy, noise_std=run["noise_std"],
-                                                  diagonal=args.diagonal)
+    prior, theta_star, floored_nodes = fit_priors_from_data(dataset, hierarchy, noise_std=run["noise_std"],
+                                                            diagonal=args.diagonal)
     instance = dataset_instance(hierarchy, prior, theta_star)
     curve = dataset_bandit_curve(instance, dataset, horizon=run["horizon"], runs=run["runs"], seed=run["seed"],
                                  jobs=jobs(args.jobs))
@@ -202,7 +202,7 @@ def _cmd_classify(args) -> int:
     _regret_svg(curve, out, "Feature-dataset bandit regret")
     summary = {
         **run,
-        "floored_nodes": list(fit.floored_nodes),
+        "floored_nodes": list(floored_nodes),
         "covariance_floor": COVARIANCE_FLOOR,
         "final_regret": {k: dict(zip(("mean", "se"), curve.final(k))) for k in curve.agents},
     }

@@ -33,7 +33,6 @@ __all__ = [
     "load_feature_dataset",
     "fit_priors_from_data",
     "dataset_instance",
-    "FitReport",
     "make_cluster_dataset",
     "write_dataset_csv",
 ]
@@ -62,27 +61,22 @@ class Instance:
 def sample_parameter_draws(
     hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator, size: int = 1
 ) -> np.ndarray:
-    """Draw full parameter trees from the prior; shape (size, num_nodes + 1[, d])."""
+    """Draw full parameter trees from the prior; shape (size, num_nodes + 1[, d]).
+
+    Each node is its parent's parameter plus Gaussian noise with the node's
+    variance, the root's parent being hyper_mean; a scalar prior runs as d = 1.
+    """
     n = hierarchy.num_nodes
-    if prior.is_scalar:
-        scale = np.sqrt(prior.variances(hierarchy))
-        theta = np.empty((size, n + 1))
-        theta[:, 0] = np.nan
-        theta[:, ROOT] = prior.hyper_mean + scale[ROOT] * rng.standard_normal(size)
-        for nodes, parents, start, stop in hierarchy.level_index:
-            theta[:, nodes] = theta[:, parents] + scale[nodes] * rng.standard_normal((size, stop - start))
-        return theta
-    d = prior.dim
-    chol = np.linalg.cholesky(prior.variances(hierarchy))
+    variances = prior.variances(hierarchy)
+    factor = np.sqrt(variances).reshape(n + 1, 1, 1) if prior.is_scalar else np.linalg.cholesky(variances)
+    d = factor.shape[-1]
     theta = np.empty((size, n + 1, d))
     theta[:, 0] = np.nan
-    theta[:, ROOT] = prior.hyper_mean + np.einsum(
-        "ij,mj->mi", chol[ROOT], rng.standard_normal((size, d))
-    )
+    theta[:, ROOT] = prior.hyper_mean + np.einsum("ij,mj->mi", factor[ROOT], rng.standard_normal((size, d)))
     for nodes, parents, start, stop in hierarchy.level_index:
         z = rng.standard_normal((size, stop - start, d))
-        theta[:, nodes] = theta[:, parents] + np.einsum("kij,mkj->mki", chol[nodes], z)
-    return theta
+        theta[:, nodes] = theta[:, parents] + np.einsum("kij,mkj->mki", factor[nodes], z)
+    return theta[..., 0] if prior.is_scalar else theta
 
 
 def sample_instance(hierarchy: Hierarchy, prior: PriorSpec, rng: np.random.Generator) -> Instance:
@@ -192,13 +186,6 @@ def load_feature_dataset(
     )
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Bookkeeping from fit_priors_from_data: which covariances were floored."""
-
-    floored_nodes: tuple[int, ...]
-
-
 def _floor_covariance(cov: np.ndarray, floor: float) -> tuple[np.ndarray, bool]:
     cov = 0.5 * (cov + cov.T)
     eigval, eigvec = np.linalg.eigh(cov)
@@ -214,7 +201,7 @@ def fit_priors_from_data(
     *,
     noise_std: float = 0.5,
     diagonal: bool = False,
-) -> tuple[PriorSpec, dict[int, np.ndarray], FitReport]:
+) -> tuple[PriorSpec, dict[int, np.ndarray], tuple[int, ...]]:
     """Fit the hierarchical prior to the training split.
 
     The root gets the mean and covariance of all training rows; every other
@@ -222,7 +209,8 @@ def fit_priors_from_data(
     Ground-truth arm parameters are the per-class means of the test split.
     Covariances are floored so that no eigenvalue falls below
     COVARIANCE_FLOOR; with diagonal=True only per-feature variances are kept.
-    Returns (prior, theta_star by leaf, report).
+    Returns (prior, theta_star by leaf, the floored nodes). DatasetError names
+    the node whose covariance, or the leaf whose mean, is not finite.
     """
     d = dataset.dim
     floored: list[int] = []
@@ -238,25 +226,30 @@ def fit_priors_from_data(
         return cov
 
     node_variance: dict[int, np.ndarray] = {}
-    for node in range(1, hierarchy.num_nodes + 1):
-        if node == ROOT:
-            rows = train
-        else:
-            leaves = hierarchy.subtree_leaves(node)
-            mask = np.isin(dataset.leaf_ids, leaves) & dataset.is_train
-            rows = dataset.features[mask]
-        if rows.shape[0] < 2:
-            raise DatasetError(
-                f"node {node} has {rows.shape[0]} training rows; need at least 2 to fit a covariance"
-            )
-        node_variance[node] = fitted_cov(rows, node)
-
     theta_star: dict[int, np.ndarray] = {}
-    for leaf in hierarchy.action_nodes:
-        rows = dataset.rows_for(int(leaf), train=False)
-        if rows.shape[0] == 0:
-            raise DatasetError(f"leaf {leaf} has no test rows; cannot define its true parameter")
-        theta_star[int(leaf)] = rows.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is named below instead
+        for node in range(1, hierarchy.num_nodes + 1):
+            if node == ROOT:
+                rows = train
+            else:
+                leaves = hierarchy.subtree_leaves(node)
+                mask = np.isin(dataset.leaf_ids, leaves) & dataset.is_train
+                rows = dataset.features[mask]
+            if rows.shape[0] < 2:
+                raise DatasetError(
+                    f"node {node} has {rows.shape[0]} training rows; need at least 2 to fit a covariance"
+                )
+            cov = node_variance[node] = fitted_cov(rows, node)
+            if not np.isfinite(cov).all():
+                raise DatasetError(f"node {node}: the covariance of its training rows is not finite")
+
+        for leaf in hierarchy.action_nodes:
+            rows = dataset.rows_for(int(leaf), train=False)
+            if rows.shape[0] == 0:
+                raise DatasetError(f"leaf {leaf} has no test rows; cannot define its true parameter")
+            mean = theta_star[int(leaf)] = rows.mean(axis=0)
+            if not np.isfinite(mean).all():
+                raise DatasetError(f"leaf {leaf}: the mean of its test rows is not finite")
 
     if floored:
         import logging  # only a floored fit warns; a run that floors nothing never loads logging
@@ -268,7 +261,7 @@ def fit_priors_from_data(
             floored,
         )
     prior = PriorSpec(hyper_mean=train.mean(axis=0), node_variance=node_variance, noise_std=noise_std)
-    return prior, theta_star, FitReport(tuple(floored))
+    return prior, theta_star, tuple(floored)
 
 
 def dataset_instance(

@@ -231,8 +231,8 @@ def test_sample_ops_counts_node_draws(b2h2, b2h2_prior):
     assert agent.sample_ops == 0
     agent.act()
     assert agent.sample_ops == b2h2.num_nodes
-    agent.sample_model(size=10)
-    assert agent.sample_ops == 11 * b2h2.num_nodes
+    agent.act()
+    assert agent.sample_ops == 2 * b2h2.num_nodes
     flat = FlatTSAgent(b2h2, b2h2_prior, np.random.default_rng(0))
     flat.act()
     # the collapsed tree has root + one node per action
@@ -242,11 +242,11 @@ def test_sample_ops_counts_node_draws(b2h2, b2h2_prior):
 def test_act_breaks_ties_at_lowest_leaf(b2h2, b2h2_prior, monkeypatch):
     agent = HierTSAgent(b2h2, b2h2_prior, np.random.default_rng(0))
     theta = np.zeros(b2h2.num_nodes + 1)
-    monkeypatch.setattr(agent, "sample_model", lambda size=None: theta)
+    monkeypatch.setattr(agents, "hierts_sample", lambda state, rng, size=None: theta)
     assert agent.act() == int(b2h2.action_nodes[0])
     theta2 = theta.copy()
     theta2[[5, 7]] = 3.0
-    monkeypatch.setattr(agent, "sample_model", lambda size=None: theta2)
+    monkeypatch.setattr(agents, "hierts_sample", lambda state, rng, size=None: theta2)
     assert agent.act() == 5
 
 
@@ -374,14 +374,12 @@ def test_update_rejects_a_context_that_does_not_fit(kind, dim, context, message)
 @pytest.mark.parametrize("size", [0, -1, 2.5, True])
 @pytest.mark.parametrize("dim", [None, 2], ids=["scalar", "linear"])
 def test_sampling_rejects_a_size_that_is_not_a_positive_integer(b2h2, b2h2_prior, dim, size):
-    """A size of 0, -1, 2.5 or True raises a ValueError naming size before any draw, and sample_model counts nothing."""
+    """A size of 0, -1, 2.5 or True raises a ValueError naming size before any draw, and the agent counts nothing."""
     prior = b2h2_prior if dim is None else _linear_prior(b2h2, dim)
     agent = HierTSAgent(b2h2, prior, np.random.default_rng(0))
     rng_state = agent.rng.bit_generator.state
     with pytest.raises(ValueError, match="size must be a positive integer"):
         hierts_sample(agent.state, agent.rng, size)
-    with pytest.raises(ValueError, match="size must be a positive integer"):
-        agent.sample_model(size)
     assert agent.sample_ops == 0
     assert agent.rng.bit_generator.state == rng_state
 
@@ -549,4 +547,4 @@ def test_agents_pickle_and_copy(kind, mode):
         assert twin.act(context) == agent.act(context)
         assert twin.rng.bit_generator.state == agent.rng.bit_generator.state
         if kind != "TS":
-            assert twin.sample_model().tobytes() == agent.sample_model().tobytes()
+            assert hierts_sample(twin.state, twin.rng).tobytes() == hierts_sample(agent.state, agent.rng).tobytes()

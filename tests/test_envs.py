@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hierts import (
     DatasetError,
@@ -24,6 +25,7 @@ from hierts import (
     step,
     write_dataset_csv,
 )
+from hierts.checks import random_scalar_prior, random_tree
 from hierts.envs import COVARIANCE_FLOOR
 from hierts.hierarchy import HierarchyError
 
@@ -46,6 +48,29 @@ def test_sample_parameter_draws_linear(b2h2, linear_prior):
     assert draws.shape == (50_000, 8, 3)
     inc = draws[:, 4] - draws[:, 2]
     assert np.allclose(np.cov(inc.T), linear_prior.node_variance[4], atol=0.1)
+
+
+@pytest.mark.parametrize("size", [1, 5])
+@pytest.mark.parametrize("kind", ["constant", "doubling", "random"])
+def test_scalar_draws_are_the_one_by_one_matrix_draws(kind, size):
+    """A scalar prior draws the bytes of the same prior written as 1x1 matrices, and leaves the generator where
+    that one leaves it, on trees whose leaves sit at mixed depths."""
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        tree = random_tree(rng, max_levels=4, max_nodes=24)
+        if kind == "constant":
+            prior = constant_prior(tree, 0.7, hyper_mean=0.3)
+        elif kind == "doubling":
+            prior = doubling_prior(tree, hyper_mean=0.3)
+        else:
+            prior = random_scalar_prior(rng, tree)
+        matrix = PriorSpec(np.array([prior.hyper_mean]), {n: np.array([[v]]) for n, v in prior.node_variance.items()},
+                           noise_std=prior.noise_std)
+        scalar_rng, matrix_rng = np.random.default_rng(5), np.random.default_rng(5)
+        scalar = sample_parameter_draws(tree, prior, scalar_rng, size)
+        assert scalar.shape == (size, tree.num_nodes + 1)
+        assert scalar.tobytes() == sample_parameter_draws(tree, matrix, matrix_rng, size)[..., 0].tobytes()
+        assert scalar_rng.bit_generator.state == matrix_rng.bit_generator.state
 
 
 def test_instance_reward_and_best_action(b2h2, b2h2_prior):
@@ -132,7 +157,7 @@ def _toy_dataset():
 
 def test_fit_priors_exact_covariances():
     dataset, tree, _ = _toy_dataset()
-    prior, theta_star, report = fit_priors_from_data(dataset, tree, noise_std=0.5)
+    prior, theta_star, floored_nodes = fit_priors_from_data(dataset, tree, noise_std=0.5)
     train = dataset.features[dataset.is_train]
     assert np.allclose(prior.node_variance[1], np.cov(train, rowvar=False, ddof=1), atol=1e-12)
     rows_a = dataset.rows_for(2, train=True)
@@ -141,7 +166,7 @@ def test_fit_priors_exact_covariances():
     assert prior.noise_std == 0.5
     assert np.allclose(theta_star[2], [0.5, 0.5])
     assert np.allclose(theta_star[3], [5.0, 5.0])
-    assert report.floored_nodes == ()
+    assert floored_nodes == ()
 
 
 def test_fit_priors_diagonal_option():
@@ -162,8 +187,8 @@ def test_fit_priors_floors_degenerate_classes(caplog):
     feats[dataset.leaf_ids == 3] = [1.0, 1.0]
     clone = FeatureDataset(dataset.ids, feats, dataset.leaf_ids, dataset.is_train)
     with caplog.at_level(logging.WARNING):
-        prior, _, report = fit_priors_from_data(clone, tree)
-    assert 3 in report.floored_nodes
+        prior, _, floored_nodes = fit_priors_from_data(clone, tree)
+    assert 3 in floored_nodes
     assert np.linalg.eigvalsh(prior.node_variance[3]).min() >= COVARIANCE_FLOOR * (1 - 1e-12)
     assert "floored" in caplog.text
 
@@ -184,6 +209,21 @@ def test_fit_priors_requires_rows():
     trainonly = FeatureDataset(dataset.ids, dataset.features, dataset.leaf_ids, np.ones_like(no_test))
     with pytest.raises(DatasetError, match="no test rows"):
         fit_priors_from_data(trainonly, tree)
+
+
+@pytest.mark.parametrize("rows,value,test_rows,name", [([0], 1e300, [3, 7], "node 1"),
+                                                       ([6, 7], 1.5e308, [3, 6, 7], "leaf 3")],
+                         ids=["training-covariance", "test-mean"])
+def test_fit_names_the_node_or_leaf_whose_value_is_not_finite(rows, value, test_rows, name):
+    """A training feature of 1e300 overflows every covariance above it, the root's first; two test features of
+    1.5e308 in one class overflow that leaf's mean. Either raises a DatasetError naming it, and warns of nothing."""
+    dataset, tree, _ = _toy_dataset()
+    feats = dataset.features.copy()
+    feats[rows, 0] = value
+    is_train = np.ones_like(dataset.is_train)
+    is_train[test_rows] = False
+    with pytest.raises(DatasetError, match=f"^{name}: .* not finite"):
+        fit_priors_from_data(FeatureDataset(dataset.ids, feats, dataset.leaf_ids, is_train), tree)
 
 
 def test_dataset_instance_internal_averages():
@@ -225,6 +265,43 @@ def test_loader_rejects_bad_rows(tmp_path, line, msg):
     assert "line 10" in str(err.value)
 
 
+_FUZZ_DATASET = make_cluster_dataset(np.random.default_rng(0), num_groups=2, classes_per_group=2, dim=2)
+
+
+@given(
+    change=st.sampled_from(["cell", "extra field", "missing field"]),
+    row=st.integers(0, _FUZZ_DATASET[0].features.shape[0] - 1),
+    column=st.integers(0, 4),
+    value=st.sampled_from(["", "x", "nan", "inf", "-1e400", "1e300", "1.5e308", "1e-320"]),
+)
+@example(change="cell", row=0, column=3, value="1e300")  # a training row: its nodes' covariances overflow
+@example(change="cell", row=239, column=4, value="1.5e308")  # a test row: its leaf's mean is huge but finite
+@settings(max_examples=200, deadline=None)
+def test_dataset_file_fuzz_fits_or_names_the_line(tmp_path_factory, change, row, column, value):
+    """One change to a valid id,label,split,f1,f2 CSV: one cell (an id, a label that is then unknown, a split
+    that is then neither train nor test, or a feature) takes an odd value, or one row gains or loses a field.
+    Loading and fitting give a prior with a finite theta_star, or a DatasetError naming the line or the node."""
+    dataset, tree, label_map = _FUZZ_DATASET
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    write_dataset_csv(path, dataset, label_map)
+    lines = path.read_text().splitlines()
+    fields = lines[row + 1].split(",")
+    if change == "cell":
+        fields[column] = value
+    elif change == "extra field":
+        fields.append(value)
+    else:
+        fields.pop()
+    lines[row + 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        prior, theta_star, _ = fit_priors_from_data(load_feature_dataset(path, tree, label_map), tree)
+    except DatasetError as exc:
+        assert f"line {row + 2}:" in str(exc) or re.search(r"\b(node|leaf) \d+", str(exc)), str(exc)
+    else:
+        assert all(np.isfinite(mean).all() for mean in theta_star.values())
+
+
 def test_loader_rejects_bad_header(tmp_path):
     _, tree, label_map = _toy_dataset()
     path = tmp_path / "bad.csv"
@@ -253,10 +330,10 @@ def test_make_cluster_dataset_shape():
 def test_cluster_dataset_fit_runs_end_to_end():
     rng = np.random.default_rng(0)
     dataset, tree, _ = make_cluster_dataset(rng, num_groups=2, classes_per_group=2, dim=3)
-    prior, theta_star, report = fit_priors_from_data(dataset, tree)
+    prior, theta_star, floored_nodes = fit_priors_from_data(dataset, tree)
     assert not prior.is_scalar and prior.dim == 3
     assert set(theta_star) == set(int(a) for a in tree.action_nodes)
-    assert report.floored_nodes == ()
+    assert floored_nodes == ()
     inst = dataset_instance(tree, prior, theta_star)
     ctx = dataset.features[~dataset.is_train][0]
     assert np.isfinite(step(inst, int(tree.action_nodes[0]), np.random.default_rng(0), ctx))

@@ -19,7 +19,7 @@ PUBLIC = {
     "agents": ("AGENT_KINDS", "FlatTSAgent", "HierTSAgent", "TSAgent", "hierts_sample", "make_agent"),
     "checks": ("lemma_suite", "linear_oracle_suite", "run_default_suites", "scalar_oracle_suite"),
     "config": ("RunConfig",),
-    "envs": ("DatasetError", "FeatureDataset", "FitReport", "Instance", "dataset_instance", "fit_priors_from_data",
+    "envs": ("DatasetError", "FeatureDataset", "Instance", "dataset_instance", "fit_priors_from_data",
              "load_feature_dataset", "make_cluster_dataset", "sample_contexts", "sample_instance",
              "sample_parameter_draws", "step", "write_dataset_csv"),
     "harness": ("BoundReport", "RatioResult", "RegretCurve", "complexity_term", "dataset_bandit_curve",
@@ -87,7 +87,7 @@ def test_a_matrix_prior_loads_the_linear_model():
 
 def test_public_names_are_the_defining_modules_objects():
     assert hierts.__all__ == [name for names in PUBLIC.values() for name in names]
-    assert len(hierts.__all__) == 57
+    assert len(hierts.__all__) == 56
     for module, names in PUBLIC.items():
         defining = importlib.import_module(f"hierts.{module}")
         assert getattr(hierts, module) is defining
